@@ -1,13 +1,21 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"verro/internal/geom"
 	"verro/internal/interp"
 	"verro/internal/motio"
 	"verro/internal/scene"
+	"verro/internal/vid"
 )
 
 // samplesAt builds interpolation samples at the given frames (positions
@@ -83,6 +91,64 @@ func TestSanitizeMultiType(t *testing.T) {
 	}
 	if len(classes) == 0 {
 		t.Fatal("no synthetic objects at all")
+	}
+}
+
+// multiTypeDigest summarizes a multi-type run's published artifacts: the
+// sha256 of the synthetic-tracks CSV and of the encoded .vvf, plus the bits
+// of the overall and per-class ε.
+func multiTypeDigest(t *testing.T, res *MultiTypeResult) string {
+	t.Helper()
+	var tracks, video bytes.Buffer
+	if err := res.SyntheticTracks.WriteCSV(&tracks); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vid.Encode(&video, res.Synthetic); err != nil {
+		t.Fatal(err)
+	}
+	ts, vs := sha256.Sum256(tracks.Bytes()), sha256.Sum256(video.Bytes())
+	out := fmt.Sprintf("tracks=%s vvf=%s eps=%016x", hex.EncodeToString(ts[:]), hex.EncodeToString(vs[:]),
+		math.Float64bits(res.Epsilon))
+	classes := make([]string, 0, len(res.PerClass))
+	for name := range res.PerClass {
+		classes = append(classes, name)
+	}
+	sort.Strings(classes)
+	for _, name := range classes {
+		out += fmt.Sprintf(" %s=%016x", name, math.Float64bits(res.PerClass[name].Epsilon))
+	}
+	return out
+}
+
+// multiTypeGolden pins SanitizeMultiType on the mixedScene clip at seed 7.
+// It is compared on GOARCH=amd64 only: other targets may fuse multiply-add.
+const multiTypeGolden = "tracks=e632c56125c2de544c8ef087aed4fe152354d92473dd1fe72d02ba464b8652da" +
+	" vvf=3741d6df867ade0d0ab86b1b8e7b4e0e18e764b8919a243ec424164f8fdb2d54" +
+	" eps=40278e360604b32c pedestrian=40278e360604b32c vehicle=40178e360604b32c"
+
+// TestSanitizeMultiTypeGolden pins the multi-type sanitizer's output bytes
+// and holds them identical at one and four workers.
+func TestSanitizeMultiTypeGolden(t *testing.T) {
+	g, mixed := mixedScene(t)
+	var ref string
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Keyframe.MaxSegmentLen = 8
+		cfg.Seed = 7
+		cfg.Workers = workers
+		res, err := SanitizeMultiType(g.Video, mixed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := multiTypeDigest(t, res)
+		if ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("workers=%d digest %s differs from workers=1 %s", workers, got, ref)
+		}
+	}
+	if runtime.GOARCH == "amd64" && ref != multiTypeGolden {
+		t.Fatalf("multi-type golden mismatch:\n got  %s\n want %s", ref, multiTypeGolden)
 	}
 }
 

@@ -13,58 +13,52 @@ import (
 
 	"verro/internal/geom"
 	"verro/internal/img"
-	"verro/internal/stream"
-	"verro/internal/vid"
 )
 
-// tinyEquivalence runs batch and streamed sanitization of the same clip and
-// requires identical synthetic frames, returning the streamed result for
-// further ledger checks. Tracks come from the batch detector; both paths
-// sanitize the same input.
+// tinyEquivalence runs whole-clip and windowed sanitization of the same clip
+// and requires identical tracks and synthetic frames, returning the windowed
+// result for further ledger checks. Both runs sanitize the whole-clip
+// run's tracks.
 func tinyEquivalence(t *testing.T, v *Video, window int) *Result {
 	t.Helper()
 	tracks, err := DetectAndTrack(v, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamTracks, err := DetectAndTrackStream(stream.NewSliceSource(vid.MetaOf(v), v.Frames), PipelineConfig{
-		Detector:     DetectorBackgroundSub,
-		Tracker:      DefaultPipelineConfig().Tracker,
-		Seed:         1,
-		Style:        DefaultPipelineConfig().Style,
-		WindowFrames: window,
-	})
+	pcfg := DefaultPipelineConfig()
+	pcfg.WindowFrames = window
+	windowTracks, err := DetectAndTrack(v, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tracks, streamTracks) {
-		t.Fatal("windowed track recovery differs from batch")
+	if !reflect.DeepEqual(tracks, windowTracks) {
+		t.Fatal("windowed track recovery differs from the whole-clip run")
 	}
 
 	cfg := DefaultConfig()
 	cfg.Seed = 11
-	batch, err := Sanitize(v, tracks, cfg)
+	whole, err := Sanitize(v, tracks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := cfg
-	scfg.WindowFrames = window
-	streamed, err := Sanitize(v, tracks, scfg)
+	wcfg := cfg
+	wcfg.WindowFrames = window
+	windowed, err := Sanitize(v, tracks, wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Synthetic.Frames) != len(streamed.Synthetic.Frames) {
-		t.Fatalf("frame count: batch %d, streamed %d", len(batch.Synthetic.Frames), len(streamed.Synthetic.Frames))
+	if len(whole.Synthetic.Frames) != len(windowed.Synthetic.Frames) {
+		t.Fatalf("frame count: whole clip %d, windowed %d", len(whole.Synthetic.Frames), len(windowed.Synthetic.Frames))
 	}
-	for i := range batch.Synthetic.Frames {
-		if !batch.Synthetic.Frames[i].Equal(streamed.Synthetic.Frames[i]) {
-			t.Fatalf("frame %d differs between batch and streamed runs", i)
+	for i := range whole.Synthetic.Frames {
+		if !whole.Synthetic.Frames[i].Equal(windowed.Synthetic.Frames[i]) {
+			t.Fatalf("frame %d differs between whole-clip and windowed runs", i)
 		}
 	}
-	if batch.Epsilon != streamed.Epsilon {
-		t.Fatalf("epsilon: batch %v, streamed %v", batch.Epsilon, streamed.Epsilon)
+	if whole.Epsilon != windowed.Epsilon {
+		t.Fatalf("epsilon: whole clip %v, windowed %v", whole.Epsilon, windowed.Epsilon)
 	}
-	return streamed
+	return windowed
 }
 
 // shortClip generates a scaled MOT01 clip of exactly n frames.
@@ -98,7 +92,7 @@ func TestStreamShortClip(t *testing.T) {
 
 // TestStreamPartialFinalWindow checks the last window carrying fewer frames
 // than the budget: 21 frames at window 9 must partition 9/9/3 in the ledger
-// and still match the batch output.
+// and still match the whole-clip output.
 func TestStreamPartialFinalWindow(t *testing.T) {
 	v := shortClip(t, 21)
 	res := tinyEquivalence(t, v, 9)
@@ -115,8 +109,8 @@ func TestStreamPartialFinalWindow(t *testing.T) {
 // boundary: a single bright object crosses the clip and disappears
 // mid-window (frame 14 of 24 at window 8, so its post-exit miss-aging spans
 // the second and third windows). The windowed tracker must report exactly
-// the batch tracker's tracks, and the object's recovered track must end
-// around its true exit, not at a window boundary.
+// the whole-clip tracker's tracks, and the object's recovered track must
+// end around its true exit, not at a window boundary.
 func TestStreamTrackerHandoff(t *testing.T) {
 	const (
 		w, h     = 64, 48
@@ -136,7 +130,7 @@ func TestStreamTrackerHandoff(t *testing.T) {
 		v.Frames = append(v.Frames, f)
 	}
 
-	batch, err := DetectAndTrack(v, DefaultPipelineConfig())
+	whole, err := DetectAndTrack(v, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +140,8 @@ func TestStreamTrackerHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batch, streamed) {
-		t.Fatal("windowed tracks differ from batch across the exit boundary")
+	if !reflect.DeepEqual(whole, streamed) {
+		t.Fatal("windowed tracks differ from the whole-clip run across the exit boundary")
 	}
 	if len(streamed.Tracks) != 1 {
 		t.Fatalf("expected 1 recovered track, got %d", len(streamed.Tracks))

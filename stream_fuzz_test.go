@@ -4,7 +4,7 @@ package verro
 // at the streaming pipeline — window larger than the clip, window of one
 // frame, budgets that divide the clip evenly or leave a one-frame tail, the
 // empty clip — and holds it to two properties: it never panics, and
-// whenever the batch pipeline succeeds the streamed pipeline produces the
+// whenever the whole-clip run succeeds the windowed run produces the
 // byte-identical encoded output (and the same recovered tracks). Run the
 // seed corpus with `go test -run FuzzStreamWindow`; fuzz with
 // `go test -fuzz FuzzStreamWindow`.
@@ -46,15 +46,15 @@ func FuzzStreamWindow(f *testing.F) {
 
 		if frames == 0 {
 			// The generator refuses empty presets; the pipeline must refuse
-			// empty videos without panicking, on both paths.
+			// empty videos without panicking, whole-clip or windowed.
 			v := NewVideo("fuzz-empty", p.W, p.H, p.FPS)
 			if _, err := DetectAndTrack(v, DefaultPipelineConfig()); err == nil {
-				t.Fatal("batch DetectAndTrack accepted an empty clip")
+				t.Fatal("whole-clip DetectAndTrack accepted an empty clip")
 			}
 			pcfg := DefaultPipelineConfig()
 			pcfg.WindowFrames = w
 			if _, err := DetectAndTrack(v, pcfg); err == nil {
-				t.Fatal("streamed DetectAndTrack accepted an empty clip")
+				t.Fatal("windowed DetectAndTrack accepted an empty clip")
 			}
 			return
 		}
@@ -64,43 +64,43 @@ func FuzzStreamWindow(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Batch reference. Tiny degenerate clips may be legitimately
+		// Whole-clip reference. Tiny degenerate clips may be legitimately
 		// rejected (e.g. no objects survive tracking); the property then is
-		// that the streamed path rejects them too instead of panicking.
-		batchTracks, batchErr := DetectAndTrack(g.Video, DefaultPipelineConfig())
+		// that the windowed run rejects them too instead of panicking.
+		wholeTracks, wholeErr := DetectAndTrack(g.Video, DefaultPipelineConfig())
 		pcfg := DefaultPipelineConfig()
 		pcfg.WindowFrames = w
-		streamTracks, streamErr := DetectAndTrack(g.Video, pcfg)
-		if (batchErr == nil) != (streamErr == nil) {
-			t.Fatalf("track recovery disagreement: batch err=%v, streamed err=%v", batchErr, streamErr)
+		windowTracks, windowErr := DetectAndTrack(g.Video, pcfg)
+		if (wholeErr == nil) != (windowErr == nil) {
+			t.Fatalf("track recovery disagreement: whole-clip err=%v, windowed err=%v", wholeErr, windowErr)
 		}
-		if batchErr != nil {
+		if wholeErr != nil {
 			return
 		}
-		if !reflect.DeepEqual(batchTracks, streamTracks) {
+		if !reflect.DeepEqual(wholeTracks, windowTracks) {
 			t.Fatalf("tracks differ for %d frames at window %d", frames, w)
 		}
 
 		cfg := DefaultConfig()
 		cfg.Seed = 3
-		batchRes, batchErr := Sanitize(g.Video, batchTracks, cfg)
-		scfg := cfg
-		scfg.WindowFrames = w
-		streamRes, streamErr := Sanitize(g.Video, streamTracks, scfg)
-		if (batchErr == nil) != (streamErr == nil) {
-			t.Fatalf("sanitize disagreement: batch err=%v, streamed err=%v", batchErr, streamErr)
+		wholeRes, wholeErr := Sanitize(g.Video, wholeTracks, cfg)
+		wcfg := cfg
+		wcfg.WindowFrames = w
+		windowRes, windowErr := Sanitize(g.Video, windowTracks, wcfg)
+		if (wholeErr == nil) != (windowErr == nil) {
+			t.Fatalf("sanitize disagreement: whole-clip err=%v, windowed err=%v", wholeErr, windowErr)
 		}
-		if batchErr != nil {
+		if wholeErr != nil {
 			return
 		}
-		var batchBuf, streamBuf bytes.Buffer
-		if _, err := vid.Encode(&batchBuf, batchRes.Synthetic); err != nil {
+		var wholeBuf, windowBuf bytes.Buffer
+		if _, err := vid.Encode(&wholeBuf, wholeRes.Synthetic); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := vid.Encode(&streamBuf, streamRes.Synthetic); err != nil {
+		if _, err := vid.Encode(&windowBuf, windowRes.Synthetic); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(batchBuf.Bytes(), streamBuf.Bytes()) {
+		if !bytes.Equal(wholeBuf.Bytes(), windowBuf.Bytes()) {
 			t.Fatalf("encoded outputs differ for %d frames at window %d", frames, w)
 		}
 	})

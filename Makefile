@@ -13,14 +13,14 @@ LINTCACHE ?= .lint-cache
 
 ## check: the PR CI gate — vet, build, verrolint (classic + flow, baselined),
 ## the interval analyzers (-absint), the performance analyzers (-perf), the
-## lifecycle analyzers (-life), gofmt, the streaming equivalence and
-## memory-ceiling suite, the verrod job-service suite, the targeted
+## lifecycle analyzers (-life), gofmt, every package's unit tests (which
+## include the golden-hash streaming suite, the memory ceiling, the fuzz
+## seed corpora and the full verrod job-service suite), the targeted
 ## worker-pool race gate, and a short fuzz pass over both the .vvf codec and
 ## the stream-window planner. Fails on any new lint diagnostic or
-## unformatted file. The full -race suite, the job-churn leak harness, and
-## the long fuzz/benchmark gates run in `make nightly` so the PR path stays
-## fast.
-check: vet build lint lint-absint lint-perf lint-life fmt-check test-stream test-server race-par fuzz-short
+## unformatted file. The full -race suite and the long fuzz/benchmark gates
+## run in `make nightly` so the PR path stays fast.
+check: vet build lint lint-absint lint-perf lint-life fmt-check test race-par fuzz-short
 
 ## nightly: the slow gate (see .github/workflows/nightly.yml) — the whole
 ## PR gate plus the full race suite (which runs the job-churn leak harness
@@ -87,11 +87,12 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-## test-stream: the bounded-memory streaming gate — batch/stream
-## bit-identity over every preset × window × worker combination, the
-## disk-to-disk file path, the end-of-stream edge cases, the fuzz seed
-## corpus, and the 4×-clip/1.3×-heap memory ceiling (stream_*_test.go plus
-## the internal/stream and internal/vid window tests).
+## test-stream: the bounded-memory streaming gate — golden hashes per
+## preset and bit-identity with the whole-clip run over every window ×
+## worker combination, the disk-to-disk file path, the end-of-stream edge
+## cases, the fuzz seed corpus, and the 4×-clip/1.3×-heap memory ceiling
+## (stream_*_test.go plus the internal/stream and internal/vid window
+## tests). A subset of `make test`.
 test-stream:
 	$(GO) test -run 'TestStream|FuzzStreamWindow' .
 	$(GO) test ./internal/stream/ ./internal/vid/
@@ -101,7 +102,8 @@ test-stream:
 ## rate limiting, SSE monotonic window progress, event-log eviction, and
 ## the kill-and-resume acceptance test asserting the resumed .vvf is
 ## byte-identical to an uninterrupted run's. -short skips only the
-## job-churn leak harness, which has its own target below.
+## job-churn leak harness, which has its own target below. `make test`
+## runs the whole suite without -short.
 test-server:
 	$(GO) test -run 'TestSanitizeStreamFrom' ./internal/core/
 	$(GO) test -short ./internal/store/ ./internal/server/

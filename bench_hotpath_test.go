@@ -18,6 +18,7 @@ import (
 	"verro/internal/img"
 	"verro/internal/inpaint"
 	"verro/internal/motio"
+	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/scene"
 	"verro/internal/vid"
@@ -155,7 +156,7 @@ func BenchmarkHotInpaint(b *testing.B) {
 	cfg := inpaint.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inpaint.Inpaint(m, mask.Clone(), cfg); err != nil {
+		if _, err := inpaint.Inpaint(m, mask.Clone(), cfg, obs.Runtime{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func BenchmarkHotBackground(b *testing.B) {
 	v, tracks := hotClip(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inpaint.StaticBackground(v, tracks, 2, inpaint.DefaultConfig()); err != nil {
+		if _, err := inpaint.StaticBackground(v, tracks, 2, inpaint.DefaultConfig(), obs.Runtime{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"verro/internal/img"
 	"verro/internal/inpaint"
 	"verro/internal/keyframe"
+	"verro/internal/obs"
 	"verro/internal/par"
 )
 
@@ -42,7 +43,7 @@ func BenchmarkParMedianBackground(b *testing.B) {
 	}
 	benchAtWorkers(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := detect.MedianBackground(frames, 1); err != nil {
+			if _, err := detect.MedianBackground(frames, 1, obs.Runtime{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -83,7 +84,7 @@ func BenchmarkParInpaint(b *testing.B) {
 	mask.SetRect(geom.RectAt(30, 22, 24, 16), true)
 	benchAtWorkers(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := inpaint.Inpaint(src, mask, inpaint.DefaultConfig()); err != nil {
+			if _, err := inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), obs.Runtime{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,15 +96,16 @@ func BenchmarkParKeyframe(b *testing.B) {
 	d := dataset(b, "MOT01")
 	benchAtWorkers(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := keyframe.Extract(d.Gen.Video, keyframe.DefaultConfig()); err != nil {
+			if _, err := keyframe.Extract(d.Gen.Video, keyframe.DefaultConfig(), obs.Runtime{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkParSanitizeRender times the full sanitization including the
-// Phase II frame rendering loop.
+// BenchmarkParSanitizeRender times the full in-memory sanitization — the
+// streaming driver over one whole-clip window — including the Phase II
+// frame rendering loop.
 func BenchmarkParSanitizeRender(b *testing.B) {
 	d := dataset(b, "MOT01")
 	cfg := d.SanitizerConfig(0.1, 1, true)

@@ -60,7 +60,7 @@ func main() {
 	flag.BoolVar(&opt.multi, "multitype", false, "sanitize each object class independently (Section 5)")
 	flag.IntVar(&opt.gifN, "gif", 0, "also export an animated GIF sampling every Nth frame (0 = none)")
 	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = VERRO_WORKERS or GOMAXPROCS; output is identical at any setting)")
-	flag.IntVar(&opt.window, "window", 0, "stream the pipeline in windows of N frames, bounding memory to O(N) (0 = whole-clip batch; output is identical at any setting)")
+	flag.IntVar(&opt.window, "window", 0, "stream the pipeline in windows of N frames, bounding memory to O(N) (0 = one whole-clip window; output is identical at any setting)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
 	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -85,22 +85,23 @@ func main() {
 	}
 }
 
-// runStream is the bounded-memory file-to-file path behind -window: the
-// input decodes from disk in windows, the sanitizer streams, and the output
-// encodes to disk in windows, so peak memory is O(window) regardless of
-// clip length. The written file is byte-identical to the batch path's.
-func runStream(opt options) error {
-	if opt.multi {
-		return fmt.Errorf("-multitype drives per-class batch runs and does not compose with -window")
-	}
+// run is the file-to-file pipeline: the input decodes from disk in windows
+// of opt.window frames (0 = one whole-clip window), detection, tracking and
+// the sanitizer stream over them, and the output encodes to disk window by
+// window, so peak memory is O(window) regardless of clip length. The
+// written file is byte-identical at any window size. Only -multitype, whose
+// joint per-class renderer needs the whole clip, reads it into memory.
+func run(opt options) error {
 	src, err := verro.OpenVideoSource(opt.in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
 	meta := src.Meta()
-	fmt.Printf("input: %s %dx%d %d frames (streaming, window %d)\n", meta.Name, meta.W, meta.H, meta.Frames, opt.window)
+	fmt.Printf("input: %s %dx%d %d frames (window %d)\n", meta.Name, meta.W, meta.H, meta.Frames, opt.window)
 
+	// One trace covers the whole run: detection+tracking (when it runs) and
+	// the sanitizer stages all land in the same span tree.
 	var trace *verro.Trace
 	if opt.tracePath != "" {
 		trace = verro.NewTrace("verro")
@@ -136,8 +137,10 @@ func runStream(opt options) error {
 	cfg.Trace = trace
 	cfg.WindowFrames = opt.window
 	if opt.eps > 0 {
-		// Same ε→f conversion as the batch path, on a render-free streaming
-		// dry run (untraced so its stages don't double-count).
+		// Convert the ε budget to a flip probability: dry-run Phase I at a
+		// neutral f to learn how many key frames get picked, then invert.
+		// The dry run renders nothing and is untraced so its stages don't
+		// double-count.
 		dry := cfg
 		dry.Phase2.SkipRender = true
 		dry.Trace = nil
@@ -157,38 +160,63 @@ func runStream(opt options) error {
 		fmt.Printf("eps=%.3f over %d picked key frames -> f=%.4f\n", opt.eps, k, conv)
 	}
 
-	sink, err := verro.NewVideoSink(opt.out, verro.StreamOutputMeta(meta))
-	if err != nil {
-		return err
-	}
-	wrote := false
-	defer func() {
-		// Close is idempotent, so this is a no-op after the success path
-		// (SanitizeStream closes the sink itself). On any error return
-		// between here and there it releases the descriptor and removes the
-		// truncated output — a half-written .vvf must not survive where a
-		// caller could mistake it for a sanitized artifact.
-		sink.Close()
-		if !wrote {
-			os.Remove(opt.out)
+	if opt.multi {
+		video, err := verro.ReadVideo(opt.in)
+		if err != nil {
+			return err
 		}
-	}()
-	res, err := verro.SanitizeStream(src, tracks, cfg, sink)
-	if err != nil {
-		return err
+		res, err := verro.SanitizeMultiType(video, tracks, cfg)
+		if err != nil {
+			return err
+		}
+		classes := make([]string, 0, len(res.PerClass))
+		for name := range res.PerClass {
+			classes = append(classes, name)
+		}
+		sort.Strings(classes)
+		for _, name := range classes {
+			p1 := res.PerClass[name]
+			fmt.Printf("class %-11s eps=%.3f over %d picked key frames\n", name, p1.Epsilon, len(p1.Picked))
+		}
+		fmt.Printf("%d/%d objects retained\n", res.SyntheticTracks.Len(), tracks.Len())
+		n, err := verro.WriteVideo(opt.out, res.Synthetic)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(n)/(1<<20))
+	} else {
+		sink, err := verro.NewVideoSink(opt.out, verro.StreamOutputMeta(meta))
+		if err != nil {
+			return err
+		}
+		wrote := false
+		defer func() {
+			// Close is idempotent, so this is a no-op after the success path
+			// (SanitizeStream closes the sink itself). On any error return
+			// between here and there it releases the descriptor and removes
+			// the truncated output — a half-written .vvf must not survive
+			// where a caller could mistake it for a sanitized artifact.
+			sink.Close()
+			if !wrote {
+				os.Remove(opt.out)
+			}
+		}()
+		res, err := verro.SanitizeStream(src, tracks, cfg, sink)
+		if err != nil {
+			return err
+		}
+		wrote = true
+		fmt.Printf("sanitized: eps=%.3f, phase1=%v phase2=%v\n",
+			res.Epsilon, res.Phase1Time.Round(1e6), res.Phase2Time.Round(1e6))
+		fmt.Printf("%d/%d objects retained over %d windows\n",
+			res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
+		fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(sink.Written())/(1<<20))
 	}
-	wrote = true
-	fmt.Printf("sanitized: eps=%.3f, phase1=%v phase2=%v\n",
-		res.Epsilon, res.Phase1Time.Round(1e6), res.Phase2Time.Round(1e6))
-	fmt.Printf("%d/%d objects retained over %d windows\n",
-		res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
-	fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(sink.Written())/(1<<20))
 
 	if opt.pngN > 0 || opt.gifN > 0 {
-		// The synthetic frames went straight to disk; read the output back
-		// for the optional exports. The decoded frames are SanitizeStream's
-		// own published output, not raw footage — the taint analyzer only
-		// sees a video decode.
+		// Read the output back for the optional exports. The decoded frames
+		// are the sanitizer's own published output, not raw footage — the
+		// taint analyzer only sees a video decode.
 		synthetic, err := verro.ReadVideo(opt.out)
 		if err != nil {
 			return err
@@ -214,134 +242,6 @@ func runStream(opt options) error {
 			}
 			fmt.Printf("wrote %s\n", gifPath)
 		}
-	}
-	if trace != nil {
-		if err := trace.WriteFile(opt.tracePath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace to %s\n%s", opt.tracePath, trace.Report().Summary())
-	}
-	return nil
-}
-
-func run(opt options) error {
-	if opt.window > 0 {
-		return runStream(opt)
-	}
-	video, err := verro.ReadVideo(opt.in)
-	if err != nil {
-		return err
-	}
-	// Video.String() prints dimensions and frame count only — metadata the
-	// operator already knows, not pixel or trajectory data.
-	//lint:allow privleak %v formats the video's size summary, not its content
-	fmt.Printf("input: %v\n", video)
-
-	// One trace covers the whole run: detection+tracking (when it runs) and
-	// the sanitizer stages all land in the same span tree.
-	var trace *verro.Trace
-	if opt.tracePath != "" {
-		trace = verro.NewTrace("verro")
-	}
-
-	var tracks *verro.TrackSet
-	if opt.tracksPath != "" {
-		tracks, err = verro.LoadTracks(opt.tracksPath)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracks: %d objects from %s\n", tracks.Len(), opt.tracksPath)
-	} else {
-		fmt.Println("no tracks given; running detection + tracking...")
-		pcfg := verro.DefaultPipelineConfig()
-		pcfg.Trace = trace
-		tracks, err = verro.DetectAndTrack(video, pcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked %d objects\n", tracks.Len())
-	}
-
-	cfg := verro.DefaultConfig()
-	cfg.Seed = opt.seed
-	cfg.Phase1.F = opt.f
-	cfg.Phase1.Optimize = !opt.noOpt
-	cfg.Phase1.LaplaceEps = opt.laplace
-	cfg.Trace = trace
-	if opt.eps > 0 {
-		// Convert the ε budget to a flip probability: dry-run Phase I at a
-		// neutral f to learn how many key frames get picked, then invert.
-		// The dry run is untraced so its stages don't double-count.
-		dry := cfg
-		dry.Phase2.SkipRender = true
-		dry.Trace = nil
-		dryRes, err := verro.Sanitize(video, tracks, dry)
-		if err != nil {
-			return fmt.Errorf("dry run: %w", err)
-		}
-		k := len(dryRes.Phase1.Picked)
-		conv, err := verro.FlipProbability(k, opt.eps)
-		if err != nil {
-			return err
-		}
-		cfg.Phase1.F = conv
-		fmt.Printf("eps=%.3f over %d picked key frames -> f=%.4f\n", opt.eps, k, conv)
-	}
-
-	var synthetic *verro.Video
-	var synthTracks *verro.TrackSet
-	if opt.multi {
-		res, err := verro.SanitizeMultiType(video, tracks, cfg)
-		if err != nil {
-			return err
-		}
-		synthetic = res.Synthetic
-		synthTracks = res.SyntheticTracks
-		classes := make([]string, 0, len(res.PerClass))
-		for name := range res.PerClass {
-			classes = append(classes, name)
-		}
-		sort.Strings(classes)
-		for _, name := range classes {
-			p1 := res.PerClass[name]
-			fmt.Printf("class %-11s eps=%.3f over %d picked key frames\n", name, p1.Epsilon, len(p1.Picked))
-		}
-	} else {
-		res, err := verro.Sanitize(video, tracks, cfg)
-		if err != nil {
-			return err
-		}
-		synthetic = res.Synthetic
-		synthTracks = res.SyntheticTracks
-		fmt.Printf("sanitized: eps=%.3f, phase1=%v phase2=%v\n",
-			res.Epsilon, res.Phase1Time.Round(1e6), res.Phase2Time.Round(1e6))
-	}
-	fmt.Printf("%d/%d objects retained\n", synthTracks.Len(), tracks.Len())
-
-	n, err := verro.WriteVideo(opt.out, synthetic)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(n)/(1<<20))
-
-	if opt.pngN > 0 {
-		dir := opt.out + "-frames"
-		count := 0
-		for k := 0; k < synthetic.Len(); k += opt.pngN {
-			path := filepath.Join(dir, fmt.Sprintf("frame%05d.png", k))
-			if err := synthetic.Frame(k).WritePNG(path); err != nil {
-				return err
-			}
-			count++
-		}
-		fmt.Printf("wrote %d PNG frames to %s\n", count, dir)
-	}
-	if opt.gifN > 0 {
-		gifPath := opt.out + ".gif"
-		if err := synthetic.WriteGIF(gifPath, opt.gifN); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", gifPath)
 	}
 	if trace != nil {
 		if err := trace.WriteFile(opt.tracePath); err != nil {

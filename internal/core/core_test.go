@@ -10,6 +10,7 @@ import (
 	"verro/internal/keyframe"
 	"verro/internal/ldp"
 	"verro/internal/motio"
+	"verro/internal/obs"
 	"verro/internal/scene"
 	"verro/internal/vid"
 )
@@ -356,7 +357,7 @@ func TestPhase2LosesEmptyVectors(t *testing.T) {
 	kf, err := keyframe.Extract(g.Video, keyframe.Config{
 		HBins: 16, SBins: 8, VBins: 8, Alpha: 0.5, Beta: 0.3, Gamma: 0.2,
 		Tau: 0.97, MaxSegmentLen: 4,
-	})
+	}, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestPhase2LosesEmptyVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	p2, err := RunPhase2(p1, kf, g.Truth, scenes, 64, 48, 16, DefaultPhase2Config(), rng)
+	p2, err := RunPhase2(p1, kf, g.Truth, scenes, 64, 48, 16, DefaultPhase2Config(), rng, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +417,7 @@ func TestPhase2InsufficientCandidatesExpands(t *testing.T) {
 	}
 	bg := scene.PaintBackground(scene.StyleSquare, 64, 48, 1)
 	rng := rand.New(rand.NewSource(8))
-	p2, err := RunPhase2(p1, kf, tracks, staticScenes{bg}, 64, 48, 10, DefaultPhase2Config(), rng)
+	p2, err := RunPhase2(p1, kf, tracks, staticScenes{bg}, 64, 48, 10, DefaultPhase2Config(), rng, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,13 +428,23 @@ func TestPhase2InsufficientCandidatesExpands(t *testing.T) {
 
 func TestRunPhase2Validation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	if _, err := RunPhase2(nil, nil, nil, nil, 10, 10, 10, DefaultPhase2Config(), rng); err == nil {
+	if _, err := RunPhase2(nil, nil, nil, nil, 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
 		t.Fatal("nil phase 1 should fail")
 	}
 	p1 := &Phase1Result{KeyFrames: []int{0}, Output: []ldp.BitVector{{true}}}
 	kf := &keyframe.Result{Segments: []keyframe.Segment{{Start: 0, End: 0}}, KeyFrames: []int{0}}
-	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 0, 10, 10, DefaultPhase2Config(), rng); err == nil {
+	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 0, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
 		t.Fatal("zero width should fail")
+	}
+	// Rendering without background scenes must fail cleanly, not panic in
+	// a render worker.
+	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
+		t.Fatal("nil scenes should fail when rendering")
+	}
+	skip := DefaultPhase2Config()
+	skip.SkipRender = true
+	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 10, 10, 10, skip, rng, obs.Runtime{}); err != nil {
+		t.Fatalf("nil scenes must be allowed under SkipRender: %v", err)
 	}
 }
 

@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"verro/internal/geom"
-	"verro/internal/inpaint"
-	"verro/internal/keyframe"
-	"verro/internal/ldp"
 	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/scene"
+	"verro/internal/stream"
 	"verro/internal/vid"
 )
 
@@ -44,7 +42,10 @@ func classOf(name string) scene.ObjectClass {
 // independently per class (so all pedestrians are mutually
 // indistinguishable and all vehicles are mutually indistinguishable), and a
 // single Phase II renders every class's synthetic objects into one output
-// video. Synthetic IDs are offset per class to stay unique.
+// video. Synthetic IDs are offset per class to stay unique. The analysis,
+// key-frame and background steps, Phase I and the Phase II plan are the
+// streaming driver's; only the joint renderer is its own, and it holds the
+// whole clip in memory.
 func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*MultiTypeResult, error) {
 	if v == nil || v.Len() == 0 {
 		return nil, fmt.Errorf("core: empty input video")
@@ -55,7 +56,7 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Scoped pool, same as Sanitize: cfg.Workers applies to this run only.
+	// Scoped pool, same as SanitizeStream: cfg.Workers applies to this run only.
 	pool := par.NewPool(cfg.Workers)
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
@@ -78,43 +79,16 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	}
 
 	// Shared preprocessing (key frames and backgrounds are class-agnostic).
-	preStart := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	kfCfg := cfg.Keyframe
-	if kfCfg.MaxSegmentLen == 0 {
-		kfCfg.MaxSegmentLen = v.Len() / 20
-		if kfCfg.MaxSegmentLen < 1 {
-			kfCfg.MaxSegmentLen = 1
-		}
-	} else if kfCfg.MaxSegmentLen < 0 {
-		kfCfg.MaxSegmentLen = 0
-	}
-	kfSpan := root.Child("keyframes")
-	kf, err := keyframe.ExtractRT(v, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
-	kfSpan.End()
+	an, err := analyze(stream.NewSliceSource(vid.MetaOf(v), v.Frames), tracks, cfg, true, pool, root)
 	if err != nil {
 		return nil, err
 	}
-	step := cfg.BackgroundStep
-	if step <= 0 {
-		step = v.Len() / 40
-		if step < 1 {
-			step = 1
-		}
-	}
-	inSpan := root.Child("inpaint")
-	scenes, err := inpaint.ExtractScenesRT(v, tracks, step, cfg.Inpaint, obs.Runtime{Pool: pool, Span: inSpan})
-	inSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	preTime := time.Since(preStart) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
 	res := &MultiTypeResult{
 		PerClass:       map[string]*Phase1Result{},
-		PreprocessTime: preTime,
+		PreprocessTime: an.elapsed,
 	}
 
-	// Phase I per class, Phase II per class (tracks only), then one shared
+	// Phase I and the Phase II plan per class (tracks only), then one shared
 	// rendering pass.
 	type classOut struct {
 		name string
@@ -123,25 +97,13 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	var outs []classOut
 	idOffset := 0
 	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p1Span := root.Child("phase1")
 	p2Span := root.Child("phase2")
 	for _, name := range classNames {
 		set := classes[name]
-		full := PresenceVectors(set, v.Len())
-		reduced, err := ReduceToKeyFrames(full, kf.KeyFrames)
+		p1, err := runPhase1Stage(set, v.Len(), an.kf, cfg.Phase1, rng, root)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: class %q: %w", name, err)
 		}
-		p1, err := RunPhase1(reduced, kf.KeyFrames, cfg.Phase1, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: phase 1 for class %q: %w", name, err)
-		}
-		p1Span.Add(obs.CKeyFramesPicked, int64(len(p1.Picked)))
-		var flips int64
-		for i := range p1.Output {
-			flips += int64(ldp.Hamming(p1.Optimal[i], p1.Output[i]))
-		}
-		p1Span.Add(obs.CRRBitsFlipped, flips)
 		res.PerClass[name] = p1
 		if p1.Epsilon > res.Epsilon {
 			res.Epsilon = p1.Epsilon
@@ -150,7 +112,7 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 		p2cfg := cfg.Phase2
 		p2cfg.Class = classOf(name)
 		p2cfg.SkipRender = true // tracks only; rendering happens jointly below
-		p2, err := RunPhase2RT(p1, kf, set, scenes, v.W, v.H, v.Len(), p2cfg, rng,
+		p2, err := RunPhase2(p1, an.kf, set, nil, v.W, v.H, v.Len(), p2cfg, rng,
 			obs.Runtime{Pool: pool, Span: p2Span})
 		if err != nil {
 			return nil, fmt.Errorf("core: phase 2 for class %q: %w", name, err)
@@ -162,7 +124,6 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 		idOffset += set.Len() + 1
 		outs = append(outs, classOut{name: name, p2: p2})
 	}
-	p1Span.End()
 	res.Phase1Time = time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 
 	// Joint rendering: composite every class's synthetic tracks over the
@@ -176,10 +137,10 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 		id    int
 		box   geom.Rect
 	}
-	// Per-run random color offset; see RunPhase2 for the rationale.
+	// Per-run random color offset; see planPhase2 for the rationale.
 	colorOffset := rng.Intn(1 << 16)
 	for k := 0; k < v.Len(); k++ {
-		bg, err := scenes.Background(k)
+		bg, err := an.scenes.Background(k)
 		if err != nil {
 			return nil, err
 		}

@@ -241,21 +241,20 @@ func safeExtend(m interp.Method, run []interp.Sample, numFrames int, bounds geom
 }
 
 // RunPhase2 generates the synthetic video from the Phase I output.
-// scenes provides the reconstructed background for every frame; kf is the
-// segmentation that produced p1.KeyFrames; tracks supplies the candidate
-// coordinates (their identities are stripped before use).
+// scenes provides the reconstructed background for every frame (it may be
+// nil only under cfg.SkipRender); kf is the segmentation that produced
+// p1.KeyFrames; tracks supplies the candidate coordinates (their identities
+// are stripped before use). Frame rendering shards over rt.Pool and
+// render/loss counters land on rt.Span. The runtime is observational only —
+// every random draw happens on the coordinator, so the output is
+// bit-identical for the same rng stream at any worker count; the zero
+// obs.Runtime runs on the default pool, untraced.
 func RunPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
-	scenes inpaint.Scenes, w, h, numFrames int, cfg Phase2Config, rng *rand.Rand) (*Phase2Result, error) {
-	return RunPhase2RT(p1, kf, tracks, scenes, w, h, numFrames, cfg, rng, obs.Runtime{})
-}
-
-// RunPhase2RT is RunPhase2 on an explicit runtime: frame rendering shards
-// over rt.Pool and render/loss counters land on rt.Span. The runtime is
-// observational only — every random draw happens on the coordinator, so the
-// output is bit-identical to RunPhase2 for the same rng stream.
-func RunPhase2RT(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
 	scenes inpaint.Scenes, w, h, numFrames int, cfg Phase2Config, rng *rand.Rand, rt obs.Runtime) (*Phase2Result, error) {
 
+	if scenes == nil && !cfg.SkipRender {
+		return nil, fmt.Errorf("core: phase 2 rendering requires background scenes")
+	}
 	plan, err := planPhase2(p1, kf, tracks, w, h, numFrames, cfg, rng)
 	if err != nil {
 		return nil, err
@@ -293,10 +292,9 @@ type placed struct {
 // phase2Plan is the coordinator-side outcome of Phase II: every random draw
 // has been consumed (key-frame assignment, pool expansion/shuffle, and the
 // palette offset), leaving a pure per-frame render schedule. Rendering any
-// frame from the plan is deterministic, so the batch path can render all
-// frames at once while the streaming path renders window by window — with
-// bit-identical output, because both consume the identical rng stream here
-// and only here.
+// frame from the plan is deterministic, so rendering all frames at once and
+// window by window give bit-identical output: the rng stream is consumed
+// here and only here.
 type phase2Plan struct {
 	cfg       Phase2Config
 	w, h      int
@@ -447,13 +445,17 @@ type renderedFrame struct {
 	err   error
 }
 
-// renderRange renders frames [lo, hi) of the plan on rt.Pool. Frames render
+// renderRange renders frames [lo, hi) of the plan on rt.Pool; under
+// SkipRender it computes their geometry only (geometryRange). Frames render
 // independently: every RNG draw happened during planning on the
 // coordinator, DrawObject/syntheticBox are pure given their frame, and each
 // worker touches only its own frame clone and record list. Results are
 // gathered in frame order, so rendering the clip in one call or in
 // consecutive windows produces bit-identical frames and records.
 func (pl *phase2Plan) renderRange(scenes inpaint.Scenes, lo, hi int, rt obs.Runtime) ([]renderedFrame, error) {
+	if pl.cfg.SkipRender {
+		return pl.geometryRange(lo, hi), nil
+	}
 	renderFrame := func(i int) renderedFrame {
 		k := lo + i
 		// Depth-sort: draw farther (smaller y) objects first. perFrame[k]
@@ -461,12 +463,6 @@ func (pl *phase2Plan) renderRange(scenes inpaint.Scenes, lo, hi int, rt obs.Runt
 		ps := pl.perFrame[k]
 		depthSort(ps)
 		var res renderedFrame
-		if pl.cfg.SkipRender {
-			for _, p := range ps {
-				res.recs = append(res.recs, recordEntry{p.id, syntheticBox(pl.cfg.Class, p.pos, pl.h)})
-			}
-			return res
-		}
 		bg, err := scenes.Background(k)
 		if err != nil {
 			res.err = fmt.Errorf("core: background for frame %d: %w", k, err)
@@ -506,9 +502,10 @@ func depthSort(ps []placed) {
 // geometryRange computes the record entries of frames [lo, hi) without
 // touching pixel data: syntheticBox is kept in lockstep with
 // scene.DrawObject, so the boxes are exactly those renderRange would have
-// recorded. The resume path uses it to re-fold windows whose pixels already
-// sit in the persisted staging file into the synthetic track set, keeping a
-// resumed Result identical to an uninterrupted one.
+// recorded. SkipRender runs use it for every frame, and the resume path
+// uses it to re-fold windows whose pixels already sit in the persisted
+// staging file into the synthetic track set, keeping a resumed Result
+// identical to an uninterrupted one.
 func (pl *phase2Plan) geometryRange(lo, hi int) []renderedFrame {
 	out := make([]renderedFrame, hi-lo)
 	for i := range out {
@@ -523,8 +520,8 @@ func (pl *phase2Plan) geometryRange(lo, hi int) []renderedFrame {
 }
 
 // phase2Assembler folds rendered frames (fed strictly in frame order) into
-// the synthetic track set. The batch path feeds it the whole clip at once;
-// the streaming path feeds it window by window — the fold is order-
+// the synthetic track set. RunPhase2 feeds it the whole clip at once; the
+// streaming driver feeds it window by window — the fold is order-
 // deterministic either way.
 type phase2Assembler struct {
 	plan            *phase2Plan
@@ -573,8 +570,8 @@ func (a *phase2Assembler) finish(rt obs.Runtime) *Phase2Result {
 }
 
 // syntheticBox computes the box a synthetic object would cover at pos
-// without rendering it — the SkipRender geometry path, kept in lockstep
-// with scene.DrawObject.
+// without rendering it — the geometryRange path, kept in lockstep with
+// scene.DrawObject.
 func syntheticBox(class scene.ObjectClass, pos geom.Vec, frameH int) geom.Rect {
 	s := scene.DepthScale(pos.Y, frameH)
 	w, h := scene.SpriteSize(class, s)

@@ -9,6 +9,7 @@ import (
 	"verro/internal/keyframe"
 	"verro/internal/ldp"
 	"verro/internal/motio"
+	"verro/internal/obs"
 )
 
 // TestCoordinateAssignmentIdentityFree verifies Theorem 4.1's premise
@@ -47,7 +48,7 @@ func TestCoordinateAssignmentIdentityFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < trials; i++ {
 		p2, err := RunPhase2(p1, kf, tracks, nil, 64, 48, 20,
-			Phase2Config{SkipRender: true}, rng)
+			Phase2Config{SkipRender: true}, rng, obs.Runtime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestPhase2SameOutputDistributionForSwappedObjects(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			p1 := &Phase1Result{KeyFrames: []int{4, 14}, Picked: []int{0, 1}, Output: output}
 			p2, err := RunPhase2(p1, kf, tracks, nil, 80, 48, 20,
-				Phase2Config{SkipRender: true}, rng)
+				Phase2Config{SkipRender: true}, rng, obs.Runtime{})
 			if err != nil {
 				t.Fatal(err)
 			}

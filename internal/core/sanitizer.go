@@ -5,13 +5,12 @@ import (
 	"math/rand"
 	"time"
 
-	"verro/internal/detect"
 	"verro/internal/inpaint"
 	"verro/internal/keyframe"
 	"verro/internal/ldp"
 	"verro/internal/motio"
 	"verro/internal/obs"
-	"verro/internal/par"
+	"verro/internal/stream"
 	"verro/internal/vid"
 )
 
@@ -22,8 +21,8 @@ type Config struct {
 	Keyframe keyframe.Config
 	Inpaint  inpaint.Config
 	// BackgroundStep subsamples frames feeding the temporal background
-	// median; 0 means an automatic stride targeting ~40 samples (clamped so
-	// the median stack never drops below 9 frames).
+	// median; 0 means detect.AutoStep, a stride that samples ~40 frames and
+	// never fewer than 9.
 	BackgroundStep int
 	// Seed drives all randomness in the run.
 	Seed int64
@@ -37,13 +36,12 @@ type Config struct {
 	// counters and worker-pool gauges. Nil (the default) disables all
 	// instrumentation at zero cost; tracing never perturbs the seeded output.
 	Trace *obs.Trace
-	// WindowFrames, when positive, runs the sanitizer as a bounded-memory
-	// streaming pipeline processing at most WindowFrames frames per window;
-	// 0 (the default) keeps the legacy whole-clip batch path. The two paths
-	// produce bit-identical output for the same seed: all randomness is
+	// WindowFrames bounds the frames the streaming driver processes per
+	// window; 0 (the default) means one whole-clip window. The output is
+	// bit-identical at any setting for the same seed: all randomness is
 	// drawn on the coordinator in an order independent of the windowing.
-	// SanitizeMultiType drives its own per-class batch runs and ignores
-	// this field.
+	// SanitizeMultiType, whose joint renderer holds the whole clip, uses it
+	// only for its analysis pass.
 	WindowFrames int
 }
 
@@ -59,9 +57,9 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects configurations whose privacy parameters are outside
-// their mathematical domain. Sanitize calls it on entry so an invalid flip
-// probability fails fast instead of surfacing after minutes of key-frame
-// extraction and background reconstruction.
+// their mathematical domain. The sanitizers call it on entry so an invalid
+// flip probability fails fast instead of surfacing after minutes of
+// key-frame extraction and background reconstruction.
 func (c Config) Validate() error {
 	return c.Phase1.Validate()
 }
@@ -83,8 +81,8 @@ type Result struct {
 	// PreprocessTime covers key-frame extraction and background
 	// reconstruction, reported separately as in the paper.
 	PreprocessTime time.Duration
-	// Windows is the per-window privacy ledger of a streaming run (nil for
-	// the batch path): one entry per render window, whose integer picked
+	// Windows is the per-window privacy ledger: one entry per render window
+	// (a single entry when WindowFrames is 0), whose integer picked
 	// key-frame counts sum to len(Phase1.Picked) and whose ε entries
 	// recompose to exactly Epsilon. See DESIGN.md §2g.
 	Windows []WindowSpend
@@ -95,7 +93,7 @@ type Result struct {
 // the ε they account for. The ledger is exact, not approximate — budget is
 // apportioned by integer key-frame counts, and the total is recomputed as
 // K·ln((2−f)/f) over the summed count, the same closed form ldp.Epsilon
-// uses, so the recomposed total equals the batch ε bit for bit.
+// uses, so the recomposed total equals the run's ε bit for bit.
 type WindowSpend struct {
 	Start, Frames int
 	Picked        int
@@ -104,9 +102,9 @@ type WindowSpend struct {
 
 // autoSegmentCfg resolves the MaxSegmentLen auto-clamp for a clip of the
 // given length: 0 means auto (cap segments at ~1/20 of the video so static
-// scenes still produce enough key frames), negative disables the cap. Both
-// the batch and streaming drivers resolve through here so the segmentation
-// they run is identical.
+// scenes still produce enough key frames for the optimizer and the Phase II
+// interpolation — pure Algorithm 2 would otherwise collapse a static video
+// into a single segment), negative disables the cap.
 func autoSegmentCfg(kfCfg keyframe.Config, clipLen int) keyframe.Config {
 	switch {
 	case kfCfg.MaxSegmentLen == 0:
@@ -123,9 +121,8 @@ func autoSegmentCfg(kfCfg keyframe.Config, clipLen int) keyframe.Config {
 // runPhase1Stage runs Phase I with its span bookkeeping: presence-vector
 // reduction, the randomized mechanism, and the post-hoc counters (picked
 // key frames; randomized-response flips as the Hamming distance between the
-// budgeted vectors B* and the published vectors R). Shared verbatim by the
-// batch and streaming drivers — Phase I consumes the rng stream, so having
-// one implementation is what keeps the two paths' draws aligned.
+// budgeted vectors B* and the published vectors R). SanitizeStreamFrom runs
+// it once and SanitizeMultiType once per class.
 func runPhase1Stage(tracks *motio.TrackSet, clipLen int, kf *keyframe.Result, cfg Phase1Config, rng *rand.Rand, root *obs.Span) (*Phase1Result, error) {
 	p1Span := root.Child("phase1")
 	defer p1Span.End()
@@ -147,93 +144,27 @@ func runPhase1Stage(tracks *motio.TrackSet, clipLen int, kf *keyframe.Result, cf
 	return p1, nil
 }
 
-// Sanitize runs the full VERRO pipeline: key-frame extraction, background
-// reconstruction, Phase I and Phase II. The input video and tracks are not
-// modified. With cfg.WindowFrames > 0 the run is delegated to the windowed
-// streaming driver (see SanitizeStream), whose output is bit-identical.
+// Sanitize runs the full VERRO pipeline over an in-memory clip: key-frame
+// extraction, background reconstruction, Phase I and Phase II. It adapts
+// the clip onto the streaming driver (see SanitizeStream) — a slice source
+// in, a collecting sink out — and completes the Result with the assembled
+// synthetic video. The input video and tracks are not modified.
 func Sanitize(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Result, error) {
-	if v == nil || v.Len() == 0 {
+	if v == nil {
 		return nil, fmt.Errorf("core: empty input video")
 	}
-	if tracks == nil {
-		return nil, fmt.Errorf("core: nil track set")
-	}
-	if err := cfg.Validate(); err != nil {
+	// Under SkipRender the driver leaves the sink untouched.
+	sink := &stream.CollectSink{}
+	res, err := SanitizeStream(stream.NewSliceSource(vid.MetaOf(v), v.Frames), tracks, cfg, sink)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.WindowFrames > 0 {
-		return sanitizeWindowed(v, tracks, cfg)
-	}
-	// A scoped pool (not the former global SetWorkers save/restore, which was
-	// non-reentrant) so concurrent Sanitize calls with different Workers each
-	// get their own size. Workers <= 0 falls through to the process default.
-	pool := par.NewPool(cfg.Workers)
-	cfg.Trace.AttachPool(pool)
-	root := cfg.Trace.Root()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// Preprocessing: segmentation/key frames and background scene(s).
-	// MaxSegmentLen == 0 means auto: cap segments at ~1/20 of the video so
-	// static scenes still produce enough key frames for the optimizer and
-	// the Phase II interpolation (pure Algorithm 2 would otherwise collapse
-	// a static video into a single segment). Negative disables the cap.
-	preStart := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	kfCfg := autoSegmentCfg(cfg.Keyframe, v.Len())
-	kfSpan := root.Child("keyframes")
-	kf, err := keyframe.ExtractRT(v, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
-	kfSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: key frames: %w", err)
-	}
-	var scenes inpaint.Scenes
 	if !cfg.Phase2.SkipRender {
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(v.Len())
-		}
-		inSpan := root.Child("inpaint")
-		scenes, err = inpaint.ExtractScenesRT(v, tracks, step, cfg.Inpaint, obs.Runtime{Pool: pool, Span: inSpan})
-		inSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: background: %w", err)
-		}
+		out := vid.New(v.Name+"-verro", v.W, v.H, v.FPS)
+		out.Moving = v.Moving
+		out.Frames = sink.Frames
+		res.Synthetic = out
+		res.Phase2.Video = out
 	}
-	preTime := time.Since(preStart) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
-	// Phase I.
-	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p1, err := runPhase1Stage(tracks, v.Len(), kf, cfg.Phase1, rng, root)
-	if err != nil {
-		return nil, err
-	}
-	p1Time := time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
-	// Phase II.
-	p2Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p2Span := root.Child("phase2")
-	p2, err := RunPhase2RT(p1, kf, tracks, scenes, v.W, v.H, v.Len(), cfg.Phase2, rng,
-		obs.Runtime{Pool: pool, Span: p2Span})
-	p2Span.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: phase 2: %w", err)
-	}
-	p2Time := time.Since(p2Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
-	if p2.Video != nil {
-		p2.Video.Name = v.Name + "-verro"
-		p2.Video.FPS = v.FPS
-		p2.Video.Moving = v.Moving
-	}
-
-	return &Result{
-		Synthetic:       p2.Video,
-		SyntheticTracks: p2.Tracks,
-		Phase1:          p1,
-		Phase2:          p2,
-		KeyframeResult:  kf,
-		Epsilon:         p1.Epsilon,
-		Phase1Time:      p1Time,
-		Phase2Time:      p2Time,
-		PreprocessTime:  preTime,
-	}, nil
+	return res, nil
 }

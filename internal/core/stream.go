@@ -14,27 +14,26 @@ import (
 	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/stream"
-	"verro/internal/vid"
 )
 
-// The bounded-memory streaming driver. SanitizeStream runs the same VERRO
-// pipeline as Sanitize, but never holds the whole clip: the input flows
-// through an analysis pass in windows of cfg.WindowFrames frames, the
-// analysis retains only clip-length *metadata* (per-frame HSV histograms,
-// pan offsets) plus the ~40 strided background samples detect.AutoStep
-// bounds, and Phase II renders window by window straight into a sink.
+// The sanitization driver. SanitizeStream runs the VERRO pipeline without
+// holding the whole clip: the input flows through an analysis pass in
+// windows of cfg.WindowFrames frames, the analysis retains only clip-length
+// *metadata* (per-frame HSV histograms, pan offsets) plus the ~40 strided
+// background samples detect.AutoStep bounds, and Phase II renders window by
+// window straight into a sink. Sanitize and SanitizeMultiType are adapters
+// over the same code.
 //
-// Bit-identity with the batch path is by construction, not by luck:
+// The output is identical at every window size by construction:
 //
 //   - every per-frame analysis quantity (histogram, column profile, strided
-//     sample) is computed by the same pure helper the batch path calls, in
-//     the same frame order;
+//     sample) is a pure function of its frame, folded in frame order;
 //   - every random draw (Phase I randomized response and Laplace noise,
 //     Phase II assignment and palette offset) happens on the coordinator
-//     between the two passes, via the same shared planPhase2/runPhase1Stage
-//     code, in an order independent of the windowing;
+//     between the two passes, in an order independent of the windowing;
 //   - rendering a planned frame is pure, and the windowed VVF writer emits
-//     the same byte stream as the batch encoder for any append granularity.
+//     the same byte stream as the whole-clip encoder for any append
+//     granularity.
 //
 // Peak live memory is O(WindowFrames + samples), which the memory-ceiling
 // test in stream_mem_test.go holds roughly flat as the clip grows.
@@ -61,7 +60,7 @@ func (s *histStage) Process(w stream.Window) error {
 }
 
 // bgSampleStage retains every step-th frame for the temporal background
-// median — the same `k % step == 0` stride the batch reconstruction walks,
+// median — the same `k % step == 0` stride inpaint.StaticBackground walks,
 // bounded at ~40 samples by detect.AutoStep whatever the clip length.
 type bgSampleStage struct {
 	step    int
@@ -128,7 +127,7 @@ func windowHook(parent *obs.Span) func(stream.Window) func() {
 // picked key frames falling inside it, at ln((2−f)/f) each. Summing the
 // integer Picked fields over all windows recovers len(p1.Picked) exactly,
 // and K·ln((2−f)/f) over that sum is the same closed form ldp.Epsilon
-// evaluates — so the ledger recomposes to the batch ε with no float drift.
+// evaluates — so the ledger recomposes to the run's ε with no float drift.
 func windowSpend(p1 *Phase1Result, lo, hi int) WindowSpend {
 	picked := 0
 	for _, j := range p1.Picked {
@@ -144,13 +143,86 @@ func windowSpend(p1 *Phase1Result, lo, hi int) WindowSpend {
 	}
 }
 
+// analysis is the preprocessing a sanitizer run derives from its input
+// before Phase I: the Algorithm 2 segmentation and, when the run renders,
+// the per-frame background provider.
+type analysis struct {
+	kf     *keyframe.Result
+	scenes inpaint.Scenes
+	// elapsed is Result.PreprocessTime.
+	elapsed time.Duration
+}
+
+// analyze sweeps src once in windows of cfg.WindowFrames frames, collecting
+// the per-frame histograms and, with scenes set, the background samples and
+// pan offsets; it then segments the clip and reconstructs the background.
+// The sweep, the segmentation and the reconstruction each report under
+// their own span beneath root: "analysis", "keyframes" and "inpaint".
+func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool, pool *par.Pool, root *obs.Span) (*analysis, error) {
+	start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	meta := src.Meta()
+	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
+	hist := &histStage{cfg: kfCfg, pool: pool}
+	stages := []stream.Stage{hist}
+	var bgs *bgSampleStage
+	var pan *panStage
+	if scenes {
+		step := cfg.BackgroundStep
+		if step <= 0 {
+			step = detect.AutoStep(meta.Frames)
+		}
+		bgs = &bgSampleStage{step: step}
+		stages = append(stages, bgs)
+		if meta.Moving {
+			pan = &panStage{maxShift: inpaint.DefaultPanShift}
+			stages = append(stages, pan)
+		}
+	}
+	anSpan := root.Child("analysis")
+	err := stream.Run(src, cfg.WindowFrames, windowHook(anSpan), stages...)
+	anSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: analysis pass: %w", err)
+	}
+
+	an := &analysis{}
+	kfSpan := root.Child("keyframes")
+	an.kf, err = keyframe.SegmentHists(hist.hists, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
+	kfSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: key frames: %w", err)
+	}
+
+	if scenes {
+		inSpan := root.Child("inpaint")
+		rt := obs.Runtime{Pool: pool, Span: inSpan}
+		if meta.Moving {
+			an.scenes, err = inpaint.BuildMovingBackgroundSamples(
+				meta.W, meta.H, pan.offsets, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
+		} else {
+			var bg *img.Image
+			bg, err = inpaint.StaticBackgroundSamples(
+				meta.W, meta.H, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
+			if err == nil {
+				an.scenes = inpaint.NewStaticScenes(bg)
+			}
+		}
+		inSpan.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: background: %w", err)
+		}
+	}
+	an.elapsed = time.Since(start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	return an, nil
+}
+
 // SanitizeStream runs the VERRO pipeline over a frame source in bounded
 // windows of cfg.WindowFrames frames (<= 0 means one whole-clip window),
 // writing the synthetic video to sink window by window. The output is
-// bit-identical to Sanitize on the decoded clip with the same cfg. The
-// returned Result carries everything the batch Result does except
-// Synthetic/Phase2.Video (the frames went to the sink, which only the
-// caller can replay), plus the per-window privacy ledger in Windows.
+// bit-identical at every window size. The returned Result carries
+// everything except Synthetic/Phase2.Video (the frames went to the sink,
+// which only the caller can replay), including the per-window privacy
+// ledger in Windows.
 //
 // sink is closed on success once all frames are appended; on error the
 // caller owns whatever cleanup its sink needs. Under cfg.Phase2.SkipRender
@@ -166,7 +238,7 @@ func SanitizeStream(src stream.Source, tracks *motio.TrackSet, cfg Config, sink 
 // earlier frames, typically in a checkpointed staging file a previous,
 // killed run left behind. Everything up to rendering reruns in full: the
 // analysis pass, Phase I and the Phase II plan are recomputed from the same
-// seed and consume the rng stream in exactly the batch order, so the frames
+// seed and consume the rng stream in exactly the same order, so the frames
 // rendered for [startFrame, end) — and the returned ledger, synthetic
 // tracks and ε — are bit-identical to the corresponding slice of an
 // uninterrupted run. Windows before the cursor contribute their geometry
@@ -200,68 +272,13 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 	root := cfg.Trace.Root()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Analysis pass: one windowed sweep over the source collecting the
-	// clip-length metadata preprocessing needs.
-	preStart := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
-	hist := &histStage{cfg: kfCfg, pool: pool}
-	stages := []stream.Stage{hist}
-	var bgs *bgSampleStage
-	var pan *panStage
-	if !cfg.Phase2.SkipRender {
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(meta.Frames)
-		}
-		bgs = &bgSampleStage{step: step}
-		stages = append(stages, bgs)
-		if meta.Moving {
-			pan = &panStage{maxShift: inpaint.DefaultPanShift}
-			stages = append(stages, pan)
-		}
-	}
-	anSpan := root.Child("analysis")
-	err := stream.Run(src, cfg.WindowFrames, windowHook(anSpan), stages...)
-	anSpan.End()
+	an, err := analyze(src, tracks, cfg, !cfg.Phase2.SkipRender, pool, root)
 	if err != nil {
-		return nil, fmt.Errorf("core: analysis pass: %w", err)
+		return nil, err
 	}
 
-	kfSpan := root.Child("keyframes")
-	kf, err := keyframe.SegmentHistsRT(hist.hists, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
-	kfSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: key frames: %w", err)
-	}
-
-	var scenes inpaint.Scenes
-	if !cfg.Phase2.SkipRender {
-		inSpan := root.Child("inpaint")
-		rt := obs.Runtime{Pool: pool, Span: inSpan}
-		if meta.Moving {
-			scenes, err = inpaint.BuildMovingBackgroundSamplesRT(
-				meta.W, meta.H, pan.offsets, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
-		} else {
-			var bg *img.Image
-			bg, err = inpaint.StaticBackgroundSamplesRT(
-				meta.W, meta.H, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
-			if err == nil {
-				scenes = inpaint.NewStaticScenes(bg)
-			}
-		}
-		inSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: background: %w", err)
-		}
-		// The analysis samples have served; drop them before rendering so
-		// the render pass's live set is the plan plus one window.
-		bgs.samples, bgs.indices = nil, nil
-	}
-	preTime := time.Since(preStart) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
-	// Phase I — small data, identical helper and rng order to the batch path.
 	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p1, err := runPhase1Stage(tracks, meta.Frames, kf, cfg.Phase1, rng, root)
+	p1, err := runPhase1Stage(tracks, meta.Frames, an.kf, cfg.Phase1, rng, root)
 	if err != nil {
 		return nil, err
 	}
@@ -271,17 +288,16 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 	// then render window by window into the sink.
 	p2Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	p2Span := root.Child("phase2")
-	plan, err := planPhase2(p1, kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
+	plan, err := planPhase2(p1, an.kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
 	if err != nil {
 		p2Span.End()
 		return nil, fmt.Errorf("core: phase 2: %w", err)
 	}
 	asm := newPhase2Assembler(plan)
-	budget := windowBudget
 	hook := windowHook(p2Span)
 	var ledger []WindowSpend
-	for lo := 0; lo < meta.Frames; lo += budget {
-		hi := lo + budget
+	for lo := 0; lo < meta.Frames; lo += windowBudget {
+		hi := lo + windowBudget
 		if hi > meta.Frames {
 			hi = meta.Frames
 		}
@@ -298,7 +314,7 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 			continue
 		}
 		post := hook(stream.Window{Start: lo, Frames: make([]*img.Image, hi-lo), Last: hi == meta.Frames})
-		rendered, err := plan.renderRange(scenes, lo, hi, obs.Runtime{Pool: pool, Span: p2Span})
+		rendered, err := plan.renderRange(an.scenes, lo, hi, obs.Runtime{Pool: pool, Span: p2Span})
 		if err != nil {
 			post()
 			p2Span.End()
@@ -335,47 +351,20 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		SyntheticTracks: p2.Tracks,
 		Phase1:          p1,
 		Phase2:          p2,
-		KeyframeResult:  kf,
+		KeyframeResult:  an.kf,
 		Epsilon:         p1.Epsilon,
 		Phase1Time:      p1Time,
 		Phase2Time:      p2Time,
-		PreprocessTime:  preTime,
+		PreprocessTime:  an.elapsed,
 		Windows:         ledger,
 	}, nil
 }
 
 // OutputMeta derives the sink metadata for a streaming run from the input
-// metadata: same geometry and timing, the batch path's "-verro" name suffix.
+// metadata: same geometry and timing, and the "-verro" name suffix Sanitize
+// gives its synthetic video.
 func OutputMeta(in stream.Meta) stream.Meta {
 	out := in
 	out.Name = in.Name + "-verro"
 	return out
-}
-
-// sanitizeWindowed adapts an in-memory Sanitize call onto the streaming
-// driver: the clip is wrapped as a slice-backed source, the rendered
-// windows are collected back, and the Result is completed with the
-// assembled synthetic video so callers see the exact batch contract.
-func sanitizeWindowed(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Result, error) {
-	src := stream.NewSliceSource(vid.MetaOf(v), v.Frames)
-	var sink *stream.CollectSink
-	if !cfg.Phase2.SkipRender {
-		sink = &stream.CollectSink{}
-	}
-	var s stream.Sink
-	if sink != nil {
-		s = sink
-	}
-	res, err := SanitizeStream(src, tracks, cfg, s)
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		out := vid.New(v.Name+"-verro", v.W, v.H, v.FPS)
-		out.Moving = v.Moving
-		out.Frames = sink.Frames
-		res.Synthetic = out
-		res.Phase2.Video = out
-	}
-	return res, nil
 }

@@ -123,15 +123,10 @@ func (b *BGSubtractor) Detect(frame *img.Image) ([]Detection, error) {
 // MedianBackground estimates a static background as the per-pixel,
 // per-channel median over the sampled frames — the classic background
 // extraction for static surveillance cameras. step subsamples frames
-// (step=1 uses all of them). It runs on the default worker pool, untraced;
-// pipeline code passes a scoped pool and span via MedianBackgroundRT.
-func MedianBackground(frames []*img.Image, step int) (*img.Image, error) {
-	return MedianBackgroundRT(frames, step, obs.Runtime{})
-}
-
-// MedianBackgroundRT is MedianBackground on an explicit runtime: the median
-// shards over rt.Pool and the sampled-frame count lands on rt.Span.
-func MedianBackgroundRT(frames []*img.Image, step int, rt obs.Runtime) (*img.Image, error) {
+// (step=1 uses all of them). The median shards over rt.Pool and the
+// sampled-frame count lands on rt.Span; the zero obs.Runtime runs on the
+// default pool, untraced.
+func MedianBackground(frames []*img.Image, step int, rt obs.Runtime) (*img.Image, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("detect: no frames for background")
 	}
@@ -167,21 +162,16 @@ func MedianBackgroundRT(frames []*img.Image, step int, rt obs.Runtime) (*img.Ima
 }
 
 // AutoStep returns the automatic background-sampling stride for an n-frame
-// clip: it targets ~40 sampled frames but never lets the sampled stack drop
-// below 9 frames (or below the whole clip when the clip itself is shorter) —
-// a thin median stack lets moving objects bleed into the background model.
+// clip: floor(n/40), at least 1. It targets ~40 sampled frames and never
+// samples fewer than 9 (or the whole clip when that is shorter) — a thin
+// median stack lets moving objects bleed into the background model. No
+// clamp is needed for that: a stride of floor(n/40) always leaves at least
+// 40 samples.
 func AutoStep(n int) int {
-	if n <= 0 {
-		return 1
+	if step := n / 40; step > 1 {
+		return step
 	}
-	step := n / 40
-	if step < 1 {
-		step = 1
-	}
-	for step > 1 && (n+step-1)/step < 9 {
-		step--
-	}
-	return step
+	return 1
 }
 
 // medianU8 computes the median in place via counting (256 buckets), which

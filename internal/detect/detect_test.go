@@ -5,6 +5,7 @@ import (
 
 	"verro/internal/geom"
 	"verro/internal/img"
+	"verro/internal/obs"
 	"verro/internal/scene"
 )
 
@@ -84,7 +85,7 @@ func TestMedianBackground(t *testing.T) {
 		f.Fill(geom.RectAt(2*k, 5, 3, 8), img.RGB{R: 255, G: 0, B: 0})
 		frames = append(frames, f)
 	}
-	bg, err := MedianBackground(frames, 1)
+	bg, err := MedianBackground(frames, 1, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestMedianBackground(t *testing.T) {
 }
 
 func TestMedianBackgroundValidation(t *testing.T) {
-	if _, err := MedianBackground(nil, 1); err == nil {
+	if _, err := MedianBackground(nil, 1, obs.Runtime{}); err == nil {
 		t.Fatal("no frames should fail")
 	}
 	frames := []*img.Image{img.New(4, 4), img.New(5, 4)}
-	if _, err := MedianBackground(frames, 1); err == nil {
+	if _, err := MedianBackground(frames, 1, obs.Runtime{}); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
 }
@@ -168,7 +169,7 @@ func TestBGSubtractorOnGeneratedScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := MedianBackground(g.Video.Frames, 2)
+	bg, err := MedianBackground(g.Video.Frames, 2, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestMedianBackgroundShortClip(t *testing.T) {
 		f.Fill(geom.RectAt(2+5*k, 20, 8, 8), img.RGB{R: 220, G: 220, B: 220})
 		frames[k] = f
 	}
-	bg, err := MedianBackground(frames, AutoStep(n))
+	bg, err := MedianBackground(frames, AutoStep(n), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"verro/internal/interp"
 	"verro/internal/keyframe"
 	"verro/internal/metrics"
+	"verro/internal/obs"
 )
 
 // InterpAblationRow compares Phase II interpolation methods at a fixed f:
@@ -51,7 +52,7 @@ func InterpAblation(d *Dataset, f float64, trials int, seed int64) ([]InterpAbla
 			}
 			p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
 				d.Gen.Video.W, d.Gen.Video.H, m,
-				core.Phase2Config{Interp: method.m, SkipRender: true}, rng)
+				core.Phase2Config{Interp: method.m, SkipRender: true}, rng, obs.Runtime{})
 			if err != nil {
 				return nil, err
 			}

@@ -123,7 +123,7 @@ func LoadDataset(p scene.Preset, opt Options) (*Dataset, error) {
 
 	kfCfg := KeyframeConfigFor(p)
 	kfSpan := opt.Trace.Root().Child("keyframes")
-	kf, err := keyframe.ExtractRT(g.Video, kfCfg, obs.Runtime{Span: kfSpan})
+	kf, err := keyframe.Extract(g.Video, kfCfg, obs.Runtime{Span: kfSpan})
 	kfSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("exp: key frames for %s: %w", p.Name, err)

@@ -8,11 +8,13 @@ import (
 	"sort"
 
 	"verro/internal/core"
+	"verro/internal/detect"
 	"verro/internal/img"
 	"verro/internal/inpaint"
 	"verro/internal/interp"
 	"verro/internal/metrics"
 	"verro/internal/motio"
+	"verro/internal/obs"
 )
 
 // Fig5Point is one x-position of the Figure 5 curves for one video:
@@ -50,7 +52,7 @@ func Fig5(d *Dataset, fs []float64, trials int, seed int64) ([]Fig5Point, error)
 
 			p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
 				d.Gen.Video.W, d.Gen.Video.H, d.Gen.Video.Len(),
-				core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng)
+				core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
 			if err != nil {
 				return nil, err
 			}
@@ -156,7 +158,7 @@ func Fig678(d *Dataset, fs []float64, seed int64) (*TrajectoryFig, error) {
 		}
 		p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
 			d.Gen.Video.W, d.Gen.Video.H, d.Gen.Video.Len(),
-			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng)
+			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +236,7 @@ func Fig91011(d *Dataset, frame int, fs []float64, seed int64, dir string) (map[
 		return nil, err
 	}
 
-	scenes, err := inpaint.ExtractScenes(d.Gen.Video, d.Tracks, backgroundStep(d.Gen.Video.Len()), inpaint.DefaultConfig())
+	scenes, err := inpaint.ExtractScenes(d.Gen.Video, d.Tracks, detect.AutoStep(d.Gen.Video.Len()), inpaint.DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		return nil, err
 	}
@@ -277,14 +279,6 @@ func writeFigPNG(dir, preset string, frame int, tag string, im *img.Image, files
 	}
 	files[tag] = path
 	return nil
-}
-
-func backgroundStep(frames int) int {
-	step := frames / 40
-	if step < 1 {
-		step = 1
-	}
-	return step
 }
 
 // Fig12 computes object counts in the optimized (picked) key frames after
@@ -344,7 +338,7 @@ func Fig13(d *Dataset, fs []float64, seed int64) (*motio.SeriesTable, error) {
 		}
 		p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
 			d.Gen.Video.W, d.Gen.Video.H, m,
-			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng)
+			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
 		if err != nil {
 			return nil, err
 		}

@@ -13,18 +13,14 @@ import (
 // trackObjects runs the real detection+tracking preprocessing over a
 // generated dataset, reporting stage spans to tr (nil = untraced).
 func trackObjects(g *scene.Generated, tr *obs.Trace) (*motio.TrackSet, error) {
-	step := g.Video.Len() / 40
-	if step < 1 {
-		step = 1
-	}
 	root := tr.Root()
 	bgSpan := root.Child("background")
-	bg, err := detect.MedianBackgroundRT(g.Video.Frames, step, obs.Runtime{Span: bgSpan})
+	bg, err := detect.MedianBackground(g.Video.Frames, detect.AutoStep(g.Video.Len()), obs.Runtime{Span: bgSpan})
 	bgSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("exp: background model: %w", err)
 	}
-	tracks, err := track.RunRT(g.Video.Frames, detect.NewBGSubtractor(bg), track.DefaultConfig(),
+	tracks, err := track.Run(g.Video.Frames, detect.NewBGSubtractor(bg), track.DefaultConfig(),
 		obs.Runtime{Span: root})
 	if err != nil {
 		return nil, fmt.Errorf("exp: tracking: %w", err)

@@ -31,23 +31,18 @@ func FrameMask(w, h, k int, tracks *motio.TrackSet) *Mask {
 // StaticBackground reconstructs the single background scene of a
 // static-camera video: each pixel takes the median of its values over the
 // frames in which no object covers it; pixels covered in every sampled
-// frame are then filled with Criminisi inpainting.
-func StaticBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config) (*img.Image, error) {
-	return StaticBackgroundRT(v, tracks, step, cfg, obs.Runtime{})
-}
-
-// StaticBackgroundRT is StaticBackground on an explicit runtime: the
-// sampled-frame count lands on rt.Span and the hole fill runs via InpaintRT.
-func StaticBackgroundRT(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*img.Image, error) {
+// frame are then filled with Criminisi inpainting. The sampled-frame count
+// lands on rt.Span and the hole fill runs on rt.
+func StaticBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*img.Image, error) {
 	if v.Len() == 0 {
 		return nil, errors.New("inpaint: empty video")
 	}
 	samples, indices := stride(v.Frames, step)
-	return StaticBackgroundSamplesRT(v.W, v.H, samples, indices, tracks, cfg, rt)
+	return StaticBackgroundSamples(v.W, v.H, samples, indices, tracks, cfg, rt)
 }
 
-// stride picks every step-th frame with its clip index, matching the
-// `for k := 0; k < n; k += step` sampling of the batch reconstructions.
+// stride picks every step-th frame with its clip index: the
+// `for k := 0; k < n; k += step` sampling of the background median.
 func stride(frames []*img.Image, step int) ([]*img.Image, []int) {
 	if step < 1 {
 		step = 1
@@ -65,14 +60,14 @@ func stride(frames []*img.Image, step int) ([]*img.Image, []int) {
 	return samples, indices
 }
 
-// StaticBackgroundSamplesRT reconstructs the static background from an
-// explicit list of sampled frames and their clip indices. The batch path
-// passes the strided frames of the whole clip; the streaming path passes
-// copies it retained while windows flowed by (bounded at ~40 samples by
-// detect.AutoStep, so retention is O(1) in clip length). Both orders are
-// identical, so the per-pixel median stacks — and the output — are
-// bit-identical.
-func StaticBackgroundSamplesRT(w, h int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*img.Image, error) {
+// StaticBackgroundSamples reconstructs the static background from an
+// explicit list of sampled frames and their clip indices. StaticBackground
+// passes the strided frames of an in-memory clip; the streaming driver
+// passes the frames it retained while windows flowed by (bounded at ~40
+// samples by detect.AutoStep, so retention is O(1) in clip length). Both
+// orders are identical, so the per-pixel median stacks — and the output —
+// are bit-identical.
+func StaticBackgroundSamples(w, h int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*img.Image, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("inpaint: empty video")
 	}
@@ -118,7 +113,7 @@ func StaticBackgroundSamplesRT(w, h int, samples []*img.Image, indices []int, tr
 		}
 	}
 	if holes > 0 {
-		filled, err := InpaintRT(out, hole, cfg, rt)
+		filled, err := Inpaint(out, hole, cfg, rt)
 		if err != nil {
 			return nil, fmt.Errorf("inpaint: filling %d always-covered pixels: %w", holes, err)
 		}
@@ -234,29 +229,25 @@ type MovingBackground struct {
 	W, H     int
 }
 
-// BuildMovingBackground computes the panorama background model.
-func BuildMovingBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config) (*MovingBackground, error) {
-	return BuildMovingBackgroundRT(v, tracks, step, cfg, obs.Runtime{})
-}
-
-// BuildMovingBackgroundRT is BuildMovingBackground on an explicit runtime.
-func BuildMovingBackgroundRT(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
+// BuildMovingBackground computes the panorama background model of an
+// in-memory clip on rt.
+func BuildMovingBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
 	offsets, err := EstimatePan(v, DefaultPanShift)
 	if err != nil {
 		return nil, err
 	}
 	samples, indices := stride(v.Frames, step)
-	return BuildMovingBackgroundSamplesRT(v.W, v.H, offsets, samples, indices, tracks, cfg, rt)
+	return BuildMovingBackgroundSamples(v.W, v.H, offsets, samples, indices, tracks, cfg, rt)
 }
 
-// BuildMovingBackgroundSamplesRT builds the panorama background from raw
+// BuildMovingBackgroundSamples builds the panorama background from raw
 // (un-normalized, frame-0-relative) pan offsets for every frame plus the
 // sampled frames feeding the temporal median. The streaming analysis pass
-// supplies offsets from its pan stage and the sample copies it retained;
-// the batch wrapper above supplies EstimatePan output and the strided
-// frames. Identical inputs in identical order make the panorama
-// bit-identical across the two paths.
-func BuildMovingBackgroundSamplesRT(w, h int, offsets []int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
+// supplies offsets from its pan stage and the samples it retained;
+// BuildMovingBackground supplies EstimatePan output and the strided frames.
+// Identical inputs in identical order make the panorama bit-identical
+// across the two.
+func BuildMovingBackgroundSamples(w, h int, offsets []int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
 	if len(offsets) == 0 || len(samples) == 0 {
 		return nil, errors.New("inpaint: empty video")
 	}
@@ -319,7 +310,7 @@ func BuildMovingBackgroundSamplesRT(w, h int, offsets []int, samples []*img.Imag
 		}
 	}
 	if holes > 0 && holes < panW*h {
-		filled, err := InpaintRT(pano, hole, cfg, rt)
+		filled, err := Inpaint(pano, hole, cfg, rt)
 		if err != nil {
 			return nil, fmt.Errorf("inpaint: panorama holes: %w", err)
 		}
@@ -358,18 +349,13 @@ func (mb *MovingBackground) Background(k int) (*img.Image, error) {
 
 // ExtractScenes picks the right reconstruction for the video's camera
 // model and returns a per-frame background provider. step subsamples the
-// frames feeding the temporal median.
-func ExtractScenes(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config) (Scenes, error) {
-	return ExtractScenesRT(v, tracks, step, cfg, obs.Runtime{})
-}
-
-// ExtractScenesRT is ExtractScenes on an explicit runtime: reconstruction
-// shards over rt.Pool and frame/patch counters land on rt.Span.
-func ExtractScenesRT(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (Scenes, error) {
+// frames feeding the temporal median. Reconstruction shards over rt.Pool
+// and frame/patch counters land on rt.Span.
+func ExtractScenes(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (Scenes, error) {
 	if v.Moving {
-		return BuildMovingBackgroundRT(v, tracks, step, cfg, rt)
+		return BuildMovingBackground(v, tracks, step, cfg, rt)
 	}
-	bg, err := StaticBackgroundRT(v, tracks, step, cfg, rt)
+	bg, err := StaticBackground(v, tracks, step, cfg, rt)
 	if err != nil {
 		return nil, err
 	}

@@ -117,15 +117,10 @@ var (
 // not modified. It follows Criminisi et al.: repeatedly pick the fill-front
 // patch with maximum priority (confidence × data term), copy the best
 // matching source patch over its unknown pixels, and update confidences.
-// It runs on the default worker pool, untraced; pipeline code passes a
-// scoped pool and span via InpaintRT.
-func Inpaint(src *img.Image, mask *Mask, cfg Config) (*img.Image, error) {
-	return InpaintRT(src, mask, cfg, obs.Runtime{})
-}
-
-// InpaintRT is Inpaint on an explicit runtime: the front scan and SSD
-// search shard over rt.Pool, and every filled patch counts on rt.Span.
-func InpaintRT(src *img.Image, mask *Mask, cfg Config, rt obs.Runtime) (*img.Image, error) {
+// The front scan and SSD search shard over rt.Pool, and every filled patch
+// counts on rt.Span; the zero obs.Runtime runs on the default pool,
+// untraced.
+func Inpaint(src *img.Image, mask *Mask, cfg Config, rt obs.Runtime) (*img.Image, error) {
 	if mask.W != src.W || mask.H != src.H {
 		return nil, fmt.Errorf("%w: %dx%d vs %dx%d", ErrMaskSize, mask.W, mask.H, src.W, src.H)
 	}

@@ -188,9 +188,9 @@ func TestStaticBackgroundEquiv(t *testing.T) {
 	tracks := motio.NewTrackSet()
 	tracks.Add(tr)
 
-	got, err := StaticBackgroundSamplesRT(w, h, samples, indices, tracks, DefaultConfig(), obs.Runtime{})
+	got, err := StaticBackgroundSamples(w, h, samples, indices, tracks, DefaultConfig(), obs.Runtime{})
 	if err != nil {
-		t.Fatalf("StaticBackgroundSamplesRT: %v", err)
+		t.Fatalf("StaticBackgroundSamples: %v", err)
 	}
 	want := staticBackgroundRef(w, h, samples, indices, tracks)
 	if !got.Equal(want) {

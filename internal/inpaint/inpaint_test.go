@@ -6,6 +6,7 @@ import (
 	"verro/internal/geom"
 	"verro/internal/img"
 	"verro/internal/motio"
+	"verro/internal/obs"
 	"verro/internal/scene"
 	"verro/internal/vid"
 )
@@ -57,7 +58,7 @@ func TestInpaintLeavesKnownPixelsUntouched(t *testing.T) {
 	hole := geom.RectAt(15, 10, 8, 8)
 	mask.SetRect(hole, true)
 
-	out, err := Inpaint(src, mask, DefaultConfig())
+	out, err := Inpaint(src, mask, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestInpaintFillsPlausibly(t *testing.T) {
 	src.Fill(hole, img.RGB{R: 255, G: 0, B: 0})
 	mask.SetRect(hole, true)
 
-	out, err := Inpaint(src, mask, DefaultConfig())
+	out, err := Inpaint(src, mask, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestInpaintStructurePropagation(t *testing.T) {
 	}
 	mask := NewMask(40, 40)
 	mask.SetRect(geom.RectAt(14, 15, 12, 10), true)
-	out, err := Inpaint(src, mask, DefaultConfig())
+	out, err := Inpaint(src, mask, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,16 +137,16 @@ func TestInpaintStructurePropagation(t *testing.T) {
 
 func TestInpaintValidation(t *testing.T) {
 	src := img.New(10, 10)
-	if _, err := Inpaint(src, NewMask(5, 5), DefaultConfig()); err == nil {
+	if _, err := Inpaint(src, NewMask(5, 5), DefaultConfig(), obs.Runtime{}); err == nil {
 		t.Fatal("mask size mismatch should fail")
 	}
 	full := NewMask(10, 10)
 	full.SetRect(geom.RectAt(0, 0, 10, 10), true)
-	if _, err := Inpaint(src, full, DefaultConfig()); err == nil {
+	if _, err := Inpaint(src, full, DefaultConfig(), obs.Runtime{}); err == nil {
 		t.Fatal("fully masked image should fail")
 	}
 	// Empty mask: identity.
-	out, err := Inpaint(src, NewMask(10, 10), DefaultConfig())
+	out, err := Inpaint(src, NewMask(10, 10), DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestStaticBackgroundRecoversScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := StaticBackground(g.Video, g.Truth, 2, DefaultConfig())
+	bg, err := StaticBackground(g.Video, g.Truth, 2, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestStaticBackgroundRecoversScene(t *testing.T) {
 
 func TestStaticBackgroundEmptyVideo(t *testing.T) {
 	v := vid.New("e", 8, 8, 30)
-	if _, err := StaticBackground(v, motio.NewTrackSet(), 1, DefaultConfig()); err == nil {
+	if _, err := StaticBackground(v, motio.NewTrackSet(), 1, DefaultConfig(), obs.Runtime{}); err == nil {
 		t.Fatal("empty video should fail")
 	}
 }
@@ -229,7 +230,7 @@ func TestMovingBackgroundRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := BuildMovingBackground(g.Video, g.Truth, 1, DefaultConfig())
+	mb, err := BuildMovingBackground(g.Video, g.Truth, 1, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestExtractScenesPicksModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ExtractScenes(g.Video, g.Truth, 1, DefaultConfig())
+	s, err := ExtractScenes(g.Video, g.Truth, 1, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package keyframe
 import (
 	"fmt"
 
+	"verro/internal/obs"
 	"verro/internal/vid"
 )
 
@@ -72,7 +73,7 @@ const (
 func ExtractByMethod(method string, v *vid.Video, clusterCfg Config, boundaryCfg BoundaryConfig) (*Result, error) {
 	switch method {
 	case MethodClustering:
-		return Extract(v, clusterCfg)
+		return Extract(v, clusterCfg, obs.Runtime{})
 	case MethodBoundary:
 		return ExtractWithBoundary(v, boundaryCfg)
 	default:

@@ -73,15 +73,10 @@ func (r *Result) SegmentOf(k int) int {
 // ErrEmptyVideo is returned when the video has no frames.
 var ErrEmptyVideo = errors.New("keyframe: empty video")
 
-// Extract runs Algorithm 2 over the video on the default worker pool,
-// untraced; pipeline code passes a scoped pool and span via ExtractRT.
-func Extract(v *vid.Video, cfg Config) (*Result, error) {
-	return ExtractRT(v, cfg, obs.Runtime{})
-}
-
-// ExtractRT is Extract on an explicit runtime: histogram computation shards
-// over rt.Pool, and segment/key-frame counts land on rt.Span.
-func ExtractRT(v *vid.Video, cfg Config, rt obs.Runtime) (*Result, error) {
+// Extract runs Algorithm 2 over an in-memory clip: histogram computation
+// shards over rt.Pool, and segment/key-frame counts land on rt.Span. The
+// zero obs.Runtime runs on the default pool, untraced.
+func Extract(v *vid.Video, cfg Config, rt obs.Runtime) (*Result, error) {
 	if v.Len() == 0 {
 		return nil, ErrEmptyVideo
 	}
@@ -89,16 +84,15 @@ func ExtractRT(v *vid.Video, cfg Config, rt obs.Runtime) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SegmentHistsRT(hists, cfg, rt)
+	return SegmentHists(hists, cfg, rt)
 }
 
 // FrameHists computes the per-frame HSV histograms of Algorithm 2 lines 4-6
 // on the given pool: independent per frame, sharded with an index-ordered
 // gather. The streaming driver calls this window by window (histograms are
 // a few hundred bytes per frame, so retaining them is O(clip-metadata), not
-// O(clip-pixels)); the batch path calls it once over the whole clip. Both
-// produce bit-identical histograms because the per-frame computation is
-// pure.
+// O(clip-pixels)); Extract calls it once over the whole clip. Both produce
+// bit-identical histograms because the per-frame computation is pure.
 func FrameHists(frames []*img.Image, cfg Config, pool *par.Pool) ([]*img.HSVHist, error) {
 	if cfg.HBins <= 0 || cfg.SBins <= 0 || cfg.VBins <= 0 {
 		return nil, fmt.Errorf("keyframe: non-positive bin counts %d/%d/%d", cfg.HBins, cfg.SBins, cfg.VBins)
@@ -109,15 +103,10 @@ func FrameHists(frames []*img.Image, cfg Config, pool *par.Pool) ([]*img.HSVHist
 }
 
 // SegmentHists runs the greedy segmentation of Algorithm 2 (lines 3-21)
-// over already-computed per-frame histograms.
-func SegmentHists(hists []*img.HSVHist, cfg Config) (*Result, error) {
-	return SegmentHistsRT(hists, cfg, obs.Runtime{})
-}
-
-// SegmentHistsRT is SegmentHists on an explicit runtime: segment and
-// key-frame counts land on rt.Span. The segmentation is serial because each
-// decision depends on the running segment histogram.
-func SegmentHistsRT(hists []*img.HSVHist, cfg Config, rt obs.Runtime) (*Result, error) {
+// over already-computed per-frame histograms; segment and key-frame counts
+// land on rt.Span. The segmentation is serial because each decision depends
+// on the running segment histogram.
+func SegmentHists(hists []*img.HSVHist, cfg Config, rt obs.Runtime) (*Result, error) {
 	if len(hists) == 0 {
 		return nil, ErrEmptyVideo
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"verro/internal/img"
+	"verro/internal/obs"
 	"verro/internal/vid"
 )
 
@@ -36,7 +37,7 @@ func sceneVideo(t *testing.T, scenes, perScene int) *vid.Video {
 
 func TestExtractFindsSceneBoundaries(t *testing.T) {
 	v := sceneVideo(t, 3, 10)
-	res, err := Extract(v, DefaultConfig())
+	res, err := Extract(v, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestExtractFindsSceneBoundaries(t *testing.T) {
 
 func TestExtractSingleStaticScene(t *testing.T) {
 	v := sceneVideo(t, 1, 20)
-	res, err := Extract(v, DefaultConfig())
+	res, err := Extract(v, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMaxSegmentLenForcesSplits(t *testing.T) {
 	v := sceneVideo(t, 1, 20)
 	cfg := DefaultConfig()
 	cfg.MaxSegmentLen = 5
-	res, err := Extract(v, cfg)
+	res, err := Extract(v, cfg, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestMaxSegmentLenForcesSplits(t *testing.T) {
 
 func TestSegmentsPartitionVideo(t *testing.T) {
 	v := sceneVideo(t, 4, 7)
-	res, err := Extract(v, DefaultConfig())
+	res, err := Extract(v, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestSegmentsPartitionVideo(t *testing.T) {
 
 func TestSegmentOf(t *testing.T) {
 	v := sceneVideo(t, 2, 5)
-	res, err := Extract(v, DefaultConfig())
+	res, err := Extract(v, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestSegmentOf(t *testing.T) {
 
 func TestExtractEmptyVideo(t *testing.T) {
 	v := vid.New("empty", 8, 8, 30)
-	if _, err := Extract(v, DefaultConfig()); !errors.Is(err, ErrEmptyVideo) {
+	if _, err := Extract(v, DefaultConfig(), obs.Runtime{}); !errors.Is(err, ErrEmptyVideo) {
 		t.Fatalf("want ErrEmptyVideo, got %v", err)
 	}
 }
@@ -142,7 +143,7 @@ func TestExtractBadBins(t *testing.T) {
 	v := sceneVideo(t, 1, 2)
 	cfg := DefaultConfig()
 	cfg.HBins = 0
-	if _, err := Extract(v, cfg); err == nil {
+	if _, err := Extract(v, cfg, obs.Runtime{}); err == nil {
 		t.Fatal("zero bins should fail")
 	}
 }
@@ -152,7 +153,7 @@ func TestSingleFrameVideo(t *testing.T) {
 	if err := v.Append(img.NewFilled(8, 8, img.RGB{R: 1, G: 2, B: 3})); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Extract(v, DefaultConfig())
+	res, err := Extract(v, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestKeyFramePrefersHighEntropy(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Tau = 0.2 // keep everything in one segment despite the noisy frame
-	res, err := Extract(v, cfg)
+	res, err := Extract(v, cfg, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"(verro/internal/detect.HOGSVM).Detect",
 			"verro/internal/detect.NMS",
 			"verro/internal/track.Run",
-			"verro/internal/track.RunRT",
 			"(verro/internal/track.Tracker).Tracks",
 			"verro/internal/motio.ReadCSV",
 			"verro/internal/motio.LoadCSV",
@@ -67,7 +66,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"verro/internal/core.SanitizeJoint",
 			"verro/internal/core.RunPhase1",
 			"verro/internal/core.RunPhase2",
-			"verro/internal/core.RunPhase2RT",
 			"verro/internal/core.NaiveRandomResponse",
 			"verro/internal/ldp.ClassicRR",
 			"verro/internal/ldp.RAPPORFlip",

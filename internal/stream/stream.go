@@ -109,8 +109,8 @@ var ErrNoStages = errors.New("stream: no stages")
 // Run drives src through the stages in window order: each window of at most
 // budget frames is handed to every stage (with that stage's overlap frames
 // prepended), and every stage is flushed after the last window. budget <= 0
-// processes the whole clip as a single window — the degenerate streaming
-// run the batch path corresponds to. onWindow, when non-nil, is called
+// processes the whole clip as a single window — what the in-memory entry
+// points run by default. onWindow, when non-nil, is called
 // before the stages process each raw window; the function it returns (which
 // may be nil) runs after they are done — the hook the pipeline drivers use
 // to open and close a per-window observability span.

@@ -7,6 +7,7 @@ import (
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/motio"
+	"verro/internal/obs"
 	"verro/internal/scene"
 )
 
@@ -95,11 +96,11 @@ func TestTrackerQualityOnGeneratedScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := detect.MedianBackground(g.Video.Frames, 2)
+	bg, err := detect.MedianBackground(g.Video.Frames, 2, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hypo, err := Run(g.Video.Frames, detect.NewBGSubtractor(bg), DefaultConfig())
+	hypo, err := Run(g.Video.Frames, detect.NewBGSubtractor(bg), DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

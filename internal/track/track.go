@@ -229,65 +229,28 @@ func (t *Tracker) Tracks() *motio.TrackSet {
 	return set
 }
 
-// Run drives a detector over a whole frame sequence and returns the tracks.
-// Detection is stateless per frame, so all frames are detected on the worker
-// pool first; the stateful tracker then consumes the gathered results in
-// frame order, making the tracks bit-identical to a serial run. Detector
-// implementations must tolerate concurrent Detect calls (both built-in
-// detectors are pure readers of their model state).
-func Run(frames []*img.Image, det detect.Detector, cfg Config) (*motio.TrackSet, error) {
-	return RunRT(frames, det, cfg, obs.Runtime{})
+// Run drives a detector over a whole frame sequence and returns the tracks:
+// a Runner fed one window. Detection shards over rt.Pool under a "detect"
+// child span of rt.Span and the serial association pass reports under a
+// "track" child span; the zero obs.Runtime runs on the default pool,
+// untraced.
+func Run(frames []*img.Image, det detect.Detector, cfg Config, rt obs.Runtime) (*motio.TrackSet, error) {
+	r := NewRunner(det, cfg, rt)
+	if err := r.Window(frames); err != nil {
+		return nil, err
+	}
+	return r.Finish()
 }
 
-// RunRT is Run on an explicit runtime: detection shards over rt.Pool under a
-// "detect" child span and the serial association pass runs under a "track"
-// child span. Detectors that implement obs.SpanSetter (the HOG+SVM detector
-// does) are rebound to the detect span so their internal counters nest there.
-func RunRT(frames []*img.Image, det detect.Detector, cfg Config, rt obs.Runtime) (*motio.TrackSet, error) {
-	type detResult struct {
-		dets []detect.Detection
-		err  error
-	}
-	dspan := rt.Span.Child("detect")
-	if s, ok := det.(obs.SpanSetter); ok {
-		s.SetSpan(dspan)
-	}
-	results := par.MapPool(rt.Pool, len(frames), 1, func(i int) detResult {
-		ds, err := det.Detect(frames[i])
-		return detResult{dets: ds, err: err}
-	})
-	dspan.Add(obs.CFramesDetected, int64(len(frames)))
-	var nDets int64
-	for _, r := range results {
-		nDets += int64(len(r.dets))
-	}
-	dspan.Add(obs.CDetections, nDets)
-	dspan.End()
-
-	tspan := rt.Span.Child("track")
-	defer tspan.End()
-	tr := New(cfg)
-	for i, f := range frames {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		if err := tr.Step(f, results[i].dets); err != nil {
-			return nil, err
-		}
-	}
-	set := tr.Tracks()
-	tspan.Add(obs.CFramesTracked, int64(len(frames)))
-	tspan.Add(obs.CTracksConfirmed, int64(len(set.Tracks)))
-	return set, nil
-}
-
-// Runner is the windowed form of Run for the streaming pipeline: the caller
-// feeds consecutive frame windows to Window and collects the tracks with
-// Finish. Within a window detection shards over the pool exactly as RunRT
-// does; the stateful tracker consumes frames strictly in clip order across
-// windows. Detection is pure per frame and Step order is identical, so the
-// final track set is bit-identical to RunRT over the concatenated frames —
-// while only one window of pixels is alive at a time.
+// Runner drives a detector and the tracker over consecutive frame windows:
+// the caller feeds them to Window and collects the tracks with Finish.
+// Detection is stateless per frame, so each window is detected on the
+// worker pool first; the stateful tracker then consumes the gathered
+// results strictly in clip order across windows. The track set is therefore
+// bit-identical to a serial run at any window size and worker count, while
+// only one window of pixels is alive at a time. Detector implementations
+// must tolerate concurrent Detect calls (both built-in detectors are pure
+// readers of their model state).
 type Runner struct {
 	det     detect.Detector
 	tr      *Tracker
@@ -298,9 +261,10 @@ type Runner struct {
 	nDets   int64
 }
 
-// NewRunnerRT builds a windowed runner; detectors implementing
-// obs.SpanSetter are rebound to the runner's detect span as in RunRT.
-func NewRunnerRT(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
+// NewRunner builds a windowed runner on rt. Detectors implementing
+// obs.SpanSetter (the HOG+SVM detector does) are rebound to the runner's
+// detect span so their internal counters nest there.
+func NewRunner(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
 	dspan := rt.Span.Child("detect")
 	if s, ok := det.(obs.SpanSetter); ok {
 		s.SetSpan(dspan)

@@ -6,6 +6,7 @@ import (
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/img"
+	"verro/internal/obs"
 	"verro/internal/scene"
 )
 
@@ -143,11 +144,11 @@ func TestRunOnGeneratedScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := detect.MedianBackground(g.Video.Frames, 2)
+	bg, err := detect.MedianBackground(g.Video.Frames, 2, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Run(g.Video.Frames, detect.NewBGSubtractor(bg), DefaultConfig())
+	set, err := Run(g.Video.Frames, detect.NewBGSubtractor(bg), DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}

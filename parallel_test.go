@@ -18,6 +18,7 @@ import (
 	"verro/internal/geom"
 	"verro/internal/img"
 	"verro/internal/inpaint"
+	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/vid"
 )
@@ -40,45 +41,6 @@ type pipelineArtifacts struct {
 	synTracks *TrackSet
 	synFrames []*img.Image
 	encoded   []byte
-}
-
-// runPipeline executes detect→track→sanitize for a preset at the current
-// worker setting and captures every published artifact.
-func runPipeline(t *testing.T, name string) pipelineArtifacts {
-	t.Helper()
-	preset, err := BenchmarkPreset(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := GenerateBenchmark(preset.Scaled(equivScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracks, err := DetectAndTrack(g.Video, DefaultPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	res, err := Sanitize(g.Video, tracks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var presence [][]bool
-	for _, v := range res.Phase1.Output {
-		presence = append(presence, []bool(v))
-	}
-	var buf bytes.Buffer
-	if _, err := vid.Encode(&buf, res.Synthetic); err != nil {
-		t.Fatal(err)
-	}
-	return pipelineArtifacts{
-		tracks:    tracks,
-		presence:  presence,
-		synTracks: res.SyntheticTracks,
-		synFrames: res.Synthetic.Frames,
-		encoded:   buf.Bytes(),
-	}
 }
 
 func compareArtifacts(t *testing.T, serial, parallel pipelineArtifacts) {
@@ -113,17 +75,19 @@ func TestParallelEquivalence(t *testing.T) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		t.Run(name, func(t *testing.T) {
 			var serial, parallel pipelineArtifacts
-			withWorkersT(t, 1, func() { serial = runPipeline(t, name) })
-			withWorkersT(t, 8, func() { parallel = runPipeline(t, name) })
+			withWorkersT(t, 1, func() { serial, _ = runPipelineWith(t, name, 0, 0, nil) })
+			withWorkersT(t, 8, func() { parallel, _ = runPipelineWith(t, name, 0, 0, nil) })
 			compareArtifacts(t, serial, parallel)
 		})
 	}
 }
 
-// runPipelineWith executes the same pipeline as runPipeline but with the
-// worker count scoped to the calls (cfg.Workers, not the global setting)
-// and an optional trace attached.
-func runPipelineWith(t *testing.T, name string, workers int, trace *Trace) pipelineArtifacts {
+// runPipelineWith executes detect→track→sanitize (seed 7) for a preset at
+// equivScale and captures every published artifact plus the Result.
+// Detection, tracking and the sanitizer all run in windows of window frames
+// (0 = one whole-clip window) with the worker count scoped to the calls
+// (0 keeps the process-wide setting) and an optional trace attached.
+func runPipelineWith(t *testing.T, name string, window, workers int, trace *Trace) (pipelineArtifacts, *Result) {
 	t.Helper()
 	preset, err := BenchmarkPreset(name)
 	if err != nil {
@@ -136,6 +100,7 @@ func runPipelineWith(t *testing.T, name string, workers int, trace *Trace) pipel
 	pcfg := DefaultPipelineConfig()
 	pcfg.Workers = workers
 	pcfg.Trace = trace
+	pcfg.WindowFrames = window
 	tracks, err := DetectAndTrack(g.Video, pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +109,7 @@ func runPipelineWith(t *testing.T, name string, workers int, trace *Trace) pipel
 	cfg.Seed = 7
 	cfg.Workers = workers
 	cfg.Trace = trace
+	cfg.WindowFrames = window
 	res, err := Sanitize(g.Video, tracks, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +128,7 @@ func runPipelineWith(t *testing.T, name string, workers int, trace *Trace) pipel
 		synTracks: res.SyntheticTracks,
 		synFrames: res.Synthetic.Frames,
 		encoded:   buf.Bytes(),
-	}
+	}, res
 }
 
 // TestTraceEquivalence proves instrumentation is observational only: the
@@ -170,10 +136,10 @@ func runPipelineWith(t *testing.T, name string, workers int, trace *Trace) pipel
 // with tracing on, at one worker and at eight — and the traced runs really
 // did collect spans.
 func TestTraceEquivalence(t *testing.T) {
-	off := runPipelineWith(t, "MOT01", 1, nil)
+	off, _ := runPipelineWith(t, "MOT01", 0, 1, nil)
 	for _, workers := range []int{1, 8} {
 		trace := NewTrace("equiv")
-		on := runPipelineWith(t, "MOT01", workers, trace)
+		on, _ := runPipelineWith(t, "MOT01", 0, workers, trace)
 		compareArtifacts(t, off, on)
 		rep := trace.Report()
 		if rep.Span == nil || len(rep.Span.Children) == 0 {
@@ -294,7 +260,7 @@ func TestParallelEquivalenceInpaint(t *testing.T) {
 		var out *img.Image
 		withWorkersT(t, workers, func() {
 			var err error
-			out, err = inpaint.Inpaint(src, mask, inpaint.DefaultConfig())
+			out, err = inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), obs.Runtime{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +287,7 @@ func TestParallelEquivalenceMedianBackground(t *testing.T) {
 		var out *img.Image
 		withWorkersT(t, workers, func() {
 			var err error
-			out, err = detect.MedianBackground(frames, 1)
+			out, err = detect.MedianBackground(frames, 1, obs.Runtime{})
 			if err != nil {
 				t.Fatal(err)
 			}

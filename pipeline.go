@@ -39,10 +39,9 @@ type PipelineConfig struct {
 	// and worker-pool gauges. Nil disables all instrumentation at zero cost;
 	// tracing never perturbs the output.
 	Trace *Trace
-	// WindowFrames, when positive, runs detection and tracking as a
-	// bounded-memory streaming pass over at most WindowFrames frames at a
-	// time; 0 keeps the whole-clip batch path. Both paths produce
-	// bit-identical tracks for the same configuration.
+	// WindowFrames bounds the frames detection and tracking process per
+	// window; 0 (the default) means one whole-clip window. The tracks are
+	// bit-identical at any setting.
 	WindowFrames int
 }
 
@@ -70,61 +69,24 @@ func DefaultPipelineConfig() PipelineConfig {
 }
 
 // DetectAndTrack runs detection and tracking over the video and returns
-// the recovered object tracks — the preprocessing stage of Figure 2. With
-// cfg.WindowFrames > 0 the run is delegated to the windowed streaming
-// driver (see DetectAndTrackStream), whose output is bit-identical.
+// the recovered object tracks — the preprocessing stage of Figure 2. It
+// adapts the in-memory clip onto DetectAndTrackStream through a slice
+// source.
 func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
-	if v == nil || v.Len() == 0 {
+	if v == nil {
 		return nil, fmt.Errorf("verro: empty video")
 	}
-	if cfg.WindowFrames > 0 {
-		return DetectAndTrackStream(stream.NewSliceSource(vid.MetaOf(v), v.Frames), cfg)
-	}
-	// A scoped pool (not the former global SetWorkers save/restore, which was
-	// non-reentrant) so concurrent calls with different Workers each get
-	// their own size. Workers <= 0 falls through to the process default.
-	pool := par.NewPool(cfg.Workers)
-	cfg.Trace.AttachPool(pool)
-	root := cfg.Trace.Root()
-	var det detect.Detector
-	switch cfg.Detector {
-	case DetectorHOGSVM:
-		d, err := detect.NewPedestrianDetector(cfg.Style, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("verro: build detector: %w", err)
-		}
-		d.RT = obs.Runtime{Pool: pool}
-		det = d
-	case DetectorBackgroundSub:
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(v.Len())
-		}
-		bgSpan := root.Child("background")
-		bg, err := detect.MedianBackgroundRT(v.Frames, step, obs.Runtime{Pool: pool, Span: bgSpan})
-		bgSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("verro: background model: %w", err)
-		}
-		det = detect.NewBGSubtractor(bg)
-	default:
-		return nil, fmt.Errorf("verro: unknown detector %d", cfg.Detector)
-	}
-	tracks, err := track.RunRT(v.Frames, det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
-	if err != nil {
-		return nil, fmt.Errorf("verro: tracking: %w", err)
-	}
-	return tracks, nil
+	return DetectAndTrackStream(stream.NewSliceSource(vid.MetaOf(v), v.Frames), cfg)
 }
 
-// DetectAndTrackStream is DetectAndTrack over a bounded-memory frame
-// source. The background-subtraction detector needs its median background
-// before any detection, so that path makes two passes: a sampling pass
-// retaining only the ~40 strided frames the temporal median consumes, a
-// Reset, then a windowed detect-and-track pass. The HOG+SVM detector is
-// model-driven and needs a single pass. Tracks are bit-identical to the
-// batch path: the sample stack, the per-frame detections, and the tracker
-// step order are all exactly those of DetectAndTrack on the decoded clip.
+// DetectAndTrackStream runs detection and tracking over a frame source in
+// windows of cfg.WindowFrames frames. The background-subtraction detector
+// needs its median background before any detection, so that path makes two
+// passes: a sampling pass retaining only the ~40 strided frames the
+// temporal median consumes, a Reset, then a windowed detect-and-track pass.
+// The HOG+SVM detector is model-driven and needs a single pass. Tracks are
+// bit-identical at any window size: the sample stack, the per-frame
+// detections, and the tracker step order do not depend on the windowing.
 func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {
@@ -160,7 +122,7 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 	default:
 		return nil, fmt.Errorf("verro: unknown detector %d", cfg.Detector)
 	}
-	runner := track.NewRunnerRT(det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
+	runner := track.NewRunner(det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
 	err := forEachWindow(src, cfg.WindowFrames, func(frames []*img.Image, _ int) error {
 		return runner.Window(frames)
 	})
@@ -175,11 +137,10 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 }
 
 // medianBackgroundStream computes the background-subtraction median model
-// from a bounded sampling pass: it retains only the frames the batch
-// MedianBackgroundRT would stride onto (every step-th frame — at most ~40
-// under detect.AutoStep) and feeds them to the same median with step 1,
-// which stacks the identical samples and therefore returns the identical
-// model.
+// from a bounded sampling pass: it retains only every step-th frame — at
+// most ~40 under detect.AutoStep — and feeds them to detect.MedianBackground
+// with step 1, which stacks the same samples a strided median over the
+// whole clip would.
 func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime) (*Image, error) {
 	if step < 1 {
 		step = 1
@@ -196,7 +157,7 @@ func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime)
 	if err != nil {
 		return nil, err
 	}
-	return detect.MedianBackgroundRT(samples, 1, rt)
+	return detect.MedianBackground(samples, 1, rt)
 }
 
 // forEachWindow drains the source in runs of at most window frames

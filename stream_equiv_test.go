@@ -27,8 +27,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"verro/internal/vid"
 )
 
 // goldenArtifacts is one preset's pinned output: hex sha256 digests plus the
@@ -119,58 +117,6 @@ func checkGolden(t *testing.T, name string, a pipelineArtifacts, res *Result) {
 // scaled clips, and 0 for one whole-clip window.
 var streamEquivCases = []int{9, 16, 64, 0}
 
-// runPipelineStream executes the seeded pipeline (seed 7) with detection,
-// tracking and the sanitizer all windowed at the given budget, capturing the
-// artifacts plus the Result for the ε and ledger checks. window < 0 keeps
-// WindowFrames at 0 (the whole-clip entry point); window == 0 sets it to
-// the clip length, one whole-clip window.
-func runPipelineStream(t *testing.T, name string, window, workers int) (pipelineArtifacts, *Result) {
-	t.Helper()
-	preset, err := BenchmarkPreset(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := GenerateBenchmark(preset.Scaled(equivScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := DefaultPipelineConfig()
-	pcfg.Workers = workers
-	switch {
-	case window > 0:
-		pcfg.WindowFrames = window
-	case window == 0:
-		pcfg.WindowFrames = g.Video.Len()
-	}
-	tracks, err := DetectAndTrack(g.Video, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	cfg.Workers = workers
-	cfg.WindowFrames = pcfg.WindowFrames
-	res, err := Sanitize(g.Video, tracks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var presence [][]bool
-	for _, v := range res.Phase1.Output {
-		presence = append(presence, []bool(v))
-	}
-	var buf bytes.Buffer
-	if _, err := vid.Encode(&buf, res.Synthetic); err != nil {
-		t.Fatal(err)
-	}
-	return pipelineArtifacts{
-		tracks:    tracks,
-		presence:  presence,
-		synTracks: res.SyntheticTracks,
-		synFrames: res.Synthetic.Frames,
-		encoded:   buf.Bytes(),
-	}, res
-}
-
 // checkWindowLedger verifies the per-window privacy accounting recomposes
 // exactly: windows partition the clip, integer picked counts sum to the
 // run's K, and the closed-form total over that K equals the run's ε with
@@ -215,12 +161,12 @@ func checkWindowLedger(t *testing.T, res *Result, clipLen int) {
 func TestStreamEquivalence(t *testing.T) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		t.Run(name, func(t *testing.T) {
-			whole, wholeRes := runPipelineStream(t, name, -1, 1)
+			whole, wholeRes := runPipelineWith(t, name, 0, 1, nil)
 			checkGolden(t, name, whole, wholeRes)
 			for _, window := range streamEquivCases {
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("window=%d/workers=%d", window, workers), func(t *testing.T) {
-						streamed, res := runPipelineStream(t, name, window, workers)
+						streamed, res := runPipelineWith(t, name, window, workers, nil)
 						compareArtifacts(t, whole, streamed)
 						if res.Epsilon != wholeRes.Epsilon {
 							t.Errorf("epsilon %v, whole-clip run %v", res.Epsilon, wholeRes.Epsilon)

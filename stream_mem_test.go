@@ -130,10 +130,11 @@ func streamedPeak(t *testing.T, path string, window int) uint64 {
 	return probe.peak
 }
 
-// batchPeak measures the live heap right after the batch pipeline finishes,
-// with the input clip, the track set and the full synthetic clip all still
-// live — the baseline the streaming path exists to avoid.
-func batchPeak(t *testing.T, path string) uint64 {
+// wholeClipPeak measures the live heap right after an in-memory whole-clip
+// run finishes, with the input clip, the track set and the full synthetic
+// clip all still live — the baseline disk-to-disk streaming exists to
+// avoid.
+func wholeClipPeak(t *testing.T, path string) uint64 {
 	t.Helper()
 	v, err := ReadVideo(path)
 	if err != nil {
@@ -165,7 +166,7 @@ type streamMemReport struct {
 	PeakShort    uint64  `json:"stream_peak_bytes_short"`
 	PeakLong     uint64  `json:"stream_peak_bytes_long"`
 	PeakRatio    float64 `json:"stream_peak_ratio"`
-	BatchPeak    uint64  `json:"batch_live_bytes_long"`
+	WholeClip    uint64  `json:"batch_live_bytes_long"`
 	Note         string  `json:"note"`
 }
 
@@ -193,8 +194,8 @@ func TestStreamMemoryCeiling(t *testing.T) {
 		t.Fatalf("peak live heap grew %.3f× for a 4× longer clip; streaming ceiling requires <= 1.3×", ratio)
 	}
 
-	batch := batchPeak(t, long)
-	t.Logf("batch live heap with clip+synthetic resident: %.2f MiB", float64(batch)/(1<<20))
+	whole := wholeClipPeak(t, long)
+	t.Logf("whole-clip live heap with clip+synthetic resident: %.2f MiB", float64(whole)/(1<<20))
 
 	if path := os.Getenv("VERRO_STREAM_JSON"); path != "" {
 		report := streamMemReport{
@@ -205,8 +206,8 @@ func TestStreamMemoryCeiling(t *testing.T) {
 			PeakShort:    peakShort,
 			PeakLong:     peakLong,
 			PeakRatio:    ratio,
-			BatchPeak:    batch,
-			Note:         "post-GC HeapAlloc sampled at window boundaries of a disk-to-disk streamed run; batch figure is live heap with input and synthetic clips resident",
+			WholeClip:    whole,
+			Note:         "post-GC HeapAlloc sampled at window boundaries of a disk-to-disk streamed run; the batch_live figure is the live heap of an in-memory whole-clip run with input and synthetic clips resident",
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -100,10 +100,12 @@ func NewTrack(id int, class string) *Track { return motio.NewTrack(id, class) }
 // key-frame optimization on, hybrid interpolation).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Sanitize runs the full VERRO pipeline over the video and its sensitive
-// object tracks. The input is not modified. Setting Config.WindowFrames > 0
-// routes the run through the bounded-memory streaming driver; the output is
-// bit-identical to the batch path for the same seed.
+// Sanitize runs the full VERRO pipeline over an in-memory video and its
+// sensitive object tracks; the input is not modified. It is an adapter over
+// SanitizeStream: the clip streams through the driver in windows of
+// Config.WindowFrames frames (0 = one whole-clip window) and the rendered
+// frames are collected into Result.Synthetic. The output is bit-identical
+// at any window size for the same seed.
 func Sanitize(v *Video, tracks *TrackSet, cfg Config) (*Result, error) {
 	return core.Sanitize(v, tracks, cfg)
 }
@@ -113,8 +115,8 @@ func Sanitize(v *Video, tracks *TrackSet, cfg Config) (*Result, error) {
 // way, so arbitrarily long clips process in O(window) memory. Open a .vvf
 // file as a Source with OpenVideoSource, create the output with
 // NewVideoSink, and drive the pipeline with DetectAndTrackStream +
-// SanitizeStream (or set WindowFrames on the batch entry points to stream
-// over in-memory clips).
+// SanitizeStream. The in-memory entry points (DetectAndTrack, Sanitize)
+// run the same drivers over a slice-backed source.
 type (
 	// StreamMeta is the frame-count/geometry header of a streamed video.
 	StreamMeta = stream.Meta
@@ -144,9 +146,9 @@ func NewVideoSink(path string, meta StreamMeta) (*vid.FileSink, error) {
 func StreamOutputMeta(in StreamMeta) StreamMeta { return core.OutputMeta(in) }
 
 // SanitizeStream runs the VERRO pipeline over a frame source in bounded
-// windows of cfg.WindowFrames frames, appending the synthetic video to sink
-// window by window. Output is bit-identical to Sanitize on the decoded clip
-// with the same cfg; peak memory stays O(WindowFrames) however long the
+// windows of cfg.WindowFrames frames (0 = one whole-clip window), appending
+// the synthetic video to sink window by window. Output is bit-identical at
+// any window size; peak memory stays O(WindowFrames) however long the
 // clip. The sink is closed on success; Result.Synthetic is nil (the frames
 // went to the sink) and Result.Windows carries the per-window privacy
 // ledger.
@@ -171,7 +173,9 @@ type MultiTypeResult = core.MultiTypeResult
 // (e.g. pedestrians and vehicles): Phase I runs independently per class so
 // every class is ε-indistinguishable within itself, and one synthetic
 // video is rendered with sprites of the matching classes (paper
-// Section 5, "Multiple Object Types").
+// Section 5, "Multiple Object Types"). It shares the streaming driver's
+// analysis, Phase I and Phase II planning; its joint renderer holds the
+// whole clip in memory.
 func SanitizeMultiType(v *Video, tracks *TrackSet, cfg Config) (*MultiTypeResult, error) {
 	return core.SanitizeMultiType(v, tracks, cfg)
 }

@@ -43,16 +43,19 @@ type pipelineArtifacts struct {
 	encoded   []byte
 }
 
+// compareArtifacts requires two runs of the seeded pipeline (here: workers=1
+// vs 8; in stream_equiv_test.go: whole clip vs a window × worker count) to
+// publish identical artifacts.
 func compareArtifacts(t *testing.T, serial, parallel pipelineArtifacts) {
 	t.Helper()
 	if !reflect.DeepEqual(serial.tracks, parallel.tracks) {
-		t.Error("recovered tracks differ between workers=1 and workers=8")
+		t.Error("recovered tracks differ")
 	}
 	if !reflect.DeepEqual(serial.presence, parallel.presence) {
-		t.Error("randomized presence vectors differ between workers=1 and workers=8")
+		t.Error("randomized presence vectors differ")
 	}
 	if !reflect.DeepEqual(serial.synTracks, parallel.synTracks) {
-		t.Error("synthetic tracks differ between workers=1 and workers=8")
+		t.Error("synthetic tracks differ")
 	}
 	if len(serial.synFrames) != len(parallel.synFrames) {
 		t.Fatalf("synthetic frame counts differ: %d vs %d",
@@ -60,11 +63,11 @@ func compareArtifacts(t *testing.T, serial, parallel pipelineArtifacts) {
 	}
 	for k := range serial.synFrames {
 		if !bytes.Equal(serial.synFrames[k].Pix, parallel.synFrames[k].Pix) {
-			t.Fatalf("synthetic frame %d differs between workers=1 and workers=8", k)
+			t.Fatalf("synthetic frame %d differs", k)
 		}
 	}
 	if !bytes.Equal(serial.encoded, parallel.encoded) {
-		t.Error("encoded .vvf streams differ between workers=1 and workers=8")
+		t.Error("encoded .vvf streams differ")
 	}
 }
 

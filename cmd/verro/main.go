@@ -30,6 +30,8 @@ import (
 	"verro"
 	"verro/internal/obs"
 	"verro/internal/par"
+	"verro/internal/stream"
+	"verro/internal/vid"
 )
 
 // options collects the run parameters; flags bind to the fields directly.
@@ -60,7 +62,7 @@ func main() {
 	flag.BoolVar(&opt.multi, "multitype", false, "sanitize each object class independently (Section 5)")
 	flag.IntVar(&opt.gifN, "gif", 0, "also export an animated GIF sampling every Nth frame (0 = none)")
 	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = VERRO_WORKERS or GOMAXPROCS; output is identical at any setting)")
-	flag.IntVar(&opt.window, "window", 0, "stream the pipeline in windows of N frames, bounding memory to O(N) (0 = one whole-clip window; output is identical at any setting)")
+	flag.IntVar(&opt.window, "window", 0, "stream the pipeline from disk in windows of N frames, bounding memory to O(N) (0 = one whole-clip window, read into memory; output is identical at any setting)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
 	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -85,18 +87,30 @@ func main() {
 	}
 }
 
-// run is the file-to-file pipeline: the input decodes from disk in windows
-// of opt.window frames (0 = one whole-clip window), detection, tracking and
-// the sanitizer stream over them, and the output encodes to disk window by
-// window, so peak memory is O(window) regardless of clip length. The
-// written file is byte-identical at any window size. Only -multitype, whose
-// joint per-class renderer needs the whole clip, reads it into memory.
+// run is the file-to-file pipeline. With -window N the input decodes from
+// disk in windows of N frames, detection, tracking and the sanitizer stream
+// over them, and the output encodes to disk window by window, so peak memory
+// is O(N) regardless of clip length. -window 0 (one whole-clip window) and
+// -multitype, whose joint per-class renderer needs the whole clip, decode
+// the clip into memory once and every pass reads it from there. The written
+// file is byte-identical at any window size.
 func run(opt options) error {
-	src, err := verro.OpenVideoSource(opt.in)
-	if err != nil {
-		return err
+	var video *verro.Video
+	var src verro.StreamSource
+	var err error
+	if opt.window <= 0 || opt.multi {
+		if video, err = verro.ReadVideo(opt.in); err != nil {
+			return err
+		}
+		src = stream.NewSliceSource(vid.MetaOf(video), video.Frames)
+	} else {
+		fs, err := verro.OpenVideoSource(opt.in)
+		if err != nil {
+			return err
+		}
+		defer fs.Close()
+		src = fs
 	}
-	defer src.Close()
 	meta := src.Meta()
 	fmt.Printf("input: %s %dx%d %d frames (window %d)\n", meta.Name, meta.W, meta.H, meta.Frames, opt.window)
 
@@ -160,11 +174,14 @@ func run(opt options) error {
 		fmt.Printf("eps=%.3f over %d picked key frames -> f=%.4f\n", opt.eps, k, conv)
 	}
 
+	// The output is written under a temporary name next to -out and renamed
+	// into place once complete. A failed run leaves no half-written .vvf
+	// where a caller could mistake it for a sanitized artifact, and -out may
+	// name the input itself: a streaming source keeps reading the original.
+	tmp := opt.out + ".tmp"
+	defer os.Remove(tmp) // no-op once renamed
+	var written int64
 	if opt.multi {
-		video, err := verro.ReadVideo(opt.in)
-		if err != nil {
-			return err
-		}
 		res, err := verro.SanitizeMultiType(video, tracks, cfg)
 		if err != nil {
 			return err
@@ -179,39 +196,32 @@ func run(opt options) error {
 			fmt.Printf("class %-11s eps=%.3f over %d picked key frames\n", name, p1.Epsilon, len(p1.Picked))
 		}
 		fmt.Printf("%d/%d objects retained\n", res.SyntheticTracks.Len(), tracks.Len())
-		n, err := verro.WriteVideo(opt.out, res.Synthetic)
-		if err != nil {
+		if written, err = verro.WriteVideo(tmp, res.Synthetic); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(n)/(1<<20))
 	} else {
-		sink, err := verro.NewVideoSink(opt.out, verro.StreamOutputMeta(meta))
+		sink, err := verro.NewVideoSink(tmp, verro.StreamOutputMeta(meta))
 		if err != nil {
 			return err
 		}
-		wrote := false
-		defer func() {
-			// Close is idempotent, so this is a no-op after the success path
-			// (SanitizeStream closes the sink itself). On any error return
-			// between here and there it releases the descriptor and removes
-			// the truncated output — a half-written .vvf must not survive
-			// where a caller could mistake it for a sanitized artifact.
-			sink.Close()
-			if !wrote {
-				os.Remove(opt.out)
-			}
-		}()
+		// Close is idempotent: a no-op after the success path (SanitizeStream
+		// closes the sink itself); on an error return it releases the
+		// descriptor before the temporary file is removed.
+		defer sink.Close()
 		res, err := verro.SanitizeStream(src, tracks, cfg, sink)
 		if err != nil {
 			return err
 		}
-		wrote = true
 		fmt.Printf("sanitized: eps=%.3f, phase1=%v phase2=%v\n",
 			res.Epsilon, res.Phase1Time.Round(1e6), res.Phase2Time.Round(1e6))
 		fmt.Printf("%d/%d objects retained over %d windows\n",
 			res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
-		fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(sink.Written())/(1<<20))
+		written = sink.Written()
 	}
+	if err := os.Rename(tmp, opt.out); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%.2f MB)\n", opt.out, float64(written)/(1<<20))
 
 	if opt.pngN > 0 || opt.gifN > 0 {
 		// Read the output back for the optional exports. The decoded frames

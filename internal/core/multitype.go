@@ -97,10 +97,11 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	var outs []classOut
 	idOffset := 0
 	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
+	p1Span := root.Child("phase1")
 	p2Span := root.Child("phase2")
 	for _, name := range classNames {
 		set := classes[name]
-		p1, err := runPhase1Stage(set, v.Len(), an.kf, cfg.Phase1, rng, root)
+		p1, err := runPhase1Stage(set, v.Len(), an.kf, cfg.Phase1, rng, p1Span)
 		if err != nil {
 			return nil, fmt.Errorf("core: class %q: %w", name, err)
 		}
@@ -124,6 +125,7 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 		idOffset += set.Len() + 1
 		outs = append(outs, classOut{name: name, p2: p2})
 	}
+	p1Span.End()
 	res.Phase1Time = time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 
 	// Joint rendering: composite every class's synthetic tracks over the

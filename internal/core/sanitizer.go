@@ -121,11 +121,10 @@ func autoSegmentCfg(kfCfg keyframe.Config, clipLen int) keyframe.Config {
 // runPhase1Stage runs Phase I with its span bookkeeping: presence-vector
 // reduction, the randomized mechanism, and the post-hoc counters (picked
 // key frames; randomized-response flips as the Hamming distance between the
-// budgeted vectors B* and the published vectors R). SanitizeStreamFrom runs
-// it once and SanitizeMultiType once per class.
-func runPhase1Stage(tracks *motio.TrackSet, clipLen int, kf *keyframe.Result, cfg Phase1Config, rng *rand.Rand, root *obs.Span) (*Phase1Result, error) {
-	p1Span := root.Child("phase1")
-	defer p1Span.End()
+// budgeted vectors B* and the published vectors R), added to the caller's
+// "phase1" span. SanitizeStreamFrom runs it once and SanitizeMultiType once
+// per class, all classes adding to one span.
+func runPhase1Stage(tracks *motio.TrackSet, clipLen int, kf *keyframe.Result, cfg Phase1Config, rng *rand.Rand, p1Span *obs.Span) (*Phase1Result, error) {
 	full := PresenceVectors(tracks, clipLen)
 	reduced, err := ReduceToKeyFrames(full, kf.KeyFrames)
 	if err != nil {

@@ -278,7 +278,9 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 	}
 
 	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-	p1, err := runPhase1Stage(tracks, meta.Frames, an.kf, cfg.Phase1, rng, root)
+	p1Span := root.Child("phase1")
+	p1, err := runPhase1Stage(tracks, meta.Frames, an.kf, cfg.Phase1, rng, p1Span)
+	p1Span.End()
 	if err != nil {
 		return nil, err
 	}

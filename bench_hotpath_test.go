@@ -1,10 +1,9 @@
 package verro
 
 // Hot-path micro-benchmarks: one benchmark per kernel family the perf
-// lint sweep rewrote (BENCH_hotpath.json records before/after). Unlike
-// bench_parallel_test.go these stay single-worker — they measure the
-// per-element cost the bounds-check and allocation fixes target, not
-// pool scheduling. Regenerate with:
+// lint sweep rewrote. Unlike bench_parallel_test.go these run pooled
+// kernels on a one-worker pool — they measure the per-element cost the
+// bounds-check and allocation fixes target, not pool scheduling. Regenerate with:
 //
 //	VERRO_BENCH_JSON=BENCH_hotpath.json go test -bench=BenchmarkHot -benchtime=100x .
 
@@ -51,13 +50,6 @@ func hotClip(b *testing.B) (*vid.Video, *motio.TrackSet) {
 		b.Fatal(hotErr)
 	}
 	return hotVideo, hotTracks
-}
-
-// singleWorker pins the pool to one worker for the duration of b.
-func singleWorker(b *testing.B) {
-	b.Helper()
-	prev := par.SetWorkers(1)
-	b.Cleanup(func() { par.SetWorkers(prev) })
 }
 
 // BenchmarkHotSSD measures patch comparison (criminisi's inner loop).
@@ -133,7 +125,6 @@ func BenchmarkHotHist(b *testing.B) {
 // is dominated by the boxBlur kernel.
 func BenchmarkHotBlur(b *testing.B) {
 	recordBench(b)
-	singleWorker(b)
 	v, tracks := hotClip(b)
 	cfg := blur.DefaultConfig()
 	b.ResetTimer()
@@ -148,7 +139,7 @@ func BenchmarkHotBlur(b *testing.B) {
 // hole (patch search + confidence/data terms + patch copy).
 func BenchmarkHotInpaint(b *testing.B) {
 	recordBench(b)
-	singleWorker(b)
+	rt := obs.Runtime{Pool: par.NewPool(1)}
 	m := img.NewFilled(128, 96, img.RGB{R: 60, G: 110, B: 160})
 	m.AddNoise(25, 19)
 	mask := inpaint.NewMask(128, 96)
@@ -156,21 +147,27 @@ func BenchmarkHotInpaint(b *testing.B) {
 	cfg := inpaint.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inpaint.Inpaint(m, mask.Clone(), cfg, obs.Runtime{}); err != nil {
+		if _, err := inpaint.Inpaint(m, mask.Clone(), cfg, rt); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkHotBackground measures median background extraction (the
-// per-pixel sample gather + medianU8 loops).
+// per-pixel sample gather + MedianU8 loops) over every second frame.
 func BenchmarkHotBackground(b *testing.B) {
 	recordBench(b)
-	singleWorker(b)
+	rt := obs.Runtime{Pool: par.NewPool(1)}
 	v, tracks := hotClip(b)
+	var samples []*img.Image
+	var indices []int
+	for k := 0; k < v.Len(); k += 2 {
+		samples = append(samples, v.Frame(k))
+		indices = append(indices, k)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inpaint.StaticBackground(v, tracks, 2, inpaint.DefaultConfig(), obs.Runtime{}); err != nil {
+		if _, err := inpaint.StaticBackgroundSamples(v.W, v.H, samples, indices, tracks, inpaint.DefaultConfig(), rt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 package verro
 
-// Worker-pool benchmarks: each converted hot path measured at workers=1 and
-// workers=4 so the speedup (and the parallel overhead at 1 worker) is
-// directly visible. Combined with VERRO_BENCH_JSON these produce
+// Worker-pool benchmarks: each converted hot path measured on a scoped pool
+// of 1 and of 4 workers so the speedup (and the parallel overhead at 1
+// worker) is directly visible. Combined with VERRO_BENCH_JSON these produce
 // BENCH_parallel.json:
 //
 //	VERRO_BENCH_JSON=BENCH_parallel.json go test -bench=BenchmarkPar -benchtime=2x .
@@ -20,13 +20,13 @@ import (
 	"verro/internal/par"
 )
 
-func benchAtWorkers(b *testing.B, fn func(b *testing.B)) {
+// benchAtWorkers runs fn as one sub-benchmark per worker count, handing it
+// the count and a runtime on a pool of that size.
+func benchAtWorkers(b *testing.B, fn func(b *testing.B, workers int, rt obs.Runtime)) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			recordBench(b)
-			prev := par.SetWorkers(workers)
-			defer par.SetWorkers(prev)
-			fn(b)
+			fn(b, workers, obs.Runtime{Pool: par.NewPool(workers)})
 		})
 	}
 }
@@ -41,9 +41,9 @@ func BenchmarkParMedianBackground(b *testing.B) {
 		}
 		frames[i] = f
 	}
-	benchAtWorkers(b, func(b *testing.B) {
+	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
 		for i := 0; i < b.N; i++ {
-			if _, err := detect.MedianBackground(frames, 1, obs.Runtime{}); err != nil {
+			if _, err := detect.MedianBackground(frames, 1, rt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +58,8 @@ func BenchmarkParHOGDetect(b *testing.B) {
 	}
 	d := dataset(b, "MOT01")
 	frame := d.Gen.Video.Frame(0)
-	benchAtWorkers(b, func(b *testing.B) {
+	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
+		det.RT = rt
 		for i := 0; i < b.N; i++ {
 			if _, err := det.Detect(frame); err != nil {
 				b.Fatal(err)
@@ -82,9 +83,9 @@ func BenchmarkParInpaint(b *testing.B) {
 	}
 	mask := inpaint.NewMask(96, 72)
 	mask.SetRect(geom.RectAt(30, 22, 24, 16), true)
-	benchAtWorkers(b, func(b *testing.B) {
+	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
 		for i := 0; i < b.N; i++ {
-			if _, err := inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), obs.Runtime{}); err != nil {
+			if _, err := inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), rt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,9 +95,9 @@ func BenchmarkParInpaint(b *testing.B) {
 // BenchmarkParKeyframe times HSV-histogram key-frame extraction.
 func BenchmarkParKeyframe(b *testing.B) {
 	d := dataset(b, "MOT01")
-	benchAtWorkers(b, func(b *testing.B) {
+	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
 		for i := 0; i < b.N; i++ {
-			if _, err := keyframe.Extract(d.Gen.Video, keyframe.DefaultConfig(), obs.Runtime{}); err != nil {
+			if _, err := keyframe.Extract(d.Gen.Video, keyframe.DefaultConfig(), rt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -109,7 +110,8 @@ func BenchmarkParKeyframe(b *testing.B) {
 func BenchmarkParSanitizeRender(b *testing.B) {
 	d := dataset(b, "MOT01")
 	cfg := d.SanitizerConfig(0.1, 1, true)
-	benchAtWorkers(b, func(b *testing.B) {
+	benchAtWorkers(b, func(b *testing.B, workers int, _ obs.Runtime) {
+		cfg.Workers = workers
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(i) + 1
 			if _, err := Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"verro/internal/exp"
 	"verro/internal/obs"
-	"verro/internal/par"
 	"verro/internal/report"
 	"verro/internal/scene"
 )
@@ -34,14 +33,10 @@ func main() {
 		videos  = flag.String("video", "MOT01,MOT03,MOT06", "comma-separated benchmark videos")
 		tracked = flag.Bool("tracked", false, "use detected+tracked objects instead of ground truth")
 		html    = flag.String("html", "", "also write a self-contained HTML report to this path")
-		workers = flag.Int("workers", 0, "worker-pool size for the hot CV loops (0 = VERRO_WORKERS or GOMAXPROCS; output is identical at any setting)")
 		traceP  = flag.String("trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if *workers > 0 {
-		par.SetWorkers(*workers)
-	}
 	if *pprofA != "" {
 		if err := obs.ServeDebug(*pprofA); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

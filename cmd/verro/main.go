@@ -29,7 +29,6 @@ import (
 
 	"verro"
 	"verro/internal/obs"
-	"verro/internal/par"
 	"verro/internal/stream"
 	"verro/internal/vid"
 )
@@ -61,7 +60,7 @@ func main() {
 	flag.BoolVar(&opt.noOpt, "no-opt", false, "disable key-frame optimization (use all key frames)")
 	flag.BoolVar(&opt.multi, "multitype", false, "sanitize each object class independently (Section 5)")
 	flag.IntVar(&opt.gifN, "gif", 0, "also export an animated GIF sampling every Nth frame (0 = none)")
-	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = VERRO_WORKERS or GOMAXPROCS; output is identical at any setting)")
+	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = GOMAXPROCS; output is identical at any setting)")
 	flag.IntVar(&opt.window, "window", 0, "stream the pipeline from disk in windows of N frames, bounding memory to O(N) (0 = one whole-clip window, read into memory; output is identical at any setting)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
 	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
@@ -69,9 +68,6 @@ func main() {
 	if opt.in == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if opt.workers > 0 {
-		par.SetWorkers(opt.workers)
 	}
 	if opt.pprofAddr != "" {
 		// The user asked for diagnostics explicitly; an unbindable address is
@@ -132,6 +128,7 @@ func run(opt options) error {
 		fmt.Println("no tracks given; running detection + tracking...")
 		pcfg := verro.DefaultPipelineConfig()
 		pcfg.Trace = trace
+		pcfg.Workers = opt.workers
 		pcfg.WindowFrames = opt.window
 		tracks, err = verro.DetectAndTrackStream(src, pcfg)
 		if err != nil {
@@ -149,6 +146,7 @@ func run(opt options) error {
 	cfg.Phase1.Optimize = !opt.noOpt
 	cfg.Phase1.LaplaceEps = opt.laplace
 	cfg.Trace = trace
+	cfg.Workers = opt.workers
 	cfg.WindowFrames = opt.window
 	if opt.eps > 0 {
 		// Convert the ε budget to a flip probability: dry-run Phase I at a
@@ -212,8 +210,7 @@ func run(opt options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sanitized: eps=%.3f, phase1=%v phase2=%v\n",
-			res.Epsilon, res.Phase1Time.Round(1e6), res.Phase2Time.Round(1e6))
+		fmt.Printf("sanitized: eps=%.3f\n", res.Epsilon)
 		fmt.Printf("%d/%d objects retained over %d windows\n",
 			res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
 		written = sink.Written()

@@ -13,8 +13,9 @@ import (
 // TestTraceGoldenSchema is the end-to-end contract for -trace: a seeded run
 // over the scaled MOT01 benchmark (detection+tracking included, f high
 // enough that random response demonstrably flips bits) must emit a span for
-// every pipeline stage with its headline counter non-zero, and tracing must
-// not change the published video by a single byte.
+// every pipeline stage with its headline counter non-zero and report the
+// -workers pool size, and neither tracing nor the worker count may change
+// the published video by a single byte.
 func TestTraceGoldenSchema(t *testing.T) {
 	preset, err := verro.BenchmarkPreset("MOT01")
 	if err != nil {
@@ -33,7 +34,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	traced := options{
 		in: in, out: filepath.Join(dir, "out-traced.vvf"),
-		f: 0.5, seed: 3, tracePath: tracePath,
+		f: 0.5, seed: 3, tracePath: tracePath, workers: 3,
 	}
 	if err := run(traced); err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("-trace changed the published video bytes")
+		t.Fatal("-trace -workers 3 changed the published video bytes")
 	}
 
 	// The report must follow the documented schema.
@@ -74,8 +75,11 @@ func TestTraceGoldenSchema(t *testing.T) {
 	if rep.DurationNS <= 0 {
 		t.Errorf("non-positive run duration %d", rep.DurationNS)
 	}
-	if rep.Pool == nil || rep.Pool.ChunksDispatched == 0 || rep.Pool.Workers <= 0 {
-		t.Errorf("missing or empty pool gauges: %+v", rep.Pool)
+	if rep.Pool == nil || rep.Pool.ChunksDispatched == 0 {
+		t.Fatalf("missing or empty pool gauges: %+v", rep.Pool)
+	}
+	if rep.Pool.Workers != 3 {
+		t.Errorf("pool workers = %d, want the -workers 3 of the run", rep.Pool.Workers)
 	}
 
 	// Every pipeline stage must appear with its headline counter > 0.

@@ -62,7 +62,7 @@ func main() {
 	flag.StringVar(&opt.data, "data", "verrod-data", "job store directory (manifests, staging, artifacts)")
 	flag.IntVar(&opt.maxJobs, "max-jobs", 2, "concurrently executing jobs; submissions above this are rejected with 429")
 	flag.IntVar(&opt.window, "window", 64, "default streaming window in frames (checkpoints land on these boundaries)")
-	flag.IntVar(&opt.workers, "workers", 0, "default per-job worker-pool size (0 = GOMAXPROCS / VERRO_WORKERS)")
+	flag.IntVar(&opt.workers, "workers", 0, "default per-job worker-pool size (0 = GOMAXPROCS; output is identical at any setting)")
 	flag.BoolVar(&opt.noResume, "no-resume", false, "do not resume jobs a previous process left unfinished")
 	flag.Float64Var(&opt.rate, "rate", 0, "per-client POST /jobs submissions per second (0 = no rate limit)")
 	flag.IntVar(&opt.burst, "burst", 5, "token-bucket depth for -rate: submissions a quiet client may burst")

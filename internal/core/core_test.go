@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"verro/internal/geom"
 	"verro/internal/img"
+	"verro/internal/inpaint"
 	"verro/internal/keyframe"
 	"verro/internal/ldp"
 	"verro/internal/motio"
@@ -272,10 +274,6 @@ func TestSanitizeEndToEnd(t *testing.T) {
 	if same == res.Synthetic.Len() {
 		t.Fatal("sanitization did not change the video")
 	}
-	// Timing fields populated.
-	if res.Phase1Time < 0 || res.Phase2Time <= 0 || res.PreprocessTime <= 0 {
-		t.Fatal("timings not recorded")
-	}
 }
 
 func TestSanitizeValidation(t *testing.T) {
@@ -526,5 +524,92 @@ func TestSanitizeTracksOutsideVideoBounds(t *testing.T) {
 	cfg.Keyframe.MaxSegmentLen = 4
 	if _, err := Sanitize(g.Video, g.Truth, cfg); err != nil {
 		t.Fatalf("out-of-bounds tracks should be tolerated: %v", err)
+	}
+}
+
+// scenePreset is a small clip for the background tests: a static square
+// scene, or a panning street scene when moving.
+func scenePreset(name string, moving bool, seed int64) scene.Preset {
+	p := scene.Preset{
+		Name: name, W: 64, H: 48, Frames: 24, Objects: 4,
+		FPS: 30, Style: scene.StyleSquare, Class: scene.Pedestrian, Seed: seed,
+	}
+	if moving {
+		p.Moving, p.PanRange, p.Style = true, 24, scene.StyleStreet
+	}
+	return p
+}
+
+// TestSanitizeScenesPicksModel checks Result.Scenes: one frame-invariant
+// background under a static camera, a panorama with an offset per frame
+// under a moving one, the scene the synthetic frames were drawn over in
+// both cases, and nothing when the run renders nothing.
+func TestSanitizeScenesPicksModel(t *testing.T) {
+	for _, moving := range []bool{false, true} {
+		g, err := scene.Generate(scenePreset("sc", moving, 81))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Keyframe.MaxSegmentLen = 4
+		res, err := Sanitize(g.Video, g.Truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, panorama := res.Scenes.(*inpaint.MovingBackground)
+		if panorama != moving {
+			t.Fatalf("moving=%v: Scenes is %T", moving, res.Scenes)
+		}
+		if moving && len(mb.Offsets) != g.Video.Len() {
+			t.Fatalf("panorama has %d offsets for %d frames", len(mb.Offsets), g.Video.Len())
+		}
+		for k := 0; k < g.Video.Len(); k++ {
+			bg, err := res.Scenes.Background(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b0, _ := res.Scenes.Background(0); !moving && !bg.Equal(b0) {
+				t.Fatalf("static scenes differ between frames 0 and %d", k)
+			}
+			// Synthetic objects cover a small part of each frame; the rest
+			// is the background verbatim.
+			if diff := res.Synthetic.Frame(k).DiffCount(bg); 2*diff > bg.W*bg.H {
+				t.Fatalf("moving=%v frame %d: %d of %d pixels differ from Scenes", moving, k, diff, bg.W*bg.H)
+			}
+		}
+		cfg.Phase2.SkipRender = true
+		if res, err = Sanitize(g.Video, g.Truth, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if res.Scenes != nil {
+			t.Fatalf("moving=%v: SkipRender run returned Scenes %T", moving, res.Scenes)
+		}
+	}
+}
+
+// TestSanitizeAllCoveredBackgroundFails covers every pixel of every frame
+// with objects: no background can be reconstructed, and both camera models
+// must fail with inpaint.ErrAllMasked instead of rendering over a black
+// scene.
+func TestSanitizeAllCoveredBackgroundFails(t *testing.T) {
+	for _, moving := range []bool{false, true} {
+		p := scenePreset("covered", moving, 191)
+		g, err := scene.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracks := motio.NewTrackSet()
+		for id := 1; id <= 3; id++ {
+			tr := motio.NewTrack(id, "pedestrian")
+			for k := 0; k < g.Video.Len(); k++ {
+				tr.Set(k, geom.RectAt(0, 0, p.W, p.H))
+			}
+			tracks.Add(tr)
+		}
+		cfg := DefaultConfig()
+		cfg.Keyframe.MaxSegmentLen = 4
+		if _, err := Sanitize(g.Video, tracks, cfg); !errors.Is(err, inpaint.ErrAllMasked) {
+			t.Fatalf("moving=%v: err = %v, want inpaint.ErrAllMasked", moving, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"verro/internal/geom"
 	"verro/internal/motio"
@@ -23,10 +22,7 @@ type MultiTypeResult struct {
 	PerClass map[string]*Phase1Result
 	// Epsilon is the worst (largest) per-class ε — each class is
 	// ε_class-indistinguishable within itself (paper Section 5).
-	Epsilon        float64
-	Phase1Time     time.Duration
-	Phase2Time     time.Duration
-	PreprocessTime time.Duration
+	Epsilon float64
 }
 
 // classOf maps a track's class label to the sprite family.
@@ -83,10 +79,7 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	if err != nil {
 		return nil, err
 	}
-	res := &MultiTypeResult{
-		PerClass:       map[string]*Phase1Result{},
-		PreprocessTime: an.elapsed,
-	}
+	res := &MultiTypeResult{PerClass: map[string]*Phase1Result{}}
 
 	// Phase I and the Phase II plan per class (tracks only), then one shared
 	// rendering pass.
@@ -96,7 +89,6 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	}
 	var outs []classOut
 	idOffset := 0
-	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	p1Span := root.Child("phase1")
 	p2Span := root.Child("phase2")
 	for _, name := range classNames {
@@ -126,11 +118,9 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 		outs = append(outs, classOut{name: name, p2: p2})
 	}
 	p1Span.End()
-	res.Phase1Time = time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 
 	// Joint rendering: composite every class's synthetic tracks over the
 	// shared backgrounds, farther (smaller y) objects first.
-	p2Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	merged := motio.NewTrackSet()
 	out := vid.New(v.Name+"-verro", v.W, v.H, v.FPS)
 	out.Moving = v.Moving
@@ -175,7 +165,6 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 	}
 	merged.Sort()
 	p2Span.End()
-	res.Phase2Time = time.Since(p2Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	res.Synthetic = out
 	res.SyntheticTracks = merged
 	return res, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"verro/internal/inpaint"
 	"verro/internal/keyframe"
@@ -26,11 +25,11 @@ type Config struct {
 	BackgroundStep int
 	// Seed drives all randomness in the run.
 	Seed int64
-	// Workers overrides the worker-pool size for this run (0 keeps the
-	// process-wide setting: VERRO_WORKERS or GOMAXPROCS). All randomness is
-	// drawn on the coordinating goroutine, so the sanitized output is
-	// bit-identical at any worker count. The override is scoped to this run's
-	// pool — concurrent Sanitize calls with different Workers never interfere.
+	// Workers sizes this run's worker pool (0 means GOMAXPROCS). All
+	// randomness is drawn on the coordinating goroutine, so the sanitized
+	// output is bit-identical at any worker count. The size is scoped to
+	// this run's pool — concurrent Sanitize calls with different Workers
+	// never interfere.
 	Workers int
 	// Trace, when non-nil, collects a span per pipeline stage plus stage
 	// counters and worker-pool gauges. Nil (the default) disables all
@@ -76,11 +75,10 @@ type Result struct {
 	KeyframeResult  *keyframe.Result
 	// Epsilon is the achieved ε-Object Indistinguishability level.
 	Epsilon float64
-	// Timings of the two phases (Table 3).
-	Phase1Time, Phase2Time time.Duration
-	// PreprocessTime covers key-frame extraction and background
-	// reconstruction, reported separately as in the paper.
-	PreprocessTime time.Duration
+	// Scenes is the reconstructed background the synthetic frames were
+	// rendered over (nil under Phase2.SkipRender), the middle panel of the
+	// paper's Figures 9-11.
+	Scenes inpaint.Scenes
 	// Windows is the per-window privacy ledger: one entry per render window
 	// (a single entry when WindowFrames is 0), whose integer picked
 	// key-frame counts sum to len(Phase1.Picked) and whose ε entries

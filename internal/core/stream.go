@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"verro/internal/detect"
 	"verro/internal/img"
@@ -59,9 +58,9 @@ func (s *histStage) Process(w stream.Window) error {
 	return nil
 }
 
-// bgSampleStage retains every step-th frame for the temporal background
-// median — the same `k % step == 0` stride inpaint.StaticBackground walks,
-// bounded at ~40 samples by detect.AutoStep whatever the clip length.
+// bgSampleStage retains every step-th frame (`k % step == 0`) for the
+// temporal background median, bounded at ~40 samples by detect.AutoStep
+// whatever the clip length.
 type bgSampleStage struct {
 	step    int
 	samples []*img.Image
@@ -149,8 +148,6 @@ func windowSpend(p1 *Phase1Result, lo, hi int) WindowSpend {
 type analysis struct {
 	kf     *keyframe.Result
 	scenes inpaint.Scenes
-	// elapsed is Result.PreprocessTime.
-	elapsed time.Duration
 }
 
 // analyze sweeps src once in windows of cfg.WindowFrames frames, collecting
@@ -159,7 +156,6 @@ type analysis struct {
 // The sweep, the segmentation and the reconstruction each report under
 // their own span beneath root: "analysis", "keyframes" and "inpaint".
 func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool, pool *par.Pool, root *obs.Span) (*analysis, error) {
-	start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	meta := src.Meta()
 	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
 	hist := &histStage{cfg: kfCfg, pool: pool}
@@ -212,7 +208,6 @@ func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool,
 			return nil, fmt.Errorf("core: background: %w", err)
 		}
 	}
-	an.elapsed = time.Since(start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	return an, nil
 }
 
@@ -277,18 +272,15 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		return nil, err
 	}
 
-	p1Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	p1Span := root.Child("phase1")
 	p1, err := runPhase1Stage(tracks, meta.Frames, an.kf, cfg.Phase1, rng, p1Span)
 	p1Span.End()
 	if err != nil {
 		return nil, err
 	}
-	p1Time := time.Since(p1Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 
 	// Phase II: consume the remaining rng draws into a pure render plan,
 	// then render window by window into the sink.
-	p2Start := time.Now() //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
 	p2Span := root.Child("phase2")
 	plan, err := planPhase2(p1, an.kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
 	if err != nil {
@@ -347,17 +339,13 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 			return nil, fmt.Errorf("core: sink: %w", err)
 		}
 	}
-	p2Time := time.Since(p2Start) //lint:allow walltime span timing for Table 3 diagnostics; never enters sanitized output
-
 	return &Result{
 		SyntheticTracks: p2.Tracks,
 		Phase1:          p1,
 		Phase2:          p2,
 		KeyframeResult:  an.kf,
 		Epsilon:         p1.Epsilon,
-		Phase1Time:      p1Time,
-		Phase2Time:      p2Time,
-		PreprocessTime:  an.elapsed,
+		Scenes:          an.scenes,
 		Windows:         ledger,
 	}, nil
 }

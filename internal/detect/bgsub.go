@@ -155,7 +155,7 @@ func MedianBackground(frames []*img.Image, step int, rt obs.Runtime) (*img.Image
 			for s, f := range sample {
 				vals[s] = f.Pix[idx]
 			}
-			out.Pix[idx] = medianU8(vals)
+			out.Pix[idx] = img.MedianU8(vals)
 		}
 	})
 	return out, nil
@@ -172,22 +172,4 @@ func AutoStep(n int) int {
 		return step
 	}
 	return 1
-}
-
-// medianU8 computes the median in place via counting (256 buckets), which
-// is faster than sorting for many small slices.
-func medianU8(vals []uint8) uint8 {
-	var counts [256]int
-	for _, v := range vals {
-		counts[v]++
-	}
-	mid := (len(vals) - 1) / 2
-	cum := 0
-	for v := 0; v < 256; v++ {
-		cum += counts[v]
-		if cum > mid {
-			return uint8(v)
-		}
-	}
-	return 255
 }

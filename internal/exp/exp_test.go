@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"verro/internal/obs"
 	"verro/internal/scene"
 )
 
@@ -99,10 +101,42 @@ func TestTable3RunsFullPipeline(t *testing.T) {
 	if res.Synthetic.Len() != d.Gen.Video.Len() {
 		t.Fatal("synthetic incomplete")
 	}
+	// Untraced datasets still get phase times, from a trace of Table3's own.
+	if row.Phase1 < 0 || row.Phase2 <= 0 || row.Preprocess <= 0 {
+		t.Fatalf("timings not recorded: %+v", row)
+	}
 	var buf bytes.Buffer
 	PrintTable3(&buf, []Table3Row{row})
 	if !strings.Contains(buf.String(), "Bandwidth") {
 		t.Fatal("missing table3 header")
+	}
+
+	// On a traced dataset the run appends its five stage spans under the
+	// experiments root, and the row's durations are exactly theirs.
+	opt := tinyOptions()
+	opt.Trace = obs.NewTrace("experiments")
+	d, err = LoadDataset(scene.MOT01(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(opt.Trace.Report().Span.Children)
+	if row, _, err = Table3(d, 0.1, 3); err != nil {
+		t.Fatal(err)
+	}
+	added := opt.Trace.Report().Span.Children[before:]
+	want := []string{"analysis", "keyframes", "inpaint", "phase1", "phase2"}
+	if len(added) != len(want) {
+		t.Fatalf("Table3 appended %d root spans, want %v", len(added), want)
+	}
+	for i, s := range added {
+		if s.Name != want[i] {
+			t.Fatalf("appended span %d is %q, want %q", i, s.Name, want[i])
+		}
+	}
+	dur := func(i int) time.Duration { return time.Duration(added[i].DurationNS) }
+	if row.Preprocess != dur(0)+dur(1)+dur(2) || row.Phase1 != dur(3) || row.Phase2 != dur(4) {
+		t.Fatalf("row %+v does not match the stage spans %v %v %v %v %v",
+			row, dur(0), dur(1), dur(2), dur(3), dur(4))
 	}
 }
 
@@ -195,8 +229,11 @@ func TestFig91011WritesPNGs(t *testing.T) {
 			t.Fatalf("file %s: %v", path, err)
 		}
 	}
-	if _, err := Fig91011(d, -1, nil, 13, dir); err == nil {
+	if _, err := Fig91011(d, -1, []float64{0.1}, 13, dir); err == nil {
 		t.Fatal("bad frame index should fail")
+	}
+	if _, err := Fig91011(d, 0, nil, 13, dir); err == nil {
+		t.Fatal("no flip probability should fail")
 	}
 }
 

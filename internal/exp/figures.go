@@ -8,9 +8,7 @@ import (
 	"sort"
 
 	"verro/internal/core"
-	"verro/internal/detect"
 	"verro/internal/img"
-	"verro/internal/inpaint"
 	"verro/internal/interp"
 	"verro/internal/metrics"
 	"verro/internal/motio"
@@ -220,12 +218,16 @@ func PrintTrajectorySummary(w io.Writer, fig *TrajectoryFig) {
 }
 
 // Fig91011 renders the representative frames of Figures 9-11 for one
-// dataset: the input frame, the reconstructed background scene, and the
-// synthetic frames at each f. PNGs are written into dir when non-empty.
-// It returns the reconstruction error diagnostics.
+// dataset: the input frame, the background scene the sanitizer rendered
+// over (taken from the first run), and the synthetic frames at each f. PNGs
+// are written into dir when non-empty. It returns the written paths by
+// panel tag.
 func Fig91011(d *Dataset, frame int, fs []float64, seed int64, dir string) (map[string]string, error) {
 	if frame < 0 || frame >= d.Gen.Video.Len() {
 		return nil, fmt.Errorf("exp: frame %d out of range", frame)
+	}
+	if len(fs) == 0 {
+		return nil, fmt.Errorf("exp: Figures 9-11 need at least one flip probability")
 	}
 	files := map[string]string{}
 
@@ -236,26 +238,22 @@ func Fig91011(d *Dataset, frame int, fs []float64, seed int64, dir string) (map[
 		return nil, err
 	}
 
-	scenes, err := inpaint.ExtractScenes(d.Gen.Video, d.Tracks, detect.AutoStep(d.Gen.Video.Len()), inpaint.DefaultConfig(), obs.Runtime{})
-	if err != nil {
-		return nil, err
-	}
-	bg, err := scenes.Background(frame)
-	if err != nil {
-		return nil, err
-	}
-	// The reconstructed background is derived from the raw video but is what
-	// the paper itself publishes as the middle panel of Figures 9-11.
-	//lint:allow privleak background panel of Fig 9-11 is a published reconstruction
-	if err := writeFigPNG(dir, d.Preset.Name, frame, "background", bg, files); err != nil {
-		return nil, err
-	}
-
-	for _, f := range fs {
+	for i, f := range fs {
 		cfg := d.SanitizerConfig(f, seed, true)
 		res, err := core.Sanitize(d.Gen.Video, d.Tracks, cfg)
 		if err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			// The middle panel: the reconstructed background every run
+			// renders over (it does not depend on f or the seed).
+			bg, err := res.Scenes.Background(frame)
+			if err != nil {
+				return nil, err
+			}
+			if err := writeFigPNG(dir, d.Preset.Name, frame, "background", bg, files); err != nil {
+				return nil, err
+			}
 		}
 		if err := writeFigPNG(dir, d.Preset.Name, frame, fmt.Sprintf("synthetic-f%.1f", f), res.Synthetic.Frame(frame), files); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"verro/internal/core"
+	"verro/internal/obs"
 	"verro/internal/vid"
 )
 
@@ -87,9 +88,16 @@ type Table3Row struct {
 }
 
 // Table3 runs a full sanitization (f as in the paper's overhead runs) and
-// measures phase runtimes and output bandwidth.
+// measures phase runtimes and output bandwidth. The runtimes are the
+// durations of the stage spans the run appends under the root of d.Trace
+// (or of a trace of its own when d.Trace is nil): Preprocess is
+// analysis+keyframes+inpaint, Phase I is phase1 and Phase II is phase2.
 func Table3(d *Dataset, f float64, seed int64) (Table3Row, *core.Result, error) {
 	cfg := d.SanitizerConfig(f, seed, true)
+	if cfg.Trace == nil {
+		cfg.Trace = obs.NewTrace("table3")
+	}
+	before := len(cfg.Trace.Report().Span.Children)
 	res, err := core.Sanitize(d.Gen.Video, d.Tracks, cfg)
 	if err != nil {
 		return Table3Row{}, nil, err
@@ -98,13 +106,19 @@ func Table3(d *Dataset, f float64, seed int64) (Table3Row, *core.Result, error) 
 	if err != nil {
 		return Table3Row{}, nil, err
 	}
-	return Table3Row{
-		Video:       d.Preset.Name,
-		Phase1:      res.Phase1Time,
-		Phase2:      res.Phase2Time,
-		Preprocess:  res.PreprocessTime,
-		BandwidthMB: float64(size) / (1 << 20),
-	}, res, nil
+	row := Table3Row{Video: d.Preset.Name, BandwidthMB: float64(size) / (1 << 20)}
+	for _, s := range cfg.Trace.Report().Span.Children[before:] {
+		dur := time.Duration(s.DurationNS)
+		switch s.Name {
+		case "analysis", "keyframes", "inpaint":
+			row.Preprocess += dur
+		case "phase1":
+			row.Phase1 += dur
+		case "phase2":
+			row.Phase2 += dur
+		}
+	}
+	return row, res, nil
 }
 
 // PrintTable3 renders Table 3.

@@ -147,3 +147,22 @@ func (h *HSVHist) Concat() []float64 {
 	out = append(out, h.V...)
 	return out
 }
+
+// MedianU8 returns the lower median of vals by counting into 256 buckets,
+// which is faster than sorting for the many short per-pixel stacks of the
+// background models.
+func MedianU8(vals []uint8) uint8 {
+	var counts [256]int
+	for _, v := range vals {
+		counts[v]++
+	}
+	mid := (len(vals) - 1) / 2
+	cum := 0
+	for v := 0; v < 256; v++ {
+		cum += counts[v]
+		if cum > mid {
+			return uint8(v)
+		}
+	}
+	return 255
+}

@@ -10,7 +10,6 @@ import (
 	"verro/internal/img"
 	"verro/internal/motio"
 	"verro/internal/obs"
-	"verro/internal/vid"
 )
 
 // MaskDilation is how far object boxes are grown before background
@@ -28,68 +27,51 @@ func FrameMask(w, h, k int, tracks *motio.TrackSet) *Mask {
 	return m.Dilate(MaskDilation)
 }
 
-// StaticBackground reconstructs the single background scene of a
-// static-camera video: each pixel takes the median of its values over the
-// frames in which no object covers it; pixels covered in every sampled
-// frame are then filled with Criminisi inpainting. The sampled-frame count
-// lands on rt.Span and the hole fill runs on rt.
-func StaticBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*img.Image, error) {
-	if v.Len() == 0 {
-		return nil, errors.New("inpaint: empty video")
-	}
-	samples, indices := stride(v.Frames, step)
-	return StaticBackgroundSamples(v.W, v.H, samples, indices, tracks, cfg, rt)
-}
-
-// stride picks every step-th frame with its clip index: the
-// `for k := 0; k < n; k += step` sampling of the background median.
-func stride(frames []*img.Image, step int) ([]*img.Image, []int) {
-	if step < 1 {
-		step = 1
-	}
-	n := (len(frames) + step - 1) / step
-	samples := make([]*img.Image, 0, n)
-	indices := make([]int, 0, n)
-	for k, f := range frames {
-		if k%step != 0 {
-			continue
-		}
-		samples = append(samples, f)
-		indices = append(indices, k)
-	}
-	return samples, indices
-}
-
-// StaticBackgroundSamples reconstructs the static background from an
-// explicit list of sampled frames and their clip indices. StaticBackground
-// passes the strided frames of an in-memory clip; the streaming driver
-// passes the frames it retained while windows flowed by (bounded at ~40
-// samples by detect.AutoStep, so retention is O(1) in clip length). Both
-// orders are identical, so the per-pixel median stacks — and the output —
-// are bit-identical.
+// StaticBackgroundSamples reconstructs the single background scene of a
+// static-camera clip from its sampled frames and their clip indices: each
+// pixel takes the median of its values over the samples in which no object
+// covers it, and pixels covered in every sample are filled with Criminisi
+// inpainting. The streaming driver passes the frames it retained while
+// windows flowed by (bounded at ~40 samples by detect.AutoStep, so
+// retention is O(1) in clip length). The sampled-frame count lands on
+// rt.Span and the hole fill runs on rt.
 func StaticBackgroundSamples(w, h int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*img.Image, error) {
+	return medianScene(w, h, w, nil, samples, indices, tracks, cfg, rt)
+}
+
+// medianScene is the masked per-pixel median stack under both camera
+// models. Sample i lands in a panW-wide scene at column offsets[indices[i]]
+// (offset 0 for every sample when offsets is nil: the static camera); each
+// scene pixel takes the per-channel median of the sample values no object
+// covered, and the pixels no sample saw uncovered are inpainted. A scene
+// with no uncovered pixel at all fails with a wrapped ErrAllMasked.
+func medianScene(w, h, panW int, offsets []int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*img.Image, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("inpaint: empty video")
 	}
 	rt.Span.Add(obs.CBGFramesSampled, int64(len(samples)))
 	// Per-pixel value collection (uint8 per channel) over unmasked frames.
-	vals := make([][]uint8, w*h*3)
+	vals := make([][]uint8, panW*h*3)
 	ns := len(samples)
 	if len(indices) < ns {
 		ns = len(indices)
 	}
 	for i := 0; i < ns; i++ {
 		f := samples[i]
-		mask := FrameMask(w, h, indices[i], tracks)
+		k := indices[i]
+		mask := FrameMask(w, h, k, tracks)
+		off := 0
+		if offsets != nil {
+			off = offsets[k] //lint:allow bce indices hold frame numbers < len(offsets) by construction; the relation is invisible to the interval domain
+		}
 		for y := 0; y < h; y++ {
-			off := y * w * 3
-			vrow := vals[off : off+w*3]
-			prow := f.Pix[off : off+w*3]
+			vrow := vals[y*panW*3 : y*panW*3+panW*3]
+			prow := f.Pix[y*w*3 : y*w*3+w*3]
 			for x := 0; x < w; x++ {
 				if mask.At(x, y) {
 					continue
 				}
-				vp := vrow[x*3 : x*3+3]
+				vp := vrow[(x+off)*3 : (x+off)*3+3]
 				pp := prow[x*3 : x*3+3]
 				for c := 0; c < 3; c++ {
 					vp[c] = append(vp[c], pp[c])
@@ -97,8 +79,8 @@ func StaticBackgroundSamples(w, h int, samples []*img.Image, indices []int, trac
 			}
 		}
 	}
-	out := img.New(w, h)
-	hole := NewMask(w, h)
+	out := img.New(panW, h)
+	hole := NewMask(panW, h)
 	holes := 0
 	for i := range hole.Bits {
 		v3 := vals[i*3 : i*3+3]
@@ -109,7 +91,7 @@ func StaticBackgroundSamples(w, h int, samples []*img.Image, indices []int, trac
 		}
 		p3 := out.Pix[i*3 : i*3+3]
 		for c := 0; c < 3; c++ {
-			p3[c] = medianU8(v3[c])
+			p3[c] = img.MedianU8(v3[c])
 		}
 	}
 	if holes > 0 {
@@ -122,62 +104,17 @@ func StaticBackgroundSamples(w, h int, samples []*img.Image, indices []int, trac
 	return out, nil
 }
 
-func medianU8(vals []uint8) uint8 {
-	var counts [256]int
-	for _, v := range vals {
-		counts[v]++
-	}
-	mid := (len(vals) - 1) / 2
-	cum := 0
-	for v := 0; v < 256; v++ {
-		cum += counts[v]
-		if cum > mid {
-			return uint8(v)
-		}
-	}
-	return 255
-}
-
 // DefaultPanShift is the ±search window (in columns) the pipeline uses for
 // pairwise pan estimation.
 const DefaultPanShift = 12
 
-// EstimatePan estimates the horizontal camera offset of every frame
-// relative to frame 0 by integrating frame-to-frame shifts. Each pairwise
-// shift is found by minimizing the sum of absolute differences of row-mean
-// luma profiles over a ±maxShift window — cheap and robust for the
-// horizontally panning sequences VERRO's evaluation uses.
-func EstimatePan(v *vid.Video, maxShift int) ([]int, error) {
-	if v.Len() == 0 {
-		return nil, errors.New("inpaint: empty video")
-	}
-	profiles := make([][]float64, v.Len())
-	for k := range profiles {
-		profiles[k] = ColumnProfile(v.Frame(k))
-	}
-	offsets := make([]int, v.Len())
-	n := len(profiles)
-	if len(offsets) < n {
-		n = len(offsets)
-	}
-	prev := profiles[0]
-	cum := 0
-	for k := 1; k < n; k++ {
-		p := profiles[k]
-		cum += BestShift(prev, p, maxShift)
-		offsets[k] = cum
-		prev = p
-	}
-	return offsets, nil
-}
-
 // ColumnProfile returns the mean luma of each column — the pure per-frame
-// half of pan estimation. The streaming pan stage calls this frame by frame
+// half of pan estimation. The sanitizer's pan stage calls it frame by frame
 // (recomputing the overlap frame's profile instead of retaining pixels) and
-// integrates the pairwise BestShift results exactly as EstimatePan does, so
-// the two paths produce identical offsets.
+// integrates the pairwise BestShift results into per-frame offsets: the
+// horizontal camera offset of every frame relative to frame 0.
 func ColumnProfile(f *img.Image) []float64 {
-	out := make([]float64, f.W) //lint:allow hotalloc constructor: the profile is the product, retained by the caller
+	out := make([]float64, f.W)
 	for x := range out {
 		var sum float64
 		for y := 0; y < f.H; y++ {
@@ -188,7 +125,9 @@ func ColumnProfile(f *img.Image) []float64 {
 	return out
 }
 
-// BestShift finds s minimizing SAD(prev[x+s], cur[x]).
+// BestShift finds the s in [-maxShift, maxShift] minimizing the mean
+// absolute difference of prev[x+s] and cur[x] — cheap and robust for the
+// horizontally panning sequences VERRO's evaluation uses.
 func BestShift(prev, cur []float64, maxShift int) int {
 	if maxShift < 1 {
 		maxShift = 8
@@ -229,26 +168,13 @@ type MovingBackground struct {
 	W, H     int
 }
 
-// BuildMovingBackground computes the panorama background model of an
-// in-memory clip on rt.
-func BuildMovingBackground(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
-	offsets, err := EstimatePan(v, DefaultPanShift)
-	if err != nil {
-		return nil, err
-	}
-	samples, indices := stride(v.Frames, step)
-	return BuildMovingBackgroundSamples(v.W, v.H, offsets, samples, indices, tracks, cfg, rt)
-}
-
 // BuildMovingBackgroundSamples builds the panorama background from raw
 // (un-normalized, frame-0-relative) pan offsets for every frame plus the
-// sampled frames feeding the temporal median. The streaming analysis pass
-// supplies offsets from its pan stage and the samples it retained;
-// BuildMovingBackground supplies EstimatePan output and the strided frames.
-// Identical inputs in identical order make the panorama bit-identical
-// across the two.
+// sampled frames feeding the temporal median; the sanitizer's analysis pass
+// supplies both. It runs the static reconstruction's median stack with each
+// sample shifted to its pan offset.
 func BuildMovingBackgroundSamples(w, h int, offsets []int, samples []*img.Image, indices []int, tracks *motio.TrackSet, cfg Config, rt obs.Runtime) (*MovingBackground, error) {
-	if len(offsets) == 0 || len(samples) == 0 {
+	if len(offsets) == 0 {
 		return nil, errors.New("inpaint: empty video")
 	}
 	// Normalize offsets to be ≥ 0.
@@ -266,55 +192,9 @@ func BuildMovingBackgroundSamples(w, h int, offsets []int, samples []*img.Image,
 	for i := range offsets {
 		offsets[i] -= minOff
 	}
-	panW := w + (maxOff - minOff)
-	rt.Span.Add(obs.CBGFramesSampled, int64(len(samples)))
-
-	vals := make([][]uint8, panW*h*3)
-	ns := len(samples)
-	if len(indices) < ns {
-		ns = len(indices)
-	}
-	for i := 0; i < ns; i++ {
-		f := samples[i]
-		k := indices[i]
-		mask := FrameMask(w, h, k, tracks)
-		off := offsets[k] //lint:allow bce indices hold frame numbers < len(offsets) by construction; the relation is invisible to the interval domain
-		for y := 0; y < h; y++ {
-			vrow := vals[y*panW*3 : y*panW*3+panW*3]
-			prow := f.Pix[y*w*3 : y*w*3+w*3]
-			for x := 0; x < w; x++ {
-				if mask.At(x, y) {
-					continue
-				}
-				vp := vrow[(x+off)*3 : (x+off)*3+3]
-				pp := prow[x*3 : x*3+3]
-				for c := 0; c < 3; c++ {
-					vp[c] = append(vp[c], pp[c])
-				}
-			}
-		}
-	}
-	pano := img.New(panW, h)
-	hole := NewMask(panW, h)
-	holes := 0
-	for i := range hole.Bits {
-		v3 := vals[i*3 : i*3+3]
-		if len(v3[0]) == 0 {
-			hole.Bits[i] = true
-			holes++
-			continue
-		}
-		p3 := pano.Pix[i*3 : i*3+3]
-		for c := 0; c < 3; c++ {
-			p3[c] = medianU8(v3[c])
-		}
-	}
-	if holes > 0 && holes < panW*h {
-		filled, err := Inpaint(pano, hole, cfg, rt)
-		if err != nil {
-			return nil, fmt.Errorf("inpaint: panorama holes: %w", err)
-		}
-		pano = filled
+	pano, err := medianScene(w, h, w+(maxOff-minOff), offsets, samples, indices, tracks, cfg, rt)
+	if err != nil {
+		return nil, err
 	}
 	return &MovingBackground{Panorama: pano, Offsets: offsets, W: w, H: h}, nil
 }
@@ -345,21 +225,6 @@ func NewStaticScenes(bg *img.Image) Scenes { return staticScenes{bg} }
 // Background implements Scenes for the moving-camera model.
 func (mb *MovingBackground) Background(k int) (*img.Image, error) {
 	return mb.FrameBackground(k)
-}
-
-// ExtractScenes picks the right reconstruction for the video's camera
-// model and returns a per-frame background provider. step subsamples the
-// frames feeding the temporal median. Reconstruction shards over rt.Pool
-// and frame/patch counters land on rt.Span.
-func ExtractScenes(v *vid.Video, tracks *motio.TrackSet, step int, cfg Config, rt obs.Runtime) (Scenes, error) {
-	if v.Moving {
-		return BuildMovingBackground(v, tracks, step, cfg, rt)
-	}
-	bg, err := StaticBackground(v, tracks, step, cfg, rt)
-	if err != nil {
-		return nil, err
-	}
-	return NewStaticScenes(bg), nil
 }
 
 // SortedOffsets returns a copy of the distinct pan offsets in ascending

@@ -1,10 +1,10 @@
 package inpaint
 
 // Bit-identity checks for the hot-path rewrites in this package: each
-// restructured function (row-sliced confidence/data terms, strided
-// sampling, per-row median stacking, incremental pan integration) is
-// compared against a naive reference with the pre-rewrite loop shape.
-// Arithmetic order was preserved, so comparisons are exact.
+// restructured function (row-sliced confidence/data terms, per-row median
+// stacking under both camera models) is compared against a naive reference
+// with the pre-rewrite loop shape. Arithmetic order was preserved, so
+// comparisons are exact.
 
 import (
 	"math"
@@ -119,32 +119,16 @@ func TestDataTermEquiv(t *testing.T) {
 	}
 }
 
-func TestStrideEquiv(t *testing.T) {
-	frames := make([]*img.Image, 11)
-	for i := range frames {
-		frames[i] = lcgFrame(4, 3, uint64(i))
+// strideSamples picks every step-th frame with its clip index: the
+// `k % step == 0` background sampling the sanitizer's analysis pass does.
+func strideSamples(frames []*img.Image, step int) ([]*img.Image, []int) {
+	var samples []*img.Image
+	var indices []int
+	for k := 0; k < len(frames); k += step {
+		samples = append(samples, frames[k])
+		indices = append(indices, k)
 	}
-	for _, step := range []int{0, 1, 2, 3, 5, 20} {
-		samples, indices := stride(frames, step)
-		eff := step
-		if eff < 1 {
-			eff = 1
-		}
-		var wantIdx []int
-		for k := range frames {
-			if k%eff == 0 {
-				wantIdx = append(wantIdx, k)
-			}
-		}
-		if len(samples) != len(wantIdx) || len(indices) != len(wantIdx) {
-			t.Fatalf("step %d: got %d samples, want %d", step, len(samples), len(wantIdx))
-		}
-		for i, k := range wantIdx {
-			if indices[i] != k || samples[i] != frames[k] {
-				t.Fatalf("step %d: sample %d is frame %d, want %d", step, i, indices[i], k)
-			}
-		}
-	}
+	return samples, indices
 }
 
 // staticBackgroundRef is the pre-rewrite per-pixel gather: At/Set-based
@@ -166,7 +150,7 @@ func staticBackgroundRef(w, h int, samples []*img.Image, indices []int, tracks *
 			if len(rs) == 0 {
 				continue // hole; references only compare no-hole setups
 			}
-			out.Set(x, y, img.RGB{R: medianU8(rs), G: medianU8(gs), B: medianU8(bs)})
+			out.Set(x, y, img.RGB{R: img.MedianU8(rs), G: img.MedianU8(gs), B: img.MedianU8(bs)})
 		}
 	}
 	return out
@@ -198,6 +182,9 @@ func TestStaticBackgroundEquiv(t *testing.T) {
 	}
 }
 
+// estimatePanRef integrates pairwise BestShift results over the column
+// profiles of consecutive frames into offsets relative to frame 0 — the
+// sanitizer's pan stage over one whole-clip window.
 func estimatePanRef(v *vid.Video, maxShift int) []int {
 	offsets := make([]int, v.Len())
 	for k := 1; k < v.Len(); k++ {
@@ -208,28 +195,87 @@ func estimatePanRef(v *vid.Video, maxShift int) []int {
 	return offsets
 }
 
-func TestEstimatePanEquiv(t *testing.T) {
-	const w, h = 40, 20
+// panClip cuts n w×h viewports out of a random texture, frame k at column
+// k*step, so frame k's true pan offset is exactly k*step.
+func panClip(t *testing.T, w, h, n, step int) *vid.Video {
+	t.Helper()
 	v := vid.New("pan-equiv", w, h, 30)
-	base := lcgFrame(w+30, h, 55)
-	for k := 0; k < 6; k++ {
+	base := lcgFrame(w+n*step, h, 55)
+	for k := 0; k < n; k++ {
 		f := img.New(w, h)
-		f.Blit(base.SubImage(geom.RectAt(k*3, 0, w, h)), geom.Pt(0, 0))
+		f.Blit(base.SubImage(geom.RectAt(k*step, 0, w, h)), geom.Pt(0, 0))
 		if err := v.Append(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := EstimatePan(v, 8)
-	if err != nil {
-		t.Fatalf("EstimatePan: %v", err)
-	}
-	want := estimatePanRef(v, 8)
-	if len(got) != len(want) {
-		t.Fatalf("offsets len %d != %d", len(got), len(want))
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("offset[%d]: got %d want %d", k, got[k], want[k])
+	return v
+}
+
+// TestEstimatePanEquiv checks the ColumnProfile/BestShift integration
+// against the exact offsets of a clip panned by whole columns over random
+// texture.
+func TestEstimatePanEquiv(t *testing.T) {
+	v := panClip(t, 40, 20, 6, 3)
+	got := estimatePanRef(v, 8)
+	for k := range got {
+		if got[k] != 3*k {
+			t.Fatalf("offset[%d]: got %d want %d", k, got[k], 3*k)
 		}
+	}
+}
+
+// movingBackgroundRef is the panorama median in the naive per-pixel shape:
+// for each panorama pixel, gather the unmasked samples whose viewport
+// covers it, in sample order.
+func movingBackgroundRef(w, h int, offsets []int, samples []*img.Image, indices []int, tracks *motio.TrackSet) *img.Image {
+	minOff, maxOff := offsets[0], offsets[0]
+	for _, o := range offsets {
+		minOff, maxOff = min(minOff, o), max(maxOff, o)
+	}
+	pano := img.New(w+maxOff-minOff, h)
+	for y := 0; y < h; y++ {
+		for px := 0; px < pano.W; px++ {
+			var rs, gs, bs []uint8
+			for i, f := range samples {
+				x := px - (offsets[indices[i]] - minOff)
+				if x < 0 || x >= w || FrameMask(w, h, indices[i], tracks).At(x, y) {
+					continue
+				}
+				c := f.At(x, y)
+				rs = append(rs, c.R)
+				gs = append(gs, c.G)
+				bs = append(bs, c.B)
+			}
+			if len(rs) == 0 {
+				continue // hole; the reference only compares no-hole setups
+			}
+			pano.Set(px, y, img.RGB{R: img.MedianU8(rs), G: img.MedianU8(gs), B: img.MedianU8(bs)})
+		}
+	}
+	return pano
+}
+
+// TestMovingBackgroundEquiv runs the shared median stack at non-zero pan
+// offsets against the naive reference.
+func TestMovingBackgroundEquiv(t *testing.T) {
+	const w, h = 24, 16
+	v := panClip(t, w, h, 8, 2)
+	offsets := estimatePanRef(v, 6)
+	samples, indices := strideSamples(v.Frames, 1)
+	// Boxes away from the panorama's edge columns, which only one or two
+	// viewports see, so every panorama pixel keeps an unmasked sample.
+	tr := motio.NewTrack(1, "pedestrian")
+	tr.Set(0, geom.RectAt(10, 2, 6, 5))
+	tr.Set(3, geom.RectAt(6, 8, 6, 5))
+	tracks := motio.NewTrackSet()
+	tracks.Add(tr)
+
+	mb, err := BuildMovingBackgroundSamples(w, h, offsets, samples, indices, tracks, DefaultConfig(), obs.Runtime{})
+	if err != nil {
+		t.Fatalf("BuildMovingBackgroundSamples: %v", err)
+	}
+	want := movingBackgroundRef(w, h, offsets, samples, indices, tracks)
+	if !mb.Panorama.Equal(want) {
+		t.Fatalf("panorama differs from reference (%d pixels)", mb.Panorama.DiffCount(want))
 	}
 }

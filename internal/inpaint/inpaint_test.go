@@ -182,7 +182,8 @@ func TestStaticBackgroundRecoversScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := StaticBackground(g.Video, g.Truth, 2, DefaultConfig(), obs.Runtime{})
+	samples, indices := strideSamples(g.Video.Frames, 2)
+	bg, err := StaticBackgroundSamples(p.W, p.H, samples, indices, g.Truth, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +194,16 @@ func TestStaticBackgroundRecoversScene(t *testing.T) {
 }
 
 func TestStaticBackgroundEmptyVideo(t *testing.T) {
-	v := vid.New("e", 8, 8, 30)
-	if _, err := StaticBackground(v, motio.NewTrackSet(), 1, DefaultConfig(), obs.Runtime{}); err == nil {
+	if _, err := StaticBackgroundSamples(8, 8, nil, nil, motio.NewTrackSet(), DefaultConfig(), obs.Runtime{}); err == nil {
 		t.Fatal("empty video should fail")
+	}
+	if _, err := BuildMovingBackgroundSamples(8, 8, nil, nil, nil, motio.NewTrackSet(), DefaultConfig(), obs.Runtime{}); err == nil {
+		t.Fatal("empty moving video should fail")
 	}
 }
 
+// TestEstimatePan integrates ColumnProfile/BestShift shifts over a panning
+// street scene with irregular known offsets.
 func TestEstimatePan(t *testing.T) {
 	// Build a panning video over a textured panorama with known offsets.
 	pano := scene.PaintBackground(scene.StyleStreet, 200, 60, 5)
@@ -209,10 +214,7 @@ func TestEstimatePan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := EstimatePan(v, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := estimatePanRef(v, DefaultPanShift)
 	for i := range want {
 		if d := got[i] - want[i]; d < -2 || d > 2 {
 			t.Fatalf("offset %d = %d, want ~%d", i, got[i], want[i])
@@ -230,7 +232,9 @@ func TestMovingBackgroundRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := BuildMovingBackground(g.Video, g.Truth, 1, DefaultConfig(), obs.Runtime{})
+	samples, indices := strideSamples(g.Video.Frames, 1)
+	mb, err := BuildMovingBackgroundSamples(p.W, p.H, estimatePanRef(g.Video, DefaultPanShift),
+		samples, indices, g.Truth, DefaultConfig(), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,31 +263,5 @@ func TestMovingBackgroundRoundTrip(t *testing.T) {
 	}
 	if got := mb.SortedOffsets(); len(got) == 0 {
 		t.Fatal("no offsets")
-	}
-}
-
-func TestExtractScenesPicksModel(t *testing.T) {
-	p := scene.Preset{
-		Name: "sc", W: 64, H: 48, Frames: 12, Objects: 2,
-		FPS: 30, Style: scene.StyleSquare, Class: scene.Pedestrian, Seed: 81,
-	}
-	g, err := scene.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := ExtractScenes(g.Video, g.Truth, 1, DefaultConfig(), obs.Runtime{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0, err := s.Background(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b5, err := s.Background(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b0.Equal(b5) {
-		t.Fatal("static scenes should be frame-invariant")
 	}
 }

@@ -6,9 +6,9 @@ package lint
 //   - detrand and maporder run everywhere — determinism is a global
 //     invariant.
 //   - walltime exempts internal/obs (span timing is its purpose) and
-//     internal/par (worker busy gauges); the span-timing call sites in
-//     internal/core carry //lint:allow walltime annotations instead, so
-//     each one is individually visible.
+//     internal/par (worker busy gauges). Pipeline packages read stage
+//     times from obs spans, so internal/core carries no walltime allows;
+//     any other call site would need one, individually visible.
 //   - floateq is scoped to the privacy-math and optimization packages
 //     (internal/ldp, internal/core, internal/lp) where an exact float
 //     comparison can break the ε bound or a pivot rule.

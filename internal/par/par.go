@@ -7,77 +7,33 @@
 // invariant is what lets the seeded experiment harness keep its
 // reproducibility guarantees while the pipeline saturates the machine.
 //
-// Two entry points exist:
-//
-//   - the package-level For/Map, which size themselves from the process-wide
-//     setting (SetWorkers, VERRO_WORKERS, GOMAXPROCS), and
-//   - a scoped Pool handle (NewPool), which carries an explicit size through
-//     a call tree so concurrent pipeline runs with different worker budgets
-//     never touch — let alone clobber — process-global state.
+// A pool's size comes from one of two places: the n of NewPool(n) when
+// n > 0 (a run's Config.Workers), otherwise runtime.GOMAXPROCS(0), read at
+// each call. Pools are scoped handles threaded through a call tree, so
+// concurrent pipeline runs with different worker budgets never share
+// state. The package-level For/Map run on a default pool sized like
+// NewPool(0).
 //
 // Every pool (including the implicit default one) keeps utilization
 // statistics — For calls, chunks dispatched, cumulative busy time per
 // worker slot — that the observability layer (internal/obs) samples into
 // trace reports. Recording happens once per chunk, so the bookkeeping cost
 // is invisible next to the chunk work itself.
-//
-// The process-wide pool size resolves in priority order:
-//
-//  1. the last SetWorkers call with n > 0 (tests, CLI flags),
-//  2. the VERRO_WORKERS environment variable (CI forcing serial runs),
-//  3. runtime.GOMAXPROCS(0).
 package par
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// override holds the process-wide worker-count override; 0 means "auto".
-var override atomic.Int64
-
-func init() {
-	if s := os.Getenv("VERRO_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			override.Store(int64(n))
-		}
-	}
-}
-
-// SetWorkers overrides the process-wide pool size and returns the previous
-// override so callers can restore it (0 restores automatic sizing).
-// Negative values are treated as 0. This is process state: it is meant for
-// main() flag plumbing and test setup, NOT for scoping a worker count to
-// one library call — concurrent callers doing a swap-and-restore dance
-// clobber each other's setting and can restore the wrong value. Library
-// code that needs a per-call size should create a Pool instead.
-func SetWorkers(n int) (prev int) {
-	if n < 0 {
-		n = 0
-	}
-	return int(override.Swap(int64(n)))
-}
-
-// Workers reports the process-wide pool size: the SetWorkers/VERRO_WORKERS
-// override when present, otherwise runtime.GOMAXPROCS.
-func Workers() int {
-	if n := override.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Pool is a scoped worker-pool handle: it fixes the worker count for every
 // For/Map issued through it and accumulates utilization statistics. A nil
-// *Pool is valid and means "the process-wide default pool" — callers can
-// thread an optional pool without nil checks. Pools are safe for concurrent
-// use.
+// *Pool is valid and means "the default pool" — callers can thread an
+// optional pool without nil checks. Pools are safe for concurrent use.
 type Pool struct {
-	// workers is the fixed size; <= 0 resolves dynamically via Workers().
+	// workers is the fixed size; <= 0 means runtime.GOMAXPROCS(0).
 	workers int
 
 	mu     sync.Mutex
@@ -87,12 +43,10 @@ type Pool struct {
 }
 
 // defaultPool backs the package-level For/Map and any nil *Pool receiver.
-// Its size is always resolved dynamically so SetWorkers/VERRO_WORKERS keep
-// working for untraced call paths.
 var defaultPool = &Pool{}
 
-// NewPool returns a pool fixed at n workers; n <= 0 resolves the
-// process-wide setting at each call, so NewPool(0) is a stats-isolated
+// NewPool returns a pool fixed at n workers; n <= 0 sizes to
+// runtime.GOMAXPROCS(0) at each call, so NewPool(0) is a stats-isolated
 // handle with default sizing.
 func NewPool(n int) *Pool {
 	if n < 0 {
@@ -101,11 +55,11 @@ func NewPool(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Workers reports the pool's worker count (the process-wide setting for
-// nil or auto-sized pools).
+// Workers reports the pool's worker count: runtime.GOMAXPROCS(0) for nil
+// or auto-sized pools.
 func (p *Pool) Workers() int {
 	if p == nil || p.workers <= 0 {
-		return Workers()
+		return runtime.GOMAXPROCS(0)
 	}
 	return p.workers
 }

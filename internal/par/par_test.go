@@ -2,38 +2,31 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-// withWorkers runs fn under a fixed worker count and restores the previous
-// override afterwards.
-func withWorkers(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := SetWorkers(n)
-	defer SetWorkers(prev)
-	fn()
-}
-
+// TestWorkersResolutionOrder pins the two sizing sources: NewPool(n) with
+// n > 0 is n workers; nil, NewPool(0) and negative sizes follow
+// runtime.GOMAXPROCS, read at each call.
 func TestWorkersResolutionOrder(t *testing.T) {
-	prev := SetWorkers(0)
-	defer SetWorkers(prev)
-	if Workers() < 1 {
-		t.Fatalf("auto Workers() = %d, want >= 1", Workers())
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	if got := NewPool(7).Workers(); got != 7 {
+		t.Fatalf("NewPool(7).Workers() = %d, want 7", got)
 	}
-	if got := SetWorkers(7); got != 0 {
-		t.Fatalf("previous override = %d, want 0", got)
+	auto := NewPool(0)
+	for i, p := range []*Pool{nil, auto, NewPool(-3)} {
+		if got := p.Workers(); got != 3 {
+			t.Fatalf("pool %d (nil, NewPool(0), NewPool(-3)): Workers() = %d at GOMAXPROCS 3, want 3", i, got)
+		}
 	}
-	if Workers() != 7 {
-		t.Fatalf("Workers() = %d after SetWorkers(7)", Workers())
-	}
-	if got := SetWorkers(-3); got != 7 {
-		t.Fatalf("previous override = %d, want 7", got)
-	}
-	if Workers() < 1 {
-		t.Fatal("negative SetWorkers must fall back to auto sizing")
+	runtime.GOMAXPROCS(5)
+	if got := auto.Workers(); got != 5 {
+		t.Fatalf("auto pool Workers() = %d after GOMAXPROCS 5, want 5", got)
 	}
 }
 
@@ -41,23 +34,21 @@ func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 32} {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 			for _, grain := range []int{1, 3, 100} {
-				withWorkers(t, workers, func() {
-					hits := make([]int32, n)
-					For(n, grain, func(lo, hi int) {
-						if lo < 0 || hi > n || lo > hi {
-							t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-						}
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&hits[i], 1)
-						}
-					})
-					for i, h := range hits {
-						if h != 1 {
-							t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times",
-								workers, n, grain, i, h)
-						}
+				hits := make([]int32, n)
+				NewPool(workers).For(n, grain, func(lo, hi int) {
+					if lo < 0 || hi > n || lo > hi {
+						t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
 					}
 				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times",
+							workers, n, grain, i, h)
+					}
+				}
 			}
 		}
 	}
@@ -73,53 +64,46 @@ func TestForNeverDispatchesEmptyChunks(t *testing.T) {
 	for workers := 1; workers <= 12; workers++ {
 		for n := 1; n <= 40; n++ {
 			for grain := 1; grain <= 3; grain++ {
-				withWorkers(t, workers, func() {
-					hits := make([]int32, n)
-					For(n, grain, func(lo, hi int) {
-						if lo >= hi {
-							t.Errorf("workers=%d n=%d grain=%d: empty chunk [%d,%d) dispatched",
-								workers, n, grain, lo, hi)
-							return
-						}
-						if lo < 0 || hi > n {
-							t.Errorf("workers=%d n=%d grain=%d: out-of-range chunk [%d,%d)",
-								workers, n, grain, lo, hi)
-							return
-						}
-						for i := lo; i < hi; i++ {
-							atomic.AddInt32(&hits[i], 1)
-						}
-					})
-					for i, h := range hits {
-						if h != 1 {
-							t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times",
-								workers, n, grain, i, h)
-						}
+				hits := make([]int32, n)
+				NewPool(workers).For(n, grain, func(lo, hi int) {
+					if lo >= hi {
+						t.Errorf("workers=%d n=%d grain=%d: empty chunk [%d,%d) dispatched",
+							workers, n, grain, lo, hi)
+						return
+					}
+					if lo < 0 || hi > n {
+						t.Errorf("workers=%d n=%d grain=%d: out-of-range chunk [%d,%d)",
+							workers, n, grain, lo, hi)
+						return
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
 					}
 				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times",
+							workers, n, grain, i, h)
+					}
+				}
 			}
 		}
 	}
 }
 
 func TestPoolScopedWorkers(t *testing.T) {
-	// A fixed-size pool must ignore the process-wide override entirely.
-	withWorkers(t, 3, func() {
-		p := NewPool(8)
-		if p.Workers() != 8 {
-			t.Fatalf("fixed pool Workers() = %d, want 8", p.Workers())
-		}
-		if Workers() != 3 {
-			t.Fatalf("global Workers() = %d, want 3", Workers())
-		}
-		// Auto pools and nil pools resolve the process-wide setting.
-		if NewPool(0).Workers() != 3 {
-			t.Fatalf("auto pool Workers() = %d, want 3", NewPool(0).Workers())
-		}
-		if (*Pool)(nil).Workers() != 3 {
-			t.Fatalf("nil pool Workers() = %d, want 3", (*Pool)(nil).Workers())
-		}
-	})
+	// A fixed-size pool ignores GOMAXPROCS entirely and dispatches at most
+	// its own worker count of chunks per call.
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(8)
+	if p.Workers() != 8 {
+		t.Fatalf("fixed pool Workers() = %d, want 8", p.Workers())
+	}
+	p.For(100, 1, func(lo, hi int) {})
+	if st := p.Stats(); st.Chunks != 8 || st.Workers != 8 {
+		t.Fatalf("fixed pool dispatched %d chunks at %d workers, want 8 at 8", st.Chunks, st.Workers)
+	}
 }
 
 func TestPoolForMatchesSerial(t *testing.T) {
@@ -139,41 +123,35 @@ func TestPoolForMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentPools proves the reentrancy fix: pools with different sizes
-// running concurrently neither interfere with each other nor disturb the
-// process-wide setting (the old defer SetWorkers(SetWorkers(n)) dance could
-// restore the wrong global when calls overlapped).
+// TestConcurrentPools proves pools are independent: pools with different
+// sizes running concurrently neither interfere with each other nor drift
+// from their own size.
 func TestConcurrentPools(t *testing.T) {
-	withWorkers(t, 5, func() {
-		var wg sync.WaitGroup
-		for _, size := range []int{1, 2, 8, 16} {
-			wg.Add(1)
-			go func(size int) {
-				defer wg.Done()
-				p := NewPool(size)
-				for rep := 0; rep < 20; rep++ {
-					var sum atomic.Int64
-					p.For(500, 1, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							sum.Add(int64(i))
-						}
-					})
-					if sum.Load() != 500*499/2 {
-						t.Errorf("pool(%d): sum = %d", size, sum.Load())
-						return
+	var wg sync.WaitGroup
+	for _, size := range []int{1, 2, 8, 16} {
+		wg.Add(1)
+		go func(size int) {
+			defer wg.Done()
+			p := NewPool(size)
+			for rep := 0; rep < 20; rep++ {
+				var sum atomic.Int64
+				p.For(500, 1, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						sum.Add(int64(i))
 					}
-					if p.Workers() != size {
-						t.Errorf("pool(%d): Workers() drifted to %d", size, p.Workers())
-						return
-					}
+				})
+				if sum.Load() != 500*499/2 {
+					t.Errorf("pool(%d): sum = %d", size, sum.Load())
+					return
 				}
-			}(size)
-		}
-		wg.Wait()
-		if Workers() != 5 {
-			t.Fatalf("global Workers() = %d after concurrent pools, want 5", Workers())
-		}
-	})
+				if p.Workers() != size {
+					t.Errorf("pool(%d): Workers() drifted to %d", size, p.Workers())
+					return
+				}
+			}
+		}(size)
+	}
+	wg.Wait()
 }
 
 func TestPoolStats(t *testing.T) {
@@ -211,18 +189,16 @@ func TestPoolStats(t *testing.T) {
 
 func TestForRespectsGrain(t *testing.T) {
 	// With grain >= n the loop must run as a single serial chunk.
-	withWorkers(t, 8, func() {
-		var calls atomic.Int32
-		For(10, 100, func(lo, hi int) {
-			calls.Add(1)
-			if lo != 0 || hi != 10 {
-				t.Errorf("expected one chunk [0,10), got [%d,%d)", lo, hi)
-			}
-		})
-		if calls.Load() != 1 {
-			t.Fatalf("grain>=n produced %d chunks, want 1", calls.Load())
+	var calls atomic.Int32
+	NewPool(8).For(10, 100, func(lo, hi int) {
+		calls.Add(1)
+		if lo != 0 || hi != 10 {
+			t.Errorf("expected one chunk [0,10), got [%d,%d)", lo, hi)
 		}
 	})
+	if calls.Load() != 1 {
+		t.Fatalf("grain>=n produced %d chunks, want 1", calls.Load())
+	}
 }
 
 func TestMapMatchesSerialReference(t *testing.T) {
@@ -232,14 +208,12 @@ func TestMapMatchesSerialReference(t *testing.T) {
 		want[i] = fn(i)
 	}
 	for _, workers := range []int{1, 2, 8, 32} {
-		withWorkers(t, workers, func() {
-			got := Map(len(want), 1, fn)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d: Map[%d] = %d, want %d", workers, i, got[i], want[i])
-				}
+		got := MapPool(NewPool(workers), len(want), 1, fn)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: Map[%d] = %d, want %d", workers, i, got[i], want[i])
 			}
-		})
+		}
 	}
 }
 
@@ -261,9 +235,7 @@ func TestMapEquivalenceProperty(t *testing.T) {
 		for i := range serial {
 			serial[i] = fn(i)
 		}
-		prev := SetWorkers(workers)
-		defer SetWorkers(prev)
-		got := Map(n, grain, fn)
+		got := MapPool(NewPool(workers), n, grain, fn)
 		for i := range serial {
 			if got[i] != serial[i] {
 				return false
@@ -277,55 +249,50 @@ func TestMapEquivalenceProperty(t *testing.T) {
 }
 
 func TestForPanicPropagates(t *testing.T) {
-	withWorkers(t, 4, func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Fatalf("recovered %v, want \"boom\"", r)
-			}
-		}()
-		For(100, 1, func(lo, hi int) {
-			if lo == 0 {
-				panic("boom")
-			}
-		})
-		t.Fatal("For must re-raise the worker panic")
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want \"boom\"", r)
+		}
+	}()
+	NewPool(4).For(100, 1, func(lo, hi int) {
+		if lo == 0 {
+			panic("boom")
+		}
 	})
+	t.Fatal("For must re-raise the worker panic")
 }
 
 func TestForOversubscription(t *testing.T) {
 	// Far more workers than indices or cores: still exactly-once coverage.
-	withWorkers(t, 64, func() {
-		var sum atomic.Int64
-		For(1000, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sum.Add(int64(i))
-			}
-		})
-		if sum.Load() != 1000*999/2 {
-			t.Fatalf("sum = %d, want %d", sum.Load(), 1000*999/2)
+	var sum atomic.Int64
+	NewPool(64).For(1000, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum.Add(int64(i))
 		}
 	})
+	if sum.Load() != 1000*999/2 {
+		t.Fatalf("sum = %d, want %d", sum.Load(), 1000*999/2)
+	}
 }
 
 func TestNestedFor(t *testing.T) {
 	// Converted paths nest (frame-level Map around window-level For); the
 	// pool must stay correct when workers spawn their own parallel loops.
-	withWorkers(t, 4, func() {
-		outer := Map(8, 1, func(i int) int {
-			var s atomic.Int64
-			For(100, 10, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					s.Add(int64(j))
-				}
-			})
-			return int(s.Load()) + i
-		})
-		for i, v := range outer {
-			if v != 100*99/2+i {
-				t.Fatalf("nested result[%d] = %d", i, v)
+	p := NewPool(4)
+	outer := MapPool(p, 8, 1, func(i int) int {
+		var s atomic.Int64
+		p.For(100, 10, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				s.Add(int64(j))
 			}
-		}
+		})
+		return int(s.Load()) + i
 	})
+	for i, v := range outer {
+		if v != 100*99/2+i {
+			t.Fatalf("nested result[%d] = %d", i, v)
+		}
+	}
 }
 
 func BenchmarkForOverhead(b *testing.B) {

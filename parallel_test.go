@@ -28,13 +28,6 @@ import (
 // tracking, key frames, background median, inpainting, rendering).
 const equivScale = 0.25
 
-func withWorkersT(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := par.SetWorkers(n)
-	defer par.SetWorkers(prev)
-	fn()
-}
-
 type pipelineArtifacts struct {
 	tracks    *TrackSet
 	presence  [][]bool
@@ -77,9 +70,8 @@ func compareArtifacts(t *testing.T, serial, parallel pipelineArtifacts) {
 func TestParallelEquivalence(t *testing.T) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		t.Run(name, func(t *testing.T) {
-			var serial, parallel pipelineArtifacts
-			withWorkersT(t, 1, func() { serial, _ = runPipelineWith(t, name, 0, 0, nil) })
-			withWorkersT(t, 8, func() { parallel, _ = runPipelineWith(t, name, 0, 0, nil) })
+			serial, _ := runPipelineWith(t, name, 0, 1, nil)
+			parallel, _ := runPipelineWith(t, name, 0, 8, nil)
 			compareArtifacts(t, serial, parallel)
 		})
 	}
@@ -88,8 +80,8 @@ func TestParallelEquivalence(t *testing.T) {
 // runPipelineWith executes detect→track→sanitize (seed 7) for a preset at
 // equivScale and captures every published artifact plus the Result.
 // Detection, tracking and the sanitizer all run in windows of window frames
-// (0 = one whole-clip window) with the worker count scoped to the calls
-// (0 keeps the process-wide setting) and an optional trace attached.
+// (0 = one whole-clip window) on pools of workers workers (0 = GOMAXPROCS)
+// with an optional trace attached.
 func runPipelineWith(t *testing.T, name string, window, workers int, trace *Trace) (pipelineArtifacts, *Result) {
 	t.Helper()
 	preset, err := BenchmarkPreset(name)
@@ -154,12 +146,10 @@ func TestTraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentSanitizeScopedWorkers is the regression test for the old
-// `defer par.SetWorkers(par.SetWorkers(cfg.Workers))` save/restore, which
-// was non-reentrant: two concurrent Sanitize calls with different Workers
-// raced on the global and could leave it permanently wrong. With scoped
-// pools the global must survive untouched and both outputs must stay
-// bit-identical to a serial reference.
+// TestConcurrentSanitizeScopedWorkers runs Sanitize concurrently with
+// different Workers: each run must size its own pool (its trace reports
+// exactly its worker count) and every output must stay bit-identical to a
+// reference run.
 func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 	preset, err := BenchmarkPreset("MOT01")
 	if err != nil {
@@ -177,10 +167,14 @@ func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Seed = 7
 		cfg.Workers = workers
+		cfg.Trace = NewTrace("scoped")
 		res, err := Sanitize(g.Video, tracks, cfg)
 		if err != nil {
 			t.Error(err)
 			return nil
+		}
+		if rep := cfg.Trace.Report(); workers > 0 && rep.Pool.Workers != workers {
+			t.Errorf("run with Workers=%d used a %d-worker pool", workers, rep.Pool.Workers)
 		}
 		var buf bytes.Buffer
 		if _, err := vid.Encode(&buf, res.Synthetic); err != nil {
@@ -190,10 +184,6 @@ func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 		return buf.Bytes()
 	}
 	want := run(0)
-
-	const sentinel = 3
-	prev := par.SetWorkers(sentinel)
-	defer par.SetWorkers(prev)
 
 	workerMix := []int{1, 8, 2, 5}
 	got := make([][]byte, len(workerMix))
@@ -207,9 +197,6 @@ func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 	}
 	wg.Wait()
 
-	if par.Workers() != sentinel {
-		t.Fatalf("global worker count = %d after concurrent runs, want %d", par.Workers(), sentinel)
-	}
 	for i, g := range got {
 		if !bytes.Equal(g, want) {
 			t.Errorf("concurrent run %d (workers=%d) output differs from reference", i, workerMix[i])
@@ -260,14 +247,10 @@ func TestParallelEquivalenceInpaint(t *testing.T) {
 	mask := inpaint.NewMask(64, 48)
 	mask.SetRect(geom.RectAt(20, 15, 18, 12), true)
 	run := func(workers int) *img.Image {
-		var out *img.Image
-		withWorkersT(t, workers, func() {
-			var err error
-			out, err = inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), obs.Runtime{})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+		out, err := inpaint.Inpaint(src, mask, inpaint.DefaultConfig(), obs.Runtime{Pool: par.NewPool(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	if serial, parallel := run(1), run(8); !bytes.Equal(serial.Pix, parallel.Pix) {
@@ -287,14 +270,10 @@ func TestParallelEquivalenceMedianBackground(t *testing.T) {
 		frames[i] = f
 	}
 	run := func(workers int) *img.Image {
-		var out *img.Image
-		withWorkersT(t, workers, func() {
-			var err error
-			out, err = detect.MedianBackground(frames, 1, obs.Runtime{})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+		out, err := detect.MedianBackground(frames, 1, obs.Runtime{Pool: par.NewPool(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	if serial, parallel := run(1), run(8); !bytes.Equal(serial.Pix, parallel.Pix) {

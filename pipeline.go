@@ -29,11 +29,10 @@ type PipelineConfig struct {
 	Style scene.Style
 	// Seed drives detector training randomness.
 	Seed int64
-	// Workers overrides the worker-pool size for this call (0 keeps the
-	// process-wide setting: VERRO_WORKERS or GOMAXPROCS). The output is
-	// bit-identical at any worker count; only wall-clock time changes. The
-	// override is scoped to this call's pool — concurrent DetectAndTrack
-	// calls with different Workers never interfere.
+	// Workers sizes this call's worker pool (0 means GOMAXPROCS). The
+	// output is bit-identical at any worker count; only wall-clock time
+	// changes. The size is scoped to this call's pool — concurrent
+	// DetectAndTrack calls with different Workers never interfere.
 	Workers int
 	// Trace, when non-nil, collects detection/tracking stage spans, counters
 	// and worker-pool gauges. Nil disables all instrumentation at zero cost;

@@ -3,7 +3,8 @@ package verro
 // Hot-path micro-benchmarks: one benchmark per kernel family the perf
 // lint sweep rewrote. Unlike bench_parallel_test.go these run pooled
 // kernels on a one-worker pool — they measure the per-element cost the
-// bounds-check and allocation fixes target, not pool scheduling. Regenerate with:
+// bounds-check and allocation fixes target, not pool scheduling.
+// Regenerate with:
 //
 //	VERRO_BENCH_JSON=BENCH_hotpath.json go test -bench=BenchmarkHot -benchtime=100x .
 

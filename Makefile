@@ -3,24 +3,17 @@
 
 GO ?= go
 
-## LINTCACHE: where verrolint's incremental fact cache lives. CI persists
-## this directory across runs (keyed on toolchain + analyzer sources), so a
-## PR that doesn't touch a package's dependency cone replays its facts
-## instead of re-type-checking it.
-LINTCACHE ?= .lint-cache
+.PHONY: check nightly vet build lint fmt-check test test-stream test-server test-leak race race-par fuzz fuzz-short bench bench-json bench-hotpath bench-compare clean
 
-.PHONY: check nightly vet build lint lint-flow lint-absint lint-perf lint-life bench-lint fmt-check test test-stream test-server test-leak race race-par fuzz fuzz-short bench bench-json bench-hotpath bench-compare clean
-
-## check: the PR CI gate — vet, build, verrolint (classic + flow, baselined),
-## the interval analyzers (-absint), the performance analyzers (-perf), the
-## lifecycle analyzers (-life), gofmt, every package's unit tests (which
-## include the golden-hash streaming suite, the memory ceiling, the fuzz
-## seed corpora and the full verrod job-service suite), the targeted
+## check: the PR CI gate — vet, build, one verrolint run, gofmt, every
+## package's unit tests (which include the golden-hash streaming suite, the
+## memory ceiling, the fuzz seed corpora, the full verrod job-service suite,
+## and the hot-path compiler-facts and allocation-shape gates), the targeted
 ## worker-pool race gate, and a short fuzz pass over both the .vvf codec and
-## the stream-window planner. Fails on any new lint diagnostic or
-## unformatted file. The full -race suite and the long fuzz/benchmark gates
-## run in `make nightly` so the PR path stays fast.
-check: vet build lint lint-absint lint-perf lint-life fmt-check test race-par fuzz-short
+## the stream-window planner. Fails on any lint diagnostic or unformatted
+## file. The full -race suite and the long fuzz/benchmark gates run in
+## `make nightly` so the PR path stays fast.
+check: vet build lint fmt-check test race-par fuzz-short
 
 ## nightly: the slow gate (see .github/workflows/nightly.yml) — the whole
 ## PR gate plus the full race suite (which runs the job-churn leak harness
@@ -38,46 +31,14 @@ vet:
 build:
 	$(GO) build ./...
 
-## lint: the in-repo static-analysis suite (cmd/verrolint) — the classic
-## determinism/privacy-math/panic-freedom analyzers (DESIGN.md §2d) plus the
-## verroflow taint analyzers (§2e). Findings recorded in lint-baseline.json
-## are absorbed; only new diagnostics fail.
+## lint: the in-repo static-analysis suite (cmd/verrolint) in one plain
+## pass — the classic determinism/privacy-math/panic-freedom analyzers
+## (DESIGN.md §2d), the verroflow taint analyzers (§2e), the interval
+## analyzers (§2f) and the lifecycle analyzers (§2k). Every diagnostic
+## fails, and so does a //lint:allow that names no analyzer or suppresses
+## nothing.
 lint:
-	$(GO) run ./cmd/verrolint -cache $(LINTCACHE) -baseline lint-baseline.json ./...
-
-## lint-flow: only the taint-tracking dataflow analyzers (privleak,
-## epsconsist, epshttp, capturerace), without the classic suite or the
-## baseline.
-lint-flow:
-	$(GO) run ./cmd/verrolint -classic=false -cache $(LINTCACHE) ./...
-
-## lint-absint: only the interval abstract-interpretation analyzers
-## (probrange, divzero, idxbound — DESIGN.md §2f), sharing the same
-## baseline file; analyzer names are unique across all three suites, so
-## the multiset diff cannot collide across passes.
-lint-absint:
-	$(GO) run ./cmd/verrolint -classic=false -flow=false -absint -cache $(LINTCACHE) -baseline lint-baseline.json ./...
-
-## lint-perf: only the hot-path performance analyzers (hotalloc, hotescape,
-## bce — DESIGN.md §2j). No baseline: the tree must sweep clean, with
-## deliberate exceptions carrying justified //lint:allow directives (which
-## the stale-allow pass keeps honest).
-lint-perf:
-	$(GO) run ./cmd/verrolint -classic=false -flow=false -perf -cache $(LINTCACHE) ./...
-
-## lint-life: only the lifecycle analyzers (goleak, mustclose, lockorder,
-## ctxflow — DESIGN.md §2k), scoped to the service-arc packages. No
-## baseline: the tree must sweep clean, with deliberate exceptions carrying
-## justified //lint:allow directives (kept honest by the stale-allow pass).
-lint-life:
-	$(GO) run ./cmd/verrolint -classic=false -flow=false -life -cache $(LINTCACHE) ./...
-
-## bench-lint: regenerate BENCH_lint.json — wall time of a cold incremental
-## run (cache populated from scratch) vs. a warm replay of the whole repo
-## with every suite enabled.
-bench-lint:
-	rm -rf $(LINTCACHE)
-	$(GO) run ./cmd/verrolint -absint -cache $(LINTCACHE) -bench BENCH_lint.json ./...
+	$(GO) run ./cmd/verrolint ./...
 
 ## fmt-check: fail if any tracked Go file is not gofmt-clean.
 fmt-check:
@@ -112,9 +73,10 @@ test-server:
 ## every lifecycle shape (sequential, slot-saturating concurrent batches,
 ## SSE subscribers yanked mid-stream, checkpoint resume re-runs), then
 ## asserts goroutines, file descriptors, event logs, and post-GC heap all
-## return to the pre-churn baseline. The runtime complement of
-## `make lint-life`; `make nightly` repeats it under -race via the full
-## race suite.
+## return to the pre-churn baseline. The runtime witness for the
+## lifecycle invariants verrolint does not check statically (lock
+## discipline, request cancellation); `make nightly` repeats it under
+## -race via the full race suite.
 test-leak:
 	$(GO) test -run TestChurnNoLeaks -count=1 -v ./internal/server/
 
@@ -130,7 +92,7 @@ race:
 race-par:
 	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
-	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/lint/incr/
+	$(GO) test -race ./internal/store/ ./internal/stream/
 
 ## fuzz: a short .vvf codec fuzz pass; lengthen with FUZZTIME=60s.
 FUZZTIME ?= 5s
@@ -152,10 +114,8 @@ bench:
 bench-json:
 	VERRO_BENCH_JSON=BENCH_parallel.json $(GO) test -run='^$$' -bench=BenchmarkPar -benchtime=2x -count=3 .
 
-## bench-hotpath: regenerate the measured side of BENCH_hotpath.json (the
-## single-threaded kernel hot paths). Note this rewrites the file in the
-## plain recorder schema — the committed baseline_ns_per_op/speedup fields
-## document the pre-sweep tree and are historical.
+## bench-hotpath: regenerate BENCH_hotpath.json, the ns/op reference of the
+## single-threaded kernel hot paths (bench_hotpath_test.go).
 bench-hotpath:
 	VERRO_BENCH_JSON=BENCH_hotpath.json $(GO) test -run='^$$' -bench=BenchmarkHot -benchtime=50x .
 

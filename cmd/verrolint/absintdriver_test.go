@@ -5,20 +5,17 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"verro/internal/lint"
-	"verro/internal/lint/absint"
-	"verro/internal/lint/flow"
 )
 
 // The absintdemo fixture plants a flip probability of 1.5 and an ε of
-// -0.25 — values the interval interpreter proves out of range. It is the
-// acceptance check for the assembled -absint driver: loader, interval
-// engine, project policy, reporting.
+// -0.25 — values the interval interpreter proves out of range, and nothing
+// any other suite reports. It is the acceptance check for the interval
+// suite in the assembled driver: loader, interval engine, project policy,
+// reporting.
 
 func TestRunAbsintCatchesSeededViolation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-classic=false", "-flow=false", "-absint", "-json", "./testdata/absintdemo"}, &stdout, &stderr)
+	code := run([]string{"-json", "./testdata/absintdemo"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
@@ -54,15 +51,6 @@ func TestRunAbsintCatchesSeededViolation(t *testing.T) {
 	}
 }
 
-// Without -absint the planted violation must pass: the interval pass is
-// opt-in and the demo is clean under the classic and flow suites.
-func TestRunAbsintOffSkipsViolation(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./testdata/absintdemo"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-}
-
 func TestRunAbsintFixturePackagesFail(t *testing.T) {
 	for _, dir := range []string{
 		"../../internal/lint/absint/testdata/probrange",
@@ -70,7 +58,7 @@ func TestRunAbsintFixturePackagesFail(t *testing.T) {
 		"../../internal/lint/absint/testdata/idxbound",
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-classic=false", "-flow=false", "-absint", dir}, &stdout, &stderr); code != 1 {
+		if code := run([]string{dir}, &stdout, &stderr); code != 1 {
 			t.Errorf("%s: exit = %d, want 1\nstdout: %s\nstderr: %s", dir, code, stdout.String(), stderr.String())
 		}
 	}
@@ -85,28 +73,5 @@ func TestRunListIncludesAbsintAnalyzers(t *testing.T) {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list missing %s:\n%s", name, stdout.String())
 		}
-	}
-}
-
-// TestAnalyzerNamesUniqueAcrossSuites guards the shared lint-baseline.json:
-// the baseline diff keys on (file, analyzer, message), so a name collision
-// between the classic, flow, and interval suites would let one pass's
-// baselined finding absorb another pass's fresh one.
-func TestAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
-	seen := map[string]string{}
-	record := func(name, suite string) {
-		if prev, ok := seen[name]; ok {
-			t.Errorf("analyzer name %q used by both %s and %s", name, prev, suite)
-		}
-		seen[name] = suite
-	}
-	for _, a := range lint.ProjectAnalyzers() {
-		record(a.Name, "classic")
-	}
-	for _, a := range flow.ProjectAnalyzers() {
-		record(a.Name, "flow")
-	}
-	for _, a := range absint.ProjectAnalyzers() {
-		record(a.Name, "absint")
 	}
 }

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -29,60 +26,6 @@ func TestRunFlowCatchesSeededLeak(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "privleak") {
 		t.Errorf("summary line missing per-analyzer count: %s", stderr.String())
-	}
-}
-
-func TestRunFlowDisabledSkipsLeak(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flow=false", "./testdata/leakdemo"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-}
-
-func TestRunBaselineAbsorbsKnownFindings(t *testing.T) {
-	// Snapshot the current findings as a baseline...
-	var snap, snapErr bytes.Buffer
-	if code := run([]string{"-json", "./testdata/leakdemo"}, &snap, &snapErr); code != 1 {
-		t.Fatalf("snapshot run: exit = %d, want 1 (stderr: %s)", code, snapErr.String())
-	}
-	var recorded []jsonDiag
-	if err := json.Unmarshal(snap.Bytes(), &recorded); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if len(recorded) == 0 {
-		t.Fatal("snapshot run found nothing; the seeded leak is gone")
-	}
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(baseline, snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...a rerun against it is clean...
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-baseline", baseline, "./testdata/leakdemo"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run: exit = %d, want 0\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "baselined") {
-		t.Errorf("summary does not mention absorbed findings: %s", stderr.String())
-	}
-
-	// ...and an empty baseline still fails on the same findings.
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte("[]\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", empty, "./testdata/leakdemo"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("empty-baseline run: exit = %d, want 1", code)
-	}
-}
-
-func TestRunBaselineMissingFile(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-baseline", "no-such-baseline.json", "./testdata/leakdemo"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
 	}
 }
 

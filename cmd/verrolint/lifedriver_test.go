@@ -4,37 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"verro/internal/lint"
-	"verro/internal/lint/absint"
-	"verro/internal/lint/flow"
-	"verro/internal/lint/life"
-	"verro/internal/lint/perf"
 )
 
 // The lifedemo fixture plants one finding per lifecycle analyzer: a
-// diverging goroutine (goleak), a leaked file handle (mustclose), a send
-// under a held mutex (lockorder), and a severed request context
-// (ctxflow). It is the acceptance check for the assembled -life driver.
+// diverging goroutine (goleak) and a leaked file handle (mustclose), and
+// nothing any other suite reports. It is the acceptance check for the
+// lifecycle suite in the assembled driver.
 
-func lifeDemoDiags(t *testing.T, extra ...string) []jsonDiag {
-	t.Helper()
-	args := append([]string{"-classic=false", "-flow=false", "-life", "-json"}, extra...)
-	args = append(args, "./testdata/lifedemo")
+func TestRunLifeCatchesSeededFindings(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	if code != 1 {
+	if code := run([]string{"-json", "./testdata/lifedemo"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	var diags []jsonDiag
 	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, stdout.String())
 	}
-	return diags
-}
-
-func TestRunLifeCatchesSeededFindings(t *testing.T) {
-	diags := lifeDemoDiags(t)
 	byAnalyzer := map[string]int{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
@@ -42,96 +27,21 @@ func TestRunLifeCatchesSeededFindings(t *testing.T) {
 			t.Errorf("diagnostic missing file:line:col: %+v", d)
 		}
 	}
-	for _, want := range []string{"goleak", "mustclose", "lockorder", "ctxflow"} {
-		if byAnalyzer[want] != 1 {
-			t.Errorf("per-analyzer counts = %v, want exactly one %s", byAnalyzer, want)
-		}
-	}
-}
-
-// Without -life the seeded findings must pass: the lifecycle suite is
-// opt-in and the fixture is clean under every other suite.
-func TestRunLifeOffSkipsFindings(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-classic=false", "-flow=false", "./testdata/lifedemo"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-}
-
-// TestRunLifeCacheMatchesPlain runs the life fixture through the
-// incremental driver twice — cold, then warm — and checks both passes
-// emit byte-for-byte the plain driver's diagnostic stream.
-func TestRunLifeCacheMatchesPlain(t *testing.T) {
-	var plain, plainErr bytes.Buffer
-	if code := run([]string{"-classic=false", "-flow=false", "-life", "./testdata/lifedemo"}, &plain, &plainErr); code != 1 {
-		t.Fatalf("plain exit = %d, want 1\nstderr: %s", code, plainErr.String())
-	}
-	cacheDir := t.TempDir()
-	for _, pass := range []string{"cold", "warm"} {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-classic=false", "-flow=false", "-life", "-cache", cacheDir, "./testdata/lifedemo"}, &stdout, &stderr)
-		if code != 1 {
-			t.Fatalf("%s cache run exit = %d, want 1\nstderr: %s", pass, code, stderr.String())
-		}
-		if stdout.String() != plain.String() {
-			t.Errorf("%s cache run diverges from plain driver:\n%s\nplain:\n%s",
-				pass, stdout.String(), plain.String())
-		}
+	if len(diags) != 2 || byAnalyzer["goleak"] != 1 || byAnalyzer["mustclose"] != 1 {
+		t.Errorf("per-analyzer counts = %v, want exactly one goleak and one mustclose", byAnalyzer)
 	}
 }
 
 // TestRunLifeAllSuppressed: the allow twin carries a justified
 // //lint:allow on every seeded line, so the run exits 0 — and the
-// always-on stale-allow pass must not flag any of the directives.
+// stale-allow pass must not flag any of the directives.
 func TestRunLifeAllSuppressed(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-classic=false", "-flow=false", "-life", "./testdata/lifedemo/allow"}, &stdout, &stderr)
+	code := run([]string{"./testdata/lifedemo/allow"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("all-suppressed run produced output:\n%s", stdout.String())
 	}
-}
-
-// Without -life the allows in the twin name analyzers that never ran, so
-// the stale-allow pass must NOT flag them: an unverifiable allow is not a
-// stale one.
-func TestRunLifeAllowsNotStaleWithoutLife(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-classic=false", "-flow=false", "-json", "./testdata/lifedemo/allow"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (allows for suites that did not run are unverifiable, not stale)\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-}
-
-// TestLifeAnalyzerNamesUniqueAcrossSuites extends the shared-baseline
-// collision guard over every suite, now including the lifecycle one.
-func TestLifeAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
-	seen := map[string]string{}
-	record := func(name, suite string) {
-		if prev, ok := seen[name]; ok {
-			t.Errorf("analyzer name %q used by both %s and %s", name, prev, suite)
-		}
-		seen[name] = suite
-	}
-	for _, a := range lint.ProjectAnalyzers() {
-		record(a.Name, "classic")
-	}
-	for _, a := range flow.ProjectAnalyzers() {
-		record(a.Name, "flow")
-	}
-	for _, a := range absint.ProjectAnalyzers() {
-		record(a.Name, "absint")
-	}
-	for _, a := range perf.ProjectAnalyzers() {
-		record(a.Name, "perf")
-	}
-	record(perf.NewProjectBCE().Name, "perf-bce")
-	for _, a := range life.ProjectAnalyzers() {
-		record(a.Name, "life")
-	}
-	record(lint.StaleAllowsName, "staleallow")
 }

@@ -1,46 +1,32 @@
-// Command verrolint runs VERRO's static-analysis suite over the repository:
-// the classic single-expression analyzers (internal/lint) that mechanically
-// enforce determinism, privacy-math, and error-handling invariants, plus
-// the dataflow analyzers (internal/lint/flow) that prove raw object data
-// never reaches a published artifact unsanitized, privacy parameters come
-// from validated configs, and worker-pool closures stay race-free, plus —
-// behind -absint — the interval abstract interpreters (internal/lint/absint)
-// that prove numeric invariants by value: probabilities in [0,1], ε ≥ 0,
-// nonzero divisors, in-bounds kernel indexing — plus, behind -perf, the
-// hot-path performance suite (internal/lint/perf): no allocations, no
-// escapes, and no uneliminable bounds checks inside the per-frame kernel
-// loops and worker-pool closures — plus, behind -life, the lifecycle
-// suite (internal/lint/life): goroutines spawned in the service arc
-// terminate, acquired resources are released on every path, locks are
-// rank-consistent and never held across a park, and request handlers stay
-// cancellable.
+// Command verrolint runs VERRO's static-analysis suite over the repository
+// in one pass: the classic single-expression analyzers (internal/lint) that
+// mechanically enforce determinism, privacy-math, and error-handling
+// invariants; the dataflow analyzers (internal/lint/flow) that prove raw
+// object data never reaches a published artifact unsanitized, privacy
+// parameters come from validated configs, and worker-pool closures stay
+// race-free; the interval abstract interpreters (internal/lint/absint) that
+// prove numeric invariants by value — probabilities in [0,1], ε ≥ 0,
+// nonzero divisors, in-bounds indexing; and the lifecycle analyzers
+// (internal/lint/life): goroutines spawned in the service arc terminate
+// and acquired resources are released on every path. Every suite runs on
+// every invocation.
 //
-// Every run also reports stale //lint:allow directives: a directive naming
-// an analyzer that ran but suppressed nothing has rotted and must be
-// removed (suppress a deliberately speculative one with
-// //lint:allow staleallow).
+// Every run also checks the //lint:allow directives: one naming an
+// analyzer that does not exist suppresses nothing and is reported, and so
+// is one whose analyzer suppressed nothing (suppress a deliberately
+// speculative one with //lint:allow staleallow).
 //
 // Usage:
 //
-//	verrolint [-json] [-tests] [-list] [-classic] [-flow] [-absint] [-perf] [-life] [-baseline file] [-cache dir [-bench file]] [pattern ...]
+//	verrolint [-json] [-tests] [-list] [pattern ...]
 //
 // Patterns are package directories; a trailing "/..." walks recursively
-// ("./..." is the default). The flow analyzers see every matched package as
-// one program, so cross-package flows are visible whenever both ends are in
-// the pattern set. With -baseline, diagnostics recorded in the given -json
-// snapshot are tolerated and only new ones fail the run — the ratchet for
-// adopting a new analyzer on a codebase with known findings.
+// ("./..." is the default). The whole-program suites see every matched
+// package as one program, so cross-package flows are visible whenever both
+// ends are in the pattern set.
 //
-// With -cache, the incremental driver (internal/lint/incr) analyzes
-// packages in parallel and persists per-package facts — diagnostics plus
-// flow/interval summaries — keyed by content hashes chained through the
-// import graph, so unchanged packages replay without re-type-checking.
-// The diagnostic stream is identical to the plain driver's. -bench (which
-// requires -cache) times a cold run then a warm run and writes the JSON
-// timing report to the given file.
-//
-// Exit status is 0 when clean, 1 when any (new) diagnostic fired, 2 on
-// load or usage errors.
+// Exit status is 0 when clean, 1 when any diagnostic fired, 2 on load or
+// usage errors.
 package main
 
 import (
@@ -53,14 +39,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"verro/internal/lint"
 	"verro/internal/lint/absint"
 	"verro/internal/lint/flow"
-	"verro/internal/lint/incr"
 	"verro/internal/lint/life"
-	"verro/internal/lint/perf"
 )
 
 func main() {
@@ -68,7 +51,7 @@ func main() {
 }
 
 // jsonDiag is the -json wire form of one diagnostic, the stable shape CI
-// can diff across PRs and the schema of -baseline files.
+// can diff across PRs.
 type jsonDiag struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -77,53 +60,86 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
+// suite is everything one run executes: the project configuration of each
+// analyzer family.
+type suite struct {
+	classic []*lint.Analyzer
+	flow    []*flow.Analyzer
+	absint  []*absint.Analyzer
+	life    []*life.Analyzer
+	lifeCfg *life.Config
+}
+
+func projectSuite() *suite {
+	return &suite{
+		classic: lint.ProjectAnalyzers(),
+		flow:    flow.ProjectAnalyzers(),
+		absint:  absint.ProjectAnalyzers(),
+		life:    life.ProjectAnalyzers(),
+		lifeCfg: life.ProjectConfig(),
+	}
+}
+
+// analyzerDoc is one row of the single analyzer list.
+type analyzerDoc struct{ name, doc string }
+
+// analyzers is the single analyzer list: what -list prints and the only
+// names a //lint:allow directive may carry, the stale-allow pass included.
+func (s *suite) analyzers() []analyzerDoc {
+	var out []analyzerDoc
+	for _, a := range s.classic {
+		out = append(out, analyzerDoc{a.Name, a.Doc})
+	}
+	for _, a := range s.flow {
+		out = append(out, analyzerDoc{a.Name, a.Doc})
+	}
+	for _, a := range s.absint {
+		out = append(out, analyzerDoc{a.Name, a.Doc})
+	}
+	for _, a := range s.life {
+		out = append(out, analyzerDoc{a.Name, a.Doc})
+	}
+	return append(out, analyzerDoc{lint.StaleAllowsName, "//lint:allow directives must name an analyzer and still suppress a diagnostic"})
+}
+
+// check runs every analyzer over the program formed by pkgs, then judges
+// the allow directives once every suppression has been recorded against
+// the shared per-package allow index.
+func (s *suite) check(pkgs []*lint.Package) []lint.Diagnostic {
+	var diags []lint.Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, lint.Run(pkg, s.classic...)...)
+	}
+	diags = append(diags, flow.Run(pkgs, s.flow...)...)
+	diags = append(diags, absint.Run(pkgs, s.absint...)...)
+	diags = append(diags, life.Run(pkgs, s.lifeCfg, s.life...)...)
+	known := map[string]bool{}
+	for _, a := range s.analyzers() {
+		known[a.name] = true
+	}
+	for _, pkg := range pkgs {
+		diags = append(diags, pkg.Allow().StaleAllows(known)...)
+		diags = append(diags, pkg.Allow().UnknownAllows(known)...)
+	}
+	lint.Sort(diags)
+	return diags
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("verrolint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	jsonOut := fl.Bool("json", false, "emit diagnostics as a JSON array (file, line, col, analyzer, message)")
 	tests := fl.Bool("tests", false, "also lint _test.go files")
 	list := fl.Bool("list", false, "list the analyzers and their invariants, then exit")
-	classic := fl.Bool("classic", true, "run the classic single-expression analyzers")
-	flowOn := fl.Bool("flow", true, "run the dataflow analyzers (privleak, epsconsist, capturerace)")
-	absintOn := fl.Bool("absint", false, "run the interval analyzers (probrange, divzero, idxbound)")
-	perfOn := fl.Bool("perf", false, "run the hot-path performance analyzers (hotalloc, hotescape, bce)")
-	lifeOn := fl.Bool("life", false, "run the lifecycle analyzers (goleak, mustclose, lockorder, ctxflow)")
-	baseline := fl.String("baseline", "", "JSON baseline file (a prior -json run); only diagnostics not in it fail")
-	cache := fl.String("cache", "", "fact-cache directory: analyze incrementally and in parallel, persisting per-package facts")
-	bench := fl.String("bench", "", "with -cache: time a cold then a warm run and write the JSON timing report to this file")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
-	if *bench != "" && *cache == "" {
-		fmt.Fprintln(stderr, "verrolint: -bench requires -cache")
-		return 2
-	}
 
-	analyzers := lint.ProjectAnalyzers()
-	flowAnalyzers := flow.ProjectAnalyzers()
-	absintAnalyzers := absint.ProjectAnalyzers()
-	perfAnalyzers := perf.ProjectAnalyzers()
-	bce := perf.NewProjectBCE()
-	lifeAnalyzers := life.ProjectAnalyzers()
-	lifeCfg := life.ProjectConfig()
+	s := projectSuite()
 	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
+		for _, a := range s.analyzers() {
+			fmt.Fprintf(stdout, "%-11s %s\n", a.name, a.doc)
 		}
-		for _, a := range flowAnalyzers {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range absintAnalyzers {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range perfAnalyzers {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(stdout, "%-11s %s\n", bce.Name, bce.Doc)
-		for _, a := range lifeAnalyzers {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(stdout, "%-11s %s\n", lint.StaleAllowsName, "//lint:allow directives must still suppress a diagnostic")
 		return 0
 	}
 
@@ -145,117 +161,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var diags []lint.Diagnostic
-	if *cache != "" {
-		opts := incr.Options{Dirs: dirs, CacheDir: *cache, ReadCache: true, IncludeTests: *tests}
-		if *classic {
-			opts.Classic = analyzers
-		}
-		if *flowOn {
-			opts.Flow = flowAnalyzers
-		}
-		if *absintOn {
-			opts.Absint = absintAnalyzers
-		}
-		if *perfOn {
-			opts.Absint = append(opts.Absint, bce)
-			opts.Perf = perfAnalyzers
-			opts.PerfCfg = perf.ProjectConfig()
-		}
-		if *lifeOn {
-			opts.Life = lifeAnalyzers
-			opts.LifeCfg = lifeCfg
-		}
-		opts.StaleAllows = true
-		var err error
-		if *bench != "" {
-			diags, err = runBench(opts, *bench, stderr)
-		} else {
-			diags, _, err = incr.Run(opts)
-		}
+	loader := lint.NewLoader()
+	loader.IncludeTests = *tests
+	var pkgs []*lint.Package
+	for _, dir := range dirs {
+		pkg, err := loader.Load(dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "verrolint: %v\n", err)
 			return 2
 		}
-	} else {
-		loader := lint.NewLoader()
-		loader.IncludeTests = *tests
-		var pkgs []*lint.Package
-		for _, dir := range dirs {
-			pkg, err := loader.Load(dir)
-			if err != nil {
-				fmt.Fprintf(stderr, "verrolint: %v\n", err)
-				return 2
-			}
-			pkgs = append(pkgs, pkg)
-		}
-		if *classic {
-			for _, pkg := range pkgs {
-				diags = append(diags, lint.Run(pkg, analyzers...)...)
-			}
-		}
-		if *flowOn {
-			diags = append(diags, flow.Run(pkgs, flowAnalyzers...)...)
-		}
-		var absintRun []*absint.Analyzer
-		if *absintOn {
-			absintRun = append(absintRun, absintAnalyzers...)
-		}
-		if *perfOn {
-			absintRun = append(absintRun, bce)
-		}
-		if len(absintRun) > 0 {
-			diags = append(diags, absint.Run(pkgs, absintRun...)...)
-		}
-		if *perfOn {
-			diags = append(diags, perf.Run(pkgs, perf.ProjectConfig(), perfAnalyzers...)...)
-		}
-		if *lifeOn {
-			diags = append(diags, life.Run(pkgs, lifeCfg, lifeAnalyzers...)...)
-		}
-		// Stale-allow detection runs last so every suite's suppressions
-		// have been recorded against the shared per-package allow index.
-		for _, pkg := range pkgs {
-			ran := map[string]bool{}
-			if *classic {
-				for _, a := range analyzers {
-					ran[a.Name] = true
-				}
-			}
-			if *flowOn {
-				for _, a := range flowAnalyzers {
-					ran[a.Name] = true
-				}
-			}
-			for _, a := range absintRun {
-				if a.Match == nil || a.Match(pkg.Path) {
-					ran[a.Name] = true
-				}
-			}
-			if *perfOn {
-				for _, a := range perfAnalyzers {
-					ran[a.Name] = true
-				}
-			}
-			if *lifeOn && lifeCfg.Service(pkg.Path) {
-				for _, a := range lifeAnalyzers {
-					ran[a.Name] = true
-				}
-			}
-			diags = append(diags, pkg.Allow().StaleAllows(ran)...)
-		}
-		lint.Sort(diags)
+		pkgs = append(pkgs, pkg)
 	}
-
-	baselined := 0
-	if *baseline != "" {
-		base, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "verrolint: %v\n", err)
-			return 2
-		}
-		diags, baselined = diffBaseline(diags, base)
-	}
+	diags := s.check(pkgs)
 
 	if *jsonOut {
 		out := make([]jsonDiag, 0, len(diags))
@@ -281,67 +198,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(stderr, "verrolint: %d diagnostic(s)%s%s\n",
-				len(diags), analyzerCounts(diags), baselineNote(baselined))
+			fmt.Fprintf(stderr, "verrolint: %d diagnostic(s)%s\n", len(diags), analyzerCounts(diags))
 		}
 		return 1
 	}
-	if baselined > 0 && !*jsonOut {
-		fmt.Fprintf(stderr, "verrolint: clean%s\n", baselineNote(baselined))
-	}
 	return 0
-}
-
-// benchReport is the schema of the -bench timing file (BENCH_lint.json in
-// CI): wall time of a cold incremental run against a warm replay of the
-// same package set.
-type benchReport struct {
-	ColdSeconds float64 `json:"cold_seconds"`
-	WarmSeconds float64 `json:"warm_seconds"`
-	Speedup     float64 `json:"speedup"`
-	Packages    int     `json:"packages"`
-	WarmHits    int     `json:"warm_cache_hits"`
-}
-
-// runBench populates the cache cold (ignoring existing entries), replays it
-// warm, writes the timing report, and returns the warm run's diagnostics —
-// which double as a live equivalence check, since the warm stream must
-// match what the cold run just computed.
-func runBench(opts incr.Options, path string, stderr io.Writer) ([]lint.Diagnostic, error) {
-	cold := opts
-	cold.ReadCache = false
-	start := time.Now() //lint:allow walltime benchmarking wall time is the point here
-	if _, _, err := incr.Run(cold); err != nil {
-		return nil, err
-	}
-	coldDur := time.Since(start) //lint:allow walltime benchmarking wall time is the point here
-
-	start = time.Now() //lint:allow walltime benchmarking wall time is the point here
-	diags, stats, err := incr.Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	warmDur := time.Since(start) //lint:allow walltime benchmarking wall time is the point here
-
-	rep := benchReport{
-		ColdSeconds: coldDur.Seconds(),
-		WarmSeconds: warmDur.Seconds(),
-		Packages:    stats.Packages,
-		WarmHits:    stats.CacheHits,
-	}
-	if warmDur > 0 {
-		rep.Speedup = coldDur.Seconds() / warmDur.Seconds()
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stderr, "verrolint: cold %.2fs, warm %.2fs (%.1fx, %d/%d cache hits) -> %s\n",
-		rep.ColdSeconds, rep.WarmSeconds, rep.Speedup, stats.CacheHits, stats.Packages, path)
-	return diags, nil
 }
 
 // analyzerCounts renders the per-analyzer breakdown of the summary line,
@@ -361,47 +222,6 @@ func analyzerCounts(diags []lint.Diagnostic) string {
 		parts = append(parts, fmt.Sprintf("%s %d", name, counts[name]))
 	}
 	return " (" + strings.Join(parts, ", ") + ")"
-}
-
-func baselineNote(baselined int) string {
-	if baselined == 0 {
-		return ""
-	}
-	return fmt.Sprintf("; %d baselined", baselined)
-}
-
-func loadBaseline(path string) ([]jsonDiag, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var base []jsonDiag
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	return base, nil
-}
-
-// diffBaseline removes diagnostics recorded in the baseline and reports how
-// many were absorbed. Matching is a multiset on (file, analyzer, message) —
-// deliberately ignoring line and column, so unrelated edits that shift a
-// known finding do not resurface it, while a second instance of the same
-// finding in the same file does fail.
-func diffBaseline(diags []lint.Diagnostic, base []jsonDiag) (fresh []lint.Diagnostic, baselined int) {
-	remaining := map[string]int{}
-	for _, b := range base {
-		remaining[b.File+"\x00"+b.Analyzer+"\x00"+b.Message]++
-	}
-	for _, d := range diags {
-		key := filepath.ToSlash(d.Pos.Filename) + "\x00" + d.Analyzer + "\x00" + d.Message
-		if remaining[key] > 0 {
-			remaining[key]--
-			baselined++
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	return fresh, baselined
 }
 
 // expand resolves one pattern to package directories. "dir/..." walks dir

@@ -128,7 +128,7 @@ func TestRunListMode(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, name := range []string{"detrand", "walltime", "maporder", "floateq", "panicfree"} {
+	for _, name := range []string{"detrand", "walltime", "maporder", "floateq", "panicfree", "goleak", "mustclose", "staleallow"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %s: %q", name, out.String())
 		}
@@ -142,9 +142,47 @@ func TestRunBadDir(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: the driver takes -json, -list and -tests only; every
+// suite always runs, so the old suite switches, the fact cache and the
+// baseline are usage errors too.
 func TestRunBadFlag(t *testing.T) {
+	for _, flag := range []string{"-definitely-not-a-flag", "-classic=false", "-flow=false", "-absint", "-perf", "-life", "-cache=dir", "-bench=out.json", "-baseline=base.json"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{flag, "./testdata/leakdemo"}, &out, &errb); code != 2 {
+			t.Errorf("%s: exit = %d, want 2", flag, code)
+		}
+	}
+}
+
+// TestRunUnknownAnalyzerAllow: an allow directive naming an analyzer that
+// does not exist (a typo, or one since deleted) suppresses nothing, so the
+// run reports it.
+func TestRunUnknownAnalyzerAllow(t *testing.T) {
+	root := writeTree(t, map[string]string{"go.mod": "module tmpmod\n", "typo.go": `package typo
+
+func One() int {
+	return 1 //lint:allow hotlloc nothing here
+}
+`})
 	var out, errb bytes.Buffer
-	if code := run([]string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	if code := run([]string{root}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "typo.go:4:11: //lint:allow hotlloc: no analyzer named hotlloc") ||
+		!strings.Contains(out.String(), "(staleallow)") {
+		t.Fatalf("unknown-analyzer directive not reported under staleallow:\n%s", out.String())
+	}
+}
+
+// TestAnalyzerNamesUniqueAcrossSuites: allow directives key on analyzer
+// names alone, so two suites sharing a name would let one analyzer's
+// directive silence the other's findings.
+func TestAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
+	seen := map[string]bool{}
+	for _, a := range projectSuite().analyzers() {
+		if seen[a.name] {
+			t.Errorf("analyzer name %q used twice", a.name)
+		}
+		seen[a.name] = true
 	}
 }

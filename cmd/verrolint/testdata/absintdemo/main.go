@@ -1,5 +1,5 @@
-// Package main is the planted interval violation for the -absint driver
-// test: a cmd-style binary feeding a provably out-of-range flip
+// Package main is the planted interval violation for the driver's
+// interval-suite test: a cmd-style binary feeding a provably out-of-range flip
 // probability and a provably negative ε into the LDP primitives. The
 // probrange analyzer must report both with exact positions.
 package main

@@ -1,19 +1,9 @@
 // Package allow is lifedemo's suppressed twin: every seeded lifecycle
-// finding carries a justified //lint:allow, so a -life run exits clean
-// and the stale-allow pass must not flag any directive.
+// finding carries a justified //lint:allow, so a run exits clean and the
+// stale-allow pass must not flag any directive.
 package allow
 
-import (
-	"context"
-	"net/http"
-	"os"
-	"sync"
-)
-
-type hub struct {
-	mu   sync.Mutex
-	subs []chan int
-}
+import "os"
 
 func spin() {
 	for {
@@ -36,20 +26,4 @@ func Read(path string) error {
 	}
 	f.Close()
 	return nil
-}
-
-// Publish sends under the lock, suppressed.
-func (h *hub) Publish(v int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ch := range h.subs {
-		ch <- v //lint:allow lockorder demo: intentional park under lock to exercise the directive
-	}
-}
-
-// Handle severs cancellation, suppressed.
-func Handle(w http.ResponseWriter, r *http.Request) {
-	ctx := context.Background() //lint:allow ctxflow demo: intentional severed context to exercise the directive
-	_ = ctx
-	w.WriteHeader(http.StatusOK)
 }

@@ -1,21 +1,10 @@
 // Package lifedemo plants exactly one finding per lifecycle analyzer:
-// a goroutine with no termination path (goleak), a file handle leaked on
-// an early return (mustclose), a channel send under a held mutex
-// (lockorder), and a severed request context (ctxflow). It is the
-// acceptance fixture for the assembled -life driver.
+// a goroutine with no termination path (goleak) and a file handle leaked
+// on an early return (mustclose). It is the acceptance fixture for the
+// lifecycle suite in the assembled driver.
 package lifedemo
 
-import (
-	"context"
-	"net/http"
-	"os"
-	"sync"
-)
-
-type hub struct {
-	mu   sync.Mutex
-	subs []chan int
-}
+import "os"
 
 func spin() {
 	for {
@@ -38,20 +27,4 @@ func Read(path string) error {
 	}
 	f.Close()
 	return nil
-}
-
-// Publish sends to subscribers while holding the registry lock.
-func (h *hub) Publish(v int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ch := range h.subs {
-		ch <- v // lockorder
-	}
-}
-
-// Handle severs the request's cancellation chain.
-func Handle(w http.ResponseWriter, r *http.Request) {
-	ctx := context.Background() // ctxflow
-	_ = ctx
-	w.WriteHeader(http.StatusOK)
 }

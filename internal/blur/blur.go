@@ -95,7 +95,7 @@ func Sanitize(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*vid.Video, err
 			}
 		}
 		if err := out.Append(frame); err != nil {
-			return nil, fmt.Errorf("blur: frame %d: %w", k, err) //lint:allow hotalloc error path: formats once on the way out, never on the per-frame fast path
+			return nil, fmt.Errorf("blur: frame %d: %w", k, err)
 		}
 	}
 	return out, nil

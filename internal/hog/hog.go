@@ -105,8 +105,8 @@ func Compute(m *img.Image, c Config) ([]float64, error) {
 				hi := lo + 1
 				loBin := ((lo % c.Bins) + c.Bins) % c.Bins
 				hiBin := hi % c.Bins
-				hist[loBin] += mag * (1 - frac) //lint:allow bce orientation bin is data-dependent; the mod arithmetic keeps it in [0, Bins) = len(hist)
-				hist[hiBin] += mag * frac       //lint:allow bce orientation bin is data-dependent; the mod arithmetic keeps it in [0, Bins) = len(hist)
+				hist[loBin] += mag * (1 - frac)
+				hist[hiBin] += mag * frac
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package img
 
-// Bit-identity harness for the hot-path rewrites: every kernel that was
-// restructured for the perf lint sweep (row slicing, subslice triples,
+// Bit-identity harness for the hot-path rewrites: every kernel whose loops
+// were restructured for speed (row slicing, subslice triples,
 // clamp prologues, copy-based fills) is compared against a naive
 // reference implementation — the pre-rewrite loop shape — for exact
 // equality. Floating-point kernels accumulate in the same order as the

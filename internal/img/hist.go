@@ -31,9 +31,9 @@ func NewHSVHistRegion(m *Image, r geom.Rect, hBins, sBins, vBins int) *HSVHist {
 	for y := r.Min.Y; y < r.Max.Y; y++ {
 		for x := r.Min.X; x < r.Max.X; x++ {
 			c := ToHSV(m.At(x, y))
-			h.H[binIndex(c.H/360, hBins)]++ //lint:allow bce binIndex clamps to [0, hBins) = len(h.H) by construction; the relation is invisible to the interval domain
-			h.S[binIndex(c.S, sBins)]++     //lint:allow bce binIndex clamps to [0, sBins) = len(h.S) by construction
-			h.V[binIndex(c.V, vBins)]++     //lint:allow bce binIndex clamps to [0, vBins) = len(h.V) by construction
+			h.H[binIndex(c.H/360, hBins)]++
+			h.S[binIndex(c.S, sBins)]++
+			h.V[binIndex(c.V, vBins)]++
 			n++
 		}
 	}

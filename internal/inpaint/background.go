@@ -50,48 +50,56 @@ func medianScene(w, h, panW int, offsets []int, samples []*img.Image, indices []
 		return nil, errors.New("inpaint: empty video")
 	}
 	rt.Span.Add(obs.CBGFramesSampled, int64(len(samples)))
-	// Per-pixel value collection (uint8 per channel) over unmasked frames.
-	vals := make([][]uint8, panW*h*3)
-	ns := len(samples)
-	if len(indices) < ns {
-		ns = len(indices)
-	}
-	for i := 0; i < ns; i++ {
-		f := samples[i]
-		k := indices[i]
-		mask := FrameMask(w, h, k, tracks)
-		off := 0
-		if offsets != nil {
-			off = offsets[k] //lint:allow bce indices hold frame numbers < len(offsets) by construction; the relation is invisible to the interval domain
-		}
-		for y := 0; y < h; y++ {
-			vrow := vals[y*panW*3 : y*panW*3+panW*3]
-			prow := f.Pix[y*w*3 : y*w*3+w*3]
-			for x := 0; x < w; x++ {
-				if mask.At(x, y) {
-					continue
-				}
-				vp := vrow[(x+off)*3 : (x+off)*3+3]
-				pp := prow[x*3 : x*3+3]
-				for c := 0; c < 3; c++ {
-					vp[c] = append(vp[c], pp[c])
+	ns := min(len(samples), len(indices))
+	// unmasked calls fn for every sample pixel no object covers, in sample
+	// order, with the scene pixel it lands on and its RGB triple.
+	unmasked := func(fn func(p int, rgb []uint8)) {
+		for i := 0; i < ns; i++ {
+			k := indices[i]
+			mask := FrameMask(w, h, k, tracks)
+			off := 0
+			if offsets != nil {
+				off = offsets[k]
+			}
+			pix := samples[i].Pix
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if q := y*w + x; !mask.Bits[q] {
+						fn(y*panW+x+off, pix[q*3:q*3+3])
+					}
 				}
 			}
 		}
 	}
+	// The per-pixel stacks share one buffer: a counting pass sizes them,
+	// a filling pass writes them. Pixel p owns vals[3*start[p]:3*start[p+1]],
+	// channel-major, so each channel's samples are one contiguous run.
+	start := make([]int, panW*h+1)
+	unmasked(func(p int, _ []uint8) { start[p+1]++ })
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	vals := make([]uint8, 3*start[panW*h])
+	written := make([]int, panW*h)
+	unmasked(func(p int, rgb []uint8) {
+		n := start[p+1] - start[p]
+		at := 3*start[p] + written[p]
+		vals[at], vals[at+n], vals[at+2*n] = rgb[0], rgb[1], rgb[2]
+		written[p]++
+	})
 	out := img.New(panW, h)
 	hole := NewMask(panW, h)
 	holes := 0
-	for i := range hole.Bits {
-		v3 := vals[i*3 : i*3+3]
-		if len(v3[0]) == 0 {
-			hole.Bits[i] = true
+	for p := range hole.Bits {
+		n := start[p+1] - start[p]
+		if n == 0 {
+			hole.Bits[p] = true
 			holes++
 			continue
 		}
-		p3 := out.Pix[i*3 : i*3+3]
+		stack := vals[3*start[p] : 3*start[p+1]]
 		for c := 0; c < 3; c++ {
-			p3[c] = img.MedianU8(v3[c])
+			out.Pix[p*3+c] = img.MedianU8(stack[c*n : c*n+n])
 		}
 	}
 	if holes > 0 {

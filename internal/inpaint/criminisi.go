@@ -24,7 +24,7 @@ type Mask struct {
 
 // NewMask returns an all-false mask.
 func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Bits: make([]bool, w*h)} //lint:allow hotalloc constructor: the mask is the product, not per-iteration scratch
+	return &Mask{W: w, H: h, Bits: make([]bool, w*h)}
 }
 
 // At reports the mask at (x, y); out-of-bounds is false.
@@ -316,7 +316,7 @@ func findSource(out *img.Image, work *Mask, target geom.Rect, radius int, pool *
 	y0 := geom.Clamp(cy-radius, 0, h-th)
 	y1 := geom.Clamp(cy+radius, 0, h-th)
 
-	skip := func(dx, dy int) bool { //lint:allow hotescape one environment per search call, amortized over the whole row scan it parameterizes
+	skip := func(dx, dy int) bool {
 		return work.At(target.Min.X+dx, target.Min.Y+dy)
 	}
 

@@ -157,7 +157,7 @@ func finishSegment(start, end int, hists []*img.HSVHist, cfg Config) Segment {
 }
 
 func cloneHist(h *img.HSVHist) *img.HSVHist {
-	out := &img.HSVHist{ //lint:allow hotalloc constructor: one clone per segment start, and the clone is the segment's state
+	out := &img.HSVHist{
 		H: append([]float64(nil), h.H...),
 		S: append([]float64(nil), h.S...),
 		V: append([]float64(nil), h.V...),

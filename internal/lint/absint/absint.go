@@ -138,44 +138,6 @@ func Run(pkgs []*lint.Package, analyzers ...*Analyzer) []lint.Diagnostic {
 	return diags
 }
 
-// AnalyzePackage runs the interval analyzers over one package, resolving
-// calls into dependencies through deps (their converged result-interval
-// summaries, keyed by normalized function name). It returns the package's
-// own summaries and its sorted diagnostics. The per-package split follows
-// the same argument as the flow engine's (DESIGN.md §2i): summaries flow
-// strictly callee→caller over an acyclic import graph. Because widening is
-// applied per fixpoint, per-package summaries can be *tighter* than the
-// interleaved whole-program ones (dependencies are fully converged before
-// dependents start) — never wider, so soundness is preserved.
-func AnalyzePackage(pkg *lint.Package, analyzers []*Analyzer, deps map[string][]Interval) (map[string][]Interval, []lint.Diagnostic) {
-	prog := newProgram([]*lint.Package{pkg})
-	eng := &engine{prog: prog, sums: map[string][]Interval{}, base: deps}
-	eng.computeSummaries()
-
-	allow := map[*lint.Package]*lint.AllowIndex{pkg: pkg.Allow()}
-	var diags []lint.Diagnostic
-	reps := make([]*reporter, len(analyzers))
-	for i, a := range analyzers {
-		reps[i] = &reporter{analyzer: a.Name, allow: allow, seen: map[string]bool{}}
-	}
-	for _, name := range prog.fnNames() {
-		fn := prog.fns[name]
-		var hooks []hookFns
-		for i, a := range analyzers {
-			if a.Match != nil && !a.Match(fn.pkg.Path) {
-				continue
-			}
-			hooks = append(hooks, a.hooks(&reportCtx{rep: reps[i], pkg: fn.pkg}))
-		}
-		eng.analyzeDecl(fn, hooks)
-	}
-	for _, r := range reps {
-		diags = append(diags, r.diags...)
-	}
-	lint.Sort(diags)
-	return eng.sums, diags
-}
-
 // reporter collects one analyzer's diagnostics, deduplicating repeats and
 // honoring allow directives (same contract as the flow engine's).
 type reporter struct {

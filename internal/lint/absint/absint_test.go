@@ -53,10 +53,9 @@ func TestWideningTerminates(t *testing.T) {
 	}
 }
 
-// TestAnalyzerNamesDistinct guards the shared-baseline contract: absint
-// analyzer names must not collide with each other (classic and flow
-// uniqueness is asserted in the driver test, which can see all three
-// suites).
+// TestAnalyzerNamesDistinct: allow directives key on analyzer names, so
+// absint names must not collide with each other (uniqueness across every
+// suite is asserted in the driver test, over its single analyzer list).
 func TestAnalyzerNamesDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range ProjectAnalyzers() {

@@ -239,20 +239,6 @@ func hasLenCell(t types.Type) bool {
 type engine struct {
 	prog *program
 	sums map[string][]Interval
-	// base holds converged summaries of functions outside prog — the
-	// dependency facts a per-package incremental run (AnalyzePackage) feeds
-	// in. Read-only; own-package summaries in sums always win.
-	base map[string][]Interval
-}
-
-// lookup resolves a callee summary: the program's own evolving table first,
-// then the read-only dependency base.
-func (e *engine) lookup(name string) ([]Interval, bool) {
-	if sum, ok := e.sums[name]; ok {
-		return sum, true
-	}
-	sum, ok := e.base[name]
-	return sum, ok
 }
 
 // computeSummaries iterates every function's result intervals to a
@@ -1239,7 +1225,7 @@ func (ip *interp) evalCall(call *ast.CallExpr, st *state) []Interval {
 	if res, ok := nativeCall(callee, args, call, ip, st); ok {
 		return padResults(res, ip.resultTops(call))
 	}
-	if sum, ok := ip.e.lookup(callee); ok {
+	if sum, ok := ip.e.sums[callee]; ok {
 		return padResults(clampAll(sum, ip.resultTypes(call)), ip.resultTops(call))
 	}
 	return ip.resultTops(call)

@@ -122,9 +122,9 @@ const StaleAllowsName = "staleallow"
 
 // StaleAllows reports every allow directive naming an analyzer in ran that
 // never suppressed a diagnostic during this index's lifetime. Call it only
-// after every suite in ran has finished reporting; directives for analyzers
-// outside ran are skipped, so a subset run (say, flow-only) cannot declare
-// a classic analyzer's allow stale. The returned diagnostics are unsorted.
+// after every analyzer in ran has finished reporting; directives for
+// analyzers outside ran are skipped (UnknownAllows reports the ones that
+// name no analyzer at all). The returned diagnostics are unsorted.
 func (idx *AllowIndex) StaleAllows(ran map[string]bool) []Diagnostic {
 	if idx == nil {
 		return nil
@@ -145,6 +145,29 @@ func (idx *AllowIndex) StaleAllows(ran map[string]bool) []Diagnostic {
 			Pos:      d.pos,
 			Analyzer: StaleAllowsName,
 			Message:  fmt.Sprintf("//lint:allow %s no longer suppresses any diagnostic; remove the directive", d.analyzer),
+		})
+	}
+	return diags
+}
+
+// UnknownAllows reports every allow directive naming an analyzer outside
+// known — a misspelling or a deleted analyzer. Such a directive suppresses
+// nothing, and StaleAllows never judges it, so it is reported under
+// StaleAllowsName; //lint:allow staleallow does not excuse it. The
+// returned diagnostics are unsorted.
+func (idx *AllowIndex) UnknownAllows(known map[string]bool) []Diagnostic {
+	if idx == nil {
+		return nil
+	}
+	var diags []Diagnostic
+	for _, d := range idx.directives {
+		if known[d.analyzer] {
+			continue
+		}
+		diags = append(diags, Diagnostic{
+			Pos:      d.pos,
+			Analyzer: StaleAllowsName,
+			Message:  fmt.Sprintf("//lint:allow %s: no analyzer named %s; fix or remove the directive", d.analyzer, d.analyzer),
 		})
 	}
 	return diags

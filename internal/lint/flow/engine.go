@@ -176,19 +176,6 @@ type engine struct {
 	prog *Program
 	cfg  *TaintConfig
 	sums map[string]*summary
-	// base holds converged summaries of functions outside prog — the
-	// dependency facts a per-package incremental run (AnalyzePackage) feeds
-	// in. Read-only; own-package summaries in sums always win.
-	base map[string]*summary
-}
-
-// lookup resolves a callee summary: the program's own evolving table first,
-// then the read-only dependency base.
-func (e *engine) lookup(name string) *summary {
-	if sum := e.sums[name]; sum != nil {
-		return sum
-	}
-	return e.base[name]
 }
 
 // run iterates per-function summaries to a fixpoint (starting optimistic:
@@ -982,7 +969,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 		return out
 	}
 
-	if sum := w.eng.lookup(name); sum != nil {
+	if sum := w.eng.sums[name]; sum != nil {
 		w.applySummary(call, fn, sum, operands, opBits, out)
 		return out
 	}

@@ -45,11 +45,10 @@ type Analyzer struct {
 }
 
 // exec runs the analyzer over a program, routing engine-backed policies
-// through a fresh engine seeded with base dependency summaries (nil for a
-// whole-program run, where every callee is in prog).
-func (a *Analyzer) exec(prog *Program, rep *reporter, base map[string]*summary) {
+// through a fresh engine.
+func (a *Analyzer) exec(prog *Program, rep *reporter) {
 	if a.cfg != nil {
-		(&engine{prog: prog, cfg: a.cfg, sums: map[string]*summary{}, base: base}).run(rep)
+		(&engine{prog: prog, cfg: a.cfg, sums: map[string]*summary{}}).run(rep)
 		return
 	}
 	a.run(prog, rep)
@@ -133,7 +132,7 @@ func Run(pkgs []*lint.Package, analyzers ...*Analyzer) []lint.Diagnostic {
 	var diags []lint.Diagnostic
 	for _, a := range analyzers {
 		rep := &reporter{analyzer: a.Name, allow: allow, seen: map[string]bool{}}
-		a.exec(prog, rep, nil)
+		a.exec(prog, rep)
 		diags = append(diags, rep.diags...)
 	}
 	lint.Sort(diags)

@@ -1,30 +1,26 @@
 // Package life is verrolint's lifecycle layer: a stdlib-only
 // whole-program analysis of *service-lifetime* invariants over the verrod
 // arc (cmd/verrod, internal/server, internal/store, internal/stream,
-// internal/vid, internal/obs). Where the classic/flow/absint/perf suites
-// prove per-clip math — determinism, taint, intervals, allocation — this
-// suite proves that a long-running server survives job churn: goroutines
-// terminate (goleak), acquired resources are released on every path
-// (mustclose), locks are ranked and never held across a park (lockorder),
-// and request handlers stay cancellable (ctxflow).
+// internal/vid, internal/obs). Where the classic/flow/absint suites
+// prove per-clip math — determinism, taint, intervals — this suite proves
+// that a long-running server survives job churn: goroutines terminate
+// (goleak) and acquired resources are released on every path
+// (mustclose). Lock discipline and request cancellation have runtime
+// witnesses instead: TestChurnNoLeaks and the race gates (DESIGN.md §2k).
 //
 // The suite reuses the shared CFG lowering (internal/lint/cfg) for its
-// path-sensitive analyzers and mirrors the verroflow architecture for
+// path-sensitive analyzer and mirrors the verroflow architecture for
 // whole-program reasoning: every function gets a small lifecycle summary
-// (may it park? may it diverge? which parameters does it take ownership
-// of? which locks does it acquire?), summaries are iterated to a
-// bottom-up fixpoint in deterministic order, and the analyzers then
-// replay each service-package body against the converged table.
-// AnalyzePackage exposes the per-package split the incremental driver
-// (internal/lint/incr) caches: facts flow strictly callee→caller, so
-// analyzing packages in dependency order against their dependencies'
-// converged summaries reproduces the global fixpoint exactly.
+// (may it diverge? which parameters does it take ownership of?),
+// summaries are iterated to a bottom-up fixpoint in deterministic order,
+// and the analyzers then replay each service-package body against the
+// converged table.
 //
 // Soundness direction: the suite under-approximates. Unknown callees
-// (stdlib, function values) are assumed to terminate, not block, and not
-// take ownership; a clean run is evidence, not proof. The reverse
-// direction — every diagnostic is a real policy violation on some CFG
-// path — is what the sweep relies on, and the fixtures pin it.
+// (stdlib, function values) are assumed to terminate and not take
+// ownership; a clean run is evidence, not proof. The reverse direction —
+// every diagnostic is a real policy violation on some CFG path — is what
+// the sweep relies on, and the fixtures pin it.
 package life
 
 import (
@@ -69,8 +65,8 @@ type Resource struct {
 }
 
 // Config is the lifecycle policy: which packages are under service
-// discipline, which calls acquire resources, which calls park the
-// goroutine, and which callees take ownership of their arguments.
+// discipline, which calls acquire resources, and which callees take
+// ownership of their arguments.
 type Config struct {
 	// ServicePkgs lists the import paths under lifecycle policy; the
 	// analyzers report only inside them (summaries are still computed
@@ -78,9 +74,6 @@ type Config struct {
 	ServicePkgs []string
 	// Resources maps normalized callee names to acquire rules.
 	Resources map[string]Resource
-	// Blocking lists normalized callee names that may park the calling
-	// goroutine indefinitely (channel-shaped waits hiding behind calls).
-	Blocking map[string]bool
 	// Owners maps normalized callee names to the argument indices they
 	// take ownership of, for callees outside the analyzed program whose
 	// summaries cannot say so themselves (http.Server.Serve closes its
@@ -127,7 +120,7 @@ func (p *pass) reportf(pos token.Pos, format string, args ...any) {
 // Config's service packages. //lint:allow directives suppress life
 // analyzers exactly as they do classic ones.
 func Run(pkgs []*lint.Package, cfg *Config, analyzers ...*Analyzer) []lint.Diagnostic {
-	sums := Summaries(pkgs, cfg, nil)
+	sums := Summaries(pkgs, cfg)
 	allow := map[*lint.Package]*lint.AllowIndex{}
 	for _, pkg := range pkgs {
 		allow[pkg] = pkg.Allow()
@@ -145,33 +138,6 @@ func Run(pkgs []*lint.Package, cfg *Config, analyzers ...*Analyzer) []lint.Diagn
 	}
 	lint.Sort(diags)
 	return diags
-}
-
-// AnalyzePackage runs the suite over one package against the converged
-// summaries of its dependencies, returning the package's own summaries
-// (for the fact cache) and its diagnostics. The split is sound for the
-// same reason verroflow's is (DESIGN.md §2i): lifecycle facts flow
-// strictly callee→caller and the import graph is acyclic.
-func AnalyzePackage(pkg *lint.Package, cfg *Config, deps map[string]*Summary, analyzers ...*Analyzer) (map[string]*Summary, []lint.Diagnostic) {
-	own := Summaries([]*lint.Package{pkg}, cfg, deps)
-	var diags []lint.Diagnostic
-	if cfg.Service(pkg.Path) {
-		merged := make(map[string]*Summary, len(deps)+len(own))
-		for k, v := range deps {
-			merged[k] = v
-		}
-		for k, v := range own {
-			merged[k] = v
-		}
-		allow := map[*lint.Package]*lint.AllowIndex{pkg: pkg.Allow()}
-		for _, a := range analyzers {
-			rep := &reporter{analyzer: a.Name, allow: allow, seen: map[string]bool{}}
-			a.run(&pass{pkg: pkg, cfg: cfg, sums: merged, rep: rep})
-			diags = append(diags, rep.diags...)
-		}
-	}
-	lint.Sort(diags)
-	return own, diags
 }
 
 // reporter collects one analyzer's diagnostics, deduplicating repeats

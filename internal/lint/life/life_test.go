@@ -16,14 +16,6 @@ func TestMustCloseFixture(t *testing.T) {
 	life.RunFixture(t, []string{"testdata/mustclose"}, life.NewMustClose())
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	life.RunFixture(t, []string{"testdata/lockorder"}, life.NewLockOrder())
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	life.RunFixture(t, []string{"testdata/ctxflow"}, life.NewCtxFlow())
-}
-
 // TestFixtureMetaFailClosed proves the fixture runner fails closed:
 // withholding the analyzer leaves every want comment unmatched, so a
 // fixture whose expectations could be satisfied by nothing would fail
@@ -32,8 +24,6 @@ func TestFixtureMetaFailClosed(t *testing.T) {
 	for _, dir := range []string{
 		"testdata/goleak",
 		"testdata/mustclose",
-		"testdata/lockorder",
-		"testdata/ctxflow",
 	} {
 		problems, err := life.CheckFixture(lint.NewLoader(), []string{dir})
 		if err != nil {
@@ -59,7 +49,7 @@ func TestSummaryPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := life.Summaries([]*lint.Package{pkg}, life.ProjectConfig(), nil)
+	sums := life.Summaries([]*lint.Package{pkg}, life.ProjectConfig())
 	var spin string
 	for name := range sums {
 		if strings.HasSuffix(name, ".spin") {
@@ -71,29 +61,5 @@ func TestSummaryPropagation(t *testing.T) {
 	}
 	if !sums[spin].Diverges {
 		t.Errorf("summary for %s: want Diverges", spin)
-	}
-}
-
-// TestAnalyzePackageMatchesRun pins the incremental split: analyzing the
-// fixture package alone against empty deps must reproduce Run exactly.
-func TestAnalyzePackageMatchesRun(t *testing.T) {
-	for _, dir := range []string{"testdata/goleak", "testdata/mustclose", "testdata/lockorder", "testdata/ctxflow"} {
-		l := lint.NewLoader()
-		pkg, err := l.Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := life.ProjectConfig()
-		cfg.ServicePkgs = append(cfg.ServicePkgs, pkg.Path)
-		whole := life.Run([]*lint.Package{pkg}, cfg, life.ProjectAnalyzers()...)
-		_, split := life.AnalyzePackage(pkg, cfg, nil, life.ProjectAnalyzers()...)
-		if len(whole) != len(split) {
-			t.Fatalf("%s: Run gave %d diagnostics, AnalyzePackage %d", dir, len(whole), len(split))
-		}
-		for i := range whole {
-			if whole[i].String() != split[i].String() {
-				t.Errorf("%s: diagnostic %d differs:\n  run:   %s\n  split: %s", dir, i, whole[i], split[i])
-			}
-		}
 	}
 }

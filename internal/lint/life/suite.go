@@ -1,14 +1,13 @@
 package life
 
 // The project lifecycle policy: which packages live long enough to leak,
-// what acquires, what parks, and who takes ownership. This is the single
-// place the tables live; cmd/verrolint -life and the incremental driver
-// both consume it, and the fixture runner extends ServicePkgs with the
-// fixture package under test.
+// what acquires, and who takes ownership. This is the single place the
+// tables live; cmd/verrolint consumes it, and the fixture runner extends
+// ServicePkgs with the fixture package under test.
 
 // ProjectAnalyzers returns the lifecycle suite in reporting order.
 func ProjectAnalyzers() []*Analyzer {
-	return []*Analyzer{NewGoLeak(), NewMustClose(), NewLockOrder(), NewCtxFlow()}
+	return []*Analyzer{NewGoLeak(), NewMustClose()}
 }
 
 // ProjectConfig returns the lifecycle policy for the verrod service arc.
@@ -56,17 +55,6 @@ func ProjectConfig() *Config {
 			"verro/internal/vid.CreateFileSink": {Kind: "clip sink", Result: 0, Release: []string{"Close"}},
 			"verro/internal/vid.OpenRawStore":   {Kind: "raw store", Result: 0, Release: []string{"Close"}},
 			"verro/internal/vid.CreateRawStore": {Kind: "raw store", Result: 0, Release: []string{"Close"}},
-		},
-		Blocking: map[string]bool{
-			// Writes to a client can stall for as long as the peer likes.
-			"(net/http.ResponseWriter).Write":  true,
-			"(net/http.Flusher).Flush":         true,
-			"io.Copy":                          true,
-			"(net.Listener).Accept":            true,
-			"(net/http.Server).Serve":          true,
-			"(net/http.Server).ListenAndServe": true,
-			"net/http.Serve":                   true,
-			"time.Sleep":                       true,
 		},
 		Owners: map[string][]int{
 			// Serve closes the listener it is handed when the server shuts

@@ -2,15 +2,13 @@ package life
 
 // Per-function lifecycle summaries and their bottom-up fixpoint. A
 // Summary is the caller-visible lifecycle behavior of one function: may
-// it park the goroutine, may it never return, which parameters does it
-// take ownership of, and which (package-global) locks does it acquire.
-// The facts are deliberately coarse — four small fields — because they
-// exist to answer the analyzers' cross-call questions, not to model the
-// heap: goleak asks Diverges of a `go` statement's callee, mustclose
-// asks Owns when a live resource is passed away, lockorder asks Blocks
-// and Locks of calls made under a held mutex.
+// it never return, and which parameters does it take ownership of. The
+// facts are deliberately coarse — two small fields — because they exist
+// to answer the analyzers' cross-call questions, not to model the heap:
+// goleak asks Diverges of a `go` statement's callee, mustclose asks Owns
+// when a live resource is passed away.
 //
-// All facts grow monotonically (false→true, sets grow), so iterating the
+// Both facts grow monotonically (false→true, sets grow), so iterating the
 // summarizer in sorted name order converges; maxRounds is a safety net
 // the call-graph depth never approaches.
 
@@ -26,22 +24,14 @@ import (
 
 const maxRounds = 10
 
-// Summary is the serialized lifecycle behavior of one function, stable
-// enough to write into the incremental fact cache.
+// Summary is the caller-visible lifecycle behavior of one function.
 type Summary struct {
-	// Blocks: the function may park its goroutine indefinitely — a
-	// channel send/receive, a select without default, a Cond/WaitGroup
-	// wait, or a call to something that does.
-	Blocks bool `json:"blocks,omitempty"`
 	// Diverges: the function contains an unconditional loop (or empty
 	// select) with no reachable exit, or unconditionally calls one.
-	Diverges bool `json:"diverges,omitempty"`
+	Diverges bool
 	// Owns lists parameter indices the function takes ownership of:
 	// it releases them, stores them, sends them, or returns them.
-	Owns []int `json:"owns,omitempty"`
-	// Locks lists package-global lock IDs the function may acquire,
-	// directly or through callees.
-	Locks []string `json:"locks,omitempty"`
+	Owns []int
 }
 
 func (s *Summary) owns(i int) bool {
@@ -54,10 +44,7 @@ func (s *Summary) owns(i int) bool {
 }
 
 func equalSummary(a, b *Summary) bool {
-	if a.Blocks != b.Blocks || a.Diverges != b.Diverges {
-		return false
-	}
-	if len(a.Owns) != len(b.Owns) || len(a.Locks) != len(b.Locks) {
+	if a.Diverges != b.Diverges || len(a.Owns) != len(b.Owns) {
 		return false
 	}
 	for i := range a.Owns {
@@ -65,19 +52,13 @@ func equalSummary(a, b *Summary) bool {
 			return false
 		}
 	}
-	for i := range a.Locks {
-		if a.Locks[i] != b.Locks[i] {
-			return false
-		}
-	}
 	return true
 }
 
 // Summaries converges the lifecycle summaries of every function declared
-// in pkgs, resolving calls into already-analyzed dependencies through
-// base. Summaries are computed for every package — not just service
+// in pkgs. Summaries are computed for every package — not just service
 // ones — so service code calling library code sees its facts.
-func Summaries(pkgs []*lint.Package, cfg *Config, base map[string]*Summary) map[string]*Summary {
+func Summaries(pkgs []*lint.Package, cfg *Config) map[string]*Summary {
 	type decl struct {
 		pkg *lint.Package
 		fd  *ast.FuncDecl
@@ -103,12 +84,7 @@ func Summaries(pkgs []*lint.Package, cfg *Config, base map[string]*Summary) map[
 	for _, name := range names {
 		sums[name] = &Summary{}
 	}
-	look := func(n string) *Summary {
-		if s, ok := sums[n]; ok {
-			return s
-		}
-		return base[n]
-	}
+	look := func(n string) *Summary { return sums[n] }
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for _, name := range names {
@@ -161,7 +137,6 @@ func summarizeBody(pkg *lint.Package, cfg *Config, look func(string) *Summary, b
 		look:   look,
 		params: params,
 		owns:   map[int]bool{},
-		locks:  map[string]bool{},
 		sum:    &Summary{},
 	}
 	w.scan(body, false)
@@ -171,10 +146,6 @@ func summarizeBody(pkg *lint.Package, cfg *Config, look func(string) *Summary, b
 	}
 	sort.Ints(owns)
 	w.sum.Owns = owns
-	w.sum.Locks = sortedNames(w.locks)
-	if len(w.sum.Locks) == 0 {
-		w.sum.Locks = nil
-	}
 	return w.sum, w.loopPos
 }
 
@@ -186,7 +157,6 @@ type sumWalker struct {
 
 	sum     *Summary
 	owns    map[int]bool
-	locks   map[string]bool
 	loopPos token.Pos
 }
 
@@ -216,7 +186,7 @@ func (w *sumWalker) markOwns(e ast.Expr) {
 
 // scan walks a subtree. With ownsOnly the walk records only ownership
 // transfer (the subtree runs on another goroutine or in an uninvoked
-// closure, so its parks and loops are not this function's behavior).
+// closure, so its loops are not this function's behavior).
 func (w *sumWalker) scan(n ast.Node, ownsOnly bool) {
 	if n == nil {
 		return
@@ -270,23 +240,11 @@ func (w *sumWalker) scan(n ast.Node, ownsOnly bool) {
 			return false
 
 		case *ast.SelectStmt:
-			if !ownsOnly {
-				if len(x.Body.List) == 0 {
-					w.sum.Diverges = true
-					w.noteLoop(x.Pos())
-				}
-				hasDefault := false
-				for _, cc := range x.Body.List {
-					if cc.(*ast.CommClause).Comm == nil {
-						hasDefault = true
-					}
-				}
-				if !hasDefault && len(x.Body.List) > 0 {
-					w.sum.Blocks = true
-				}
+			if !ownsOnly && len(x.Body.List) == 0 {
+				w.sum.Diverges = true
+				w.noteLoop(x.Pos())
 			}
-			// The comm operations belong to the select (accounted above);
-			// scan their operands and the clause bodies.
+			// Scan the comm operands and the clause bodies.
 			for _, cc := range x.Body.List {
 				cc := cc.(*ast.CommClause)
 				w.scanComm(cc.Comm, ownsOnly)
@@ -297,19 +255,10 @@ func (w *sumWalker) scan(n ast.Node, ownsOnly bool) {
 			return false
 
 		case *ast.SendStmt:
-			if !ownsOnly {
-				w.sum.Blocks = true
-			}
 			w.markOwns(x.Value)
 			w.scan(x.Chan, ownsOnly)
 			w.scan(x.Value, ownsOnly)
 			return false
-
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !ownsOnly {
-				w.sum.Blocks = true
-			}
-			return true
 
 		case *ast.ForStmt:
 			if x.Cond == nil && !ownsOnly {
@@ -379,8 +328,7 @@ func (w *sumWalker) scan(n ast.Node, ownsOnly bool) {
 	})
 }
 
-// scanComm scans a select comm statement's operands without counting the
-// comm itself as an independent blocking operation.
+// scanComm scans a select comm statement's operands.
 func (w *sumWalker) scanComm(comm ast.Stmt, ownsOnly bool) {
 	switch s := comm.(type) {
 	case nil:
@@ -405,31 +353,9 @@ func (w *sumWalker) scanComm(comm ast.Stmt, ownsOnly bool) {
 func (w *sumWalker) call(call *ast.CallExpr, ownsOnly bool) {
 	info := w.pkg.Info
 	name := calleeName(info, call)
-	if !ownsOnly && name != "" {
-		if w.cfg.Blocking[name] {
-			w.sum.Blocks = true
-		}
-		switch name {
-		case "(sync.Cond).Wait", "(sync.WaitGroup).Wait":
-			w.sum.Blocks = true
-		}
-		if s := w.look(name); s != nil {
-			if s.Blocks {
-				w.sum.Blocks = true
-			}
-			if s.Diverges {
-				w.sum.Diverges = true
-			}
-			for _, l := range s.Locks {
-				w.locks[l] = true
-			}
-		}
-		if op, ok := mutexOp(name); ok && (op == "Lock" || op == "RLock") {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if id, global := lockIdent(w.pkg, sel.X); global {
-					w.locks[id] = true
-				}
-			}
+	if !ownsOnly {
+		if s := w.look(name); s != nil && s.Diverges {
+			w.sum.Diverges = true
 		}
 	}
 
@@ -493,57 +419,6 @@ func isReleaseName(name string) bool {
 		return true
 	}
 	return false
-}
-
-// mutexOp maps a normalized callee name to its sync lock operation.
-func mutexOp(name string) (op string, ok bool) {
-	switch name {
-	case "(sync.Mutex).Lock", "(sync.RWMutex).Lock":
-		return "Lock", true
-	case "(sync.RWMutex).RLock":
-		return "RLock", true
-	case "(sync.Mutex).Unlock", "(sync.RWMutex).Unlock":
-		return "Unlock", true
-	case "(sync.RWMutex).RUnlock":
-		return "RUnlock", true
-	}
-	return "", false
-}
-
-// lockIdent names the mutex an expression denotes. Field mutexes are
-// identified by their owning named type ("(pkg.Type).mu" — every instance
-// shares one rank), package-level mutexes by qualified name; both are
-// global (comparable across functions). Function-local mutexes get a
-// local name and participate only in held-set tracking, never in
-// cross-function rank edges.
-func lockIdent(pkg *lint.Package, e ast.Expr) (id string, global bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		t := pkg.Info.TypeOf(x.X)
-		for {
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-				continue
-			}
-			break
-		}
-		if n, ok := t.(*types.Named); ok {
-			obj := n.Obj()
-			qual := obj.Name()
-			if obj.Pkg() != nil {
-				qual = obj.Pkg().Path() + "." + qual
-			}
-			return "(" + qual + ")." + x.Sel.Name, true
-		}
-		return x.Sel.Name, false
-	case *ast.Ident:
-		if obj := pkg.Info.ObjectOf(x); obj != nil && obj.Pkg() != nil &&
-			obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + x.Name, true
-		}
-		return "local " + x.Name, false
-	}
-	return "?", false
 }
 
 // loopExits reports whether an unconditional loop's body can leave the

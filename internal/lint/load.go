@@ -58,9 +58,6 @@ func NewLoader() *Loader {
 	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
-// Fset exposes the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load parses every .go file in dir (non-recursively, mirroring a Go
 // package) and type-checks the result. Type errors are tolerated — the
 // analyzers work from whatever type information survives — but parse errors
@@ -125,15 +122,6 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
 	return &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// DirImportPath derives the import path a Load of dir would assign, without
-// parsing anything: module path + the directory's location under the go.mod
-// root. Directories outside any module (fixtures) fall back to the base
-// directory name. The incremental driver uses this to build the package
-// dependency graph before deciding what actually needs loading.
-func DirImportPath(dir string) string {
-	return importPath(dir, filepath.Base(dir))
 }
 
 // importPath derives the package's import path from the enclosing module:

@@ -14,9 +14,11 @@ import (
 	"verro/internal/store"
 )
 
-// This file is the runtime half of the lifecycle story: the static suite
-// (verrolint -life) proves termination and release obligations on the CFG,
-// and this harness churns real jobs through the live server — sequential,
+// This file is the runtime half of the lifecycle story: verrolint's
+// lifecycle suite (goleak, mustclose) proves termination and release
+// obligations on the CFG; lock discipline and request cancellation have no
+// static check and rest on this harness and the race gates. It churns real
+// jobs through the live server — sequential,
 // concurrent, with SSE subscribers yanked mid-stream, and resumed from
 // checkpoints — then asserts goroutines, file descriptors, and post-GC heap
 // all return to the pre-churn baseline. `make test-leak` runs it alone;

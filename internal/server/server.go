@@ -292,7 +292,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := s.admit(r)
 	if err != nil {
-		<-s.sem //lint:allow ctxflow releasing the slot this handler pushed above; the buffered channel holds our own token, so the receive cannot park
+		<-s.sem // give back the slot taken above
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

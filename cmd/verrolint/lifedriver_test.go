@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"verro/internal/lint/life"
 )
 
 // The lifedemo fixture plants one finding per lifecycle analyzer: a
@@ -43,5 +45,21 @@ func TestRunLifeAllSuppressed(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("all-suppressed run produced output:\n%s", stdout.String())
+	}
+}
+
+// TestLifeAnalyzerNamesUniqueAcrossSuites: every lifecycle analyzer appears
+// exactly once in the driver's single analyzer list, so its allow
+// directives are judged rather than reported as naming no analyzer, and no
+// other suite's directive can silence its findings.
+func TestLifeAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
+	count := map[string]int{}
+	for _, a := range projectSuite().analyzers() {
+		count[a.name]++
+	}
+	for _, a := range life.ProjectAnalyzers() {
+		if count[a.Name] != 1 {
+			t.Errorf("lifecycle analyzer %q appears %d times in the analyzer list, want 1", a.Name, count[a.Name])
+		}
 	}
 }

@@ -12,7 +12,10 @@ package verro
 // keeps in them: bounds checks and heap sites per function.
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -167,6 +170,70 @@ var hotKernels = []hotKernel{
 			return err
 		}
 	}},
+	// The .vvf codec's two directions over the hot clip: inflate plus the
+	// delta sum, read through the windowed Reader from memory as
+	// vid.FileSource reads a file, and the delta plus deflate of the
+	// windowed Writer.
+	{"Decode", func(tb testing.TB, s int, _ obs.Runtime) func() error {
+		v, enc := hotVVF(tb, s)
+		return func() error {
+			r, err := vid.NewReader(bytes.NewReader(enc))
+			if err != nil {
+				return err
+			}
+			defer r.Close()
+			frames, _, err := r.Next(0)
+			if err == nil && len(frames) != v.Len() {
+				err = fmt.Errorf("decoded %d frames, want %d", len(frames), v.Len())
+			}
+			return err
+		}
+	}},
+	{"Encode", func(tb testing.TB, s int, _ obs.Runtime) func() error {
+		v, _ := hotClip(tb, s)
+		return func() error {
+			_, err := vid.Encode(io.Discard, v)
+			return err
+		}
+	}},
+}
+
+// hotVVF returns the hot clip at a scale and its .vvf bytes.
+func hotVVF(tb testing.TB, scale int) (*vid.Video, []byte) {
+	tb.Helper()
+	v, _ := hotClip(tb, scale)
+	var enc bytes.Buffer
+	if _, err := vid.Encode(&enc, v); err != nil {
+		tb.Fatal(err)
+	}
+	return v, enc.Bytes()
+}
+
+// hotFloors holds, per kernel, a call into a library whose allocations grow
+// with its input by design; TestHotKernelAllocs holds the kernel to its
+// allocations net of that call's. compress/flate allocates Huffman link
+// tables per deflate block, so a plain inflate of the same gzip member is
+// the floor under Decode, and what is left is the .vvf layer's own.
+var hotFloors = map[string]func(tb testing.TB, scale int) func() error{
+	"Decode": func(tb testing.TB, s int) func() error {
+		v, enc := hotVVF(tb, s)
+		// The member follows the header: magic, W, H and frame count
+		// (uint32), FPS (float64 bits), the moving flag and the name length
+		// (uint16), then the name.
+		off := len("VVF1") + 3*4 + 8 + 1 + 2 + len(v.Name)
+		member := enc[off:]
+		if !bytes.HasPrefix(member, []byte{0x1f, 0x8b}) {
+			tb.Fatalf("no gzip member at byte %d of the .vvf stream", off)
+		}
+		return func() error {
+			zr, err := gzip.NewReader(bytes.NewReader(member))
+			if err != nil {
+				return err
+			}
+			_, err = io.Copy(io.Discard, zr)
+			return err
+		}
+	},
 }
 
 // benchHot times one kernel at the benchmark's size on a one-worker pool.
@@ -195,9 +262,11 @@ func BenchmarkHotHist(b *testing.B)       { benchHot(b, "Hist") }
 func BenchmarkHotBlur(b *testing.B)       { benchHot(b, "Blur") }
 func BenchmarkHotInpaint(b *testing.B)    { benchHot(b, "Inpaint") }
 func BenchmarkHotBackground(b *testing.B) { benchHot(b, "Background") }
+func BenchmarkHotDecode(b *testing.B)     { benchHot(b, "Decode") }
+func BenchmarkHotEncode(b *testing.B)     { benchHot(b, "Encode") }
 
-// hotAllocs counts one kernel's allocations per call at a scale, and the
-// Criminisi patches each call fills.
+// hotAllocs counts one kernel's allocations per call at a scale, net of its
+// floor in hotFloors, and the Criminisi patches each call fills.
 func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 	t.Helper()
 	trace := obs.NewTrace(k.name)
@@ -212,6 +281,14 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 			err = e
 		}
 	})
+	if floor := hotFloors[k.name]; floor != nil {
+		call := floor(t, scale)
+		allocs -= testing.AllocsPerRun(runs, func() {
+			if e := call(); e != nil {
+				err = e
+			}
+		})
+	}
 	if err != nil {
 		t.Fatalf("%s at scale %d: %v", k.name, scale, err)
 	}
@@ -226,7 +303,8 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 // fails. The slack absorbs allocations that follow the objects in a clip
 // (Blur snapshots each visible box, and more boxes stay visible at 2x).
 // A kernel that fills Criminisi patches allocates per filled patch by
-// design, so it is bounded per patch instead, at both sizes.
+// design, so it is bounded per patch instead, at both sizes. Decode is
+// counted net of the plain inflate under it (hotFloors).
 func TestHotKernelAllocs(t *testing.T) {
 	const (
 		hotAllocSlack     = 32

@@ -98,11 +98,13 @@ func (w *Writer) Append(frames []*img.Image) error {
 			if cap(w.buf) < len(f.Pix) {
 				w.buf = make([]uint8, len(f.Pix))
 			}
-			w.buf = w.buf[:len(f.Pix)]
-			for j := range f.Pix {
-				w.buf[j] = f.Pix[j] - w.prev[j]
+			pix := f.Pix
+			buf, prev := w.buf[:len(pix)], w.prev[:len(pix)]
+			for j := range pix {
+				buf[j] = pix[j] - prev[j]
 			}
-			payload = w.buf
+			w.buf = buf
+			payload = buf
 		}
 		if _, err := w.zw.Write([]byte{kind}); err != nil {
 			return err
@@ -234,8 +236,9 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 			if r.prev == nil {
 				return nil, start, fmt.Errorf("%w: delta frame %d without base", ErrFormat, r.pos)
 			}
+			prev := r.prev[:len(pix)]
 			for j := range pix {
-				pix[j] += r.prev[j]
+				pix[j] += prev[j]
 			}
 		default:
 			return nil, start, fmt.Errorf("%w: frame %d unknown kind %d", ErrFormat, r.pos, kind[0])

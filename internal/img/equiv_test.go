@@ -8,6 +8,7 @@ package img
 // reference, so == is the right comparison, not a tolerance.
 
 import (
+	"math"
 	"testing"
 
 	"verro/internal/geom"
@@ -347,4 +348,88 @@ func TestMixIntoEquiv(t *testing.T) {
 	}
 	mixInto(dst, src, 0.25)
 	wantSamePlane(t, dst, want, "mixInto")
+}
+
+// toHSVRef is ToHSV before its rewrite: math.Max/Min and math.Mod.
+func toHSVRef(c RGB) HSV {
+	r := float64(c.R) / 255
+	g := float64(c.G) / 255
+	b := float64(c.B) / 255
+	maxc := math.Max(r, math.Max(g, b))
+	minc := math.Min(r, math.Min(g, b))
+	delta := maxc - minc
+	var h float64
+	switch {
+	case delta <= 0:
+		h = 0
+	case maxc == r:
+		h = 60 * math.Mod((g-b)/delta, 6)
+	case maxc == g:
+		h = 60 * ((b-r)/delta + 2)
+	default:
+		h = 60 * ((r-g)/delta + 4)
+	}
+	if h < 0 {
+		h += 360
+	}
+	var s float64
+	if maxc > 0 {
+		s = delta / maxc
+	}
+	return HSV{H: h, S: s, V: maxc}
+}
+
+// TestToHSVEquiv compares every 8-bit RGB triple bit for bit.
+func TestToHSVEquiv(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for r := 0; r < 256; r++ {
+		for g := 0; g < 256; g++ {
+			for b := 0; b < 256; b++ {
+				c := RGB{uint8(r), uint8(g), uint8(b)}
+				got, want := ToHSV(c), toHSVRef(c)
+				if !same(got.H, want.H) || !same(got.S, want.S) || !same(got.V, want.V) {
+					t.Fatalf("ToHSV(%v) = %v, want %v", c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHSVHistRegionEquiv compares the row-sliced histogram with the
+// per-pixel At loop it replaced, over regions inside, across and outside
+// the image.
+func TestHSVHistRegionEquiv(t *testing.T) {
+	m := lcgImage(23, 17, 8)
+	for _, r := range []geom.Rect{
+		m.Bounds(),
+		geom.RectAt(3, 2, 9, 11),
+		geom.RectAt(-4, 5, 12, 30),
+		geom.RectAt(20, -3, 10, 8),
+		geom.RectAt(30, 30, 4, 4),
+		{},
+	} {
+		want := &HSVHist{H: make([]float64, 12), S: make([]float64, 4), V: make([]float64, 4)}
+		c := r.Clip(m.Bounds())
+		n := 0
+		for y := c.Min.Y; y < c.Max.Y; y++ {
+			for x := c.Min.X; x < c.Max.X; x++ {
+				v := toHSVRef(m.At(x, y))
+				want.H[binIndex(v.H/360, 12)]++
+				want.S[binIndex(v.S, 4)]++
+				want.V[binIndex(v.V, 4)]++
+				n++
+			}
+		}
+		if n > 0 {
+			for _, bins := range [][]float64{want.H, want.S, want.V} {
+				for i := range bins {
+					bins[i] /= float64(n)
+				}
+			}
+		}
+		got := NewHSVHistRegion(m, r, 12, 4, 4)
+		wantSamePlane(t, got.H, want.H, "H "+r.String())
+		wantSamePlane(t, got.S, want.S, "S "+r.String())
+		wantSamePlane(t, got.V, want.V, "V "+r.String())
+	}
 }

@@ -21,34 +21,32 @@ func NewHSVHist(m *Image, hBins, sBins, vBins int) *HSVHist {
 
 // NewHSVHistRegion computes the HSV histogram of region r of m.
 func NewHSVHistRegion(m *Image, r geom.Rect, hBins, sBins, vBins int) *HSVHist {
-	h := &HSVHist{
-		H: make([]float64, hBins),
-		S: make([]float64, sBins),
-		V: make([]float64, vBins),
-	}
+	hh, sh, vh := make([]float64, hBins), make([]float64, sBins), make([]float64, vBins)
 	r = r.Clip(m.Bounds())
-	n := 0
+	w := r.Dx()
 	for y := r.Min.Y; y < r.Max.Y; y++ {
-		for x := r.Min.X; x < r.Max.X; x++ {
-			c := ToHSV(m.At(x, y))
-			h.H[binIndex(c.H/360, hBins)]++
-			h.S[binIndex(c.S, sBins)]++
-			h.V[binIndex(c.V, vBins)]++
-			n++
+		off := m.offset(r.Min.X, y)
+		row := m.Pix[off : off+w*3]
+		for x := 0; x < w; x++ {
+			p := row[x*3 : x*3+3]
+			c := ToHSV(RGB{p[0], p[1], p[2]})
+			hh[binIndex(c.H/360, hBins)]++
+			sh[binIndex(c.S, sBins)]++
+			vh[binIndex(c.V, vBins)]++
 		}
 	}
-	if n > 0 {
-		for i := range h.H {
-			h.H[i] /= float64(n)
+	if n := float64(r.Area()); n > 0 {
+		for i := range hh {
+			hh[i] /= n
 		}
-		for i := range h.S {
-			h.S[i] /= float64(n)
+		for i := range sh {
+			sh[i] /= n
 		}
-		for i := range h.V {
-			h.V[i] /= float64(n)
+		for i := range vh {
+			vh[i] /= n
 		}
 	}
-	return h
+	return &HSVHist{H: hh, S: sh, V: vh}
 }
 
 // binIndex maps a value in [0,1] to a bin in [0, bins).

@@ -14,8 +14,10 @@ func ToHSV(c RGB) HSV {
 	r := float64(c.R) / 255
 	g := float64(c.G) / 255
 	b := float64(c.B) / 255
-	maxc := math.Max(r, math.Max(g, b))
-	minc := math.Min(r, math.Min(g, b))
+	// The channels are non-negative and never NaN, where the builtins
+	// equal math.Max and math.Min.
+	maxc := max(r, g, b)
+	minc := min(r, g, b)
 	delta := maxc - minc
 
 	var h float64
@@ -23,7 +25,9 @@ func ToHSV(c RGB) HSV {
 	case delta <= 0: // == 0 in exact arithmetic; <= lets interval analysis prove delta > 0 below
 		h = 0
 	case maxc == r:
-		h = 60 * math.Mod((g-b)/delta, 6)
+		// g and b lie in [minc, maxc], so the quotient lies in [-1, 1],
+		// where math.Mod(x, 6) returns x bit for bit.
+		h = 60 * ((g - b) / delta)
 	case maxc == g:
 		h = 60 * ((b-r)/delta + 2)
 	default:

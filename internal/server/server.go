@@ -296,9 +296,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The runner writes m as the job proceeds, so the response encodes a
+	// copy of the admitted manifest taken before it starts.
+	admitted := *m
 	s.wg.Add(1)
 	go s.runJob(m)
-	writeJSON(w, http.StatusAccepted, m)
+	writeJSON(w, http.StatusAccepted, &admitted)
 }
 
 // admit parses the request, stages an uploaded input if any, probes the

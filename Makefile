@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check nightly vet build lint fmt-check test test-stream test-server test-leak race race-par fuzz fuzz-short bench bench-json bench-hotpath bench-compare clean
+.PHONY: check nightly vet build lint fmt-check test test-leak race race-par fuzz fuzz-short bench bench-json bench-hotpath bench-compare clean
 
 ## check: the PR CI gate — vet, build, one verrolint run, gofmt, every
 ## package's unit tests (which include the golden-hash streaming suite, the
@@ -48,27 +48,6 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-## test-stream: the bounded-memory streaming gate — golden hashes per
-## preset and bit-identity with the whole-clip run over every window ×
-## worker combination, the disk-to-disk file path, the end-of-stream edge
-## cases, the fuzz seed corpus, and the 4×-clip/1.3×-heap memory ceiling
-## (stream_*_test.go plus the internal/stream and internal/vid window
-## tests). A subset of `make test`.
-test-stream:
-	$(GO) test -run 'TestStream|FuzzStreamWindow' .
-	$(GO) test ./internal/stream/ ./internal/vid/
-
-## test-server: the verrod job-service gate — store round-trip/atomicity,
-## resumable-cursor equivalence, job lifecycle, 429 admission control +
-## rate limiting, SSE monotonic window progress, event-log eviction, and
-## the kill-and-resume acceptance test asserting the resumed .vvf is
-## byte-identical to an uninterrupted run's. -short skips only the
-## job-churn leak harness, which has its own target below. `make test`
-## runs the whole suite without -short.
-test-server:
-	$(GO) test -run 'TestSanitizeStreamFrom' ./internal/core/
-	$(GO) test -short ./internal/store/ ./internal/server/
-
 ## test-leak: the job-churn leak harness (leak_test.go) — 200+ jobs through
 ## every lifecycle shape (sequential, slot-saturating concurrent batches,
 ## SSE subscribers yanked mid-stream, checkpoint resume re-runs), then
@@ -85,14 +64,15 @@ race:
 
 ## race-par: the targeted race gate — worker-pool equivalence, the scoped
 ## concurrent-sanitize test, the streaming equivalence matrix (whose
-## per-window render fan-out is the newest pool user), and the verrod
+## per-window render fan-out is the newest pool user), the verrod
 ## handlers (concurrent jobs + SSE subscribers share the trace-observer
-## path) under the race detector. A fast early failure before the full
-## race suite.
+## path), and the .vvf codec with vid.FileSource's read-ahead goroutine
+## under the race detector. A fast early failure before the full race
+## suite.
 race-par:
 	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
-	$(GO) test -race ./internal/store/ ./internal/stream/
+	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/vid/
 
 ## fuzz: a short .vvf codec fuzz pass; lengthen with FUZZTIME=60s.
 FUZZTIME ?= 5s

@@ -256,10 +256,37 @@ func (r *Reader) Close() error { return r.zr.Close() }
 // FileSource is a stream.Source backed by a .vvf file: frames are decoded
 // window by window straight from disk, and Reset rewinds the file for
 // multi-pass pipelines. Peak memory is O(window), never O(clip).
+//
+// FileSource reads one window ahead. When Next returns a window and frames
+// remain, one goroutine decodes the next window with the same budget while
+// the caller works on this one, so at most two windows of input are in
+// memory. For any sequence of budgets Next returns exactly the frames,
+// start indices and errors the synchronous Reader returns: a call with
+// another budget is served from the frames decoded ahead, split or topped
+// up on the caller's goroutine. Reset and Close wait for the window in
+// flight and discard it before they touch the file.
 type FileSource struct {
 	f    *os.File
 	r    *Reader
 	meta stream.Meta
+
+	// ahead delivers the window in flight, or is nil when none is. Until
+	// that window is received, its goroutine owns r.
+	ahead chan decodedRun
+	// buf holds frames decoded ahead and not yet returned; they end at
+	// r.pos. bufErr is the error that stopped the decode there.
+	buf    []*img.Image
+	bufErr error
+
+	closed   bool
+	closeErr error
+}
+
+// decodedRun is a window decoded ahead: its frames in order, and the error
+// that stopped the decode short of the budget, if any.
+type decodedRun struct {
+	frames []*img.Image
+	err    error
 }
 
 // OpenFileSource opens path and parses its header.
@@ -279,14 +306,93 @@ func OpenFileSource(path string) (*FileSource, error) {
 // Meta implements stream.Source.
 func (s *FileSource) Meta() stream.Meta { return s.meta }
 
-// Next implements stream.Source.
+// Next implements stream.Source. After a window that leaves frames, it
+// starts decoding the next one with the same budget.
 func (s *FileSource) Next(budget int) ([]*img.Image, int, error) {
-	return s.r.Next(budget)
+	s.join()
+	frames, start, err := s.take(budget)
+	if err == nil && len(s.buf) == 0 && s.bufErr == nil && s.r.pos < s.meta.Frames {
+		s.readAhead(budget)
+	}
+	return frames, start, err
+}
+
+// take returns the next run of at most budget frames as the synchronous
+// Reader would: from the frames decoded ahead, topped up from r when they
+// fall short.
+func (s *FileSource) take(budget int) ([]*img.Image, int, error) {
+	if len(s.buf) == 0 && s.bufErr == nil {
+		return s.r.Next(budget)
+	}
+	start := s.r.pos - len(s.buf)
+	n := s.meta.Frames - start
+	if budget > 0 && budget < n {
+		n = budget
+	}
+	if n <= len(s.buf) {
+		out := s.buf[:n:n]
+		s.buf = s.buf[n:]
+		return out, start, nil
+	}
+	// The run reaches past the decoded frames: the synchronous Reader
+	// would have met the stopping error in this call, or it decodes the
+	// rest of the run now.
+	have, err := s.buf, s.bufErr
+	s.buf, s.bufErr = nil, nil
+	if err != nil {
+		return nil, start, err
+	}
+	rest, _, err := s.r.Next(n - len(have))
+	if err != nil {
+		return nil, start, err
+	}
+	return append(have, rest...), start, nil
+}
+
+// readAhead starts one goroutine that decodes the next run of at most
+// budget frames and exits. It decodes frame by frame, so a later call with
+// a smaller budget still gets the frames decoded before an error.
+func (s *FileSource) readAhead(budget int) {
+	r, ahead := s.r, make(chan decodedRun, 1)
+	n := s.meta.Frames - r.pos
+	if budget > 0 && budget < n {
+		n = budget
+	}
+	s.ahead = ahead
+	go func() {
+		run := decodedRun{frames: make([]*img.Image, 0, n)}
+		for len(run.frames) < n {
+			f, _, err := r.Next(1)
+			if err != nil {
+				run.err = err
+				break
+			}
+			run.frames = append(run.frames, f[0])
+		}
+		ahead <- run
+	}()
+}
+
+// join waits for the window in flight, if any, and keeps its frames.
+func (s *FileSource) join() {
+	if s.ahead != nil {
+		run := <-s.ahead
+		s.ahead = nil
+		s.buf, s.bufErr = run.frames, run.err
+	}
+}
+
+// discard waits for the window in flight, if any, and drops every frame
+// decoded ahead.
+func (s *FileSource) discard() {
+	s.join()
+	s.buf, s.bufErr = nil, nil
 }
 
 // Reset implements stream.Source: it rewinds the file and re-parses the
 // header so the next Next call surfaces frame 0 again.
 func (s *FileSource) Reset() error {
+	s.discard()
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -298,8 +404,16 @@ func (s *FileSource) Reset() error {
 	return nil
 }
 
-// Close implements stream.Source.
-func (s *FileSource) Close() error { return s.f.Close() }
+// Close implements stream.Source. It closes the file once, after the
+// window in flight; a later call returns the first call's result.
+func (s *FileSource) Close() error {
+	if !s.closed {
+		s.closed = true
+		s.discard()
+		s.closeErr = s.f.Close()
+	}
+	return s.closeErr
+}
 
 // FileSink is a stream.Sink that encodes output windows straight to a .vvf
 // file as they arrive.

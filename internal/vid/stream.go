@@ -325,10 +325,7 @@ func (s *FileSource) take(budget int) ([]*img.Image, int, error) {
 		return s.r.Next(budget)
 	}
 	start := s.r.pos - len(s.buf)
-	n := s.meta.Frames - start
-	if budget > 0 && budget < n {
-		n = budget
-	}
+	n := s.runLen(start, budget)
 	if n <= len(s.buf) {
 		out := s.buf[:n:n]
 		s.buf = s.buf[n:]
@@ -354,10 +351,7 @@ func (s *FileSource) take(budget int) ([]*img.Image, int, error) {
 // a smaller budget still gets the frames decoded before an error.
 func (s *FileSource) readAhead(budget int) {
 	r, ahead := s.r, make(chan decodedRun, 1)
-	n := s.meta.Frames - r.pos
-	if budget > 0 && budget < n {
-		n = budget
-	}
+	n := s.runLen(r.pos, budget)
 	s.ahead = ahead
 	go func() {
 		run := decodedRun{frames: make([]*img.Image, 0, n)}
@@ -371,6 +365,16 @@ func (s *FileSource) readAhead(budget int) {
 		}
 		ahead <- run
 	}()
+}
+
+// runLen is the length of the run of at most budget frames from frame pos
+// (budget <= 0 runs to the end), as Reader.Next counts it.
+func (s *FileSource) runLen(pos, budget int) int {
+	n := s.meta.Frames - pos
+	if budget > 0 && budget < n {
+		n = budget
+	}
+	return n
 }
 
 // join waits for the window in flight, if any, and keeps its frames.

@@ -209,31 +209,33 @@ func hotVVF(tb testing.TB, scale int) (*vid.Video, []byte) {
 	return v, enc.Bytes()
 }
 
-// hotFloors holds, per kernel, a call into a library whose allocations grow
-// with its input by design; TestHotKernelAllocs holds the kernel to its
-// allocations net of that call's. compress/flate allocates Huffman link
-// tables per deflate block, so a plain inflate of the same gzip member is
-// the floor under Decode, and what is left is the .vvf layer's own.
-var hotFloors = map[string]func(tb testing.TB, scale int) func() error{
-	"Decode": func(tb testing.TB, s int) func() error {
-		v, enc := hotVVF(tb, s)
-		// The member follows the header: magic, W, H and frame count
-		// (uint32), FPS (float64 bits), the moving flag and the name length
-		// (uint16), then the name.
-		off := len("VVF1") + 3*4 + 8 + 1 + 2 + len(v.Name)
-		member := enc[off:]
-		if !bytes.HasPrefix(member, []byte{0x1f, 0x8b}) {
-			tb.Fatalf("no gzip member at byte %d of the .vvf stream", off)
+// inflateAllocs counts the allocations of a plain gzip inflate of the hot
+// clip's .vvf member at a scale: the floor under Decode.
+func inflateAllocs(t *testing.T, scale int) float64 {
+	t.Helper()
+	v, enc := hotVVF(t, scale)
+	// The member follows the header: magic, W, H and frame count (uint32),
+	// FPS (float64 bits), the moving flag and the name length (uint16),
+	// then the name.
+	off := len("VVF1") + 3*4 + 8 + 1 + 2 + len(v.Name)
+	member := enc[off:]
+	if !bytes.HasPrefix(member, []byte{0x1f, 0x8b}) {
+		t.Fatalf("no gzip member at byte %d of the .vvf stream", off)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(2, func() {
+		zr, e := gzip.NewReader(bytes.NewReader(member))
+		if e == nil {
+			_, e = io.Copy(io.Discard, zr)
 		}
-		return func() error {
-			zr, err := gzip.NewReader(bytes.NewReader(member))
-			if err != nil {
-				return err
-			}
-			_, err = io.Copy(io.Discard, zr)
-			return err
+		if e != nil {
+			err = e
 		}
-	},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }
 
 // benchHot times one kernel at the benchmark's size on a one-worker pool.
@@ -265,8 +267,8 @@ func BenchmarkHotBackground(b *testing.B) { benchHot(b, "Background") }
 func BenchmarkHotDecode(b *testing.B)     { benchHot(b, "Decode") }
 func BenchmarkHotEncode(b *testing.B)     { benchHot(b, "Encode") }
 
-// hotAllocs counts one kernel's allocations per call at a scale, net of its
-// floor in hotFloors, and the Criminisi patches each call fills.
+// hotAllocs counts one kernel's allocations per call at a scale, and the
+// Criminisi patches each call fills.
 func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 	t.Helper()
 	trace := obs.NewTrace(k.name)
@@ -281,16 +283,14 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 			err = e
 		}
 	})
-	if floor := hotFloors[k.name]; floor != nil {
-		call := floor(t, scale)
-		allocs -= testing.AllocsPerRun(runs, func() {
-			if e := call(); e != nil {
-				err = e
-			}
-		})
-	}
 	if err != nil {
 		t.Fatalf("%s at scale %d: %v", k.name, scale, err)
+	}
+	// compress/flate allocates Huffman link tables per deflate block, so
+	// Decode is held to its allocations net of a plain inflate of the same
+	// member: what is left is the .vvf layer's own.
+	if k.name == "Decode" {
+		allocs -= inflateAllocs(t, scale)
 	}
 	// AllocsPerRun makes one warm-up call before the counted ones.
 	return allocs, float64(trace.Root().Counter(obs.CPatchesInpainted)) / (runs + 1)
@@ -304,7 +304,7 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 // (Blur snapshots each visible box, and more boxes stay visible at 2x).
 // A kernel that fills Criminisi patches allocates per filled patch by
 // design, so it is bounded per patch instead, at both sizes. Decode is
-// counted net of the plain inflate under it (hotFloors).
+// counted net of the plain inflate under it (inflateAllocs).
 func TestHotKernelAllocs(t *testing.T) {
 	const (
 		hotAllocSlack     = 32

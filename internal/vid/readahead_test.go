@@ -3,6 +3,7 @@ package vid
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"os"
@@ -33,22 +34,6 @@ type readResult struct {
 	err   error
 }
 
-// syncSource replays calls on the synchronous Reader, re-creating it on
-// Reset as FileSource re-parses the header.
-type syncSource struct {
-	data []byte
-	r    *Reader
-}
-
-func (s *syncSource) reset(t *testing.T) {
-	t.Helper()
-	r, err := NewReader(bytes.NewReader(s.data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.r = r
-}
-
 func result(frames []*img.Image, start int, err error) readResult {
 	res := readResult{start: start, err: err}
 	for _, f := range frames {
@@ -58,45 +43,50 @@ func result(frames []*img.Image, start int, err error) readResult {
 }
 
 // replay runs calls on a FileSource over path and on a Reader over the
-// same bytes, failing at the first call whose results differ. It returns
-// the FileSource, still open.
-func replay(t *testing.T, path string, calls []readCall) *FileSource {
+// same bytes, failing at the first call whose results differ.
+func replay(t *testing.T, path string, calls []readCall) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &syncSource{data: data}
-	want.reset(t)
+	// A Reset of the synchronous side re-parses the header, as
+	// FileSource.Reset does.
+	newReader := func() *Reader {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := newReader()
 	got, err := OpenFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer got.Close()
 	for i, c := range calls {
 		if c.reset {
 			if err := got.Reset(); err != nil {
 				t.Fatalf("call %d: Reset: %v", i, err)
 			}
-			want.reset(t)
+			want = newReader()
 			continue
 		}
 		g := result(got.Next(c.budget))
-		w := result(want.r.Next(c.budget))
+		w := result(want.Next(c.budget))
 		if msg := diffResults(g, w); msg != "" {
 			t.Fatalf("call %d (Next(%d)) of %v: %s", i, c.budget, calls, msg)
 		}
 	}
-	return got
 }
 
 func diffResults(got, want readResult) string {
 	switch {
-	case (got.err == nil) != (want.err == nil):
-		return "error " + errString(got.err) + ", want " + errString(want.err)
-	case got.err != nil && got.err.Error() != want.err.Error():
-		return "error " + errString(got.err) + ", want " + errString(want.err)
-	case got.err == io.EOF && want.err != io.EOF:
-		return "io.EOF where the Reader returns another error"
+	case fmt.Sprint(got.err) != fmt.Sprint(want.err):
+		return fmt.Sprintf("error %v, want %v", got.err, want.err)
+	case (got.err == io.EOF) != (want.err == io.EOF):
+		return "io.EOF differs"
 	case got.start != want.start:
 		return "start differs"
 	case len(got.pix) != len(want.pix):
@@ -110,11 +100,13 @@ func diffResults(got, want readResult) string {
 	return ""
 }
 
-func errString(err error) string {
-	if err == nil {
-		return "nil"
+// nextCalls turns budgets into a sequence of Next calls.
+func nextCalls(budgets ...int) []readCall {
+	calls := make([]readCall, len(budgets))
+	for i, b := range budgets {
+		calls[i].budget = b
 	}
-	return err.Error()
+	return calls
 }
 
 // randomCalls draws a call sequence: a budget held for a few calls, then
@@ -153,13 +145,7 @@ func writeTestVVF(t *testing.T, v *Video) (string, []byte) {
 
 func TestFileSourceMatchesReader(t *testing.T) {
 	path, _ := writeTestVVF(t, noisyTestVideo(23))
-	next := func(budgets ...int) []readCall {
-		calls := make([]readCall, len(budgets))
-		for i, b := range budgets {
-			calls[i] = readCall{budget: b}
-		}
-		return calls
-	}
+	next := nextCalls
 	reset := []readCall{{reset: true}}
 	fixed := [][]readCall{
 		next(0, 0),
@@ -170,11 +156,11 @@ func TestFileSourceMatchesReader(t *testing.T) {
 		append(append(next(16, 16, 16), reset...), next(3, 16, 0)...),
 	}
 	for _, calls := range fixed {
-		replay(t, path, calls).Close()
+		replay(t, path, calls)
 	}
 	rng := rand.New(rand.NewPCG(16, 0))
 	for range 50 {
-		replay(t, path, randomCalls(rng, 30)).Close()
+		replay(t, path, randomCalls(rng, 30))
 	}
 }
 
@@ -288,23 +274,18 @@ func TestFileSourceErrorsMatchReader(t *testing.T) {
 		}
 		// Each fixed-budget sequence calls Next well past the failure.
 		for _, budget := range []int{0, 1, 4, 5, 16} {
-			calls := make([]readCall, frames+3)
-			for i := range calls {
-				calls[i].budget = budget
+			budgets := make([]int, frames+3)
+			for i := range budgets {
+				budgets[i] = budget
 			}
-			replay(t, path, calls).Close()
+			replay(t, path, nextCalls(budgets...))
 		}
 		// These take exactly the frames decoded ahead of the failure, and
 		// then call again: windows 12-15 and 10-14 stop at frame 13.
-		for _, budgets := range [][]int{{4, 4, 4, 1, 4, 4}, {5, 5, 3, 5, 5}} {
-			calls := make([]readCall, len(budgets))
-			for i, b := range budgets {
-				calls[i].budget = b
-			}
-			replay(t, path, calls).Close()
-		}
+		replay(t, path, nextCalls(4, 4, 4, 1, 4, 4))
+		replay(t, path, nextCalls(5, 5, 3, 5, 5))
 		for range 50 {
-			replay(t, path, randomCalls(rng, 30)).Close()
+			replay(t, path, randomCalls(rng, 30))
 		}
 	}
 }

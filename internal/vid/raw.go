@@ -22,6 +22,8 @@ import (
 // byte-identical whether the staging file was written in one uninterrupted
 // run or across any number of kill/resume cycles — the compressed stream
 // never observes where the interruptions fell.
+//
+// A FileSource keeps its spill in the same layout (createSpill).
 type RawStore struct {
 	f        *os.File
 	path     string
@@ -99,7 +101,22 @@ func OpenRawStore(path string, w, h, frames int) (*RawStore, error) {
 // Frames reports how many complete frames the store holds.
 func (s *RawStore) Frames() int { return s.frames }
 
-// Path reports the staging file's location.
+// ReadFrame reads stored frame i into a new image. It reads through
+// ReadAt, so it does not move the offset the next Append writes at.
+func (s *RawStore) ReadFrame(i int) (*img.Image, error) {
+	if i < 0 || i >= s.frames {
+		return nil, fmt.Errorf("vid: raw frame %d of %d", i, s.frames)
+	}
+	fb := s.frameBytes()
+	pix := make([]uint8, fb)
+	if _, err := s.f.ReadAt(pix, int64(i)*int64(fb)); err != nil {
+		return nil, fmt.Errorf("vid: raw frame %d: %w", i, err)
+	}
+	return &img.Image{W: s.w, H: s.h, Pix: pix}, nil
+}
+
+// Path reports the staging file's location; a spill has none once it is
+// unlinked.
 func (s *RawStore) Path() string { return s.path }
 
 // Append implements stream.Sink: it writes the next consecutive run of
@@ -146,9 +163,8 @@ func (s *RawStore) Close() error {
 // EncodeTo streams the staged frames through the windowed .vvf Writer into
 // w, reading at most window frames at a time (window <= 0 means all at
 // once), and returns the compressed byte count. meta must promise exactly
-// the staged frame count. The store must be complete before encoding;
-// appends remain valid afterwards only in the sense that the staging file
-// is untouched — EncodeTo reads through its own file handle.
+// the staged frame count. The store must be complete and open; EncodeTo
+// reads through ReadFrame, so appends after it still land at the end.
 func (s *RawStore) EncodeTo(out io.Writer, meta stream.Meta, window int) (int64, error) {
 	if meta.W != s.w || meta.H != s.h {
 		return 0, fmt.Errorf("vid: encode meta %dx%d does not match store %dx%d", meta.W, meta.H, s.w, s.h)
@@ -156,11 +172,6 @@ func (s *RawStore) EncodeTo(out io.Writer, meta stream.Meta, window int) (int64,
 	if meta.Frames != s.frames {
 		return 0, fmt.Errorf("vid: encode meta promises %d frames, store holds %d", meta.Frames, s.frames)
 	}
-	r, err := os.Open(s.path)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
 	w, err := NewWriter(out, meta)
 	if err != nil {
 		return 0, err
@@ -168,19 +179,13 @@ func (s *RawStore) EncodeTo(out io.Writer, meta stream.Meta, window int) (int64,
 	if window <= 0 {
 		window = s.frames
 	}
-	fb := s.frameBytes()
 	for done := 0; done < s.frames; {
-		n := window
-		if done+n > s.frames {
-			n = s.frames - done
-		}
+		n := min(window, s.frames-done)
 		batch := make([]*img.Image, n)
 		for i := range batch {
-			pix := make([]uint8, fb)
-			if _, err := io.ReadFull(r, pix); err != nil {
-				return 0, fmt.Errorf("vid: staged frame %d: %w", done+i, err)
+			if batch[i], err = s.ReadFrame(done + i); err != nil {
+				return 0, err
 			}
-			batch[i] = &img.Image{W: s.w, H: s.h, Pix: pix}
 		}
 		if err := w.Append(batch); err != nil {
 			return 0, err

@@ -46,6 +46,13 @@ func result(frames []*img.Image, start int, err error) readResult {
 // same bytes, failing at the first call whose results differ.
 func replay(t *testing.T, path string, calls []readCall) {
 	t.Helper()
+	replayWith(t, path, calls, nil)
+}
+
+// replayWith is replay with before(i, src) run ahead of call i, when
+// before is not nil.
+func replayWith(t *testing.T, path string, calls []readCall, before func(int, *FileSource)) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +73,9 @@ func replay(t *testing.T, path string, calls []readCall) {
 	}
 	defer got.Close()
 	for i, c := range calls {
+		if before != nil {
+			before(i, got)
+		}
 		if c.reset {
 			if err := got.Reset(); err != nil {
 				t.Fatalf("call %d: Reset: %v", i, err)

@@ -254,27 +254,35 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 func (r *Reader) Close() error { return r.zr.Close() }
 
 // FileSource is a stream.Source backed by a .vvf file: frames are decoded
-// window by window straight from disk, and Reset rewinds the file for
+// window by window straight from disk, and Reset returns to frame 0 for
 // multi-pass pipelines. Peak memory is O(window), never O(clip).
 //
+// FileSource inflates each frame at most once. It also writes every frame
+// it inflates to a spill of raw pixels in the RawStore layout, and a Reset
+// only moves its cursor: frames below the spill's end are read back from
+// it, and frames beyond it are inflated and spilled in turn. The spill is
+// created on the first inflated frame in os.TempDir and unlinked at once.
+// It is dropped for good when it cannot be created or written, or when the
+// stream fails to decode; from then on Reset rewinds the file.
+//
 // FileSource reads one window ahead. When Next returns a window and frames
-// remain, one goroutine decodes the next window with the same budget while
+// remain, one goroutine reads the next window with the same budget while
 // the caller works on this one, so at most two windows of input are in
-// memory. For any sequence of budgets Next returns exactly the frames,
-// start indices and errors the synchronous Reader returns: a call with
-// another budget is served from the frames decoded ahead, split or topped
-// up on the caller's goroutine. Reset and Close wait for the window in
-// flight and discard it before they touch the file.
+// memory. For any sequence of budgets and Resets, Next returns exactly the
+// frames, start indices and errors the synchronous Reader returns: a call
+// with another budget is served from the frames read ahead, split or
+// topped up on the caller's goroutine. Reset and Close wait for the window
+// in flight and discard it before they touch the cursor.
 type FileSource struct {
-	f    *os.File
-	r    *Reader
 	meta stream.Meta
 
-	// ahead delivers the window in flight, or is nil when none is. Until
-	// that window is received, its goroutine owns r.
+	// in reads the frames. Until the window in flight is received, its
+	// goroutine owns in.
+	in *fileCursor
+	// ahead delivers the window in flight, or is nil when none is.
 	ahead chan decodedRun
-	// buf holds frames decoded ahead and not yet returned; they end at
-	// r.pos. bufErr is the error that stopped the decode there.
+	// buf holds frames read ahead and not yet returned; they end at
+	// in.pos. bufErr is the error that stopped the read there.
 	buf    []*img.Image
 	bufErr error
 
@@ -282,11 +290,21 @@ type FileSource struct {
 	closeErr error
 }
 
-// decodedRun is a window decoded ahead: its frames in order, and the error
-// that stopped the decode short of the budget, if any.
+// decodedRun is a window read ahead: its frames in order, and the error
+// that stopped the read short of the budget, if any.
 type decodedRun struct {
 	frames []*img.Image
 	err    error
+}
+
+// fileCursor reads a .vvf file frame by frame from frame pos. While the
+// spill is kept, r stands at the spill's end and is never rewound.
+type fileCursor struct {
+	f       *os.File
+	r       *Reader
+	pos     int
+	spill   *RawStore // nil until the first inflated frame, and once dropped
+	dropped bool      // the spill is gone for good; Reset rewinds f
 }
 
 // OpenFileSource opens path and parses its header.
@@ -300,70 +318,63 @@ func OpenFileSource(path string) (*FileSource, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileSource{f: f, r: r, meta: r.Meta()}, nil
+	return &FileSource{meta: r.Meta(), in: &fileCursor{f: f, r: r}}, nil
 }
 
 // Meta implements stream.Source.
 func (s *FileSource) Meta() stream.Meta { return s.meta }
 
 // Next implements stream.Source. After a window that leaves frames, it
-// starts decoding the next one with the same budget.
+// starts reading the next one with the same budget.
 func (s *FileSource) Next(budget int) ([]*img.Image, int, error) {
 	s.join()
 	frames, start, err := s.take(budget)
-	if err == nil && len(s.buf) == 0 && s.bufErr == nil && s.r.pos < s.meta.Frames {
+	if err == nil && len(s.buf) == 0 && s.bufErr == nil && s.in.pos < s.meta.Frames {
 		s.readAhead(budget)
 	}
 	return frames, start, err
 }
 
 // take returns the next run of at most budget frames as the synchronous
-// Reader would: from the frames decoded ahead, topped up from r when they
+// Reader would: from the frames read ahead, topped up from in when they
 // fall short.
 func (s *FileSource) take(budget int) ([]*img.Image, int, error) {
-	if len(s.buf) == 0 && s.bufErr == nil {
-		return s.r.Next(budget)
+	start := s.in.pos - len(s.buf)
+	if start >= s.meta.Frames {
+		return nil, start, io.EOF
 	}
-	start := s.r.pos - len(s.buf)
 	n := s.runLen(start, budget)
 	if n <= len(s.buf) {
 		out := s.buf[:n:n]
 		s.buf = s.buf[n:]
 		return out, start, nil
 	}
-	// The run reaches past the decoded frames: the synchronous Reader
-	// would have met the stopping error in this call, or it decodes the
+	// The run reaches past the frames read ahead: the synchronous Reader
+	// would have met the stopping error in this call, or it reads the
 	// rest of the run now.
 	have, err := s.buf, s.bufErr
 	s.buf, s.bufErr = nil, nil
+	if err == nil {
+		var rest []*img.Image
+		rest, err = s.in.run(n - len(have))
+		have = append(have, rest...)
+	}
 	if err != nil {
 		return nil, start, err
 	}
-	rest, _, err := s.r.Next(n - len(have))
-	if err != nil {
-		return nil, start, err
-	}
-	return append(have, rest...), start, nil
+	return have, start, nil
 }
 
-// readAhead starts one goroutine that decodes the next run of at most
-// budget frames and exits. It decodes frame by frame, so a later call with
-// a smaller budget still gets the frames decoded before an error.
+// readAhead starts one goroutine that reads the next run of at most
+// budget frames and exits. It reads frame by frame, so a later call with
+// a smaller budget still gets the frames read before an error.
 func (s *FileSource) readAhead(budget int) {
-	r, ahead := s.r, make(chan decodedRun, 1)
-	n := s.runLen(r.pos, budget)
+	in, ahead := s.in, make(chan decodedRun, 1)
+	n := s.runLen(in.pos, budget)
 	s.ahead = ahead
 	go func() {
-		run := decodedRun{frames: make([]*img.Image, 0, n)}
-		for len(run.frames) < n {
-			f, _, err := r.Next(1)
-			if err != nil {
-				run.err = err
-				break
-			}
-			run.frames = append(run.frames, f[0])
-		}
-		ahead <- run
+		frames, err := in.run(n)
+		ahead <- decodedRun{frames: frames, err: err}
 	}()
 }
 
@@ -387,36 +398,141 @@ func (s *FileSource) join() {
 }
 
 // discard waits for the window in flight, if any, and drops every frame
-// decoded ahead.
+// read ahead.
 func (s *FileSource) discard() {
 	s.join()
 	s.buf, s.bufErr = nil, nil
 }
 
-// Reset implements stream.Source: it rewinds the file and re-parses the
-// header so the next Next call surfaces frame 0 again.
+// Reset implements stream.Source: the next Next call surfaces frame 0
+// again. While the spill is kept, Reset only moves the cursor; otherwise
+// it rewinds the file and re-parses the header.
 func (s *FileSource) Reset() error {
 	s.discard()
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	if !s.in.dropped {
+		s.in.pos = 0
+		return nil
 	}
-	r, err := NewReader(s.f)
-	if err != nil {
-		return err
-	}
-	s.r = r
-	return nil
+	return s.in.rewind(0)
 }
 
-// Close implements stream.Source. It closes the file once, after the
-// window in flight; a later call returns the first call's result.
+// Close implements stream.Source. It closes the spill and the file once,
+// after the window in flight; a later call returns the first call's
+// result.
 func (s *FileSource) Close() error {
 	if !s.closed {
 		s.closed = true
 		s.discard()
-		s.closeErr = s.f.Close()
+		s.in.drop()
+		s.closeErr = s.in.f.Close()
 	}
 	return s.closeErr
+}
+
+// run reads up to n frames from pos on and stops at the first error,
+// returning the frames read before it.
+func (c *fileCursor) run(n int) ([]*img.Image, error) {
+	frames := make([]*img.Image, 0, n)
+	for len(frames) < n {
+		f, err := c.next()
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+	return frames, nil
+}
+
+// next returns frame pos and advances: read back from the spill when it
+// holds the frame, otherwise inflated by r and spilled.
+func (c *fileCursor) next() (*img.Image, error) {
+	if c.spill != nil && c.pos < c.spill.Frames() {
+		if f, err := c.spill.ReadFrame(c.pos); err == nil {
+			c.pos++
+			return f, nil
+		}
+		// The spill cannot serve its frames: inflate up to pos again.
+		c.drop()
+		if err := c.rewind(c.pos); err != nil {
+			return nil, err
+		}
+	}
+	frames, _, err := c.r.Next(1)
+	if err != nil {
+		c.drop()
+		return nil, err
+	}
+	c.pos++
+	c.keep(frames[0])
+	return frames[0], nil
+}
+
+// keep appends an inflated frame to the spill, which it creates on the
+// first frame. Either failure drops the spill.
+func (c *fileCursor) keep(f *img.Image) {
+	if c.dropped {
+		return
+	}
+	if c.spill == nil {
+		spill, err := createSpill(f.W, f.H)
+		if err != nil {
+			c.dropped = true
+			return
+		}
+		c.spill = spill
+	}
+	if err := c.spill.Append([]*img.Image{f}); err != nil {
+		c.drop()
+	}
+}
+
+// drop gives up the spill for good: r becomes the only reader, and Reset
+// rewinds the file.
+func (c *fileCursor) drop() {
+	c.dropped = true
+	if c.spill != nil {
+		c.spill.Close()
+		if path := c.spill.Path(); path != "" {
+			os.Remove(path)
+		}
+		c.spill = nil
+	}
+}
+
+// rewind re-parses the header and inflates the first skip frames again,
+// so that r and pos stand at frame skip.
+func (c *fileCursor) rewind(skip int) error {
+	if _, err := c.f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	r, err := NewReader(c.f)
+	if err != nil {
+		return err
+	}
+	c.r, c.pos = r, 0
+	for c.pos < skip {
+		if _, _, err := r.Next(1); err != nil {
+			return err
+		}
+		c.pos++
+	}
+	return nil
+}
+
+// createSpill creates a FileSource's spill: a RawStore in os.TempDir,
+// created 0600 and unlinked at once, so that only its descriptor reaches
+// it. Where the unlink fails, Path names the file, and drop removes it
+// after Close.
+func createSpill(w, h int) (*RawStore, error) {
+	f, err := os.CreateTemp("", "verro-spill-*.raw")
+	if err != nil {
+		return nil, err
+	}
+	spill := &RawStore{f: f, w: w, h: h}
+	if err := os.Remove(f.Name()); err != nil {
+		spill.path = f.Name()
+	}
+	return spill, nil
 }
 
 // FileSink is a stream.Sink that encodes output windows straight to a .vvf

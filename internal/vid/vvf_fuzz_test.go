@@ -3,6 +3,8 @@ package vid
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"verro/internal/img"
@@ -11,6 +13,9 @@ import (
 // FuzzVVF throws arbitrary byte streams at the .vvf decoder. Invariants:
 // Decode must return an error — never panic — on malformed input, and any
 // stream it accepts must survive a re-encode/decode round trip bit-exactly.
+// Every stream whose header parses is also read from a file by a
+// FileSource, in two passes with a Reset between them, and must match the
+// Reader call for call: broken streams drive the spill's fallbacks.
 //
 // Run a longer session with: go test -run=^$ -fuzz=FuzzVVF -fuzztime=60s ./internal/vid/
 func FuzzVVF(f *testing.F) {
@@ -44,6 +49,7 @@ func FuzzVVF(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		replayTwoPasses(t, data)
 		v, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return // rejected cleanly: that is the contract for garbage input
@@ -69,4 +75,30 @@ func FuzzVVF(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replayTwoPasses writes data to a file when its header parses and
+// replays a pass of Next(2) calls, a Reset and a pass of Next(3) calls on
+// it against the Reader. A pass of a clip up to 80 frames long runs past
+// its end; a longer one is cut short by the Reset.
+func replayTwoPasses(t *testing.T, data []byte) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	path := filepath.Join(t.TempDir(), "fuzz.vvf")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	n := min(r.Meta().Frames/2+2, 41)
+	calls := make([]readCall, 0, 2*n+1)
+	for _, budget := range []int{2, 3} {
+		if budget == 3 {
+			calls = append(calls, readCall{reset: true})
+		}
+		for range n {
+			calls = append(calls, readCall{budget: budget})
+		}
+	}
+	replay(t, path, calls)
 }

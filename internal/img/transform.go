@@ -195,24 +195,21 @@ func (it *Integral) Mean(r geom.Rect) float64 {
 
 // ColorDiffPlane returns, per pixel, the maximum per-channel absolute
 // difference between m and n — a chromatic change measure that catches
-// objects whose luma happens to match the background. The result has m's
-// dimensions; n is sampled with edge clamping.
+// objects whose luma happens to match the background. n must have m's
+// dimensions.
 func ColorDiffPlane(m, n *Image) []float64 {
 	out := make([]float64, m.W*m.H)
-	for y := 0; y < m.H; y++ {
-		row := out[y*m.W : y*m.W+m.W]
-		for x := range row {
-			a := m.At(x, y)
-			b := n.At(x, y)
-			d := absDiff8(a.R, b.R)
-			if g := absDiff8(a.G, b.G); g > d {
-				d = g
-			}
-			if bl := absDiff8(a.B, b.B); bl > d {
-				d = bl
-			}
-			row[x] = float64(d)
+	a, b := m.Pix[:len(out)*3], n.Pix[:len(out)*3]
+	for i := range out {
+		p, q := a[i*3:i*3+3], b[i*3:i*3+3]
+		d := absDiff8(p[0], q[0])
+		if g := absDiff8(p[1], q[1]); g > d {
+			d = g
 		}
+		if bl := absDiff8(p[2], q[2]); bl > d {
+			d = bl
+		}
+		out[i] = float64(d)
 	}
 	return out
 }

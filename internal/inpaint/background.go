@@ -123,12 +123,16 @@ const DefaultPanShift = 12
 // horizontal camera offset of every frame relative to frame 0.
 func ColumnProfile(f *img.Image) []float64 {
 	out := make([]float64, f.W)
-	for x := range out {
-		var sum float64
-		for y := 0; y < f.H; y++ {
-			sum += float64(f.At(x, y).Gray())
+	// Row by row, so each column still sums in y order.
+	for y := 0; y < f.H; y++ {
+		row := f.Pix[y*f.W*3:][:len(out)*3]
+		for x := range out {
+			p := row[x*3 : x*3+3]
+			out[x] += float64(img.RGB{R: p[0], G: p[1], B: p[2]}.Gray())
 		}
-		out[x] = sum / float64(f.H)
+	}
+	for x := range out {
+		out[x] /= float64(f.H)
 	}
 	return out
 }

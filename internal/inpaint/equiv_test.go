@@ -182,6 +182,38 @@ func TestStaticBackgroundEquiv(t *testing.T) {
 	}
 }
 
+// columnProfileRef is ColumnProfile before its rewrite: each column's
+// mean luma read through Image.At.
+func columnProfileRef(f *img.Image) []float64 {
+	out := make([]float64, f.W)
+	for x := range out {
+		var sum float64
+		for y := 0; y < f.H; y++ {
+			sum += float64(f.At(x, y).Gray())
+		}
+		out[x] = sum / float64(f.H)
+	}
+	return out
+}
+
+// TestColumnProfileEquiv compares the row-sliced column profile with the
+// per-pixel At loop bit for bit, single-row and single-column frames
+// included.
+func TestColumnProfileEquiv(t *testing.T) {
+	for _, d := range []struct{ w, h int }{{23, 17}, {160, 120}, {1, 9}, {9, 1}, {1, 1}} {
+		f := lcgFrame(d.w, d.h, uint64(d.w*d.h))
+		got, want := ColumnProfile(f), columnProfileRef(f)
+		if len(got) != len(want) {
+			t.Fatalf("%dx%d: %d columns, want %d", d.w, d.h, len(got), len(want))
+		}
+		for x := range want {
+			if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+				t.Fatalf("%dx%d: column %d = %v, want %v", d.w, d.h, x, got[x], want[x])
+			}
+		}
+	}
+}
+
 // estimatePanRef integrates pairwise BestShift results over the column
 // profiles of consecutive frames into offsets relative to frame 0 — the
 // sanitizer's pan stage over one whole-clip window.

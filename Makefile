@@ -9,7 +9,7 @@ GO ?= go
 ## package's unit tests (which include the golden-hash streaming suite, the
 ## memory ceiling, the fuzz seed corpora, the full verrod job-service suite,
 ## and the hot-path compiler-facts and allocation-shape gates), the targeted
-## worker-pool race gate, and a short fuzz pass over both the .vvf codec and
+## race gate (race-par), and a short fuzz pass over both the .vvf codec and
 ## the stream-window planner. Fails on any lint diagnostic or unformatted
 ## file. The full -race suite and the long fuzz/benchmark gates run in
 ## `make nightly` so the PR path stays fast.
@@ -62,13 +62,15 @@ test-leak:
 race:
 	$(GO) test -race ./...
 
-## race-par: the targeted race gate — worker-pool equivalence, the scoped
-## concurrent-sanitize test, the streaming equivalence matrix (whose
-## per-window render fan-out is the newest pool user), the verrod
+## race-par: the targeted race gate, a fast early failure before the full
+## race suite. Under the race detector it runs worker-pool equivalence,
+## the scoped concurrent-sanitize test, the streaming equivalence matrix
+## (whose per-window render fan-out is the newest pool user), the verrod
 ## handlers (concurrent jobs + SSE subscribers share the trace-observer
-## path), and the .vvf codec with vid.FileSource's read-ahead goroutine
-## under the race detector. A fast early failure before the full race
-## suite.
+## path), and every test of internal/store, internal/stream and
+## internal/vid: the .vvf codec, and vid.FileSource's read-ahead goroutine,
+## which owns the source's cursor and its raw-pixel spill while a window
+## is in flight.
 race-par:
 	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/

@@ -132,7 +132,9 @@ type (
 )
 
 // OpenVideoSource opens a .vvf file as a bounded-memory frame source;
-// frames decode window by window straight from disk.
+// frames decode window by window straight from disk. Each frame is
+// inflated once: later passes read it back from an unlinked raw spill in
+// TMPDIR, W·H·3 bytes a frame.
 func OpenVideoSource(path string) (*vid.FileSource, error) { return vid.OpenFileSource(path) }
 
 // NewVideoSink creates a .vvf file that is encoded window by window as

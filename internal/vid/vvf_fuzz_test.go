@@ -78,9 +78,9 @@ func FuzzVVF(f *testing.F) {
 }
 
 // replayTwoPasses writes data to a file when its header parses and
-// replays a pass of Next(2) calls, a Reset and a pass of Next(3) calls on
-// it against the Reader. A pass of a clip up to 80 frames long runs past
-// its end; a longer one is cut short by the Reset.
+// replays n Next(2) calls, a Reset and n Next(3) calls on it against the
+// Reader. The first pass reads a clip of up to 78 frames to its end; a
+// longer one is cut short by the Reset.
 func replayTwoPasses(t *testing.T, data []byte) {
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -91,14 +91,13 @@ func replayTwoPasses(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	n := min(r.Meta().Frames/2+2, 41)
-	calls := make([]readCall, 0, 2*n+1)
-	for _, budget := range []int{2, 3} {
-		if budget == 3 {
-			calls = append(calls, readCall{reset: true})
-		}
-		for range n {
-			calls = append(calls, readCall{budget: budget})
-		}
+	var calls []readCall
+	for range n {
+		calls = append(calls, readCall{budget: 2})
+	}
+	calls = append(calls, readCall{reset: true})
+	for range n {
+		calls = append(calls, readCall{budget: 3})
 	}
 	replay(t, path, calls)
 }

@@ -1,4 +1,4 @@
-package verro
+package verro_test
 
 // Worker-pool benchmarks: each converted hot path measured on a scoped pool
 // of 1 and of 4 workers so the speedup (and the parallel overhead at 1
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"verro"
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/img"
@@ -25,7 +26,7 @@ import (
 func benchAtWorkers(b *testing.B, fn func(b *testing.B, workers int, rt obs.Runtime)) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			fn(b, workers, obs.Runtime{Pool: par.NewPool(workers)})
 		})
 	}
@@ -52,7 +53,7 @@ func BenchmarkParMedianBackground(b *testing.B) {
 
 // BenchmarkParHOGDetect times one sliding-window pyramid pass.
 func BenchmarkParHOGDetect(b *testing.B) {
-	det, err := detect.NewPedestrianDetector(DefaultPipelineConfig().Style, 1)
+	det, err := detect.NewPedestrianDetector(verro.DefaultPipelineConfig().Style, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func BenchmarkParSanitizeRender(b *testing.B) {
 		cfg.Workers = workers
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(i) + 1
-			if _, err := Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {
+			if _, err := verro.Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,4 +1,4 @@
-package verro
+package verro_test
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (Section 6) under `go test -bench`. Each benchmark drives the
@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"verro"
 	"verro/internal/exp"
 	"verro/internal/scene"
 )
@@ -62,7 +63,7 @@ func allDatasets(b *testing.B) []*exp.Dataset {
 // BenchmarkTable1Characteristics regenerates Table 1 (video
 // characteristics): dataset generation plus preprocessing.
 func BenchmarkTable1Characteristics(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	for i := 0; i < b.N; i++ {
 		rows := exp.Table1(allDatasets(b))
 		if len(rows) != 3 {
@@ -74,7 +75,7 @@ func BenchmarkTable1Characteristics(b *testing.B) {
 // BenchmarkTable2KeyFrames regenerates Table 2 (distinct objects after key
 // frame extraction).
 func BenchmarkTable2KeyFrames(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	ds := allDatasets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,7 +94,7 @@ func BenchmarkTable2KeyFrames(b *testing.B) {
 func BenchmarkTable3Overheads(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -114,7 +115,7 @@ func BenchmarkTable3Overheads(b *testing.B) {
 func BenchmarkFig5DistinctObjects(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			fs := []float64{0.1, 0.5, 0.9}
 			b.ResetTimer()
@@ -138,7 +139,7 @@ func BenchmarkFig5DistinctObjects(b *testing.B) {
 func BenchmarkFig5Deviation(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -158,7 +159,7 @@ func BenchmarkFig5Deviation(b *testing.B) {
 func BenchmarkFig678Trajectories(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -180,7 +181,7 @@ func BenchmarkFig678Trajectories(b *testing.B) {
 func BenchmarkFig91011Frames(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -195,7 +196,7 @@ func BenchmarkFig91011Frames(b *testing.B) {
 // BenchmarkFig12KeyFrameCounts regenerates the Figure 12 aggregate counts
 // in optimized key frames.
 func BenchmarkFig12KeyFrameCounts(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT03")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -208,7 +209,7 @@ func BenchmarkFig12KeyFrameCounts(b *testing.B) {
 // BenchmarkFig13FrameCounts regenerates the Figure 13 per-frame counts in
 // the synthetic videos.
 func BenchmarkFig13FrameCounts(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT03")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -221,7 +222,7 @@ func BenchmarkFig13FrameCounts(b *testing.B) {
 // BenchmarkBaselineNaiveRR runs the Algorithm 1 baseline comparison (the
 // Section 3.1 "poor utility" argument).
 func BenchmarkBaselineNaiveRR(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT03")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -238,7 +239,7 @@ func BenchmarkBaselineNaiveRR(b *testing.B) {
 // BenchmarkAblationDimensionReduction measures the retention each design
 // stage buys (naive RR vs key frames vs key frames + OPT).
 func BenchmarkAblationDimensionReduction(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT01")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -255,13 +256,13 @@ func BenchmarkAblationDimensionReduction(b *testing.B) {
 func BenchmarkSanitizeEndToEnd(b *testing.B) {
 	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
 		b.Run(name, func(b *testing.B) {
-			recordBench(b)
+			verro.RecordBench(b)
 			d := dataset(b, name)
 			cfg := d.SanitizerConfig(0.1, 1, true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = int64(i) + 1
-				if _, err := Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {
+				if _, err := verro.Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,11 +273,11 @@ func BenchmarkSanitizeEndToEnd(b *testing.B) {
 // BenchmarkDetectAndTrack measures the preprocessing pipeline (median
 // background + subtraction + SORT tracking) per frame.
 func BenchmarkDetectAndTrack(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT01")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tracks, err := DetectAndTrack(d.Gen.Video, DefaultPipelineConfig())
+		tracks, err := verro.DetectAndTrack(d.Gen.Video, verro.DefaultPipelineConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func BenchmarkDetectAndTrack(b *testing.B) {
 // BenchmarkAttackReidentification runs the background-knowledge
 // re-identification comparison (unsanitized vs blur vs VERRO).
 func BenchmarkAttackReidentification(b *testing.B) {
-	recordBench(b)
+	verro.RecordBench(b)
 	d := dataset(b, "MOT01")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,10 @@
 //	      [-f 0.1] [-eps 0] [-seed 1] [-png 0] [-laplace 0] [-no-opt]
 //	      [-workers N] [-window N] [-trace out.json] [-pprof addr]
 //
-// Either -f (flip probability) or -eps (total ε budget; converted to f
-// using the number of key frames picked on a dry run) sets the privacy
-// level; -f wins when both are given.
+// Either -f (flip probability) or -eps (total ε budget) sets the privacy
+// level; -eps wins when both are given. Phase I converts a budget to f
+// over the key frames it picks, per class under -multitype, and the run
+// prints the K and f it used.
 //
 // -trace writes a machine-readable run report (span tree per pipeline
 // stage, stage counters, worker-pool gauges; schema in DESIGN.md) and
@@ -143,34 +144,12 @@ func run(opt options) error {
 	cfg := verro.DefaultConfig()
 	cfg.Seed = opt.seed
 	cfg.Phase1.F = opt.f
+	cfg.Phase1.Eps = opt.eps
 	cfg.Phase1.Optimize = !opt.noOpt
 	cfg.Phase1.LaplaceEps = opt.laplace
 	cfg.Trace = trace
 	cfg.Workers = opt.workers
 	cfg.WindowFrames = opt.window
-	if opt.eps > 0 {
-		// Convert the ε budget to a flip probability: dry-run Phase I at a
-		// neutral f to learn how many key frames get picked, then invert.
-		// The dry run renders nothing and is untraced so its stages don't
-		// double-count.
-		dry := cfg
-		dry.Phase2.SkipRender = true
-		dry.Trace = nil
-		dryRes, err := verro.SanitizeStream(src, tracks, dry, nil)
-		if err != nil {
-			return fmt.Errorf("dry run: %w", err)
-		}
-		if err := src.Reset(); err != nil {
-			return err
-		}
-		k := len(dryRes.Phase1.Picked)
-		conv, err := verro.FlipProbability(k, opt.eps)
-		if err != nil {
-			return err
-		}
-		cfg.Phase1.F = conv
-		fmt.Printf("eps=%.3f over %d picked key frames -> f=%.4f\n", opt.eps, k, conv)
-	}
 
 	// The output is written under a temporary name next to -out and renamed
 	// into place once complete. A failed run leaves no half-written .vvf
@@ -191,7 +170,7 @@ func run(opt options) error {
 		sort.Strings(classes)
 		for _, name := range classes {
 			p1 := res.PerClass[name]
-			fmt.Printf("class %-11s eps=%.3f over %d picked key frames\n", name, p1.Epsilon, len(p1.Picked))
+			fmt.Printf("class %-11s eps=%.3f over %d picked key frames, f=%.4f\n", name, p1.Epsilon, len(p1.Picked), p1.F)
 		}
 		fmt.Printf("%d/%d objects retained\n", res.SyntheticTracks.Len(), tracks.Len())
 		if written, err = verro.WriteVideo(tmp, res.Synthetic); err != nil {
@@ -210,7 +189,8 @@ func run(opt options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sanitized: eps=%.3f\n", res.Epsilon)
+		fmt.Printf("sanitized: eps=%.3f over %d picked key frames, f=%.4f\n",
+			res.Epsilon, len(res.Phase1.Picked), res.Phase1.F)
 		fmt.Printf("%d/%d objects retained over %d windows\n",
 			res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
 		written = sink.Written()

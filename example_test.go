@@ -37,6 +37,31 @@ func ExampleSanitize() {
 	// all frames synthesized: true
 }
 
+// ExampleSanitize_budget starts from an ε budget instead of f: Phase I
+// picks the key frames first, then randomizes with the f that spends
+// exactly the budget over them, and reports that f.
+func ExampleSanitize_budget() {
+	preset, err := verro.BenchmarkPreset("MOT01")
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := verro.GenerateBenchmark(preset.Scaled(0.15))
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	cfg := verro.DefaultConfig()
+	cfg.Phase1.Eps = 5
+	cfg.Phase2.SkipRender = true // the budget resolves without rendering
+	res, err := verro.Sanitize(g.Video, g.Truth, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("ε=%.1f over %d picked key frames -> f=%.3f\n", res.Epsilon, len(res.Phase1.Picked), res.Phase1.F)
+	// Output:
+	// ε=5.0 over 19 picked key frames -> f=0.869
+}
+
 // ExampleEpsilon shows the ε ↔ f conversion both ways.
 func ExampleEpsilon() {
 	eps, err := verro.Epsilon(10, 0.5) // 10 key frames at f = 0.5

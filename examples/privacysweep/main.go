@@ -1,8 +1,8 @@
 // Privacysweep: choosing a privacy budget. This example shows the
 // privacy/utility frontier a video owner navigates: it sweeps the flip
 // probability f, reports the achieved ε and the resulting utility
-// (object retention and trajectory deviation), and demonstrates the
-// ε → f conversion for owners who think in budgets.
+// (object retention and trajectory deviation), and shows owners who think
+// in budgets how to set one directly (Phase1Config.Eps).
 package main
 
 import (
@@ -40,21 +40,17 @@ func main() {
 	}
 
 	// Owners who start from a budget: "I can afford ε = 5 over this video."
+	// Phase I picks the key frames first and then sets the f that spends
+	// exactly the budget over them.
 	fmt.Println("\nbudget-first workflow:")
 	for _, eps := range []float64{2, 5, 10} {
-		// The number of picked key frames determines the conversion; do a
-		// cheap dry run to learn it.
 		cfg := verro.DefaultConfig()
+		cfg.Phase1.Eps = eps
 		cfg.Phase2.SkipRender = true
-		dry, err := verro.Sanitize(g.Video, g.Truth, cfg)
+		res, err := verro.Sanitize(g.Video, g.Truth, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		k := len(dry.Phase1.Picked)
-		f, err := verro.FlipProbability(k, eps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  ε=%4.1f over %d picked key frames -> f=%.3f\n", eps, k, f)
+		fmt.Printf("  ε=%4.1f over %d picked key frames -> f=%.3f\n", eps, len(res.Phase1.Picked), res.Phase1.F)
 	}
 }

@@ -24,11 +24,11 @@ type JointResult struct {
 
 // SanitizeJoint sanitizes several cameras' videos of (potentially) the
 // same population with a shared total budget: totalEps is split equally
-// across cameras, each camera's flip probability is derived from its own
-// dimension-reduced key-frame count via a dry run, and the composed ε is
-// reported. Each camera's output on its own satisfies its per-camera
-// ε-Object Indistinguishability; the composition bound covers adversaries
-// that join all outputs.
+// across cameras, each camera's Phase I resolves its share to a flip
+// probability over its own picked key frames (Phase1Config.Eps), and the
+// composed ε is reported. Each camera's output on its own satisfies its
+// per-camera ε-Object Indistinguishability; the composition bound covers
+// adversaries that join all outputs.
 func SanitizeJoint(videos []*vid.Video, tracks []*motio.TrackSet, totalEps float64, cfg Config) (*JointResult, error) {
 	if len(videos) == 0 {
 		return nil, fmt.Errorf("core: no videos")
@@ -36,8 +36,8 @@ func SanitizeJoint(videos []*vid.Video, tracks []*motio.TrackSet, totalEps float
 	if len(videos) != len(tracks) {
 		return nil, fmt.Errorf("core: %d videos but %d track sets", len(videos), len(tracks))
 	}
-	// The NaN check is load-bearing: NaN fails `<= 0` and would otherwise
-	// propagate through perCamEps and flipForBudget into every camera's f.
+	// A zero budget would read as "use F" in Phase1Config.Eps. NaN fails
+	// `<= 0`, so it is named explicitly.
 	if math.IsNaN(totalEps) || math.IsInf(totalEps, 0) || totalEps <= 0 {
 		return nil, fmt.Errorf("core: total epsilon %v must be positive and finite", totalEps)
 	}
@@ -47,22 +47,7 @@ func SanitizeJoint(videos []*vid.Video, tracks []*motio.TrackSet, totalEps float
 	for i, v := range videos {
 		camCfg := cfg
 		camCfg.Seed = cfg.Seed + int64(i)*7919
-
-		// Dry run (tracks only) to learn how many key frames this camera's
-		// optimizer picks, then invert ε → f for that K.
-		dry := camCfg
-		dry.Phase2.SkipRender = true
-		dryRes, err := Sanitize(v, tracks[i], dry)
-		if err != nil {
-			return nil, fmt.Errorf("core: camera %d dry run: %w", i, err)
-		}
-		k := len(dryRes.Phase1.Picked)
-		f, err := flipForBudget(k, perCamEps)
-		if err != nil {
-			return nil, fmt.Errorf("core: camera %d: %w", i, err)
-		}
-		camCfg.Phase1.F = f
-
+		camCfg.Phase1.Eps = perCamEps
 		res, err := Sanitize(v, tracks[i], camCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: camera %d: %w", i, err)
@@ -72,22 +57,4 @@ func SanitizeJoint(videos []*vid.Video, tracks []*motio.TrackSet, totalEps float
 		out.Epsilon += res.Epsilon
 	}
 	return out, nil
-}
-
-// flipForBudget converts a per-camera ε budget over k picked key frames to
-// the Equation 4 flip probability, clamped into (0, 1]. Large budgets per
-// frame drive f towards 0, which Equation 4 forbids (f = 0 is infinite ε),
-// hence the lower clamp.
-func flipForBudget(k int, eps float64) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("no key frames picked")
-	}
-	f := 2 / (math.Exp(eps/float64(k)) + 1)
-	if f <= 1e-6 {
-		f = 1e-6
-	}
-	if f > 1 {
-		f = 1
-	}
-	return f, nil
 }

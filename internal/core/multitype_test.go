@@ -152,6 +152,35 @@ func TestSanitizeMultiTypeGolden(t *testing.T) {
 	}
 }
 
+// TestSanitizeMultiTypeEpsBudget: under an ε budget each class resolves
+// its own f over the key frames it picked, so every class spends exactly
+// the budget even though the classes pick different numbers of frames.
+func TestSanitizeMultiTypeEpsBudget(t *testing.T) {
+	g, mixed := mixedScene(t)
+	const budget = 20.0
+	cfg := DefaultConfig()
+	cfg.Keyframe.MaxSegmentLen = 8
+	cfg.Seed = 7
+	cfg.Phase1.Eps = budget
+	res, err := SanitizeMultiType(g.Video, mixed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerClass) != 2 {
+		t.Fatalf("classes = %d, want 2", len(res.PerClass))
+	}
+	picked := map[int]bool{}
+	for name, p1 := range res.PerClass {
+		if math.Abs(p1.Epsilon-budget) > 1e-9*budget {
+			t.Errorf("class %q epsilon = %v over %d key frames, want %v", name, p1.Epsilon, len(p1.Picked), budget)
+		}
+		picked[len(p1.Picked)] = true
+	}
+	if len(picked) < 2 {
+		t.Fatal("both classes picked the same number of key frames; the clip no longer tells a shared f from a per-class one")
+	}
+}
+
 func TestSanitizeMultiTypeValidation(t *testing.T) {
 	g, _ := mixedScene(t)
 	if _, err := SanitizeMultiType(nil, motio.NewTrackSet(), DefaultConfig()); err == nil {

@@ -15,6 +15,11 @@ type Phase1Config struct {
 	// F is the Equation 4 flip probability in (0, 1]; the per-run privacy
 	// level follows as ε = K·ln((2−f)/f) over the K picked key frames.
 	F float64
+	// Eps, when positive, is a total ε budget that replaces F: RunPhase1
+	// picks the key frames first and then randomizes with
+	// f = ldp.FlipProbability(K, Eps), so the run spends exactly Eps.
+	// Phase1Result.F reports the resolved f. Zero means F applies.
+	Eps float64
 	// Optimize enables the Section 3.3 key-frame selection (OPT). When
 	// false every key frame receives budget — the "dimension reduction
 	// only" ablation.
@@ -48,6 +53,9 @@ func DefaultPhase1Config() Phase1Config {
 func (c Phase1Config) Validate() error {
 	if math.IsNaN(c.F) || c.F <= 0 || c.F > 1 {
 		return fmt.Errorf("core: flip probability %v outside (0,1]", c.F)
+	}
+	if math.IsNaN(c.Eps) || math.IsInf(c.Eps, 0) || c.Eps < 0 {
+		return fmt.Errorf("core: epsilon budget %v must be finite and non-negative", c.Eps)
 	}
 	if math.IsNaN(c.LaplaceEps) || math.IsInf(c.LaplaceEps, 0) || c.LaplaceEps < 0 {
 		return fmt.Errorf("core: Laplace epsilon %v must be finite and non-negative", c.LaplaceEps)
@@ -98,15 +106,20 @@ var ErrNoKeyFrames = errors.New("core: no key frames")
 // The key-frame selection objective follows the paper's Equations 7-9:
 // picking frame k trades the spurious-presence noise of random response
 // against losing the ones_k objects present there. Equation 9 normalizes
-// the noise term per frame (both terms carry the factor f), so the
-// per-frame pick cost is f·(density − ones_k), where density is the mean
-// object count over key frames: frames carrying at least average presence
-// are worth a budget share, sparse frames are not. This keeps the selection
-// stable across f (the paper observes f "only slightly affects the
-// optimization") and prevents the trivial collapse a population-scaled
-// threshold (n·f/2) causes on sparse videos. The BIP is solved by LP
-// relaxation and rounding under the Equation 8 cardinality constraints
-// 2 ≤ Σx_k ≤ ℓ.
+// the noise term per frame, and both terms carry the factor f, which
+// cannot move the minimizer and is dropped: the per-frame pick cost is
+// DensityFraction·density − ones_k (0.5·density − ones_k by default),
+// where density is the mean object count over key frames. Frames carrying
+// enough presence are worth a budget share, sparse frames are not. The
+// pick is therefore exactly independent of f (the paper observes f "only
+// slightly affects the optimization"), and it avoids the trivial collapse
+// a population-scaled threshold (n·f/2) causes on sparse videos. The BIP
+// is solved by LP relaxation and rounding under the Equation 8
+// cardinality constraints 2 ≤ Σx_k ≤ ℓ.
+//
+// Because the pick does not depend on f, an ε budget resolves after it:
+// with cfg.Eps > 0 the K picked frames set f = ldp.FlipProbability(K, Eps)
+// before any randomized response is drawn.
 func RunPhase1(reduced []ldp.BitVector, keyFrames []int, cfg Phase1Config, rng *rand.Rand) (*Phase1Result, error) {
 	ell := len(keyFrames)
 	if ell == 0 {
@@ -161,7 +174,7 @@ func RunPhase1(reduced []ldp.BitVector, keyFrames []int, cfg Phase1Config, rng *
 		density /= float64(ell)
 		costs := make([]float64, ell)
 		for k := 0; k < ell; k++ {
-			costs[k] = cfg.F * (frac*density - noisy[k])
+			costs[k] = frac*density - noisy[k]
 		}
 		res, err := lp.SolveBinary(costs, cfg.MinPicked, ell)
 		if err != nil {
@@ -175,6 +188,19 @@ func RunPhase1(reduced []ldp.BitVector, keyFrames []int, cfg Phase1Config, rng *
 	} else {
 		for k := 0; k < ell; k++ {
 			picked = append(picked, k)
+		}
+	}
+
+	// An ε budget becomes f now that K is known. The resolved f is checked
+	// like a configured one before the mechanism draws with it.
+	if cfg.Eps > 0 {
+		f, err := ldp.FlipProbability(len(picked), cfg.Eps)
+		if err != nil {
+			return nil, fmt.Errorf("core: epsilon budget: %w", err)
+		}
+		cfg.F = f
+		if err := cfg.Validate(); err != nil {
+			return nil, err
 		}
 	}
 

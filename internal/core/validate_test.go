@@ -31,6 +31,11 @@ func TestPhase1ConfigValidate(t *testing.T) {
 		{"laplace +Inf", func(c *Phase1Config) { c.LaplaceEps = math.Inf(1) }, false},
 		{"laplace negative", func(c *Phase1Config) { c.LaplaceEps = -1 }, false},
 		{"laplace positive", func(c *Phase1Config) { c.LaplaceEps = 0.5 }, true},
+		{"eps NaN", func(c *Phase1Config) { c.Eps = math.NaN() }, false},
+		{"eps +Inf", func(c *Phase1Config) { c.Eps = math.Inf(1) }, false},
+		{"eps -Inf", func(c *Phase1Config) { c.Eps = math.Inf(-1) }, false},
+		{"eps negative", func(c *Phase1Config) { c.Eps = -1 }, false},
+		{"eps positive", func(c *Phase1Config) { c.Eps = 20 }, true},
 		{"density NaN", func(c *Phase1Config) { c.DensityFraction = math.NaN() }, false},
 		{"density -Inf", func(c *Phase1Config) { c.DensityFraction = math.Inf(-1) }, false},
 		{"density negative", func(c *Phase1Config) { c.DensityFraction = -0.5 }, false},

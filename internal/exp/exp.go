@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"verro"
 	"verro/internal/core"
 	"verro/internal/keyframe"
 	"verro/internal/ldp"
@@ -114,9 +115,11 @@ func LoadDataset(p scene.Preset, opt Options) (*Dataset, error) {
 
 	tracks := g.Truth
 	if opt.UseTrackedObjects {
-		tracked, err := trackObjects(g, opt.Trace)
+		pcfg := verro.DefaultPipelineConfig()
+		pcfg.Trace = opt.Trace
+		tracked, err := verro.DetectAndTrack(g.Video, pcfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: detect and track %s: %w", p.Name, err)
 		}
 		tracks = tracked
 	}

@@ -43,7 +43,13 @@ func FlipProbability(k int, eps float64) (float64, error) {
 	if math.IsNaN(eps) || math.IsInf(eps, 1) || eps < 0 {
 		return 0, fmt.Errorf("%w: non-finite or negative epsilon %v", ErrBudget, eps)
 	}
-	return 2 / (math.Exp(eps/float64(k)) + 1), nil
+	// Past ε/k ≈ 709.78 the exponential overflows and f underflows to 0:
+	// the same infinite per-bit budget, reached from a finite eps.
+	f := 2 / (math.Exp(eps/float64(k)) + 1)
+	if f <= 0 {
+		return 0, fmt.Errorf("%w: epsilon %v over %d bits leaves no flip probability", ErrBudget, eps, k)
+	}
+	return f, nil
 }
 
 // KeepProbability returns the probability that classic binary randomized

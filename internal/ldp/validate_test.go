@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,6 +28,21 @@ func TestFlipProbabilityRejectsNonFinite(t *testing.T) {
 	// -Inf is already covered by the negative check.
 	if _, err := FlipProbability(3, math.Inf(-1)); err == nil {
 		t.Error("FlipProbability(3, -Inf) accepted")
+	}
+}
+
+// TestFlipProbabilityRejectsDegenerate: no bits to spend on, or a finite
+// budget whose per-bit share overflows the exponential, which would
+// otherwise return f = 0 with no error (an infinite ε from a finite
+// request).
+func TestFlipProbabilityRejectsDegenerate(t *testing.T) {
+	for _, c := range []struct {
+		k   int
+		eps float64
+	}{{0, 1}, {1, 710}, {2, 2000}} {
+		if f, err := FlipProbability(c.k, c.eps); !errors.Is(err, ErrBudget) {
+			t.Errorf("FlipProbability(%d, %v) = %v, %v; want ErrBudget", c.k, c.eps, f, err)
+		}
 	}
 }
 

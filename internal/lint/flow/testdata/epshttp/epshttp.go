@@ -62,6 +62,22 @@ func leakManifest(s *store.FS) error {
 	return err
 }
 
+// Resume path, late budget: the stored ε lands in the config after
+// Validate() has run, so the config reaching core is unvetted again.
+func leakManifestEpsAfterValidate(s *store.FS) error {
+	m, err := s.Load("job-000001")
+	if err != nil {
+		return err
+	}
+	cfg := core.DefaultConfig()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	cfg.Phase1.Eps = m.Eps
+	_, err = core.SanitizeStream(nil, nil, cfg, nil) // want "HTTP-supplied privacy parameter reaches core\.SanitizeStream without passing Validate\(\)"
+	return err
+}
+
 // Clean: Validate() cleanses the config before it reaches core.
 func cleanValidated(r *http.Request) error {
 	f, err := strconv.ParseFloat(r.FormValue("f"), 64)
@@ -78,7 +94,7 @@ func cleanValidated(r *http.Request) error {
 }
 
 // Clean: the ldp conversion helpers validate their inputs and launder the
-// taint — exactly how verrod resolves an eps budget to a flip probability.
+// taint, so a hand-converted f is as vetted as a validated config.
 func cleanConverted(r *http.Request) error {
 	eps, err := strconv.ParseFloat(r.FormValue("eps"), 64)
 	if err != nil {

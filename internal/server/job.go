@@ -111,6 +111,10 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 	cfg := verro.DefaultConfig()
 	cfg.Seed = m.Seed
 	cfg.Phase1.F = m.F
+	// A budget resolves to f inside Phase I over the key frames it picks.
+	// Phase I is deterministic for a given seed, so a resumed job lands on
+	// the same f the interrupted run used.
+	cfg.Phase1.Eps = m.Eps
 	cfg.Trace = trace
 	cfg.WindowFrames = m.Window
 	cfg.Workers = m.Workers
@@ -121,27 +125,6 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if m.Eps > 0 {
-		// ε→f conversion on a render-free dry run, exactly as the CLI does
-		// it. Deterministic for a given seed, so a resumed job lands on the
-		// same f the interrupted run used.
-		dry := cfg
-		dry.Phase2.SkipRender = true
-		dry.Trace = nil
-		dryRes, err := verro.SanitizeStream(src, tracks, dry, nil)
-		if err != nil {
-			return fmt.Errorf("dry run: %w", err)
-		}
-		if err := src.Reset(); err != nil {
-			return err
-		}
-		conv, err := verro.FlipProbability(len(dryRes.Phase1.Picked), m.Eps)
-		if err != nil {
-			return err
-		}
-		cfg.Phase1.F = conv
-	}
-	m.ResolvedF = cfg.Phase1.F
 
 	// Staging: reopen at the checkpoint when resuming (torn tails beyond it
 	// are truncated away); a staging file that cannot back its checkpoint is
@@ -208,6 +191,7 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 
 	m.State = store.StateDone
 	m.Output = outPath
+	m.ResolvedF = res.Phase1.F
 	m.Epsilon = res.Epsilon
 	m.Picked = len(res.Phase1.Picked)
 	m.Retained = res.SyntheticTracks.Len()

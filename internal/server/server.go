@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -242,8 +241,8 @@ type jobRequest struct {
 	// Tracks optionally points at an object-tracks CSV; when empty the
 	// pipeline's detection+tracking preprocessing runs first.
 	Tracks string `json:"tracks,omitempty"`
-	// F is the flip probability; Eps > 0 instead fixes a total ε budget
-	// that is converted to f on a render-free dry run.
+	// F is the flip probability; Eps > 0 instead fixes a total ε budget,
+	// which Phase I converts to f over the key frames it picks.
 	F   float64 `json:"f,omitempty"`
 	Eps float64 `json:"eps,omitempty"`
 	// Seed drives all randomness (default 1).
@@ -364,11 +363,9 @@ func (s *Server) admit(r *http.Request) (*store.Manifest, error) {
 	// client-facing contract is enforced here.
 	probe := verro.DefaultConfig()
 	probe.Phase1.F = req.F
+	probe.Phase1.Eps = req.Eps
 	if err := probe.Validate(); err != nil {
 		return nil, err
-	}
-	if req.Eps != 0 && !(req.Eps > 0 && !math.IsInf(req.Eps, 1)) {
-		return nil, fmt.Errorf("eps %v out of range (want finite > 0)", req.Eps)
 	}
 
 	id := s.allocID()

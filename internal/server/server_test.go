@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"verro"
+	"verro/internal/ldp"
 	"verro/internal/scene"
 	"verro/internal/store"
 )
@@ -368,90 +370,113 @@ func copyFile(t *testing.T, src, dst string) {
 // design: a server killed mid-job (simulated by snapshotting the job
 // directory at a durable checkpoint, plus a torn partial frame a real kill
 // could leave) and restarted over that state resumes from the checkpoint
-// and produces a final .vvf byte-identical to the uninterrupted run's.
+// and produces a final .vvf byte-identical to the uninterrupted run's. An
+// ε job must also resume onto the same f: Phase I resolves it from the
+// same seed, and the done manifest spends exactly the budget.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	input, tracksCSV := fixture(t, t.TempDir())
-	root1, snapRoot := t.TempDir(), t.TempDir()
+	const eps = 12.0
+	for _, tc := range []struct {
+		name string
+		req  jobRequest
+	}{
+		{"f", jobRequest{Input: input, Tracks: tracksCSV, F: 0.1, Seed: 5, Window: 9}},
+		{"eps", jobRequest{Input: input, Tracks: tracksCSV, Eps: eps, Seed: 5, Window: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root1, snapRoot := t.TempDir(), t.TempDir()
 
-	srv1, ts1 := newTestServer(t, root1, 1)
-	srv1.afterCheckpoint = func(id string, frames int) {
-		if frames != 18 {
-			return
-		}
-		// Freeze the on-disk job state exactly as a kill at this instant
-		// would leave it: the synced staging, the manifest promising 18
-		// frames — and a torn half-written frame beyond the checkpoint.
-		copyFile(t, filepath.Join(root1, id, "manifest.json"), filepath.Join(snapRoot, id, "manifest.json"))
-		copyFile(t, filepath.Join(root1, id, "staging.raw"), filepath.Join(snapRoot, id, "staging.raw"))
-		f, err := os.OpenFile(filepath.Join(snapRoot, id, "staging.raw"), os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := f.Write(bytes.Repeat([]byte{0xAB}, 97)); err != nil {
-			t.Error(err)
-		}
-		f.Close()
-	}
+			srv1, ts1 := newTestServer(t, root1, 1)
+			srv1.afterCheckpoint = func(id string, frames int) {
+				if frames != 18 {
+					return
+				}
+				// Freeze the on-disk job state exactly as a kill at this instant
+				// would leave it: the synced staging, the manifest promising 18
+				// frames — and a torn half-written frame beyond the checkpoint.
+				copyFile(t, filepath.Join(root1, id, "manifest.json"), filepath.Join(snapRoot, id, "manifest.json"))
+				copyFile(t, filepath.Join(root1, id, "staging.raw"), filepath.Join(snapRoot, id, "staging.raw"))
+				f, err := os.OpenFile(filepath.Join(snapRoot, id, "staging.raw"), os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := f.Write(bytes.Repeat([]byte{0xAB}, 97)); err != nil {
+					t.Error(err)
+				}
+				f.Close()
+			}
 
-	m, code := postJob(t, ts1, jobRequest{Input: input, Tracks: tracksCSV, F: 0.1, Seed: 5, Window: 9})
-	if code != http.StatusAccepted {
-		t.Fatalf("POST = %d", code)
-	}
-	srv1.Wait()
-	if got, _ := getManifest(t, ts1, m.ID); got.State != store.StateDone {
-		t.Fatalf("uninterrupted run finished %s (%s)", got.State, got.Error)
-	}
-	uninterrupted, err := os.ReadFile(filepath.Join(root1, m.ID, "output.vvf"))
-	if err != nil {
-		t.Fatal(err)
-	}
+			m, code := postJob(t, ts1, tc.req)
+			if code != http.StatusAccepted {
+				t.Fatalf("POST = %d", code)
+			}
+			srv1.Wait()
+			if got, _ := getManifest(t, ts1, m.ID); got.State != store.StateDone {
+				t.Fatalf("uninterrupted run finished %s (%s)", got.State, got.Error)
+			}
+			uninterrupted, err := os.ReadFile(filepath.Join(root1, m.ID, "output.vvf"))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Sanity: the snapshot captured a half-done job.
-	snapFS, err := store.NewFS(snapRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := snapFS.Load(m.ID)
-	if err != nil {
-		t.Fatalf("snapshot manifest: %v", err)
-	}
-	if snap.State != store.StateRunning || snap.CheckpointFrames != 18 {
-		t.Fatalf("snapshot: state=%s checkpoint=%d, want running/18", snap.State, snap.CheckpointFrames)
-	}
+			// Sanity: the snapshot captured a half-done job.
+			snapFS, err := store.NewFS(snapRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := snapFS.Load(m.ID)
+			if err != nil {
+				t.Fatalf("snapshot manifest: %v", err)
+			}
+			if snap.State != store.StateRunning || snap.CheckpointFrames != 18 {
+				t.Fatalf("snapshot: state=%s checkpoint=%d, want running/18", snap.State, snap.CheckpointFrames)
+			}
 
-	// "Restart" the server over the snapshot and resume.
-	srv2, ts2 := newTestServer(t, snapRoot, 1)
-	n, err := srv2.ResumeInterrupted()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("ResumeInterrupted resumed %d jobs, want 1", n)
-	}
-	srv2.Wait()
+			// "Restart" the server over the snapshot and resume.
+			srv2, ts2 := newTestServer(t, snapRoot, 1)
+			n, err := srv2.ResumeInterrupted()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 1 {
+				t.Fatalf("ResumeInterrupted resumed %d jobs, want 1", n)
+			}
+			srv2.Wait()
 
-	resumed, code := getManifest(t, ts2, m.ID)
-	if code != http.StatusOK || resumed.State != store.StateDone {
-		t.Fatalf("resumed job: %d %s (%s)", code, resumed.State, resumed.Error)
-	}
-	artifact, err := os.ReadFile(filepath.Join(snapRoot, m.ID, "output.vvf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(artifact, uninterrupted) {
-		t.Fatalf("resumed output (%d bytes) is not byte-identical to the uninterrupted run (%d bytes)",
-			len(artifact), len(uninterrupted))
-	}
-	orig, _ := getManifest(t, ts1, m.ID)
-	if resumed.Epsilon != orig.Epsilon || len(resumed.Ledger) != len(orig.Ledger) {
-		t.Fatalf("resumed ledger diverged: eps %v/%v, windows %d/%d",
-			resumed.Epsilon, orig.Epsilon, len(resumed.Ledger), len(orig.Ledger))
-	}
-	for i, w := range resumed.Ledger {
-		if w != orig.Ledger[i] {
-			t.Fatalf("ledger window %d: %+v vs %+v", i, w, orig.Ledger[i])
-		}
+			resumed, code := getManifest(t, ts2, m.ID)
+			if code != http.StatusOK || resumed.State != store.StateDone {
+				t.Fatalf("resumed job: %d %s (%s)", code, resumed.State, resumed.Error)
+			}
+			artifact, err := os.ReadFile(filepath.Join(snapRoot, m.ID, "output.vvf"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(artifact, uninterrupted) {
+				t.Fatalf("resumed output (%d bytes) is not byte-identical to the uninterrupted run (%d bytes)",
+					len(artifact), len(uninterrupted))
+			}
+			orig, _ := getManifest(t, ts1, m.ID)
+			if resumed.Epsilon != orig.Epsilon || len(resumed.Ledger) != len(orig.Ledger) {
+				t.Fatalf("resumed ledger diverged: eps %v/%v, windows %d/%d",
+					resumed.Epsilon, orig.Epsilon, len(resumed.Ledger), len(orig.Ledger))
+			}
+			for i, w := range resumed.Ledger {
+				if w != orig.Ledger[i] {
+					t.Fatalf("ledger window %d: %+v vs %+v", i, w, orig.Ledger[i])
+				}
+			}
+			if resumed.ResolvedF != orig.ResolvedF {
+				t.Fatalf("resumed f %v, uninterrupted %v", resumed.ResolvedF, orig.ResolvedF)
+			}
+			if back, err := ldp.Epsilon(resumed.Picked, resumed.ResolvedF); err != nil || back != resumed.Epsilon {
+				t.Fatalf("Epsilon(%d, %v) = %v, %v; manifest says %v",
+					resumed.Picked, resumed.ResolvedF, back, err, resumed.Epsilon)
+			}
+			if tc.req.Eps > 0 && math.Abs(resumed.Epsilon-eps) > 1e-9*eps {
+				t.Fatalf("ε job spent %v, budget %v", resumed.Epsilon, eps)
+			}
+		})
 	}
 }
 
@@ -522,7 +547,12 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("missing input file = %d, want 400", resp.StatusCode)
 	}
 
-	// Both failures released their slots: a real job still fits.
+	// A budget outside Phase1Config's domain is refused at admission.
+	if _, code := postJob(t, ts, jobRequest{Input: input, Tracks: tracksCSV, Eps: -1, Window: 9}); code != http.StatusBadRequest {
+		t.Fatalf("negative eps = %d, want 400", code)
+	}
+
+	// Every failure released its slot: a real job still fits.
 	if _, code := postJob(t, ts, jobRequest{Input: input, Tracks: tracksCSV, Window: 9}); code != http.StatusAccepted {
 		t.Fatalf("POST after failed admissions = %d", code)
 	}

@@ -47,7 +47,7 @@ type Manifest struct {
 	Input   string  `json:"input"`            // path to the input .vvf
 	Tracks  string  `json:"tracks,omitempty"` // optional tracks CSV; empty = detect
 	F       float64 `json:"f"`                // flip probability (ignored when Eps > 0)
-	Eps     float64 `json:"eps,omitempty"`    // total ε budget; converted to f on a dry run
+	Eps     float64 `json:"eps,omitempty"`    // total ε budget; Phase I resolves it to f (ResolvedF)
 	Seed    int64   `json:"seed"`
 	Window  int     `json:"window"`            // streaming window frames
 	Workers int     `json:"workers,omitempty"` // per-job pool size (0 = process default)
@@ -67,7 +67,7 @@ type Manifest struct {
 	CheckpointFrames int `json:"checkpoint_frames"`
 
 	// Outcome, populated when State is done (or failed, for Error).
-	ResolvedF float64            `json:"resolved_f,omitempty"` // f actually used after ε conversion
+	ResolvedF float64            `json:"resolved_f,omitempty"` // f the run used (F, or Eps resolved over Picked)
 	Epsilon   float64            `json:"epsilon,omitempty"`
 	Picked    int                `json:"picked,omitempty"`   // key frames given budget
 	Retained  int                `json:"retained,omitempty"` // synthetic objects rendered

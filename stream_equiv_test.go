@@ -27,6 +27,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"verro/internal/vid"
 )
 
 // goldenArtifacts is one preset's pinned output: hex sha256 digests plus the
@@ -180,6 +182,85 @@ func TestStreamEquivalence(t *testing.T) {
 						}
 					})
 				}
+			}
+		})
+	}
+}
+
+// TestStreamEpsMatchesTwoCallReference pins the ε path against the
+// conversion callers used to write by hand: a render-free run to learn K,
+// FlipProbability(K, budget), then a run at that f. Phase1Config.Eps must
+// publish the same bytes, synthetic tracks, ledger and ε bits in one call,
+// streamed in windows and as one whole-clip window.
+func TestStreamEpsMatchesTwoCallReference(t *testing.T) {
+	const budget = 20.0
+	for _, name := range []string{"MOT01", "MOT03", "MOT06"} {
+		t.Run(name, func(t *testing.T) {
+			preset, err := BenchmarkPreset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := GenerateBenchmark(preset.Scaled(equivScale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tracks, err := DetectAndTrack(g.Video, DefaultPipelineConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, window := range []int{16, 0} {
+				t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Seed = 7
+					cfg.WindowFrames = window
+
+					dry := cfg
+					dry.Phase2.SkipRender = true
+					dryRes, err := Sanitize(g.Video, tracks, dry)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := cfg
+					if ref.Phase1.F, err = FlipProbability(len(dryRes.Phase1.Picked), budget); err != nil {
+						t.Fatal(err)
+					}
+					want, err := Sanitize(g.Video, tracks, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					cfg.Phase1.Eps = budget
+					got, err := Sanitize(g.Video, tracks, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Phase1.F != ref.Phase1.F {
+						t.Errorf("resolved f %v, reference %v", got.Phase1.F, ref.Phase1.F)
+					}
+					if math.Float64bits(got.Epsilon) != math.Float64bits(want.Epsilon) {
+						t.Errorf("epsilon %v, reference %v", got.Epsilon, want.Epsilon)
+					}
+					if math.Abs(got.Epsilon-budget) > 1e-9*budget {
+						t.Errorf("epsilon %v, budget %v", got.Epsilon, budget)
+					}
+					if csvDigest(t, got.SyntheticTracks) != csvDigest(t, want.SyntheticTracks) {
+						t.Error("synthetic tracks differ from the reference")
+					}
+					if ledgerDigest(got.Windows) != ledgerDigest(want.Windows) {
+						t.Error("ledger differs from the reference")
+					}
+					checkWindowLedger(t, got, g.Video.Len())
+					var gotVVF, wantVVF bytes.Buffer
+					if _, err := vid.Encode(&gotVVF, got.Synthetic); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := vid.Encode(&wantVVF, want.Synthetic); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gotVVF.Bytes(), wantVVF.Bytes()) {
+						t.Error("encoded .vvf differs from the reference")
+					}
+				})
 			}
 		})
 	}

@@ -16,8 +16,11 @@
 //
 // The privacy level is governed by the flip probability f (Config.Phase1.F)
 // and the number K of key frames the optimizer allocates budget to:
-// ε = K·ln((2−f)/f). Use Epsilon and FlipProbability to convert between
-// the two parameterizations.
+// ε = K·ln((2−f)/f). To spend a fixed budget instead, set
+// Config.Phase1.Eps: Phase I picks the K key frames first and randomizes
+// with the f that spends exactly that ε over them, reported in
+// Result.Phase1.F. Epsilon and FlipProbability convert between the two
+// parameterizations by hand.
 package verro
 
 import (

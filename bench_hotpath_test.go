@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"verro/internal/blur"
+	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/hog"
 	"verro/internal/img"
@@ -170,6 +171,28 @@ var hotKernels = []hotKernel{
 			return err
 		}
 	}},
+	// Background subtraction, the detector of every stream-moving frame:
+	// a noisy frame with four blobs against a background with noise of
+	// its own, so a few percent of pixels pass the threshold as speckle.
+	{"BGSubtract", func(tb testing.TB, s int, _ obs.Runtime) func() error {
+		grey := img.RGB{R: 70, G: 100, B: 90}
+		bg := img.NewFilled(160*s, 120*s, grey)
+		bg.AddNoise(12, 21)
+		frame := img.NewFilled(160*s, 120*s, grey)
+		frame.AddNoise(16, 23)
+		for k := 0; k < 4; k++ {
+			frame.Fill(geom.RectAt((8+38*k)*s, (12+22*k)*s, 14*s, 28*s),
+				img.RGB{R: uint8(160 + 25*k), G: 50, B: 40})
+		}
+		det := detect.NewBGSubtractor(bg)
+		return func() error {
+			ds, err := det.Detect(frame)
+			if err == nil && len(ds) != 4 {
+				err = fmt.Errorf("detected %d blobs, want 4", len(ds))
+			}
+			return err
+		}
+	}},
 	// The .vvf codec's two directions over the hot clip: inflate plus the
 	// delta sum, read through the windowed Reader from memory as
 	// vid.FileSource reads a file, and the delta plus deflate of the
@@ -264,6 +287,7 @@ func BenchmarkHotHist(b *testing.B)       { benchHot(b, "Hist") }
 func BenchmarkHotBlur(b *testing.B)       { benchHot(b, "Blur") }
 func BenchmarkHotInpaint(b *testing.B)    { benchHot(b, "Inpaint") }
 func BenchmarkHotBackground(b *testing.B) { benchHot(b, "Background") }
+func BenchmarkHotBGSubtract(b *testing.B) { benchHot(b, "BGSubtract") }
 func BenchmarkHotDecode(b *testing.B)     { benchHot(b, "Decode") }
 func BenchmarkHotEncode(b *testing.B)     { benchHot(b, "Encode") }
 

@@ -91,8 +91,9 @@ fuzz-short:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
-## bench-json: regenerate BENCH_parallel.json (worker-pool ns/op at 1 vs 4
-## workers, best of 3 runs — the recorder keeps the minimum per name).
+## bench-json: regenerate BENCH_parallel.json (worker-pool ns/op on one
+## worker and on one worker per core, named workers=1 and workers=ncpu;
+## best of 3 runs — the recorder keeps the minimum per name).
 bench-json:
 	VERRO_BENCH_JSON=BENCH_parallel.json $(GO) test -run='^$$' -bench=BenchmarkPar -benchtime=2x -count=3 .
 

@@ -171,7 +171,7 @@ var hotKernels = []hotKernel{
 			return err
 		}
 	}},
-	// Background subtraction, the detector of every stream-moving frame:
+	// Background subtraction, the default detector, run on every frame:
 	// a noisy frame with four blobs against a background with noise of
 	// its own, so a few percent of pixels pass the threshold as speckle.
 	{"BGSubtract", func(tb testing.TB, s int, _ obs.Runtime) func() error {

@@ -1,14 +1,15 @@
 package verro_test
 
 // Worker-pool benchmarks: each converted hot path measured on a scoped pool
-// of 1 and of 4 workers so the speedup (and the parallel overhead at 1
-// worker) is directly visible. Combined with VERRO_BENCH_JSON these produce
-// BENCH_parallel.json:
+// of one worker and of one worker per core (runtime.NumCPU), so the
+// speedup on this host's cores (and the parallel overhead at one worker)
+// is directly visible. Combined with VERRO_BENCH_JSON these produce
+// BENCH_parallel.json (`make bench-json`):
 //
-//	VERRO_BENCH_JSON=BENCH_parallel.json go test -bench=BenchmarkPar -benchtime=2x .
+//	VERRO_BENCH_JSON=BENCH_parallel.json go test -run='^$' -bench=BenchmarkPar -benchtime=2x -count=3 .
 
 import (
-	"fmt"
+	"runtime"
 	"testing"
 
 	"verro"
@@ -19,15 +20,21 @@ import (
 	"verro/internal/keyframe"
 	"verro/internal/obs"
 	"verro/internal/par"
+	"verro/internal/track"
 )
 
-// benchAtWorkers runs fn as one sub-benchmark per worker count, handing it
-// the count and a runtime on a pool of that size.
+// benchAtWorkers runs fn as two sub-benchmarks, on a one-worker pool and
+// on a pool of runtime.NumCPU() workers, handing it the count and a
+// runtime on a pool of that size. They are named workers=1 and
+// workers=ncpu, so cmd/benchcmp matches the names on any host.
 func benchAtWorkers(b *testing.B, fn func(b *testing.B, workers int, rt obs.Runtime)) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"1", 1}, {"ncpu", runtime.NumCPU()}} {
+		b.Run("workers="+c.name, func(b *testing.B) {
 			verro.RecordBench(b)
-			fn(b, workers, obs.Runtime{Pool: par.NewPool(workers)})
+			fn(b, c.workers, obs.Runtime{Pool: par.NewPool(c.workers)})
 		})
 	}
 }
@@ -63,6 +70,27 @@ func BenchmarkParHOGDetect(b *testing.B) {
 		det.RT = rt
 		for i := 0; i < b.N; i++ {
 			if _, err := det.Detect(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkParBGDetect times the detect-and-track pass of the default
+// pipeline: background subtraction and the tracker over a whole clip, with
+// detection and the appearance histograms on the pool and the association
+// fold serial. The median background is built outside the timed loop.
+func BenchmarkParBGDetect(b *testing.B) {
+	d := dataset(b, "MOT06")
+	frames := d.Gen.Video.Frames
+	bg, err := detect.MedianBackground(frames, detect.AutoStep(len(frames)), obs.Runtime{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	det := detect.NewBGSubtractor(bg)
+	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
+		for i := 0; i < b.N; i++ {
+			if _, err := track.Run(frames, det, track.DefaultConfig(), rt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,13 +40,18 @@ const compilerFactsFile = "testdata/compiler_facts.txt"
 var hotFactPkgs = []string{"img", "hog", "inpaint", "blur", "keyframe"}
 
 // hotFactFuncs are the hot functions outside the kernel packages: the
-// holders of the per-frame internal/par closures, Phase II's per-frame
-// render and geometry cores, and the .vvf codec's per-frame delta loops.
+// holders of the per-frame internal/par closures and what they run per
+// frame (the background subtractor with its run labeller, the tracker's
+// appearance histograms), Phase II's per-frame render and geometry cores,
+// and the .vvf codec's per-frame delta loops.
 var hotFactFuncs = map[string][]string{
-	"detect": {"(*detect.HOGSVM).Detect", "detect.MedianBackground"},
-	"track":  {"(*track.Runner).Window"},
-	"core":   {"(*core.phase2Plan).renderRange", "(*core.phase2Plan).geometryRange"},
-	"vid":    {"(*vid.Writer).Append", "(*vid.Reader).Next"},
+	"detect": {
+		"(*detect.HOGSVM).Detect", "detect.MedianBackground",
+		"(*detect.BGSubtractor).Detect", "detect.components", "detect.union", "detect.find",
+	},
+	"track": {"(*track.Runner).Window", "track.appearance"},
+	"core":  {"(*core.phase2Plan).renderRange", "(*core.phase2Plan).geometryRange"},
+	"vid":   {"(*vid.Writer).Append", "(*vid.Reader).Next"},
 }
 
 // compilerDiag matches one compiler diagnostic line: file:line:col: msg.

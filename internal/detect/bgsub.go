@@ -39,7 +39,10 @@ func NewBGSubtractor(background *img.Image) *BGSubtractor {
 // ErrNoBackground is returned when the subtractor has no background model.
 var ErrNoBackground = errors.New("detect: background model missing")
 
-// Detect finds foreground boxes in the frame.
+// Detect finds foreground boxes in the frame: the 8-connected components
+// of the pixels whose img.ColorDiffPlane value reaches Threshold, in the
+// raster order of their first pixel, then MinArea, MaxBoxFrac and NMS.
+// All state is local to the call, so concurrent calls are safe.
 func (b *BGSubtractor) Detect(frame *img.Image) ([]Detection, error) {
 	if b.Background == nil {
 		return nil, ErrNoBackground
@@ -51,73 +54,123 @@ func (b *BGSubtractor) Detect(frame *img.Image) ([]Detection, error) {
 	diff := img.ColorDiffPlane(frame, b.Background)
 	w, h := frame.W, frame.H
 
-	// Binary foreground mask.
-	mask := make([]bool, w*h)
-	for i, d := range diff {
-		mask[i] = d >= b.Threshold
+	// The foreground test of every diff value, compared as float64 so it
+	// is exact for any Threshold.
+	var fg [256]bool
+	for d := range fg {
+		fg[d] = float64(d) >= b.Threshold
 	}
 
-	// Connected components by BFS (8-connectivity).
-	visited := make([]bool, w*h)
 	maxFrac := b.MaxBoxFrac
 	if maxFrac <= 0 {
 		maxFrac = 0.25
 	}
 	var out []Detection
-	queue := make([]int, 0, 256)
-	for start := range mask {
-		if !mask[start] || visited[start] {
+	for _, c := range components(diff, w, h, &fg) {
+		if c.area < b.MinArea {
 			continue
 		}
-		queue = queue[:0]
-		queue = append(queue, start)
-		visited[start] = true
-		minX, minY := w, h
-		maxX, maxY := -1, -1
-		area := 0
-		var scoreSum float64
-		for len(queue) > 0 {
-			i := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			x, y := i%w, i/w
-			area++
-			scoreSum += diff[i]
-			if x < minX {
-				minX = x
-			}
-			if y < minY {
-				minY = y
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y > maxY {
-				maxY = y
-			}
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny := x+dx, y+dy
-					if nx < 0 || ny < 0 || nx >= w || ny >= h {
-						continue
-					}
-					j := ny*w + nx
-					if mask[j] && !visited[j] {
-						visited[j] = true
-						queue = append(queue, j)
-					}
-				}
-			}
-		}
-		if area == 0 || area < b.MinArea {
-			continue
-		}
-		box := geom.R(minX, minY, maxX+1, maxY+1)
+		box := geom.R(c.minX, c.minY, c.maxX, c.maxY)
 		if float64(box.Area()) > maxFrac*float64(w*h) {
 			continue
 		}
-		out = append(out, Detection{Box: box, Score: scoreSum / float64(area)})
+		// The sum is an exact integer, so the score has the bits of any
+		// float64 running sum of the same values.
+		out = append(out, Detection{Box: box, Score: float64(c.sum) / float64(c.area)})
 	}
 	return NMS(out, 0.5), nil
+}
+
+// run is a maximal span [x0, x1) of foreground pixels in row y, with the
+// sum of their diff values. parent links it into a union-find forest over
+// the runs: it holds a smaller run index, or the run's own index at the
+// root of a set, so a root is its set's first run in raster order.
+type run struct {
+	y, x0, x1, sum, parent int
+}
+
+// component is one 8-connected foreground component: its bounding box
+// [minX, maxX) × [minY, maxY), pixel count and diff sum.
+type component struct {
+	minX, minY, maxX, maxY, area, sum int
+}
+
+// components labels the 8-connected foreground of a w×h diff plane by row
+// runs and union-find. A run joins each run of the row above whose span
+// touches its own once one of them is widened by a pixel on both sides.
+// Components come back in the raster order of their first pixel.
+func components(diff []uint8, w, h int, fg *[256]bool) []component {
+	var runs []run
+	above := 0 // the first run of row y-1
+	for y := 0; y < h; y++ {
+		row := diff[y*w : y*w+w]
+		here := len(runs) // the first run of row y
+		q := above        // runs of row y-1 before q end left of every later run
+		for x := 0; x < len(row); x++ {
+			if !fg[row[x]] {
+				continue
+			}
+			x0, sum := x, 0
+			for ; x < len(row) && fg[row[x]]; x++ {
+				sum += int(row[x])
+			}
+			i := len(runs)
+			runs = append(runs, run{y: y, x0: x0, x1: x, sum: sum, parent: i})
+			for q < here && runs[q].x1 < x0 {
+				q++
+			}
+			for k := q; k < here && runs[k].x0 <= x; k++ {
+				union(runs, i, k)
+			}
+		}
+		above = here
+	}
+
+	// Relabel each root with its component's index, in root order, and
+	// every other run with its parent's component: a parent has a smaller
+	// index, so it is relabelled first.
+	n := 0
+	for i := range runs {
+		if p := runs[i].parent; p == i {
+			runs[i].parent = n
+			n++
+		} else {
+			runs[i].parent = runs[p].parent
+		}
+	}
+	comps := make([]component, n)
+	for _, r := range runs {
+		c := &comps[r.parent]
+		if c.area == 0 {
+			// The first run: it holds the component's top row.
+			c.minX, c.minY, c.maxX = r.x0, r.y, r.x1
+		}
+		c.minX = min(c.minX, r.x0)
+		c.maxX = max(c.maxX, r.x1)
+		c.maxY = r.y + 1
+		c.area += r.x1 - r.x0
+		c.sum += r.sum
+	}
+	return comps
+}
+
+// union merges the sets of runs i and j under the smaller root.
+func union(runs []run, i, j int) {
+	i, j = find(runs, i), find(runs, j)
+	if i < j {
+		runs[j].parent = i
+	} else if j < i {
+		runs[i].parent = j
+	}
+}
+
+// find returns the root of run i's set, halving the path on the way.
+func find(runs []run, i int) int {
+	for runs[i].parent != i {
+		runs[i].parent = runs[runs[i].parent].parent
+		i = runs[i].parent
+	}
+	return i
 }
 
 // MedianBackground estimates a static background as the per-pixel,

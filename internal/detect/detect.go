@@ -19,9 +19,12 @@ type Detection struct {
 	Score float64
 }
 
-// ByScore sorts detections by descending score.
+// sortByScore sorts detections by descending score. The sort is stable,
+// so detections with equal scores keep the order the detector found them
+// in, and which of two overlapping ones survives NMS does not depend on
+// the sort algorithm.
 func sortByScore(ds []Detection) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Score > ds[j].Score })
+	sort.SliceStable(ds, func(i, j int) bool { return ds[i].Score > ds[j].Score })
 }
 
 // NMS performs greedy non-maximum suppression: detections are accepted in

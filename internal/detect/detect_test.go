@@ -25,6 +25,28 @@ func TestNMS(t *testing.T) {
 	if NMS(nil, 0.5) != nil {
 		t.Fatal("empty NMS should be nil")
 	}
+
+	// Equal scores keep their input order, so of many overlapping
+	// detections with one score the first is kept. Fourteen tied boxes
+	// interleaved with lower-scored separate ones pass the length below
+	// which sort.Slice runs an insertion sort, and make it partition.
+	var mixed []Detection
+	for i := 0; i < 28; i++ {
+		if i%2 == 0 {
+			mixed = append(mixed, Detection{Box: geom.RectAt((i*7)%20, 0, 100, 100), Score: 0.5})
+		} else {
+			mixed = append(mixed, Detection{Box: geom.RectAt(200+30*i, 200, 10, 10), Score: 0.1 * float64(i%5)})
+		}
+	}
+	var tied []Detection
+	for _, d := range NMS(mixed, 0.5) {
+		if d.Score == 0.5 {
+			tied = append(tied, d)
+		}
+	}
+	if len(tied) != 1 || tied[0] != mixed[0] {
+		t.Fatalf("NMS kept %v of the tied boxes, want only the first, %v", tied, mixed[0])
+	}
 }
 
 func TestNMSDoesNotMutateInput(t *testing.T) {

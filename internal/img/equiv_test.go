@@ -8,6 +8,7 @@ package img
 // reference, so == is the right comparison, not a tolerance.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -309,34 +310,60 @@ func TestPlaneEquiv(t *testing.T) {
 	it := NewIntegral(plane, m.W, m.H)
 	wantSamePlane(t, it.sum, wantSum, "NewIntegral")
 
-	wantCD := make([]float64, m.W*m.H)
+	wantCD := make([]uint8, m.W*m.H)
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
-			a := m.At(x, y)
-			b := n.At(x, y)
-			d := absDiff8(a.R, b.R)
-			if g := absDiff8(a.G, b.G); g > d {
-				d = g
-			}
-			if bl := absDiff8(a.B, b.B); bl > d {
-				d = bl
-			}
-			wantCD[y*m.W+x] = float64(d)
+			wantCD[y*m.W+x] = colorDiffRef(m.At(x, y), n.At(x, y))
 		}
 	}
-	wantSamePlane(t, ColorDiffPlane(m, n), wantCD, "ColorDiffPlane")
+	wantSameBytes(t, ColorDiffPlane(m, n), wantCD, "ColorDiffPlane")
 
-	wantAD := make([]float64, m.W*m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			d := float64(m.At(x, y).Gray()) - float64(n.At(x, y).Gray())
-			if d < 0 {
-				d = -d
+	// Every (a, b) byte pair in each channel, with the other two channels
+	// equal, so the pair's difference is the pixel's.
+	for c := 0; c < 3; c++ {
+		pm, pn := New(256, 256), New(256, 256)
+		want := make([]uint8, 256*256)
+		for a := 0; a < 256; a++ {
+			for b := 0; b < 256; b++ {
+				i := a*256 + b
+				pm.Pix[i*3+c], pn.Pix[i*3+c] = uint8(a), uint8(b)
+				pm.Pix[i*3+(c+1)%3], pn.Pix[i*3+(c+1)%3] = 77, 77
+				want[i] = colorDiffRef(pm.At(b, a), pn.At(b, a))
 			}
-			wantAD[y*m.W+x] = d
+		}
+		wantSameBytes(t, ColorDiffPlane(pm, pn), want, fmt.Sprintf("ColorDiffPlane channel %d", c))
+	}
+}
+
+// colorDiffRef is ColorDiffPlane's pixel before its branch-free rewrite.
+func colorDiffRef(p, q RGB) uint8 {
+	d := absDiff8(p.R, q.R)
+	if g := absDiff8(p.G, q.G); g > d {
+		d = g
+	}
+	if bl := absDiff8(p.B, q.B); bl > d {
+		d = bl
+	}
+	return d
+}
+
+func absDiff8(a, b uint8) uint8 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}
+
+func wantSameBytes(t *testing.T, got, want []uint8, name string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d != %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: [%d]: got %d want %d", name, i, got[i], want[i])
 		}
 	}
-	wantSamePlane(t, AbsDiffPlane(m, n), wantAD, "AbsDiffPlane")
 }
 
 func TestMixIntoEquiv(t *testing.T) {

@@ -129,13 +129,6 @@ func TestHSVRoundTrip(t *testing.T) {
 	}
 }
 
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func TestHSVKnownValues(t *testing.T) {
 	cases := []struct {
 		in   RGB

@@ -196,45 +196,26 @@ func (it *Integral) Mean(r geom.Rect) float64 {
 // ColorDiffPlane returns, per pixel, the maximum per-channel absolute
 // difference between m and n — a chromatic change measure that catches
 // objects whose luma happens to match the background. n must have m's
-// dimensions.
-func ColorDiffPlane(m, n *Image) []float64 {
-	out := make([]float64, m.W*m.H)
+// dimensions. The loop takes no data-dependent branch: each channel's
+// difference is widened to int, absInt folds its sign without a jump, and
+// the builtin max over ints compiles to conditional moves (over uint8 it
+// compiles to jumps).
+func ColorDiffPlane(m, n *Image) []uint8 {
+	out := make([]uint8, m.W*m.H)
 	a, b := m.Pix[:len(out)*3], n.Pix[:len(out)*3]
 	for i := range out {
 		p, q := a[i*3:i*3+3], b[i*3:i*3+3]
-		d := absDiff8(p[0], q[0])
-		if g := absDiff8(p[1], q[1]); g > d {
-			d = g
-		}
-		if bl := absDiff8(p[2], q[2]); bl > d {
-			d = bl
-		}
-		out[i] = float64(d)
+		out[i] = uint8(max(
+			absInt(int(p[0])-int(q[0])),
+			absInt(int(p[1])-int(q[1])),
+			absInt(int(p[2])-int(q[2]))))
 	}
 	return out
 }
 
-func absDiff8(a, b uint8) uint8 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// AbsDiffPlane returns |luma(m) − luma(n)| as a plane. Images must have the
-// same dimensions; the result has m's dimensions with missing pixels treated
-// as zero difference.
-func AbsDiffPlane(m, n *Image) []float64 {
-	out := make([]float64, m.W*m.H)
-	for y := 0; y < m.H; y++ {
-		row := out[y*m.W : y*m.W+m.W]
-		for x := range row {
-			d := float64(m.At(x, y).Gray()) - float64(n.At(x, y).Gray())
-			if d < 0 {
-				d = -d
-			}
-			row[x] = d
-		}
-	}
-	return out
+// absInt returns |x| as (x ^ s) - s, where s is x's sign spread over
+// every bit.
+func absInt(x int) int {
+	s := x >> 63
+	return (x ^ s) - s
 }

@@ -88,27 +88,45 @@ func (t *Tracker) Step(frame *img.Image, detections []detect.Detection) error {
 	if frame == nil {
 		return fmt.Errorf("track: nil frame")
 	}
+	return t.step(detections, appearance(frame, detections))
+}
+
+// appearance returns the HSV histogram of each detection's box in the
+// frame: the tracker's appearance term. It reads only its arguments, so
+// Runner.Window builds it on the pool beside Detect.
+func appearance(frame *img.Image, detections []detect.Detection) []*img.HSVHist {
+	hists := make([]*img.HSVHist, len(detections))
+	for i, d := range detections {
+		hists[i] = img.NewHSVHistRegion(frame, d.Box, 8, 4, 4)
+	}
+	return hists
+}
+
+// step advances the tracker by one frame given the detections and their
+// appearance histograms.
+func (t *Tracker) step(detections []detect.Detection, detHists []*img.HSVHist) error {
 	// Predict all live tracks forward.
 	predicted := make([]geom.Rect, len(t.live))
 	for i, s := range t.live {
 		predicted[i] = s.filter.Predict()
 	}
 
-	// Appearance of each detection.
-	detHists := make([]*img.HSVHist, len(detections))
-	for i, d := range detections {
-		detHists[i] = img.NewHSVHistRegion(frame, d.Box, 8, 4, 4)
-	}
-
 	matchedTracks := make([]bool, len(t.live))
 	matchedDets := make([]bool, len(detections))
 
 	if len(t.live) > 0 && len(detections) > 0 {
+		// Each histogram is flattened once for the cosine term, not once
+		// per pair.
+		detVecs := make([][]float64, len(detections))
+		for j, h := range detHists {
+			detVecs[j] = h.Concat()
+		}
 		cost := make([][]float64, len(t.live))
 		for i, s := range t.live {
+			trackVec := s.hist.Concat()
 			cost[i] = make([]float64, len(detections))
 			for j, d := range detections {
-				c := t.pairCost(predicted[i], s.hist, d.Box, detHists[j])
+				c := t.pairCost(predicted[i], trackVec, d.Box, detVecs[j])
 				if c > t.cfg.MaxCost {
 					c = math.Inf(1)
 				}
@@ -190,10 +208,11 @@ func (t *Tracker) matchTrack(i int, d detect.Detection, h *img.HSVHist) {
 	}
 }
 
-// pairCost blends (1−IoU) and (1−appearance cosine).
-func (t *Tracker) pairCost(trackBox geom.Rect, trackHist *img.HSVHist, detBox geom.Rect, detHist *img.HSVHist) float64 {
+// pairCost blends (1−IoU) and (1−appearance cosine) over the track's and
+// the detection's concatenated histograms (img.HSVHist.Concat).
+func (t *Tracker) pairCost(trackBox geom.Rect, trackVec []float64, detBox geom.Rect, detVec []float64) float64 {
 	iou := geom.IoU(trackBox, detBox)
-	app := img.CosineSim(trackHist.Concat(), detHist.Concat())
+	app := img.CosineSim(trackVec, detVec)
 	wSum := t.cfg.IoUWeight + t.cfg.AppearanceWeight
 	return (t.cfg.IoUWeight*(1-iou) + t.cfg.AppearanceWeight*(1-app)) / wSum
 }
@@ -278,24 +297,30 @@ func NewRunner(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
 	}
 }
 
-// Window detects the next consecutive run of frames on the pool and folds
-// them through the tracker in frame order.
+// Window detects the next consecutive run of frames on the pool, with the
+// appearance histogram of each detection, and folds them through the
+// tracker in frame order. A frame whose detection failed returns its
+// error after the frames before it are tracked.
 func (r *Runner) Window(frames []*img.Image) error {
 	type detResult struct {
-		dets []detect.Detection
-		err  error
+		dets  []detect.Detection
+		hists []*img.HSVHist
+		err   error
 	}
 	results := par.MapPool(r.rt.Pool, len(frames), 1, func(i int) detResult {
 		ds, err := r.det.Detect(frames[i])
-		return detResult{dets: ds, err: err}
+		if err != nil {
+			return detResult{err: err}
+		}
+		return detResult{dets: ds, hists: appearance(frames[i], ds)}
 	})
 	r.nFrames += int64(len(frames))
-	for i, f := range frames {
-		if results[i].err != nil {
-			return results[i].err
+	for _, res := range results {
+		if res.err != nil {
+			return res.err
 		}
-		r.nDets += int64(len(results[i].dets))
-		if err := r.tr.Step(f, results[i].dets); err != nil {
+		r.nDets += int64(len(res.dets))
+		if err := r.tr.step(res.dets, res.hists); err != nil {
 			return err
 		}
 	}

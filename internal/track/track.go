@@ -85,21 +85,25 @@ func New(cfg Config) *Tracker {
 // Step advances the tracker by one frame. frame supplies pixel data for the
 // appearance term; detections are the frame's detector output.
 func (t *Tracker) Step(frame *img.Image, detections []detect.Detection) error {
-	if frame == nil {
-		return fmt.Errorf("track: nil frame")
+	hists, err := appearance(frame, detections)
+	if err != nil {
+		return err
 	}
-	return t.step(detections, appearance(frame, detections))
+	return t.step(detections, hists)
 }
 
 // appearance returns the HSV histogram of each detection's box in the
 // frame: the tracker's appearance term. It reads only its arguments, so
 // Runner.Window builds it on the pool beside Detect.
-func appearance(frame *img.Image, detections []detect.Detection) []*img.HSVHist {
+func appearance(frame *img.Image, detections []detect.Detection) ([]*img.HSVHist, error) {
+	if frame == nil {
+		return nil, fmt.Errorf("track: nil frame")
+	}
 	hists := make([]*img.HSVHist, len(detections))
 	for i, d := range detections {
 		hists[i] = img.NewHSVHistRegion(frame, d.Box, 8, 4, 4)
 	}
-	return hists
+	return hists, nil
 }
 
 // step advances the tracker by one frame given the detections and their
@@ -300,7 +304,7 @@ func NewRunner(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
 // Window detects the next consecutive run of frames on the pool, with the
 // appearance histogram of each detection, and folds them through the
 // tracker in frame order. A frame whose detection failed returns its
-// error after the frames before it are tracked.
+// error after the frames before it are tracked, as Step would.
 func (r *Runner) Window(frames []*img.Image) error {
 	type detResult struct {
 		dets  []detect.Detection
@@ -309,10 +313,11 @@ func (r *Runner) Window(frames []*img.Image) error {
 	}
 	results := par.MapPool(r.rt.Pool, len(frames), 1, func(i int) detResult {
 		ds, err := r.det.Detect(frames[i])
-		if err != nil {
-			return detResult{err: err}
+		var hists []*img.HSVHist
+		if err == nil {
+			hists, err = appearance(frames[i], ds)
 		}
-		return detResult{dets: ds, hists: appearance(frames[i], ds)}
+		return detResult{dets: ds, hists: hists, err: err}
 	})
 	r.nFrames += int64(len(frames))
 	for _, res := range results {

@@ -1,12 +1,15 @@
 package track
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/img"
 	"verro/internal/obs"
+	"verro/internal/par"
 	"verro/internal/scene"
 )
 
@@ -173,5 +176,92 @@ func TestPadForbidden(t *testing.T) {
 	}
 	if got := padForbidden(nil); got != nil {
 		t.Fatal("empty input should pass through")
+	}
+}
+
+// failAt wraps a detector and fails on one frame.
+type failAt struct {
+	detect.Detector
+	bad *img.Image
+}
+
+func (f failAt) Detect(frame *img.Image) ([]detect.Detection, error) {
+	if frame == f.bad {
+		return nil, errors.New("detector failed")
+	}
+	if frame == nil {
+		return nil, nil
+	}
+	return f.Detector.Detect(frame)
+}
+
+// TestRunnerWindowMatchesStep checks that the pooled path, which builds
+// the appearance histograms beside Detect, tracks exactly as Step does.
+func TestRunnerWindowMatchesStep(t *testing.T) {
+	p := scene.Preset{
+		Name: "track-test", W: 96, H: 72, Frames: 40, Objects: 4,
+		FPS: 30, Style: scene.StyleSquare, Class: scene.Pedestrian, Seed: 51,
+	}
+	g, err := scene.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := detect.MedianBackground(g.Video.Frames, 2, obs.Runtime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := detect.NewBGSubtractor(bg)
+	got, err := Run(g.Video.Frames, det, DefaultConfig(), obs.Runtime{Pool: par.NewPool(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(DefaultConfig())
+	for _, f := range g.Video.Frames {
+		ds, err := det.Detect(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Step(f, ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := got.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Tracks().WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("Runner tracks (%d) differ from Step tracks (%d)", got.Len(), tr.Tracks().Len())
+	}
+}
+
+// TestRunnerWindowErrorOrder checks that a frame's error surfaces after
+// the frames before it are tracked, whether Detect fails or the frame is
+// nil.
+func TestRunnerWindowErrorOrder(t *testing.T) {
+	var frames []*img.Image
+	for k := 0; k < 6; k++ {
+		frames = append(frames, img.NewFilled(32, 24, img.RGB{R: uint8(10 * k), G: 40, B: 40}))
+	}
+	bg := img.NewFilled(32, 24, img.RGB{R: 0, G: 40, B: 40})
+	det := detect.NewBGSubtractor(bg)
+
+	r := NewRunner(failAt{det, frames[3]}, DefaultConfig(), obs.Runtime{Pool: par.NewPool(2)})
+	if err := r.Window(frames); err == nil || err.Error() != "detector failed" {
+		t.Fatalf("err = %v, want the detector's", err)
+	}
+	if r.tr.frame != 3 {
+		t.Fatalf("tracked %d frames before the failing one, want 3", r.tr.frame)
+	}
+
+	withNil := append(append([]*img.Image(nil), frames[:2]...), nil, frames[2])
+	r = NewRunner(failAt{det, frames[5]}, DefaultConfig(), obs.Runtime{Pool: par.NewPool(2)})
+	if err := r.Window(withNil); err == nil || err.Error() != "track: nil frame" {
+		t.Fatalf("err = %v, want the nil-frame error", err)
+	}
+	if r.tr.frame != 2 {
+		t.Fatalf("tracked %d frames before the nil one, want 2", r.tr.frame)
 	}
 }

@@ -2,8 +2,8 @@ package verro_test
 
 // Worker-pool benchmarks: each converted hot path measured on a scoped pool
 // of one worker and of one worker per core (runtime.NumCPU), so the
-// speedup on this host's cores (and the parallel overhead at one worker)
-// is directly visible. Combined with VERRO_BENCH_JSON these produce
+// speedup on the machine's own cores (and the parallel overhead at one
+// worker) is directly visible. Combined with VERRO_BENCH_JSON these produce
 // BENCH_parallel.json (`make bench-json`):
 //
 //	VERRO_BENCH_JSON=BENCH_parallel.json go test -run='^$' -bench=BenchmarkPar -benchtime=2x -count=3 .

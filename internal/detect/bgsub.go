@@ -84,7 +84,8 @@ func (b *BGSubtractor) Detect(frame *img.Image) ([]Detection, error) {
 // run is a maximal span [x0, x1) of foreground pixels in row y, with the
 // sum of their diff values. parent links it into a union-find forest over
 // the runs: it holds a smaller run index, or the run's own index at the
-// root of a set, so a root is its set's first run in raster order.
+// root of a set, so a root is its set's first run in raster order. Once
+// the components are built it holds the run's component index.
 type run struct {
 	y, x0, x1, sum, parent int
 }
@@ -126,25 +127,19 @@ func components(diff []uint8, w, h int, fg *[256]bool) []component {
 		above = here
 	}
 
-	// Relabel each root with its component's index, in root order, and
-	// every other run with its parent's component: a parent has a smaller
-	// index, so it is relabelled first.
-	n := 0
+	// In run order, a root opens the next component and relabels itself
+	// with its index; any other run takes its parent's label, which is
+	// already relabelled because the parent has a smaller index.
+	comps := make([]component, 0, len(runs))
 	for i := range runs {
-		if p := runs[i].parent; p == i {
-			runs[i].parent = n
-			n++
+		r := &runs[i]
+		if r.parent == i {
+			r.parent = len(comps)
+			comps = append(comps, component{minX: r.x0, minY: r.y, maxX: r.x1})
 		} else {
-			runs[i].parent = runs[p].parent
+			r.parent = runs[r.parent].parent
 		}
-	}
-	comps := make([]component, n)
-	for _, r := range runs {
 		c := &comps[r.parent]
-		if c.area == 0 {
-			// The first run: it holds the component's top row.
-			c.minX, c.minY, c.maxX = r.x0, r.y, r.x1
-		}
 		c.minX = min(c.minX, r.x0)
 		c.maxX = max(c.maxX, r.x1)
 		c.maxY = r.y + 1

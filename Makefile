@@ -98,9 +98,11 @@ bench-json:
 	VERRO_BENCH_JSON=BENCH_parallel.json $(GO) test -run='^$$' -bench=BenchmarkPar -benchtime=2x -count=3 .
 
 ## bench-hotpath: regenerate BENCH_hotpath.json, the ns/op reference of the
-## single-threaded kernel hot paths (bench_hotpath_test.go).
+## single-threaded kernel hot paths (bench_hotpath_test.go), with the recipe
+## bench-compare measures against it: best of 3 runs of 20 iterations each
+## (the recorder keeps the minimum per name).
 bench-hotpath:
-	VERRO_BENCH_JSON=BENCH_hotpath.json $(GO) test -run='^$$' -bench=BenchmarkHot -benchtime=50x .
+	VERRO_BENCH_JSON=BENCH_hotpath.json $(GO) test -run='^$$' -bench=BenchmarkHot -benchtime=20x -count=3 .
 
 ## bench-compare: the benchmark regression gate — re-measure the worker-pool
 ## and hot-path benchmarks into a scratch dir and fail if any committed

@@ -359,8 +359,8 @@ func TestPhase2LosesEmptyVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand Phase II an all-empty Phase I output: every object lost, video
-	// still rendered (background only).
+	// Hand Phase II an all-empty Phase I output: every object lost, every
+	// frame still rendered, as the bare background.
 	n := g.Truth.Len()
 	ell := len(kf.KeyFrames)
 	p1 := &Phase1Result{
@@ -375,8 +375,7 @@ func TestPhase2LosesEmptyVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	p2, err := RunPhase2(p1, kf, g.Truth, scenes, 64, 48, 16, DefaultPhase2Config(), rng, obs.Runtime{})
+	p2, err := RunPhase2(p1, kf, g.Truth, 64, 48, 16, DefaultPhase2Config(), rand.New(rand.NewSource(7)), obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +385,21 @@ func TestPhase2LosesEmptyVectors(t *testing.T) {
 	if p2.Tracks.Len() != 0 {
 		t.Fatalf("no objects should be rendered, got %d", p2.Tracks.Len())
 	}
-	if p2.Video.Len() != 16 {
-		t.Fatal("video incomplete")
+	plan, err := planPhase2(p1, kf, g.Truth, 64, 48, 16, DefaultPhase2Config(), rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := plan.renderRange(scenes, 0, 16, obs.Runtime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rendered) != 16 {
+		t.Fatalf("rendered %d frames, want 16", len(rendered))
+	}
+	for k, fr := range rendered {
+		if len(fr.recs) != 0 || !fr.frame.Equal(scenes.bg) {
+			t.Fatalf("frame %d is not the bare background", k)
+		}
 	}
 }
 
@@ -413,9 +425,8 @@ func TestPhase2InsufficientCandidatesExpands(t *testing.T) {
 			{true, false},
 		},
 	}
-	bg := scene.PaintBackground(scene.StyleSquare, 64, 48, 1)
 	rng := rand.New(rand.NewSource(8))
-	p2, err := RunPhase2(p1, kf, tracks, staticScenes{bg}, 64, 48, 10, DefaultPhase2Config(), rng, obs.Runtime{})
+	p2, err := RunPhase2(p1, kf, tracks, 64, 48, 10, DefaultPhase2Config(), rng, obs.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,23 +437,16 @@ func TestPhase2InsufficientCandidatesExpands(t *testing.T) {
 
 func TestRunPhase2Validation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	if _, err := RunPhase2(nil, nil, nil, nil, 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
+	if _, err := RunPhase2(nil, nil, nil, 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
 		t.Fatal("nil phase 1 should fail")
 	}
 	p1 := &Phase1Result{KeyFrames: []int{0}, Output: []ldp.BitVector{{true}}}
 	kf := &keyframe.Result{Segments: []keyframe.Segment{{Start: 0, End: 0}}, KeyFrames: []int{0}}
-	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 0, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
+	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), 0, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
 		t.Fatal("zero width should fail")
 	}
-	// Rendering without background scenes must fail cleanly, not panic in
-	// a render worker.
-	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err == nil {
-		t.Fatal("nil scenes should fail when rendering")
-	}
-	skip := DefaultPhase2Config()
-	skip.SkipRender = true
-	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), nil, 10, 10, 10, skip, rng, obs.Runtime{}); err != nil {
-		t.Fatalf("nil scenes must be allowed under SkipRender: %v", err)
+	if _, err := RunPhase2(p1, kf, motio.NewTrackSet(), 10, 10, 10, DefaultPhase2Config(), rng, obs.Runtime{}); err != nil {
+		t.Fatalf("valid input rejected: %v", err)
 	}
 }
 

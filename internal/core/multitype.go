@@ -104,8 +104,7 @@ func SanitizeMultiType(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Multi
 
 		p2cfg := cfg.Phase2
 		p2cfg.Class = classOf(name)
-		p2cfg.SkipRender = true // tracks only; rendering happens jointly below
-		p2, err := RunPhase2(p1, an.kf, set, nil, v.W, v.H, v.Len(), p2cfg, rng,
+		p2, err := RunPhase2(p1, an.kf, set, v.W, v.H, v.Len(), p2cfg, rng,
 			obs.Runtime{Pool: pool, Span: p2Span})
 		if err != nil {
 			return nil, fmt.Errorf("core: phase 2 for class %q: %w", name, err)

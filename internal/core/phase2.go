@@ -15,7 +15,6 @@ import (
 	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/scene"
-	"verro/internal/vid"
 )
 
 // Phase2Config tunes synthetic video generation.
@@ -31,9 +30,10 @@ type Phase2Config struct {
 	// Class is the synthetic sprite family to render.
 	Class scene.ObjectClass
 	// SkipRender computes the synthetic tracks (boxes and trajectories)
-	// without producing pixel data — Result.Video is nil. Parameter sweeps
-	// that only evaluate track-level utility use this to avoid the cost of
-	// rendering full videos.
+	// without producing pixel data: the driver appends nothing to its sink
+	// and Sanitize leaves Result.Synthetic nil. Parameter sweeps that only
+	// evaluate track-level utility use this to avoid the cost of rendering
+	// full videos.
 	SkipRender bool
 }
 
@@ -42,10 +42,10 @@ func DefaultPhase2Config() Phase2Config {
 	return Phase2Config{Interp: interp.MethodLagrange, Class: scene.Pedestrian}
 }
 
-// Phase2Result is the generated synthetic video plus the synthetic tracks
-// (for utility evaluation — the video recipient only sees the video).
+// Phase2Result is the outcome of Phase II short of pixels: the synthetic
+// tracks (for utility evaluation — the video recipient only sees the
+// video) and the assignment behind them.
 type Phase2Result struct {
-	Video  *vid.Video
 	Tracks *motio.TrackSet
 	// Assigned records the random key-frame coordinates given to each
 	// object index (before interpolation) — the Figure 5 "before Phase II"
@@ -240,46 +240,27 @@ func safeExtend(m interp.Method, run []interp.Sample, numFrames int, bounds geom
 	return frames, pos, nil
 }
 
-// RunPhase2 generates the synthetic video from the Phase I output.
-// scenes provides the reconstructed background for every frame (it may be
-// nil only under cfg.SkipRender); kf is the segmentation that produced
-// p1.KeyFrames; tracks supplies the candidate coordinates (their identities
-// are stripped before use). Frame rendering shards over rt.Pool and
-// render/loss counters land on rt.Span. The runtime is observational only —
-// every random draw happens on the coordinator, so the output is
-// bit-identical for the same rng stream at any worker count; the zero
-// obs.Runtime runs on the default pool, untraced.
+// RunPhase2 plans Phase II from the Phase I output and returns the
+// synthetic tracks without rendering a frame: the boxes come from
+// geometryRange, which is kept in lockstep with the renderer. kf is the
+// segmentation that produced p1.KeyFrames; tracks supplies the candidate
+// coordinates (their identities are stripped before use). Render/loss
+// counters land on rt.Span. Every random draw happens here, on the
+// coordinator, in the order planPhase2 fixes; the streaming driver renders
+// the same plan window by window (renderRange).
 func RunPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
-	scenes inpaint.Scenes, w, h, numFrames int, cfg Phase2Config, rng *rand.Rand, rt obs.Runtime) (*Phase2Result, error) {
+	w, h, numFrames int, cfg Phase2Config, rng *rand.Rand, rt obs.Runtime) (*Phase2Result, error) {
 
-	if scenes == nil && !cfg.SkipRender {
-		return nil, fmt.Errorf("core: phase 2 rendering requires background scenes")
-	}
 	plan, err := planPhase2(p1, kf, tracks, w, h, numFrames, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	rendered, err := plan.renderRange(scenes, 0, numFrames, rt)
-	if err != nil {
-		return nil, err
-	}
 	asm := newPhase2Assembler(plan)
-	out := vid.New("synthetic", w, h, 0)
-	for i, fr := range rendered {
+	for i, fr := range plan.geometryRange(0, numFrames) {
 		asm.add(i, fr)
-		if cfg.SkipRender {
-			continue
-		}
-		if err := out.Append(fr.frame); err != nil {
-			return nil, err
-		}
 	}
 	rt.Span.Add(obs.CFramesRendered, int64(numFrames))
-	res := asm.finish(rt)
-	if !cfg.SkipRender {
-		res.Video = out
-	}
-	return res, nil
+	return asm.finish(rt), nil
 }
 
 // placed is one synthetic object scheduled on a frame: its synthetic id and
@@ -557,7 +538,7 @@ func (a *phase2Assembler) add(k int, fr renderedFrame) {
 }
 
 // finish sorts the tracks, lands the object counters on rt.Span, and
-// returns the result (Video left nil — the caller owns frame delivery).
+// returns the result; the caller owns frame delivery.
 func (a *phase2Assembler) finish(rt obs.Runtime) *Phase2Result {
 	a.synth.Sort()
 	rt.Span.Add(obs.CObjectsRendered, a.objectsRendered)

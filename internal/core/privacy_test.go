@@ -47,8 +47,7 @@ func TestCoordinateAssignmentIdentityFree(t *testing.T) {
 	aGotOwn := 0 // object 1's first draw lands on its own original position
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < trials; i++ {
-		p2, err := RunPhase2(p1, kf, tracks, nil, 64, 48, 20,
-			Phase2Config{SkipRender: true}, rng, obs.Runtime{})
+		p2, err := RunPhase2(p1, kf, tracks, 64, 48, 20, Phase2Config{}, rng, obs.Runtime{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +94,7 @@ func TestPhase2SameOutputDistributionForSwappedObjects(t *testing.T) {
 		const trials = 600
 		for i := 0; i < trials; i++ {
 			p1 := &Phase1Result{KeyFrames: []int{4, 14}, Picked: []int{0, 1}, Output: output}
-			p2, err := RunPhase2(p1, kf, tracks, nil, 80, 48, 20,
-				Phase2Config{SkipRender: true}, rng, obs.Runtime{})
+			p2, err := RunPhase2(p1, kf, tracks, 80, 48, 20, Phase2Config{}, rng, obs.Runtime{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -161,7 +161,6 @@ func Sanitize(v *vid.Video, tracks *motio.TrackSet, cfg Config) (*Result, error)
 		out.Moving = v.Moving
 		out.Frames = sink.Frames
 		res.Synthetic = out
-		res.Phase2.Video = out
 	}
 	return res, nil
 }

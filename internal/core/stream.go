@@ -37,89 +37,13 @@ import (
 // Peak live memory is O(WindowFrames + samples), which the memory-ceiling
 // test in stream_mem_test.go holds roughly flat as the clip grows.
 
-// histStage accumulates the per-frame HSV histograms Algorithm 2 needs —
-// a few hundred bytes per frame, so clip-length retention stays metadata-
-// sized while the pixels flow through unretained.
-type histStage struct {
-	cfg   keyframe.Config
-	pool  *par.Pool
-	hists []*img.HSVHist
-}
-
-func (s *histStage) Name() string { return "hist" }
-func (s *histStage) Overlap() int { return 0 }
-func (s *histStage) Flush() error { return nil }
-func (s *histStage) Process(w stream.Window) error {
-	hs, err := keyframe.FrameHists(w.FreshFrames(), s.cfg, s.pool)
-	if err != nil {
-		return err
-	}
-	s.hists = append(s.hists, hs...)
-	return nil
-}
-
-// bgSampleStage retains every step-th frame (`k % step == 0`) for the
-// temporal background median, bounded at ~40 samples by detect.AutoStep
-// whatever the clip length.
-type bgSampleStage struct {
-	step    int
-	samples []*img.Image
-	indices []int
-}
-
-func (s *bgSampleStage) Name() string { return "bgsample" }
-func (s *bgSampleStage) Overlap() int { return 0 }
-func (s *bgSampleStage) Flush() error { return nil }
-func (s *bgSampleStage) Process(w stream.Window) error {
-	for i, f := range w.FreshFrames() {
-		k := w.FreshStart() + i
-		if k%s.step == 0 {
-			s.samples = append(s.samples, f)
-			s.indices = append(s.indices, k)
-		}
-	}
-	return nil
-}
-
-// panStage integrates per-frame pan offsets for moving-camera clips. Each
-// pairwise shift needs the previous frame's column profile; the stage
-// declares Overlap() == 1 and recomputes that profile from the re-presented
-// overlap frame instead of retaining pixels across windows, so its state
-// between windows is just the integer offsets.
-type panStage struct {
-	maxShift int
-	offsets  []int
-}
-
-func (s *panStage) Name() string { return "pan" }
-func (s *panStage) Overlap() int { return 1 }
-func (s *panStage) Flush() error { return nil }
-func (s *panStage) Process(w stream.Window) error {
-	profiles := make([][]float64, len(w.Frames))
-	for i, f := range w.Frames {
-		profiles[i] = inpaint.ColumnProfile(f)
-	}
-	for i := w.Fresh; i < len(w.Frames); i++ {
-		if w.Start+i == 0 {
-			s.offsets = append(s.offsets, 0)
-			continue
-		}
-		shift := inpaint.BestShift(profiles[i-1], profiles[i], s.maxShift)
-		s.offsets = append(s.offsets, s.offsets[len(s.offsets)-1]+shift)
-	}
-	return nil
-}
-
-// windowHook builds a stream.Run per-window hook that opens a child span
-// per window under parent and lands the window counters, giving traces a
-// per-window progress observable on both the analysis and render passes.
-func windowHook(parent *obs.Span) func(stream.Window) func() {
-	return func(w stream.Window) func() {
-		parent.Add(obs.CWindows, 1)
-		parent.Add(obs.CWindowFrames, int64(len(w.Frames)))
-		child := parent.Child(fmt.Sprintf("window@%d", w.Start))
-		return child.End
-	}
+// windowSpan lands one window's counters on parent and opens its
+// "window@start" child span, returning the child's End: the per-window
+// progress observable traces carry on both the analysis and render passes.
+func windowSpan(parent *obs.Span, start, frames int) func() {
+	parent.Add(obs.CWindows, 1)
+	parent.Add(obs.CWindowFrames, int64(frames))
+	return parent.Child(fmt.Sprintf("window@%d", start)).End
 }
 
 // windowSpend attributes Phase I budget to the render window [lo, hi): the
@@ -151,31 +75,60 @@ type analysis struct {
 }
 
 // analyze sweeps src once in windows of cfg.WindowFrames frames, collecting
-// the per-frame histograms and, with scenes set, the background samples and
-// pan offsets; it then segments the clip and reconstructs the background.
-// The sweep, the segmentation and the reconstruction each report under
-// their own span beneath root: "analysis", "keyframes" and "inpaint".
+// the per-frame HSV histograms Algorithm 2 needs and, with scenes set, the
+// background samples and pan offsets; it then segments the clip and
+// reconstructs the background. Only metadata-sized state outlives a window:
+// a few hundred bytes of histogram per frame, every step-th frame for the
+// temporal median (bounded at ~40 by detect.AutoStep), one integer offset
+// per frame, and the previous frame's column profile, which carries each
+// pairwise pan shift across a window boundary. The sweep, the segmentation
+// and the reconstruction each report under their own span beneath root:
+// "analysis", "keyframes" and "inpaint".
 func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool, pool *par.Pool, root *obs.Span) (*analysis, error) {
 	meta := src.Meta()
 	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
-	hist := &histStage{cfg: kfCfg, pool: pool}
-	stages := []stream.Stage{hist}
-	var bgs *bgSampleStage
-	var pan *panStage
-	if scenes {
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(meta.Frames)
-		}
-		bgs = &bgSampleStage{step: step}
-		stages = append(stages, bgs)
-		if meta.Moving {
-			pan = &panStage{maxShift: inpaint.DefaultPanShift}
-			stages = append(stages, pan)
-		}
+	step := cfg.BackgroundStep
+	if step <= 0 {
+		step = detect.AutoStep(meta.Frames)
 	}
+	var (
+		hists   []*img.HSVHist
+		samples []*img.Image
+		indices []int
+		offsets []int
+		prev    []float64 // column profile of the last frame swept
+	)
 	anSpan := root.Child("analysis")
-	err := stream.Run(src, cfg.WindowFrames, windowHook(anSpan), stages...)
+	err := stream.Each(src, cfg.WindowFrames, func(frames []*img.Image, start int) error {
+		end := windowSpan(anSpan, start, len(frames))
+		defer end()
+		hs, err := keyframe.FrameHists(frames, kfCfg, pool)
+		if err != nil {
+			return err
+		}
+		hists = append(hists, hs...)
+		if !scenes {
+			return nil
+		}
+		for i, f := range frames {
+			if k := start + i; k%step == 0 {
+				samples = append(samples, f)
+				indices = append(indices, k)
+			}
+			if !meta.Moving {
+				continue
+			}
+			cur := inpaint.ColumnProfile(f)
+			if len(offsets) == 0 {
+				offsets = append(offsets, 0)
+			} else {
+				shift := inpaint.BestShift(prev, cur, inpaint.DefaultPanShift)
+				offsets = append(offsets, offsets[len(offsets)-1]+shift)
+			}
+			prev = cur
+		}
+		return nil
+	})
 	anSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: analysis pass: %w", err)
@@ -183,7 +136,7 @@ func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool,
 
 	an := &analysis{}
 	kfSpan := root.Child("keyframes")
-	an.kf, err = keyframe.SegmentHists(hist.hists, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
+	an.kf, err = keyframe.SegmentHists(hists, kfCfg, obs.Runtime{Pool: pool, Span: kfSpan})
 	kfSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: key frames: %w", err)
@@ -194,11 +147,11 @@ func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool,
 		rt := obs.Runtime{Pool: pool, Span: inSpan}
 		if meta.Moving {
 			an.scenes, err = inpaint.BuildMovingBackgroundSamples(
-				meta.W, meta.H, pan.offsets, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
+				meta.W, meta.H, offsets, samples, indices, tracks, cfg.Inpaint, rt)
 		} else {
 			var bg *img.Image
 			bg, err = inpaint.StaticBackgroundSamples(
-				meta.W, meta.H, bgs.samples, bgs.indices, tracks, cfg.Inpaint, rt)
+				meta.W, meta.H, samples, indices, tracks, cfg.Inpaint, rt)
 			if err == nil {
 				an.scenes = inpaint.NewStaticScenes(bg)
 			}
@@ -288,7 +241,6 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		return nil, fmt.Errorf("core: phase 2: %w", err)
 	}
 	asm := newPhase2Assembler(plan)
-	hook := windowHook(p2Span)
 	var ledger []WindowSpend
 	for lo := 0; lo < meta.Frames; lo += windowBudget {
 		hi := lo + windowBudget
@@ -307,7 +259,7 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 			ledger = append(ledger, windowSpend(p1, lo, hi))
 			continue
 		}
-		post := hook(stream.Window{Start: lo, Frames: make([]*img.Image, hi-lo), Last: hi == meta.Frames})
+		post := windowSpan(p2Span, lo, hi-lo)
 		rendered, err := plan.renderRange(an.scenes, lo, hi, obs.Runtime{Pool: pool, Span: p2Span})
 		if err != nil {
 			post()

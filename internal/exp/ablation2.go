@@ -50,9 +50,9 @@ func InterpAblation(d *Dataset, f float64, trials int, seed int64) ([]InterpAbla
 			if err != nil {
 				return nil, err
 			}
-			p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
+			p2, err := core.RunPhase2(p1, d.KF, d.Tracks,
 				d.Gen.Video.W, d.Gen.Video.H, m,
-				core.Phase2Config{Interp: method.m, SkipRender: true}, rng, obs.Runtime{})
+				core.Phase2Config{Interp: method.m}, rng, obs.Runtime{})
 			if err != nil {
 				return nil, err
 			}

@@ -48,9 +48,9 @@ func Fig5(d *Dataset, fs []float64, trials int, seed int64) ([]Fig5Point, error)
 			}
 			rrSum += float64(core.TruthfulPresent(p1.Output, p1.Optimal))
 
-			p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
+			p2, err := core.RunPhase2(p1, d.KF, d.Tracks,
 				d.Gen.Video.W, d.Gen.Video.H, d.Gen.Video.Len(),
-				core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
+				core.Phase2Config{Interp: interp.MethodLagrange}, rng, obs.Runtime{})
 			if err != nil {
 				return nil, err
 			}
@@ -154,9 +154,9 @@ func Fig678(d *Dataset, fs []float64, seed int64) (*TrajectoryFig, error) {
 		if err != nil {
 			return nil, err
 		}
-		p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
+		p2, err := core.RunPhase2(p1, d.KF, d.Tracks,
 			d.Gen.Video.W, d.Gen.Video.H, d.Gen.Video.Len(),
-			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
+			core.Phase2Config{Interp: interp.MethodLagrange}, rng, obs.Runtime{})
 		if err != nil {
 			return nil, err
 		}
@@ -334,9 +334,9 @@ func Fig13(d *Dataset, fs []float64, seed int64) (*motio.SeriesTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		p2, err := core.RunPhase2(p1, d.KF, d.Tracks, nil,
+		p2, err := core.RunPhase2(p1, d.KF, d.Tracks,
 			d.Gen.Video.W, d.Gen.Video.H, m,
-			core.Phase2Config{Interp: interp.MethodLagrange, SkipRender: true}, rng, obs.Runtime{})
+			core.Phase2Config{Interp: interp.MethodLagrange}, rng, obs.Runtime{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"sync"
 	"testing"
 
 	"verro/internal/lint"
@@ -30,10 +31,16 @@ func CheckFixture(l *lint.Loader, dirs []string, analyzers ...*Analyzer) (proble
 	return lint.CheckDiagnostics(pkgs, Run(pkgs, analyzers...))
 }
 
+// fixtureLoader is the one loader the fixture runs of a test binary share:
+// its source importer type-checks the standard library packages the
+// fixtures import (net/http, encoding/json and their dependencies) once,
+// not once per fixture.
+var fixtureLoader = sync.OnceValue(lint.NewLoader)
+
 // RunFixture is the testing wrapper around CheckFixture.
 func RunFixture(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(lint.NewLoader(), dirs, analyzers...)
+	problems, err := CheckFixture(fixtureLoader(), dirs, analyzers...)
 	if err != nil {
 		t.Fatalf("fixture %v: %v", dirs, err)
 	}

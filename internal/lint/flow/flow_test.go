@@ -48,7 +48,7 @@ func TestChainFixture(t *testing.T) {
 // handle's taint — the diagnostic must disappear.
 func TestSummaryPropagationTwoHops(t *testing.T) {
 	load := func(dirs ...string) []*lint.Package {
-		l := lint.NewLoader()
+		l := flow.FixtureLoader()
 		var pkgs []*lint.Package
 		for _, dir := range dirs {
 			pkg, err := l.Load(dir)

@@ -3,13 +3,15 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"verro/internal/img"
 )
 
 // mkFrames builds n tiny frames whose first pixel byte encodes their index,
-// so a test stage can verify exactly which frames it was shown.
+// so a test can verify exactly which frames a pass was shown.
 func mkFrames(n int) []*img.Image {
 	out := make([]*img.Image, n)
 	for i := range out {
@@ -24,175 +26,94 @@ func testSource(n int) *SliceSource {
 	return NewSliceSource(Meta{Name: "t", W: 2, H: 2, FPS: 1}, mkFrames(n))
 }
 
-// recorder captures every window a stage is shown.
-type recorder struct {
-	name    string
-	overlap int
-	windows []Window
-	flushed bool
-	procErr error
-}
-
-func (r *recorder) Name() string { return r.name }
-func (r *recorder) Overlap() int { return r.overlap }
-func (r *recorder) Process(w Window) error {
-	// Deep-copy the frame list; the driver may reuse nothing, but the test
-	// should not depend on that.
-	cp := w
-	cp.Frames = append([]*img.Image(nil), w.Frames...)
-	r.windows = append(r.windows, cp)
-	return r.procErr
-}
-func (r *recorder) Flush() error {
-	r.flushed = true
-	return nil
-}
-
 // frameIndex recovers the clip index a mkFrames frame encodes.
 func frameIndex(f *img.Image) int { return int(f.Pix[0]) }
 
-// checkWindows verifies a recorder saw the whole clip exactly once through
-// its fresh frames, with correct Start/Fresh/Last bookkeeping and at most
-// overlap repeated frames per window.
-func checkWindows(t *testing.T, r *recorder, clip, budget int) {
-	t.Helper()
-	next := 0
-	for wi, w := range r.windows {
-		if w.Start+w.Fresh != next {
-			t.Fatalf("window %d: fresh frames start at %d, want %d", wi, w.Start+w.Fresh, next)
-		}
-		if w.Fresh > r.overlap {
-			t.Fatalf("window %d: %d overlap frames exceed declared overlap %d", wi, w.Fresh, r.overlap)
-		}
-		if fresh := len(w.Frames) - w.Fresh; budget > 0 && fresh > budget {
-			t.Fatalf("window %d: %d fresh frames exceed budget %d", wi, fresh, budget)
-		}
-		for i, f := range w.Frames {
-			if got, want := frameIndex(f), w.Start+i; got != want {
-				t.Fatalf("window %d: frame %d holds clip frame %d, want %d", wi, i, got, want)
-			}
-		}
-		next = w.Start + len(w.Frames)
-		if w.Last != (next >= clip) {
-			t.Fatalf("window %d: Last=%v at frame %d of %d", wi, w.Last, next, clip)
-		}
-	}
-	if next != clip {
-		t.Fatalf("stages saw %d frames, want %d", next, clip)
-	}
-	if !r.flushed {
-		t.Fatal("stage never flushed")
-	}
-}
-
-func TestRunPartitionsClip(t *testing.T) {
-	for _, tc := range []struct{ clip, budget, overlap int }{
-		{10, 3, 0},  // final partial window
-		{10, 5, 0},  // exact division
-		{10, 1, 0},  // window == 1
-		{10, 64, 0}, // window > clip
-		{10, 0, 0},  // whole-clip window
-		{10, 3, 2},  // overlap smaller than budget
-		{10, 2, 5},  // overlap larger than budget: tail spans windows
-		{1, 4, 2},   // single-frame clip
+func TestEachPartitionsClip(t *testing.T) {
+	for _, tc := range []struct {
+		clip, budget int
+		sizes        []int
+	}{
+		{10, 3, []int{3, 3, 3, 1}}, // final partial run
+		{10, 5, []int{5, 5}},       // exact division
+		{10, 1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{10, 64, []int{10}}, // budget > clip
+		{10, 0, []int{10}},  // whole-clip run
+		{1, 4, []int{1}},    // single-frame clip
+		{0, 4, nil},         // empty clip: fn never runs
 	} {
-		name := fmt.Sprintf("clip=%d,budget=%d,overlap=%d", tc.clip, tc.budget, tc.overlap)
-		t.Run(name, func(t *testing.T) {
-			r := &recorder{name: "rec", overlap: tc.overlap}
-			if err := Run(testSource(tc.clip), tc.budget, nil, r); err != nil {
+		t.Run(fmt.Sprintf("clip=%d,budget=%d", tc.clip, tc.budget), func(t *testing.T) {
+			var sizes []int
+			next := 0
+			err := Each(testSource(tc.clip), tc.budget, func(frames []*img.Image, start int) error {
+				if start != next {
+					t.Fatalf("run %d starts at frame %d, want %d", len(sizes), start, next)
+				}
+				for i, f := range frames {
+					if got := frameIndex(f); got != start+i {
+						t.Fatalf("run at %d: frame %d holds clip frame %d, want %d", start, i, got, start+i)
+					}
+				}
+				sizes = append(sizes, len(frames))
+				next = start + len(frames)
+				return nil
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			checkWindows(t, r, tc.clip, tc.budget)
+			if !reflect.DeepEqual(sizes, tc.sizes) {
+				t.Fatalf("run sizes %v, want %v", sizes, tc.sizes)
+			}
 		})
 	}
 }
 
-func TestRunOverlapRepresentsTail(t *testing.T) {
-	// With budget 3 and overlap 2, every window after the first must start
-	// with exactly the 2 frames preceding its fresh range.
-	r := &recorder{name: "rec", overlap: 2}
-	if err := Run(testSource(11), 3, nil, r); err != nil {
-		t.Fatal(err)
+// stubSource answers every Next with no frames and err: with a nil err, a
+// run with no frames before io.EOF, the way a broken source could.
+type stubSource struct {
+	*SliceSource
+	err error
+}
+
+func (s stubSource) Next(int) ([]*img.Image, int, error) { return nil, 0, s.err }
+
+func TestEachEmptyRunFails(t *testing.T) {
+	called := false
+	err := Each(stubSource{SliceSource: testSource(4)}, 2, func([]*img.Image, int) error {
+		called = true
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "stream: source returned an empty window at frame 0") {
+		t.Fatalf("got %v, want the empty-window error", err)
 	}
-	if len(r.windows) != 4 {
-		t.Fatalf("got %d windows, want 4", len(r.windows))
-	}
-	for wi, w := range r.windows[1:] {
-		if w.Fresh != 2 {
-			t.Fatalf("window %d: Fresh=%d, want 2", wi+1, w.Fresh)
-		}
-	}
-	if r.windows[0].Fresh != 0 {
-		t.Fatalf("first window has Fresh=%d, want 0", r.windows[0].Fresh)
+	if called {
+		t.Fatal("fn ran on an empty run")
 	}
 }
 
-func TestRunMixedOverlaps(t *testing.T) {
-	// Stages with different overlaps share one pass but each sees its own
-	// prefix; the no-overlap stage must never see a repeat.
-	a := &recorder{name: "a", overlap: 0}
-	b := &recorder{name: "b", overlap: 3}
-	if err := Run(testSource(9), 4, nil, a, b); err != nil {
-		t.Fatal(err)
-	}
-	checkWindows(t, a, 9, 4)
-	checkWindows(t, b, 9, 4)
-	for wi, w := range a.windows {
-		if w.Fresh != 0 {
-			t.Fatalf("no-overlap stage saw repeats in window %d", wi)
-		}
+func TestEachWrapsSourceError(t *testing.T) {
+	broken := errors.New("broken")
+	err := Each(stubSource{testSource(4), broken}, 2, func([]*img.Image, int) error {
+		t.Fatal("fn ran after a source error")
+		return nil
+	})
+	if !errors.Is(err, broken) || !strings.HasPrefix(err.Error(), "stream: source: ") {
+		t.Fatalf("got %v, want the source error wrapped as stream: source", err)
 	}
 }
 
-func TestRunEmptyStreamFlushes(t *testing.T) {
-	r := &recorder{name: "rec"}
-	if err := Run(testSource(0), 4, nil, r); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.windows) != 0 {
-		t.Fatalf("empty stream produced %d windows", len(r.windows))
-	}
-	if !r.flushed {
-		t.Fatal("empty stream did not flush stages")
-	}
-}
-
-func TestRunNoStages(t *testing.T) {
-	if err := Run(testSource(4), 2, nil); !errors.Is(err, ErrNoStages) {
-		t.Fatalf("got %v, want ErrNoStages", err)
-	}
-}
-
-func TestRunStageErrorNamed(t *testing.T) {
+func TestEachStopsOnFnError(t *testing.T) {
 	boom := errors.New("boom")
-	r := &recorder{name: "exploder", procErr: boom}
-	err := Run(testSource(4), 2, nil, r)
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want wrapped boom", err)
+	calls := 0
+	err := Each(testSource(6), 2, func([]*img.Image, int) error {
+		calls++
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("got %v, want fn's error unwrapped", err)
 	}
-	if want := "stream: stage exploder:"; err == nil || len(err.Error()) < len(want) || err.Error()[:len(want)] != want {
-		t.Fatalf("error %q does not name the failing stage", err)
-	}
-}
-
-func TestRunOnWindowHook(t *testing.T) {
-	var order []string
-	hooked := &recorder{name: "rec"}
-	hook := func(w Window) func() {
-		order = append(order, fmt.Sprintf("pre%d", w.Start))
-		return func() { order = append(order, fmt.Sprintf("post%d", w.Start)) }
-	}
-	if err := Run(testSource(4), 2, hook, hooked); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"pre0", "post0", "pre2", "post2"}
-	if len(order) != len(want) {
-		t.Fatalf("hook calls %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("hook calls %v, want %v", order, want)
-		}
+	if calls != 1 {
+		t.Fatalf("fn ran %d times, want 1", calls)
 	}
 }
 

@@ -2,7 +2,6 @@ package verro
 
 import (
 	"fmt"
-	"io"
 
 	"verro/internal/detect"
 	"verro/internal/img"
@@ -83,9 +82,11 @@ func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
 // needs its median background before any detection, so that path makes two
 // passes: a sampling pass retaining only the ~40 strided frames the
 // temporal median consumes, a Reset, then a windowed detect-and-track pass.
-// The HOG+SVM detector is model-driven and needs a single pass. Tracks are
-// bit-identical at any window size: the sample stack, the per-frame
-// detections, and the tracker step order do not depend on the windowing.
+// The HOG+SVM detector is model-driven and needs a single pass. Every pass
+// runs through stream.Each, as the sanitizer's sweep does, so both drivers
+// reject a source the same way. Tracks are bit-identical at any window
+// size: the sample stack, the per-frame detections, and the tracker step
+// order do not depend on the windowing.
 func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {
@@ -122,7 +123,7 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 		return nil, fmt.Errorf("verro: unknown detector %d", cfg.Detector)
 	}
 	runner := track.NewRunner(det, cfg.Tracker, obs.Runtime{Pool: pool, Span: root})
-	err := forEachWindow(src, cfg.WindowFrames, func(frames []*img.Image, _ int) error {
+	err := stream.Each(src, cfg.WindowFrames, func(frames []*img.Image, _ int) error {
 		return runner.Window(frames)
 	})
 	if err != nil {
@@ -145,7 +146,7 @@ func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime)
 		step = 1
 	}
 	var samples []*img.Image
-	err := forEachWindow(src, window, func(frames []*img.Image, start int) error {
+	err := stream.Each(src, window, func(frames []*img.Image, start int) error {
 		for i, f := range frames {
 			if (start+i)%step == 0 {
 				samples = append(samples, f)
@@ -157,22 +158,4 @@ func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime)
 		return nil, err
 	}
 	return detect.MedianBackground(samples, 1, rt)
-}
-
-// forEachWindow drains the source in runs of at most window frames
-// (window <= 0 means one whole-clip run), invoking fn with each run and its
-// absolute start index.
-func forEachWindow(src stream.Source, window int, fn func([]*img.Image, int) error) error {
-	for {
-		frames, start, err := src.Next(window)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(frames, start); err != nil {
-			return err
-		}
-	}
 }

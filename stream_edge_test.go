@@ -3,16 +3,20 @@ package verro
 // End-of-stream and boundary-condition tests for the windowed pipeline: the
 // cases where window arithmetic is most likely to go wrong are clips shorter
 // than the background sampler's 9-frame clamp, final windows smaller than
-// the budget, and tracker state that must survive a window boundary (an
-// object whose track ends mid-window, so its miss-aging spans windows).
+// the budget, tracker state that must survive a window boundary (an object
+// whose track ends mid-window, so its miss-aging spans windows), and a
+// source that breaks the window contract.
 
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"verro/internal/geom"
 	"verro/internal/img"
+	"verro/internal/stream"
+	"verro/internal/vid"
 )
 
 // tinyEquivalence runs whole-clip and windowed sanitization of the same clip
@@ -156,5 +160,50 @@ func TestStreamTrackerHandoff(t *testing.T) {
 	}
 	if last < lastSeen-1 || last > lastSeen {
 		t.Fatalf("track ends at frame %d, expected the true exit around %d (not a window boundary)", last, lastSeen)
+	}
+}
+
+// emptyRunSource returns one run with no frames when its wrapped source
+// reaches frame at, then reads on as if nothing had happened.
+type emptyRunSource struct {
+	stream.Source
+	at, next int
+	done     bool
+}
+
+func (s *emptyRunSource) Next(budget int) ([]*img.Image, int, error) {
+	if !s.done && s.next == s.at {
+		s.done = true
+		return nil, s.at, nil
+	}
+	frames, start, err := s.Source.Next(budget)
+	s.next = start + len(frames)
+	return frames, start, err
+}
+
+// TestStreamEmptyRunFails feeds both drivers a source that returns an empty
+// run at frame 16 of a 40-frame clip, before io.EOF. Such a source is
+// broken (one that kept doing it would never end), and both drivers must
+// refuse it with the same error rather than track or publish around it.
+func TestStreamEmptyRunFails(t *testing.T) {
+	v := shortClip(t, 40)
+	tracks, err := DetectAndTrack(v, DefaultPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := func() StreamSource {
+		return &emptyRunSource{Source: stream.NewSliceSource(vid.MetaOf(v), v.Frames), at: 16}
+	}
+	const want = "stream: source returned an empty window at frame 16"
+
+	pcfg := DefaultPipelineConfig()
+	pcfg.WindowFrames = 8
+	if _, err := DetectAndTrackStream(src(), pcfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DetectAndTrackStream: got %v, want the empty-window error", err)
+	}
+	cfg := DefaultConfig()
+	cfg.WindowFrames = 8
+	if _, err := SanitizeStream(src(), tracks, cfg, &stream.CollectSink{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("SanitizeStream: got %v, want the empty-window error", err)
 	}
 }

@@ -117,10 +117,11 @@ func medianScene(w, h, panW int, offsets []int, samples []*img.Image, indices []
 const DefaultPanShift = 12
 
 // ColumnProfile returns the mean luma of each column — the pure per-frame
-// half of pan estimation. The sanitizer's pan stage calls it frame by frame
-// (recomputing the overlap frame's profile instead of retaining pixels) and
-// integrates the pairwise BestShift results into per-frame offsets: the
-// horizontal camera offset of every frame relative to frame 0.
+// half of pan estimation. The sanitizer's analysis sweep calls it once per
+// frame (keeping the previous frame's profile across a window boundary
+// instead of retaining pixels) and integrates the pairwise BestShift
+// results into per-frame offsets: the horizontal camera offset of every
+// frame relative to frame 0.
 func ColumnProfile(f *img.Image) []float64 {
 	out := make([]float64, f.W)
 	// Row by row, so each column still sums in y order.

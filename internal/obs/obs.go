@@ -63,8 +63,8 @@ const (
 	// CWindows counts bounded-memory streaming windows driven through a
 	// pass (analysis or render) of the windowed pipeline.
 	CWindows = "windows"
-	// CWindowFrames counts fresh (non-overlap) frames presented across all
-	// streaming windows of a pass.
+	// CWindowFrames counts the frames presented across all streaming
+	// windows of a pass.
 	CWindowFrames = "window_frames"
 )
 

@@ -30,8 +30,8 @@ type Phase2Config struct {
 	// Class is the synthetic sprite family to render.
 	Class scene.ObjectClass
 	// SkipRender computes the synthetic tracks (boxes and trajectories)
-	// without producing pixel data: the driver appends nothing to its sink
-	// and Sanitize leaves Result.Synthetic nil. Parameter sweeps that only
+	// without producing pixel data: SanitizeStream appends nothing to its
+	// sink and Sanitize leaves Result.Synthetic nil. Parameter sweeps that only
 	// evaluate track-level utility use this to avoid the cost of rendering
 	// full videos.
 	SkipRender bool
@@ -246,7 +246,7 @@ func safeExtend(m interp.Method, run []interp.Sample, numFrames int, bounds geom
 // segmentation that produced p1.KeyFrames; tracks supplies the candidate
 // coordinates (their identities are stripped before use). Render/loss
 // counters land on rt.Span. Every random draw happens here, on the
-// coordinator, in the order planPhase2 fixes; the streaming driver renders
+// coordinator, in the order planPhase2 fixes; SanitizeStreamFrom renders
 // the same plan window by window (renderRange).
 func RunPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
 	w, h, numFrames int, cfg Phase2Config, rng *rand.Rand, rt obs.Runtime) (*Phase2Result, error) {

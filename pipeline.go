@@ -83,10 +83,10 @@ func DetectAndTrack(v *Video, cfg PipelineConfig) (*TrackSet, error) {
 // passes: a sampling pass retaining only the ~40 strided frames the
 // temporal median consumes, a Reset, then a windowed detect-and-track pass.
 // The HOG+SVM detector is model-driven and needs a single pass. Every pass
-// runs through stream.Each, as the sanitizer's sweep does, so both drivers
-// reject a source the same way. Tracks are bit-identical at any window
-// size: the sample stack, the per-frame detections, and the tracker step
-// order do not depend on the windowing.
+// runs through stream.Each, as the sanitizer's sweep does, so this function
+// and SanitizeStream reject a source the same way. Tracks are bit-identical
+// at any window size: the sample stack, the per-frame detections, and the
+// tracker step order do not depend on the windowing.
 func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, error) {
 	meta := src.Meta()
 	if meta.Frames == 0 {

@@ -181,10 +181,11 @@ func (s *emptyRunSource) Next(budget int) ([]*img.Image, int, error) {
 	return frames, start, err
 }
 
-// TestStreamEmptyRunFails feeds both drivers a source that returns an empty
-// run at frame 16 of a 40-frame clip, before io.EOF. Such a source is
-// broken (one that kept doing it would never end), and both drivers must
-// refuse it with the same error rather than track or publish around it.
+// TestStreamEmptyRunFails feeds DetectAndTrackStream and SanitizeStream a
+// source that returns an empty run at frame 16 of a 40-frame clip, before
+// io.EOF. Such a source is broken (one that kept doing it would never end),
+// and both must refuse it with the same error rather than track or publish
+// around it.
 func TestStreamEmptyRunFails(t *testing.T) {
 	v := shortClip(t, 40)
 	tracks, err := DetectAndTrack(v, DefaultPipelineConfig())

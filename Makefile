@@ -65,14 +65,16 @@ race:
 ## race-par: the targeted race gate, a fast early failure before the full
 ## race suite. Under the race detector it runs worker-pool equivalence,
 ## the scoped concurrent-sanitize test, the streaming equivalence matrix
-## (whose per-window render fan-out is the newest pool user), the verrod
-## handlers (concurrent jobs + SSE subscribers share the trace-observer
-## path), and every test of internal/store, internal/stream and
-## internal/vid: the .vvf codec, and vid.FileSource's read-ahead goroutine,
-## which owns the source's cursor and its raw-pixel spill while a window
-## is in flight.
+## (whose per-window render fan-out is the newest pool user), the per-class
+## matrix and one-class pin (the same fan-out drawing several classes'
+## sprites per frame from one merged plan), the verrod handlers (concurrent
+## jobs + SSE subscribers share the trace-observer path), and every test of
+## internal/store, internal/stream and internal/vid: the .vvf codec, and
+## vid.FileSource's read-ahead goroutine, which owns the source's cursor and
+## its raw-pixel spill while a window is in flight.
 race-par:
 	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
+	$(GO) test -race -run 'TestSanitizePerClassMatrix|TestSanitizeMultiTypeSingleClassMatchesRegularShape' ./internal/core/
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
 	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/vid/
 

@@ -30,8 +30,6 @@ import (
 
 	"verro"
 	"verro/internal/obs"
-	"verro/internal/stream"
-	"verro/internal/vid"
 )
 
 // options collects the run parameters; flags bind to the fields directly.
@@ -62,7 +60,7 @@ func main() {
 	flag.BoolVar(&opt.multi, "multitype", false, "sanitize each object class independently (Section 5)")
 	flag.IntVar(&opt.gifN, "gif", 0, "also export an animated GIF sampling every Nth frame (0 = none)")
 	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = GOMAXPROCS; output is identical at any setting)")
-	flag.IntVar(&opt.window, "window", 0, "stream the pipeline from disk in windows of N frames, bounding memory to O(N) (0 = one whole-clip window, read into memory; output is identical at any setting)")
+	flag.IntVar(&opt.window, "window", 0, "stream the pipeline from disk in windows of N frames, bounding memory to O(N) (0 = one whole-clip window; output is identical at any setting)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
 	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -84,30 +82,18 @@ func main() {
 	}
 }
 
-// run is the file-to-file pipeline. With -window N the input decodes from
-// disk in windows of N frames, detection, tracking and the sanitizer stream
-// over them, and the output encodes to disk window by window, so peak memory
-// is O(N) regardless of clip length. -window 0 (one whole-clip window) and
-// -multitype, whose joint per-class renderer needs the whole clip, decode
-// the clip into memory once and every pass reads it from there. The written
+// run is the file-to-file pipeline. The input decodes from disk in windows
+// of -window N frames (0 is one whole-clip window), detection, tracking and
+// the sanitizer stream over them, and the output encodes to disk window by
+// window, so peak memory is O(N) regardless of clip length. -multitype is
+// the same run with each object class sanitized on its own. The written
 // file is byte-identical at any window size.
 func run(opt options) error {
-	var video *verro.Video
-	var src verro.StreamSource
-	var err error
-	if opt.window <= 0 || opt.multi {
-		if video, err = verro.ReadVideo(opt.in); err != nil {
-			return err
-		}
-		src = stream.NewSliceSource(vid.MetaOf(video), video.Frames)
-	} else {
-		fs, err := verro.OpenVideoSource(opt.in)
-		if err != nil {
-			return err
-		}
-		defer fs.Close()
-		src = fs
+	src, err := verro.OpenVideoSource(opt.in)
+	if err != nil {
+		return err
 	}
+	defer src.Close()
 	meta := src.Meta()
 	fmt.Printf("input: %s %dx%d %d frames (window %d)\n", meta.Name, meta.W, meta.H, meta.Frames, opt.window)
 
@@ -150,19 +136,27 @@ func run(opt options) error {
 	cfg.Trace = trace
 	cfg.Workers = opt.workers
 	cfg.WindowFrames = opt.window
+	cfg.PerClass = opt.multi
 
 	// The output is written under a temporary name next to -out and renamed
 	// into place once complete. A failed run leaves no half-written .vvf
 	// where a caller could mistake it for a sanitized artifact, and -out may
-	// name the input itself: a streaming source keeps reading the original.
+	// name the input itself: the source keeps reading the original.
 	tmp := opt.out + ".tmp"
 	defer os.Remove(tmp) // no-op once renamed
-	var written int64
+	sink, err := verro.NewVideoSink(tmp, verro.StreamOutputMeta(meta))
+	if err != nil {
+		return err
+	}
+	// Close is idempotent: a no-op after the success path (SanitizeStream
+	// closes the sink itself); on an error return it releases the
+	// descriptor before the temporary file is removed.
+	defer sink.Close()
+	res, err := verro.SanitizeStream(src, tracks, cfg, sink)
+	if err != nil {
+		return err
+	}
 	if opt.multi {
-		res, err := verro.SanitizeMultiType(video, tracks, cfg)
-		if err != nil {
-			return err
-		}
 		classes := make([]string, 0, len(res.PerClass))
 		for name := range res.PerClass {
 			classes = append(classes, name)
@@ -172,29 +166,13 @@ func run(opt options) error {
 			p1 := res.PerClass[name]
 			fmt.Printf("class %-11s eps=%.3f over %d picked key frames, f=%.4f\n", name, p1.Epsilon, len(p1.Picked), p1.F)
 		}
-		fmt.Printf("%d/%d objects retained\n", res.SyntheticTracks.Len(), tracks.Len())
-		if written, err = verro.WriteVideo(tmp, res.Synthetic); err != nil {
-			return err
-		}
 	} else {
-		sink, err := verro.NewVideoSink(tmp, verro.StreamOutputMeta(meta))
-		if err != nil {
-			return err
-		}
-		// Close is idempotent: a no-op after the success path (SanitizeStream
-		// closes the sink itself); on an error return it releases the
-		// descriptor before the temporary file is removed.
-		defer sink.Close()
-		res, err := verro.SanitizeStream(src, tracks, cfg, sink)
-		if err != nil {
-			return err
-		}
 		fmt.Printf("sanitized: eps=%.3f over %d picked key frames, f=%.4f\n",
 			res.Epsilon, len(res.Phase1.Picked), res.Phase1.F)
-		fmt.Printf("%d/%d objects retained over %d windows\n",
-			res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
-		written = sink.Written()
 	}
+	fmt.Printf("%d/%d objects retained over %d windows\n",
+		res.SyntheticTracks.Len(), tracks.Len(), len(res.Windows))
+	written := sink.Written()
 	if err := os.Rename(tmp, opt.out); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"verro"
+	"verro/internal/vid"
 )
 
 // TestRunStreamFailureLeavesNoPartialOutput: when the streaming pipeline
@@ -73,9 +74,8 @@ func TestRunStreamFailureLeavesNoPartialOutput(t *testing.T) {
 
 // TestRunInPlace: -out may name the input file. The run must publish the
 // same bytes as one writing elsewhere and must not lose the input on the
-// way — neither at -window 0, where the clip is read into memory first,
-// nor at -window N, where the input streams from disk while the output is
-// written.
+// way, at -window 0 (one whole-clip window) as at -window N: either way the
+// input streams from disk while the output is written.
 func TestRunInPlace(t *testing.T) {
 	preset, err := verro.BenchmarkPreset("MOT01")
 	if err != nil {
@@ -117,6 +117,64 @@ func TestRunInPlace(t *testing.T) {
 		}
 		if _, err := os.Stat(in + ".tmp"); !os.IsNotExist(err) {
 			t.Fatalf("window %d: in-place run left its temporary file (stat err: %v)", window, err)
+		}
+	}
+}
+
+// TestRunMultiType: -multitype is the CLI's one sanitize call with each
+// object class sanitized on its own. On a clip with two classes it must
+// write the same file at -window 0 and at -window 8, and that file must be
+// the library's per-class output.
+func TestRunMultiType(t *testing.T) {
+	preset, err := verro.BenchmarkPreset("MOT01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := verro.GenerateBenchmark(preset.Scaled(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range g.Truth.Tracks {
+		if i%2 == 1 {
+			tr.Class = "vehicle"
+		}
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "clip.vvf")
+	if _, err := verro.WriteVideo(in, g.Video); err != nil {
+		t.Fatal(err)
+	}
+	tracksCSV := filepath.Join(dir, "tracks.csv")
+	if err := g.Truth.SaveCSV(tracksCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := verro.DefaultConfig()
+	cfg.Seed = 3
+	cfg.PerClass = true
+	res, err := verro.Sanitize(g.Video, g.Truth, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerClass) != 2 {
+		t.Fatalf("library run sanitized %d classes, want 2", len(res.PerClass))
+	}
+	var want bytes.Buffer
+	if _, err := vid.Encode(&want, res.Synthetic); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int{0, 8} {
+		out := filepath.Join(dir, fmt.Sprintf("out-w%d.vvf", window))
+		opt := options{in: in, tracksPath: tracksCSV, out: out, f: 0.1, seed: 3, multi: true, window: window}
+		if err := run(opt); err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("window %d: -multitype output differs from the library's per-class run", window)
 		}
 	}
 }

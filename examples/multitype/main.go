@@ -34,7 +34,8 @@ func main() {
 
 	cfg := verro.DefaultConfig()
 	cfg.Phase1.F = 0.1
-	res, err := verro.SanitizeMultiType(g.Video, g.Truth, cfg)
+	cfg.PerClass = true
+	res, err := verro.Sanitize(g.Video, g.Truth, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,13 +8,16 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"verro/internal/geom"
+	"verro/internal/img"
 	"verro/internal/interp"
 	"verro/internal/motio"
 	"verro/internal/scene"
+	"verro/internal/stream"
 	"verro/internal/vid"
 )
 
@@ -54,50 +57,96 @@ func mixedScene(t *testing.T) (*scene.Generated, *motio.TrackSet) {
 	return g, mixed
 }
 
+// perClassRun sanitizes g's clip with Config.PerClass set, streaming it
+// through the driver in windows of cfg.WindowFrames frames.
+func perClassRun(t *testing.T, g *scene.Generated, tracks *motio.TrackSet, cfg Config) *Result {
+	t.Helper()
+	cfg.PerClass = true
+	res, err := Sanitize(g.Video, tracks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSanitizeMultiType(t *testing.T) {
 	g, mixed := mixedScene(t)
 	cfg := DefaultConfig()
 	cfg.Keyframe.MaxSegmentLen = 8
-	res, err := SanitizeMultiType(g.Video, mixed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := perClassRun(t, g, mixed, cfg)
 	if res.Synthetic.Len() != g.Video.Len() {
 		t.Fatalf("synthetic frames = %d", res.Synthetic.Len())
 	}
 	if len(res.PerClass) != 2 {
 		t.Fatalf("classes = %d, want 2", len(res.PerClass))
 	}
+	if res.Phase1 != nil {
+		t.Fatal("a per-class run set Result.Phase1")
+	}
 	for name, p1 := range res.PerClass {
 		if p1.Epsilon <= 0 {
 			t.Fatalf("class %q epsilon = %v", name, p1.Epsilon)
 		}
+		if p1.Epsilon > res.Epsilon {
+			t.Fatalf("class %q epsilon %v exceeds the run's %v", name, p1.Epsilon, res.Epsilon)
+		}
 	}
-	if res.Epsilon <= 0 {
-		t.Fatal("missing overall epsilon")
-	}
-	// Synthetic IDs must be unique across classes.
+	checkPerClassTracks(t, res, mixed)
+}
+
+// checkPerClassTracks holds a per-class run's synthetic tracks to the
+// merged plan: synthetic ids are unique across classes, and every object
+// of a class that kept a key-frame coordinate is one synthetic track
+// labelled with that class. Phase2.Assigned concatenates the classes in
+// order of first appearance in tracks.
+func checkPerClassTracks(t *testing.T, res *Result, tracks *motio.TrackSet) {
+	t.Helper()
 	seen := map[int]bool{}
+	got := map[string]int{}
 	for _, tr := range res.SyntheticTracks.Tracks {
 		if seen[tr.ID] {
 			t.Fatalf("duplicate synthetic ID %d", tr.ID)
 		}
 		seen[tr.ID] = true
+		got[tr.Class]++
 	}
-	// Both classes should usually survive at f=0.1.
-	classes := map[string]int{}
-	for _, tr := range res.SyntheticTracks.Tracks {
-		classes[tr.Class]++
+	var order []string
+	for _, tr := range tracks.Tracks {
+		if !slices.Contains(order, tr.Class) {
+			order = append(order, tr.Class)
+		}
 	}
-	if len(classes) == 0 {
-		t.Fatal("no synthetic objects at all")
+	want := map[string]int{}
+	at, lost := 0, 0
+	for _, name := range order {
+		n := len(res.PerClass[name].Output)
+		for _, a := range res.Phase2.Assigned[at : at+n] {
+			if len(a) > 0 {
+				want[classOf(name).String()]++
+			} else {
+				lost++
+			}
+		}
+		at += n
+	}
+	if at != len(res.Phase2.Assigned) || lost != res.Phase2.Lost {
+		t.Fatalf("Phase2 holds %d objects (%d lost), the classes %d (%d lost)",
+			len(res.Phase2.Assigned), res.Phase2.Lost, at, lost)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("synthetic tracks per class = %v, want %v", got, want)
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Fatalf("synthetic tracks per class = %v, want %v", got, want)
+		}
 	}
 }
 
-// multiTypeDigest summarizes a multi-type run's published artifacts: the
+// multiTypeDigest summarizes a per-class run's published artifacts: the
 // sha256 of the synthetic-tracks CSV and of the encoded .vvf, plus the bits
 // of the overall and per-class ε.
-func multiTypeDigest(t *testing.T, res *MultiTypeResult) string {
+func multiTypeDigest(t *testing.T, res *Result) string {
 	t.Helper()
 	var tracks, video bytes.Buffer
 	if err := res.SyntheticTracks.WriteCSV(&tracks); err != nil {
@@ -120,13 +169,13 @@ func multiTypeDigest(t *testing.T, res *MultiTypeResult) string {
 	return out
 }
 
-// multiTypeGolden pins SanitizeMultiType on the mixedScene clip at seed 7.
+// multiTypeGolden pins a per-class run on the mixedScene clip at seed 7.
 // It is compared on GOARCH=amd64 only: other targets may fuse multiply-add.
 const multiTypeGolden = "tracks=e632c56125c2de544c8ef087aed4fe152354d92473dd1fe72d02ba464b8652da" +
-	" vvf=3741d6df867ade0d0ab86b1b8e7b4e0e18e764b8919a243ec424164f8fdb2d54" +
+	" vvf=61c9f87531af44ad081a1586877aef2cbf38f4c10c1f647da13df99f7991b036" +
 	" eps=40278e360604b32c pedestrian=40278e360604b32c vehicle=40178e360604b32c"
 
-// TestSanitizeMultiTypeGolden pins the multi-type sanitizer's output bytes
+// TestSanitizeMultiTypeGolden pins the per-class sanitizer's output bytes
 // and holds them identical at one and four workers.
 func TestSanitizeMultiTypeGolden(t *testing.T) {
 	g, mixed := mixedScene(t)
@@ -136,11 +185,7 @@ func TestSanitizeMultiTypeGolden(t *testing.T) {
 		cfg.Keyframe.MaxSegmentLen = 8
 		cfg.Seed = 7
 		cfg.Workers = workers
-		res, err := SanitizeMultiType(g.Video, mixed, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := multiTypeDigest(t, res)
+		got := multiTypeDigest(t, perClassRun(t, g, mixed, cfg))
 		if ref == "" {
 			ref = got
 		} else if got != ref {
@@ -149,6 +194,128 @@ func TestSanitizeMultiTypeGolden(t *testing.T) {
 	}
 	if runtime.GOARCH == "amd64" && ref != multiTypeGolden {
 		t.Fatalf("multi-type golden mismatch:\n got  %s\n want %s", ref, multiTypeGolden)
+	}
+}
+
+// TestSanitizePerClassMatrix holds per-class runs to the driver's
+// contracts on the mixed clip: every window size and worker count
+// publishes the same bytes, each class's ledger entries partition the clip
+// and recompose to that class's ε, and a run resumed at a mid-clip window
+// boundary reproduces the uninterrupted run's suffix and synthetic tracks,
+// which re-folds the skipped windows' geometry from each placement's class.
+func TestSanitizePerClassMatrix(t *testing.T) {
+	g, mixed := mixedScene(t)
+	base := DefaultConfig()
+	base.Keyframe.MaxSegmentLen = 8
+	base.Seed = 7
+	base.PerClass = true
+	meta := vid.MetaOf(g.Video)
+	var ref string
+	for _, window := range []int{0, 9, 16, 64} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("window=%d/workers=%d", window, workers), func(t *testing.T) {
+				cfg := base
+				cfg.WindowFrames = window
+				cfg.Workers = workers
+				full := &stream.CollectSink{}
+				res, err := SanitizeStream(stream.NewSliceSource(meta, g.Video.Frames), mixed, cfg, full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Synthetic = vid.New(meta.Name+"-verro", meta.W, meta.H, meta.FPS)
+				res.Synthetic.Moving = meta.Moving
+				res.Synthetic.Frames = full.Frames
+				if got := multiTypeDigest(t, res); ref == "" {
+					ref = got
+				} else if got != ref {
+					t.Fatalf("digest %s differs from window=0/workers=1 %s", got, ref)
+				}
+				checkPerClassTracks(t, res, mixed)
+				checkClassLedger(t, res, []string{"pedestrian", "vehicle"}, g.Video.Len())
+
+				// Resume at every interior window boundary: this run's
+				// synthetic vehicles first appear at frame 19, so only the
+				// later cuts re-fold windows that hold both classes.
+				for cut := window; window > 0 && cut < g.Video.Len(); cut += window {
+					checkPerClassResume(t, g, mixed, cfg, cut, res, full.Frames)
+				}
+			})
+		}
+	}
+}
+
+// checkPerClassResume resumes a per-class run at window boundary cut and
+// holds it to the uninterrupted run: the frames from cut on, the
+// synthetic tracks (whose skipped windows are re-folded from the plan's
+// geometry) and the ledger.
+func checkPerClassResume(t *testing.T, g *scene.Generated, tracks *motio.TrackSet, cfg Config, cut int, full *Result, frames []*img.Image) {
+	t.Helper()
+	part := &stream.CollectSink{}
+	res, err := SanitizeStreamFrom(stream.NewSliceSource(vid.MetaOf(g.Video), g.Video.Frames), tracks, cfg, part, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.Frames) != len(frames)-cut {
+		t.Fatalf("resumed at %d: %d frames, want %d", cut, len(part.Frames), len(frames)-cut)
+	}
+	for i, f := range part.Frames {
+		if !f.Equal(frames[cut+i]) {
+			t.Fatalf("resumed at %d: frame %d differs from the uninterrupted run", cut, cut+i)
+		}
+	}
+	var a, b bytes.Buffer
+	if err := full.SyntheticTracks.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.SyntheticTracks.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("resumed at %d: synthetic tracks differ from the uninterrupted run", cut)
+	}
+	if len(res.Windows) != len(full.Windows) {
+		t.Fatalf("resumed at %d: %d ledger entries, want %d", cut, len(res.Windows), len(full.Windows))
+	}
+	for i, w := range res.Windows {
+		if w != full.Windows[i] {
+			t.Fatalf("resumed at %d: ledger entry %d = %+v, want %+v", cut, i, w, full.Windows[i])
+		}
+	}
+}
+
+// checkClassLedger verifies a per-class ledger: one entry per class per
+// window, ordered by window and then by class (classes in order of first
+// appearance); each class's entries partition the clip, their integer
+// picked counts sum to the class's K, and the closed form over that K is
+// the class's ε bit for bit.
+func checkClassLedger(t *testing.T, res *Result, classes []string, clipLen int) {
+	t.Helper()
+	if len(res.Windows)%len(classes) != 0 {
+		t.Fatalf("%d ledger entries for %d classes", len(res.Windows), len(classes))
+	}
+	for c, name := range classes {
+		p1 := res.PerClass[name]
+		next, picked := 0, 0
+		for i := c; i < len(res.Windows); i += len(classes) {
+			w := res.Windows[i]
+			if w.Class != name {
+				t.Fatalf("ledger entry %d is class %q, want %q", i, w.Class, name)
+			}
+			if w.Start != next {
+				t.Fatalf("class %q: ledger window starts at %d, want %d", name, w.Start, next)
+			}
+			next += w.Frames
+			picked += w.Picked
+		}
+		if next != clipLen {
+			t.Fatalf("class %q: ledger covers %d frames, clip has %d", name, next, clipLen)
+		}
+		if picked != len(p1.Picked) {
+			t.Fatalf("class %q: ledger picked %d key frames, phase 1 picked %d", name, picked, len(p1.Picked))
+		}
+		if eps := float64(picked) * math.Log((2-p1.F)/p1.F); eps != p1.Epsilon {
+			t.Fatalf("class %q: recomposed epsilon %v != %v", name, eps, p1.Epsilon)
+		}
 	}
 }
 
@@ -162,10 +329,7 @@ func TestSanitizeMultiTypeEpsBudget(t *testing.T) {
 	cfg.Keyframe.MaxSegmentLen = 8
 	cfg.Seed = 7
 	cfg.Phase1.Eps = budget
-	res, err := SanitizeMultiType(g.Video, mixed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := perClassRun(t, g, mixed, cfg)
 	if len(res.PerClass) != 2 {
 		t.Fatalf("classes = %d, want 2", len(res.PerClass))
 	}
@@ -183,27 +347,55 @@ func TestSanitizeMultiTypeEpsBudget(t *testing.T) {
 
 func TestSanitizeMultiTypeValidation(t *testing.T) {
 	g, _ := mixedScene(t)
-	if _, err := SanitizeMultiType(nil, motio.NewTrackSet(), DefaultConfig()); err == nil {
+	cfg := DefaultConfig()
+	cfg.PerClass = true
+	if _, err := Sanitize(nil, motio.NewTrackSet(), cfg); err == nil {
 		t.Fatal("nil video should fail")
 	}
-	if _, err := SanitizeMultiType(g.Video, nil, DefaultConfig()); err == nil {
+	if _, err := Sanitize(g.Video, nil, cfg); err == nil {
 		t.Fatal("nil tracks should fail")
 	}
-	if _, err := SanitizeMultiType(g.Video, motio.NewTrackSet(), DefaultConfig()); err == nil {
-		t.Fatal("no objects should fail")
+	_, err := Sanitize(g.Video, motio.NewTrackSet(), cfg)
+	if err == nil || err.Error() != "core: no objects to sanitize" {
+		t.Fatalf("no objects: err = %v, want core: no objects to sanitize", err)
 	}
 }
 
+// TestSanitizeMultiTypeSingleClassMatchesRegularShape: a per-class run over
+// tracks of one class draws the same random numbers in the same order as a
+// plain run and renders the same plan, so it publishes the plain run's
+// bytes: the same encoded .vvf, synthetic-tracks CSV and ε bits, and the
+// same ledger apart from the entries' class name.
 func TestSanitizeMultiTypeSingleClassMatchesRegularShape(t *testing.T) {
 	g, _ := mixedScene(t)
-	cfg := DefaultConfig()
-	cfg.Keyframe.MaxSegmentLen = 8
-	res, err := SanitizeMultiType(g.Video, g.Truth, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerClass) != 1 {
-		t.Fatalf("single-class input produced %d classes", len(res.PerClass))
+	for _, window := range []int{0, 16} {
+		cfg := DefaultConfig()
+		cfg.Keyframe.MaxSegmentLen = 8
+		cfg.WindowFrames = window
+		plain, err := Sanitize(g.Video, g.Truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := perClassRun(t, g, g.Truth, cfg)
+		if len(res.PerClass) != 1 || res.PerClass["pedestrian"] == nil {
+			t.Fatalf("single-class input produced classes %v", res.PerClass)
+		}
+		plain.PerClass = map[string]*Phase1Result{"pedestrian": plain.Phase1}
+		if got, want := multiTypeDigest(t, res), multiTypeDigest(t, plain); got != want {
+			t.Fatalf("window %d: per-class run\n %s\nplain run\n %s", window, got, want)
+		}
+		if len(res.Windows) != len(plain.Windows) {
+			t.Fatalf("window %d: %d ledger entries, plain run %d", window, len(res.Windows), len(plain.Windows))
+		}
+		for i, w := range res.Windows {
+			if w.Class != "pedestrian" {
+				t.Fatalf("window %d: ledger entry %d names class %q", window, i, w.Class)
+			}
+			w.Class = ""
+			if w != plain.Windows[i] {
+				t.Fatalf("window %d: ledger entry %d = %+v, plain run %+v", window, i, w, plain.Windows[i])
+			}
+		}
 	}
 }
 

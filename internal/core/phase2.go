@@ -27,7 +27,8 @@ type Phase2Config struct {
 	// or MethodLinear produce smoother trajectories but inflate aggregate
 	// counts at high f.
 	Interp interp.Method
-	// Class is the synthetic sprite family to render.
+	// Class is the synthetic sprite family to render. It is not consulted
+	// under Config.PerClass, where each class is drawn as its own family.
 	Class scene.ObjectClass
 	// SkipRender computes the synthetic tracks (boxes and trajectories)
 	// without producing pixel data: SanitizeStream appends nothing to its
@@ -263,17 +264,20 @@ func RunPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
 	return asm.finish(rt), nil
 }
 
-// placed is one synthetic object scheduled on a frame: its synthetic id and
-// interpolated position.
+// placed is one synthetic object scheduled on a frame: its synthetic id,
+// sprite class, palette index and interpolated position.
 type placed struct {
-	id  int
-	pos geom.Vec
+	id      int
+	class   scene.ObjectClass
+	palette int
+	pos     geom.Vec
 }
 
 // phase2Plan is the coordinator-side outcome of Phase II: every random draw
 // has been consumed (key-frame assignment, pool expansion/shuffle, and the
-// palette offset), leaving a pure per-frame render schedule. Rendering any
-// frame from the plan is deterministic, so rendering all frames at once and
+// palette offset), leaving a pure per-frame render schedule whose
+// placements carry everything a frame needs drawn. Rendering any frame
+// from the plan is deterministic, so rendering all frames at once and
 // window by window give bit-identical output: the rng stream is consumed
 // here and only here.
 type phase2Plan struct {
@@ -282,11 +286,8 @@ type phase2Plan struct {
 	numFrames int
 	bounds    geom.Rect
 	perFrame  [][]placed
-	// colorOffset randomizes the palette per run (drawn after assignment,
-	// before any rendering — the draw order is part of the byte contract).
-	colorOffset int
-	assigned    [][]interp.Sample
-	lost        int
+	assigned  [][]interp.Sample
+	lost      int
 }
 
 // planPhase2 runs the randomized half of Phase II and returns the render
@@ -393,7 +394,7 @@ func planPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
 				if !finiteVec(p) || !p.Round().In(bounds) {
 					continue
 				}
-				perFrame[k] = append(perFrame[k], placed{id: i + 1, pos: p})
+				perFrame[k] = append(perFrame[k], placed{id: i + 1, class: cfg.Class, pos: p})
 			}
 		}
 	}
@@ -402,20 +403,53 @@ func planPhase2(p1 *Phase1Result, kf *keyframe.Result, tracks *motio.TrackSet,
 	// offset: the color assigned to a synthetic object carries no
 	// information across runs or across cameras (a fixed palette would let
 	// an adversary link "the red synthetic object" between two sanitized
-	// videos of the same scene).
+	// videos of the same scene). It is drawn after assignment, before any
+	// rendering — the draw order is part of the byte contract.
 	colorOffset := rng.Intn(1 << 16)
+	for _, ps := range perFrame {
+		for i := range ps {
+			ps[i].palette = ps[i].id + colorOffset
+		}
+	}
 
 	return &phase2Plan{
 		cfg: cfg, w: w, h: h, numFrames: numFrames, bounds: bounds,
-		perFrame: perFrame, colorOffset: colorOffset,
-		assigned: assigned, lost: lost,
+		perFrame: perFrame, assigned: assigned, lost: lost,
 	}, nil
+}
+
+// mergePlans folds per-group plans, in group order, into the one schedule
+// the driver renders. Each group's synthetic ids (and with them its
+// palette indices) shift by the object counts of the groups before it,
+// plus one each, so no two groups share an id; the first group keeps its
+// ids, so a one-group merge schedules exactly its plan. A frame's
+// placements from every group are drawn together, depth-sorted by
+// renderRange. Assigned concatenates the groups' and lost sums them.
+func mergePlans(plans []*phase2Plan) *phase2Plan {
+	m := *plans[0]
+	m.perFrame = make([][]placed, m.numFrames)
+	m.assigned, m.lost = nil, 0
+	offset := 0
+	for _, pl := range plans {
+		for k, ps := range pl.perFrame {
+			for _, p := range ps {
+				p.id += offset
+				p.palette += offset
+				m.perFrame[k] = append(m.perFrame[k], p)
+			}
+		}
+		m.assigned = append(m.assigned, pl.assigned...)
+		m.lost += pl.lost
+		offset += len(pl.assigned) + 1
+	}
+	return &m
 }
 
 // recordEntry is one synthetic object's box on one frame.
 type recordEntry struct {
-	id  int
-	box geom.Rect
+	id    int
+	class scene.ObjectClass
+	box   geom.Rect
 }
 
 // renderedFrame is the render output for a single frame: the pixel data
@@ -456,7 +490,7 @@ func (pl *phase2Plan) renderRange(scenes inpaint.Scenes, lo, hi int, rt obs.Runt
 		frame := bg.Clone()
 		for _, p := range ps {
 			phase := float64(k) * 0.35
-			res.recs = append(res.recs, recordEntry{p.id, scene.DrawObject(frame, pl.cfg.Class, scene.Palette(p.id+pl.colorOffset), p.pos, phase)})
+			res.recs = append(res.recs, recordEntry{p.id, p.class, scene.DrawObject(frame, p.class, scene.Palette(p.palette), p.pos, phase)})
 		}
 		res.frame = frame
 		return res
@@ -494,7 +528,7 @@ func (pl *phase2Plan) geometryRange(lo, hi int) []renderedFrame {
 		ps := pl.perFrame[k]
 		depthSort(ps)
 		for _, p := range ps {
-			out[i].recs = append(out[i].recs, recordEntry{p.id, syntheticBox(pl.cfg.Class, p.pos, pl.h)})
+			out[i].recs = append(out[i].recs, recordEntry{p.id, p.class, syntheticBox(p.class, p.pos, pl.h)})
 		}
 	}
 	return out
@@ -529,7 +563,7 @@ func (a *phase2Assembler) add(k int, fr renderedFrame) {
 		}
 		tr, ok := a.synthTracks[r.id]
 		if !ok {
-			tr = motio.NewTrack(r.id, a.plan.cfg.Class.String())
+			tr = motio.NewTrack(r.id, r.class.String())
 			a.synthTracks[r.id] = tr
 			a.synth.Add(tr)
 		}

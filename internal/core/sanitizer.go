@@ -39,9 +39,14 @@ type Config struct {
 	// window; 0 (the default) means one whole-clip window. The output is
 	// bit-identical at any setting for the same seed: all randomness is
 	// drawn on the coordinator in an order independent of the windowing.
-	// SanitizeMultiType, whose joint renderer holds the whole clip, uses it
-	// only for its analysis pass.
 	WindowFrames int
+	// PerClass sanitizes each object class on its own (paper Section 5,
+	// "Multiple Object Types"): the driver partitions the tracks by class
+	// label and runs Phase I and the Phase II plan once per class, so every
+	// class is ε-indistinguishable within itself, then renders one
+	// synthetic video holding every class's sprites. Each class is drawn as
+	// its label's sprite family; Phase2.Class is not consulted.
+	PerClass bool
 }
 
 // DefaultConfig assembles the defaults of every stage.
@@ -70,10 +75,17 @@ type Result struct {
 	// SyntheticTracks are the rendered synthetic objects; they exist for
 	// utility evaluation and never leave the video owner.
 	SyntheticTracks *motio.TrackSet
-	Phase1          *Phase1Result
-	Phase2          *Phase2Result
-	KeyframeResult  *keyframe.Result
-	// Epsilon is the achieved ε-Object Indistinguishability level.
+	// Phase1 is the run's Phase I result; it is nil under Config.PerClass,
+	// where PerClass holds one per class.
+	Phase1         *Phase1Result
+	Phase2         *Phase2Result
+	KeyframeResult *keyframe.Result
+	// PerClass maps each class label to its Phase I result under
+	// Config.PerClass; it is nil in a plain run.
+	PerClass map[string]*Phase1Result
+	// Epsilon is the achieved ε-Object Indistinguishability level: under
+	// Config.PerClass, the largest per-class ε, since each class is
+	// ε_class-indistinguishable within itself.
 	Epsilon float64
 	// Scenes is the reconstructed background the synthetic frames were
 	// rendered over (nil under Phase2.SkipRender), the middle panel of the
@@ -82,7 +94,9 @@ type Result struct {
 	// Windows is the per-window privacy ledger: one entry per render window
 	// (a single entry when WindowFrames is 0), whose integer picked
 	// key-frame counts sum to len(Phase1.Picked) and whose ε entries
-	// recompose to exactly Epsilon. See DESIGN.md §2g.
+	// recompose to exactly Epsilon. Under Config.PerClass each window has
+	// one entry per class, ordered by window and then by class, and each
+	// class's entries recompose to that class's ε. See DESIGN.md §2g.
 	Windows []WindowSpend
 }
 
@@ -94,8 +108,11 @@ type Result struct {
 // uses, so the recomposed total equals the run's ε bit for bit.
 type WindowSpend struct {
 	Start, Frames int
-	Picked        int
-	Epsilon       float64
+	// Class names the class the entry accounts for under Config.PerClass;
+	// it is empty in a plain run.
+	Class   string `json:",omitempty"`
+	Picked  int
+	Epsilon float64
 }
 
 // autoSegmentCfg resolves the MaxSegmentLen auto-clamp for a clip of the
@@ -120,8 +137,8 @@ func autoSegmentCfg(kfCfg keyframe.Config, clipLen int) keyframe.Config {
 // reduction, the randomized mechanism, and the post-hoc counters (picked
 // key frames; randomized-response flips as the Hamming distance between the
 // budgeted vectors B* and the published vectors R), added to the caller's
-// "phase1" span. SanitizeStreamFrom runs it once and SanitizeMultiType once
-// per class, all classes adding to one span.
+// "phase1" span. SanitizeStreamFrom runs it once per track group (once in a
+// plain run, once per class under Config.PerClass), all adding to one span.
 func runPhase1Stage(tracks *motio.TrackSet, clipLen int, kf *keyframe.Result, cfg Phase1Config, rng *rand.Rand, p1Span *obs.Span) (*Phase1Result, error) {
 	full := PresenceVectors(tracks, clipLen)
 	reduced, err := ReduceToKeyFrames(full, kf.KeyFrames)

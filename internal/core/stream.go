@@ -12,6 +12,7 @@ import (
 	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/par"
+	"verro/internal/scene"
 	"verro/internal/stream"
 )
 
@@ -20,16 +21,18 @@ import (
 // windows of cfg.WindowFrames frames, the analysis retains only clip-length
 // *metadata* (per-frame HSV histograms, pan offsets) plus the ~40 strided
 // background samples detect.AutoStep bounds, and Phase II renders window by
-// window straight into a sink. Sanitize and SanitizeMultiType are adapters
-// over the same code.
+// window straight into a sink. Sanitize is an adapter over the same code,
+// and Config.PerClass runs Phase I and the Phase II plan once per object
+// class before the one render.
 //
 // The output is identical at every window size by construction:
 //
 //   - every per-frame analysis quantity (histogram, column profile, strided
 //     sample) is a pure function of its frame, folded in frame order;
 //   - every random draw (Phase I randomized response and Laplace noise,
-//     Phase II assignment and palette offset) happens on the coordinator
-//     between the two passes, in an order independent of the windowing;
+//     Phase II assignment and palette offset, per class under PerClass)
+//     happens on the coordinator between the two passes, in an order
+//     independent of the windowing;
 //   - rendering a planned frame is pure, and the windowed VVF writer emits
 //     the same byte stream as the whole-clip encoder for any append
 //     granularity.
@@ -46,23 +49,68 @@ func windowSpan(parent *obs.Span, start, frames int) func() {
 	return parent.Child(fmt.Sprintf("window@%d", start)).End
 }
 
-// windowSpend attributes Phase I budget to the render window [lo, hi): the
-// picked key frames falling inside it, at ln((2−f)/f) each. Summing the
-// integer Picked fields over all windows recovers len(p1.Picked) exactly,
-// and K·ln((2−f)/f) over that sum is the same closed form ldp.Epsilon
-// evaluates — so the ledger recomposes to the run's ε with no float drift.
-func windowSpend(p1 *Phase1Result, lo, hi int) WindowSpend {
+// trackGroup is one unit of Phase I and the Phase II plan. A plain run is
+// one group holding every track, drawn as cfg.Phase2.Class; under
+// cfg.PerClass there is one group per track class label, in order of first
+// appearance, drawn as classOf(label).
+type trackGroup struct {
+	label  string // the class label under PerClass; empty in a plain run
+	class  scene.ObjectClass
+	tracks *motio.TrackSet
+	p1     *Phase1Result
+}
+
+// trackGroups partitions the run's tracks into its groups, keeping track
+// order within a group. A PerClass run with no tracks has nothing to
+// sanitize.
+func trackGroups(tracks *motio.TrackSet, cfg Config) ([]trackGroup, error) {
+	if !cfg.PerClass {
+		return []trackGroup{{class: cfg.Phase2.Class, tracks: tracks}}, nil
+	}
+	var groups []trackGroup
+	index := map[string]int{}
+	for _, t := range tracks.Tracks {
+		i, ok := index[t.Class]
+		if !ok {
+			i = len(groups)
+			index[t.Class] = i
+			groups = append(groups, trackGroup{label: t.Class, class: classOf(t.Class), tracks: motio.NewTrackSet()})
+		}
+		groups[i].tracks.Add(t)
+	}
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("core: no objects to sanitize")
+	}
+	return groups, nil
+}
+
+// classOf maps a track's class label to the sprite family.
+func classOf(label string) scene.ObjectClass {
+	if label == scene.Vehicle.String() {
+		return scene.Vehicle
+	}
+	return scene.Pedestrian
+}
+
+// windowSpend attributes a group's Phase I budget to the render window
+// [lo, hi): the picked key frames falling inside it, at ln((2−f)/f) each.
+// Summing the integer Picked fields of the group's entries over all
+// windows recovers len(p1.Picked) exactly, and K·ln((2−f)/f) over that sum
+// is the same closed form ldp.Epsilon evaluates — so the ledger recomposes
+// to the group's ε with no float drift.
+func windowSpend(g *trackGroup, lo, hi int) WindowSpend {
 	picked := 0
-	for _, j := range p1.Picked {
-		if k := p1.KeyFrames[j]; k >= lo && k < hi {
+	for _, j := range g.p1.Picked {
+		if k := g.p1.KeyFrames[j]; k >= lo && k < hi {
 			picked++
 		}
 	}
 	return WindowSpend{
 		Start:   lo,
 		Frames:  hi - lo,
+		Class:   g.label,
 		Picked:  picked,
-		Epsilon: float64(picked) * math.Log((2-p1.F)/p1.F),
+		Epsilon: float64(picked) * math.Log((2-g.p1.F)/g.p1.F),
 	}
 }
 
@@ -168,9 +216,10 @@ func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool,
 // windows of cfg.WindowFrames frames (<= 0 means one whole-clip window),
 // writing the synthetic video to sink window by window. The output is
 // bit-identical at every window size. The returned Result carries
-// everything except Synthetic/Phase2.Video (the frames went to the sink,
-// which only the caller can replay), including the per-window privacy
-// ledger in Windows.
+// everything except Synthetic (the frames went to the sink, which only the
+// caller can replay), including the per-window privacy ledger in Windows.
+// Under cfg.PerClass each object class gets its own Phase I and Phase II
+// plan and one render draws them all (see Config.PerClass).
 //
 // sink is closed on success once all frames are appended; on error the
 // caller owns whatever cleanup its sink needs. Under cfg.Phase2.SkipRender
@@ -215,6 +264,18 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		return nil, fmt.Errorf("core: resume cursor %d is not a window boundary (window %d, %d frames)",
 			startFrame, windowBudget, meta.Frames)
 	}
+	groups, err := trackGroups(tracks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// classErr names the failing class under PerClass; a plain run's errors
+	// read unchanged.
+	classErr := func(g *trackGroup, err error) error {
+		if !cfg.PerClass {
+			return err
+		}
+		return fmt.Errorf("core: class %q: %w", g.label, err)
+	}
 	pool := par.NewPool(cfg.Workers)
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
@@ -225,21 +286,32 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		return nil, err
 	}
 
+	// Phase I for every group, in group order, then every group's Phase II
+	// plan: a one-group run draws exactly what a plain run draws.
 	p1Span := root.Child("phase1")
-	p1, err := runPhase1Stage(tracks, meta.Frames, an.kf, cfg.Phase1, rng, p1Span)
+	for i := range groups {
+		g := &groups[i]
+		if g.p1, err = runPhase1Stage(g.tracks, meta.Frames, an.kf, cfg.Phase1, rng, p1Span); err != nil {
+			p1Span.End()
+			return nil, classErr(g, err)
+		}
+	}
 	p1Span.End()
-	if err != nil {
-		return nil, err
-	}
 
-	// Phase II: consume the remaining rng draws into a pure render plan,
-	// then render window by window into the sink.
+	// Phase II: consume the remaining rng draws into pure render plans,
+	// merge them into one, then render window by window into the sink.
 	p2Span := root.Child("phase2")
-	plan, err := planPhase2(p1, an.kf, tracks, meta.W, meta.H, meta.Frames, cfg.Phase2, rng)
-	if err != nil {
-		p2Span.End()
-		return nil, fmt.Errorf("core: phase 2: %w", err)
+	plans := make([]*phase2Plan, len(groups))
+	for i := range groups {
+		g := &groups[i]
+		p2cfg := cfg.Phase2
+		p2cfg.Class = g.class
+		if plans[i], err = planPhase2(g.p1, an.kf, g.tracks, meta.W, meta.H, meta.Frames, p2cfg, rng); err != nil {
+			p2Span.End()
+			return nil, classErr(g, fmt.Errorf("core: phase 2: %w", err))
+		}
 	}
+	plan := mergePlans(plans)
 	asm := newPhase2Assembler(plan)
 	var ledger []WindowSpend
 	for lo := 0; lo < meta.Frames; lo += windowBudget {
@@ -256,7 +328,9 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 			for i, fr := range plan.geometryRange(lo, hi) {
 				asm.add(lo+i, fr)
 			}
-			ledger = append(ledger, windowSpend(p1, lo, hi))
+			for i := range groups {
+				ledger = append(ledger, windowSpend(&groups[i], lo, hi))
+			}
 			continue
 		}
 		post := windowSpan(p2Span, lo, hi-lo)
@@ -280,7 +354,9 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 				return nil, fmt.Errorf("core: sink: %w", err)
 			}
 		}
-		ledger = append(ledger, windowSpend(p1, lo, hi))
+		for i := range groups {
+			ledger = append(ledger, windowSpend(&groups[i], lo, hi))
+		}
 		post()
 	}
 	p2Span.Add(obs.CFramesRendered, int64(meta.Frames-startFrame))
@@ -291,15 +367,24 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 			return nil, fmt.Errorf("core: sink: %w", err)
 		}
 	}
-	return &Result{
+	res := &Result{
 		SyntheticTracks: p2.Tracks,
-		Phase1:          p1,
 		Phase2:          p2,
 		KeyframeResult:  an.kf,
-		Epsilon:         p1.Epsilon,
 		Scenes:          an.scenes,
 		Windows:         ledger,
-	}, nil
+	}
+	if !cfg.PerClass {
+		res.Phase1 = groups[0].p1
+		res.Epsilon = res.Phase1.Epsilon
+		return res, nil
+	}
+	res.PerClass = make(map[string]*Phase1Result, len(groups))
+	for _, g := range groups {
+		res.PerClass[g.label] = g.p1
+		res.Epsilon = max(res.Epsilon, g.p1.Epsilon)
+	}
+	return res, nil
 }
 
 // OutputMeta derives the sink metadata for a streaming run from the input

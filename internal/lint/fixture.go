@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -72,10 +73,15 @@ func CheckDiagnostics(pkgs []*Package, diags []Diagnostic) (problems []string, e
 	return problems, nil
 }
 
+// fixtureLoader is the one loader the fixture runs of a test binary share:
+// its source importer type-checks the standard library packages the
+// fixtures import once, not once per fixture.
+var fixtureLoader = sync.OnceValue(NewLoader)
+
 // RunFixture is the testing wrapper around CheckFixture.
 func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(NewLoader(), dir, analyzers...)
+	problems, err := CheckFixture(fixtureLoader(), dir, analyzers...)
 	if err != nil {
 		t.Fatalf("fixture %s: %v", dir, err)
 	}

@@ -762,8 +762,15 @@ func isArithOp(op token.Token) bool {
 	return op == token.ADD || op == token.SUB || op == token.MUL || op == token.QUO
 }
 
+// isNumeric reports whether e has a numeric basic type. An operand that
+// failed to type-check has no type, and is not numeric: the loader
+// tolerates type errors.
 func (w *fnWalker) isNumeric(e ast.Expr) bool {
-	basic, ok := w.info.TypeOf(e).Underlying().(*types.Basic)
+	t := w.info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	basic, ok := t.Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsNumeric != 0
 }
 

@@ -66,7 +66,6 @@ func NewEpsHTTP() *Analyzer {
 			"verro/internal/core.Sanitize":           {Operands: []int{2}, What: "core.Sanitize"},
 			"verro/internal/core.SanitizeStream":     {Operands: []int{2}, What: "core.SanitizeStream"},
 			"verro/internal/core.SanitizeStreamFrom": {Operands: []int{2}, What: "core.SanitizeStreamFrom"},
-			"verro/internal/core.SanitizeMultiType":  {Operands: []int{2}, What: "core.SanitizeMultiType"},
 			"verro/internal/core.SanitizeJoint":      {Operands: []int{2, 3}, What: "core.SanitizeJoint"},
 			"verro/internal/core.RunPhase1":          {Operands: []int{2}, What: "core.RunPhase1"},
 			"verro/internal/ldp.ClassicRR":           {Operands: []int{1}, What: "ldp.ClassicRR"},

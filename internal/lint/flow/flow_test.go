@@ -18,6 +18,13 @@ func TestEpsConsistFixture(t *testing.T) {
 	flow.RunFixture(t, []string{"testdata/epsconsist"}, flow.NewEpsConsist())
 }
 
+// TestEpsConsistTypeErrorFixture: ε-arithmetic whose operands fail to
+// type-check (an unknown config field, an undeclared function) yields no
+// diagnostic and no panic.
+func TestEpsConsistTypeErrorFixture(t *testing.T) {
+	flow.RunFixture(t, []string{"testdata/epsconsisttypeerr"}, flow.NewEpsConsist())
+}
+
 // TestSrvLeakFixture exercises privleak's service-edge rules (§2i). The
 // fixture package is passed as an fmt-sink prefix, standing in for
 // internal/server's published SSE stream.

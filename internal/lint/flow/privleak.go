@@ -62,7 +62,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"verro/internal/core.Sanitize",
 			"verro/internal/core.SanitizeStream",
 			"verro/internal/core.SanitizeStreamFrom",
-			"verro/internal/core.SanitizeMultiType",
 			"verro/internal/core.SanitizeJoint",
 			"verro/internal/core.RunPhase1",
 			"verro/internal/core.RunPhase2",

@@ -21,6 +21,11 @@
 // with the f that spends exactly that ε over them, reported in
 // Result.Phase1.F. Epsilon and FlipProbability convert between the two
 // parameterizations by hand.
+//
+// A video with several object classes (say pedestrians and vehicles) is
+// sanitized class by class with Config.PerClass (paper Section 5): each
+// class is ε-indistinguishable within itself, Result.PerClass holds each
+// class's Phase I result, and one synthetic video shows every class.
 package verro
 
 import (
@@ -129,8 +134,9 @@ type (
 	StreamSink = stream.Sink
 	// WindowSpend is one streaming window's entry in the per-window privacy
 	// ledger (Result.Windows): the picked key frames falling inside the
-	// window and the ε they account for. The ledger recomposes exactly to
-	// the run's total ε.
+	// window and the ε they account for, one entry per class under
+	// Config.PerClass. The ledger recomposes exactly to the run's total ε,
+	// or to each class's ε.
 	WindowSpend = core.WindowSpend
 )
 
@@ -169,20 +175,6 @@ func SanitizeStream(src StreamSource, tracks *TrackSet, cfg Config, sink StreamS
 // uninterrupted run — the property verrod's checkpoint/resume is built on.
 func SanitizeStreamFrom(src StreamSource, tracks *TrackSet, cfg Config, sink StreamSink, startFrame int) (*Result, error) {
 	return core.SanitizeStreamFrom(src, tracks, cfg, sink, startFrame)
-}
-
-// MultiTypeResult is the output of SanitizeMultiType.
-type MultiTypeResult = core.MultiTypeResult
-
-// SanitizeMultiType sanitizes a video containing several object classes
-// (e.g. pedestrians and vehicles): Phase I runs independently per class so
-// every class is ε-indistinguishable within itself, and one synthetic
-// video is rendered with sprites of the matching classes (paper
-// Section 5, "Multiple Object Types"). It shares the streaming driver's
-// analysis, Phase I and Phase II planning; its joint renderer holds the
-// whole clip in memory.
-func SanitizeMultiType(v *Video, tracks *TrackSet, cfg Config) (*MultiTypeResult, error) {
-	return core.SanitizeMultiType(v, tracks, cfg)
 }
 
 // JointResult is the output of SanitizeJoint.

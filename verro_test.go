@@ -160,15 +160,17 @@ func TestPublicSanitizeMultiType(t *testing.T) {
 			tr.Class = "vehicle"
 		}
 	}
-	res, err := SanitizeMultiType(g.Video, g.Truth, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.PerClass = true
+	res, err := Sanitize(g.Video, g.Truth, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Synthetic.Len() != g.Video.Len() {
 		t.Fatal("multitype output incomplete")
 	}
-	if len(res.PerClass) != 2 {
-		t.Fatalf("classes = %d", len(res.PerClass))
+	if len(res.PerClass) != 2 || res.Phase1 != nil {
+		t.Fatalf("classes = %d, Phase1 = %v; want 2 classes and no single Phase1", len(res.PerClass), res.Phase1)
 	}
 }
 

@@ -69,14 +69,16 @@ race:
 ## matrix and one-class pin (the same fan-out drawing several classes'
 ## sprites per frame from one merged plan), the verrod handlers (concurrent
 ## jobs + SSE subscribers share the trace-observer path), and every test of
-## internal/store, internal/stream and internal/vid: the .vvf codec, and
-## vid.FileSource's read-ahead goroutine, which owns the source's cursor and
-## its raw-pixel spill while a window is in flight.
+## internal/store, internal/stream, internal/track and internal/vid: the
+## .vvf codec, vid.FileSource's read-ahead goroutine, which owns the
+## source's cursor and its raw-pixel spill while a window is in flight, and
+## the tracker's runner, which rebinds its detector to each window's detect
+## span between the pool passes whose workers add to it.
 race-par:
 	$(GO) test -race -run 'TestParallelEquivalence|TestConcurrentSanitizeScopedWorkers|TestStreamEquivalence' .
 	$(GO) test -race -run 'TestSanitizePerClassMatrix|TestSanitizeMultiTypeSingleClassMatchesRegularShape' ./internal/core/
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
-	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/vid/
+	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/track/ ./internal/vid/
 
 ## fuzz: a short .vvf codec fuzz pass; lengthen with FUZZTIME=60s.
 FUZZTIME ?= 5s

@@ -204,7 +204,6 @@ var hotKernels = []hotKernel{
 			if err != nil {
 				return err
 			}
-			defer r.Close()
 			frames, _, err := r.Next(0)
 			if err == nil && len(frames) != v.Len() {
 				err = fmt.Errorf("decoded %d frames, want %d", len(frames), v.Len())

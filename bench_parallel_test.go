@@ -90,7 +90,11 @@ func BenchmarkParBGDetect(b *testing.B) {
 	det := detect.NewBGSubtractor(bg)
 	benchAtWorkers(b, func(b *testing.B, _ int, rt obs.Runtime) {
 		for i := 0; i < b.N; i++ {
-			if _, err := track.Run(frames, det, track.DefaultConfig(), rt); err != nil {
+			r := track.NewRunner(det, track.DefaultConfig(), rt)
+			if err := r.Window(frames); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Finish(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,6 +39,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"verro/internal/lint"
 	"verro/internal/lint/absint"
@@ -125,6 +126,11 @@ func (s *suite) check(pkgs []*lint.Package) []lint.Diagnostic {
 	return diags
 }
 
+// loader is the process's one loader: its source importer type-checks the
+// standard library and the module's imported packages once, however many
+// runs the process makes.
+var loader = sync.OnceValue(lint.NewLoader)
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("verrolint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
@@ -161,11 +167,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	loader := lint.NewLoader()
-	loader.IncludeTests = *tests
+	ld := loader()
+	ld.IncludeTests = *tests
 	var pkgs []*lint.Package
 	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
+		pkg, err := ld.Load(dir)
 		if err != nil {
 			fmt.Fprintf(stderr, "verrolint: %v\n", err)
 			return 2

@@ -54,6 +54,9 @@ var hotFactFuncs = map[string][]string{
 	"vid":   {"(*vid.Writer).Append", "(*vid.Reader).Next"},
 }
 
+// factsModule is the prefix -trimpath gives the compiler's positions.
+const factsModule = "verro"
+
 // compilerDiag matches one compiler diagnostic line: file:line:col: msg.
 var compilerDiag = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 
@@ -78,7 +81,16 @@ func TestHotPathCompilerFacts(t *testing.T) {
 		pkgs = append(pkgs, pkg)
 	}
 	sort.Strings(pkgs)
-	args := []string{"build", "-gcflags=-m -d=ssa/check_bce"}
+	// The go command replays cached compiler output with paths relative to
+	// the directory of the build that filled the cache, so a package first
+	// compiled elsewhere would report positions this test cannot place.
+	// -trimpath has the compiler print every position as verro/<path in
+	// the module> instead, whichever directory compiled it.
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"build", "-gcflags=-m -d=ssa/check_bce -trimpath='" + root + "=>" + factsModule + "'"}
 	for _, pkg := range pkgs {
 		args = append(args, "verro/internal/"+pkg)
 	}
@@ -113,7 +125,7 @@ func hotFacts(t *testing.T, out []byte) string {
 		if m == nil {
 			continue
 		}
-		file, msg := filepath.ToSlash(m[1]), m[4]
+		file, msg := strings.TrimPrefix(filepath.ToSlash(m[1]), factsModule+"/"), m[4]
 		var kind string
 		switch {
 		case strings.HasPrefix(msg, "Found Is"):

@@ -147,64 +147,3 @@ func Solve(cost [][]float64) (rowToCol []int, total float64, err error) {
 	}
 	return out, total, nil
 }
-
-// BruteForce exhaustively searches all assignments for matrices with at
-// most 9 rows; it is the test oracle for Solve.
-func BruteForce(cost [][]float64) ([]int, float64, error) {
-	n := len(cost)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	m := len(cost[0])
-	if n > 9 {
-		return nil, 0, fmt.Errorf("assign: brute force limited to 9 rows")
-	}
-	best := math.Inf(1)
-	var bestAssign []int
-
-	cols := make([]int, m)
-	for j := range cols {
-		cols[j] = j
-	}
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = -1
-	}
-	usedCols := make([]bool, m)
-
-	k := min(n, m)
-	var rec func(row int, matched int, sum float64)
-	rec = func(row, matched int, sum float64) {
-		if sum >= best {
-			return
-		}
-		if matched == k {
-			best = sum
-			bestAssign = append([]int(nil), cur...)
-			return
-		}
-		if row == n {
-			return
-		}
-		// Try every available column for this row (row must be matched when
-		// n <= m; otherwise allow skipping).
-		for j := 0; j < m; j++ {
-			if usedCols[j] || math.IsInf(cost[row][j], 1) {
-				continue
-			}
-			usedCols[j] = true
-			cur[row] = j
-			rec(row+1, matched+1, sum+cost[row][j])
-			cur[row] = -1
-			usedCols[j] = false
-		}
-		if n > m { // rows may remain unmatched only when rows exceed cols
-			rec(row+1, matched, sum)
-		}
-	}
-	rec(0, 0, 0)
-	if bestAssign == nil {
-		return nil, 0, fmt.Errorf("assign: no feasible assignment")
-	}
-	return bestAssign, best, nil
-}

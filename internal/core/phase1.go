@@ -87,17 +87,6 @@ type Phase1Result struct {
 	F float64
 }
 
-// PickedSet reports, per key-frame index, whether it was picked.
-func (r *Phase1Result) PickedSet() []bool {
-	out := make([]bool, len(r.KeyFrames))
-	for _, p := range r.Picked {
-		if p >= 0 && p < len(out) {
-			out[p] = true
-		}
-	}
-	return out
-}
-
 // ErrNoKeyFrames is returned when Phase I receives no key frames.
 var ErrNoKeyFrames = errors.New("core: no key frames")
 

@@ -37,8 +37,8 @@ type HOGSVM struct {
 }
 
 // SetSpan rebinds the detector's counters to a stage span (obs.SpanSetter);
-// the tracking stage calls it so window evaluations land under the detect
-// span rather than the run root.
+// the tracker's runner calls it for each window so window evaluations land
+// under that window's detect span rather than the run root.
 func (d *HOGSVM) SetSpan(s *obs.Span) { d.RT.Span = s }
 
 // NewPedestrianDetector returns a HOG+SVM detector trained on synthetic
@@ -55,30 +55,6 @@ func NewPedestrianDetector(style scene.Style, seed int64) (*HOGSVM, error) {
 	model, err := svm.Train(samples, labels, svm.DefaultTrainConfig())
 	if err != nil {
 		return nil, fmt.Errorf("detect: train pedestrian model: %w", err)
-	}
-	return &HOGSVM{
-		Model: model, HOG: cfg,
-		WinW: winW, WinH: winH,
-		Stride:         4,
-		Scales:         []float64{0.75, 1.0, 1.35},
-		ScoreThreshold: 0.25,
-		NMSIoU:         0.3,
-	}, nil
-}
-
-// NewVehicleDetector returns a HOG+SVM detector trained on synthetic
-// vehicle sprites — the paper's HOG-based vehicle detector family [22].
-// Vehicle windows are wide rather than tall.
-func NewVehicleDetector(style scene.Style, seed int64) (*HOGSVM, error) {
-	cfg := hog.DefaultConfig()
-	const winW, winH = 32, 16
-	samples, labels, err := trainingSet(scene.Vehicle, style, winW, winH, cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	model, err := svm.Train(samples, labels, svm.DefaultTrainConfig())
-	if err != nil {
-		return nil, fmt.Errorf("detect: train vehicle model: %w", err)
 	}
 	return &HOGSVM{
 		Model: model, HOG: cfg,

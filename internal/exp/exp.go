@@ -39,23 +39,10 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// DefaultOptions runs the full-scale datasets with 5-trial averaging.
-func DefaultOptions() Options {
-	return Options{Scale: 1, Trials: 5, Seed: 1}
-}
-
-// paperKeyFrames is the ℓ reported in the paper's Table 2; together with
-// the full-scale frame counts it fixes the frames-per-key-frame ratio the
-// segmenter is capped at (22 of 450, 52 of 1500, 48 of 1194). Keeping the
-// ratio rather than the absolute count makes scaled-down datasets behave
-// like the full ones.
-var paperKeyFrames = map[string]int{
-	"MOT01": 22,
-	"MOT03": 52,
-	"MOT06": 48,
-}
-
-// segmentCap is frames-per-key-frame for each base preset at full scale.
+// segmentCap is frames-per-key-frame for each base preset at full scale:
+// the full-scale frame count over the ℓ of the paper's Table 2 (22 of 450,
+// 52 of 1500, 48 of 1194). Keeping the ratio rather than the absolute count
+// makes scaled-down datasets behave like the full ones.
 var segmentCap = map[string]int{
 	"MOT01": 450 / 22,
 	"MOT03": 1500 / 52,

@@ -42,6 +42,14 @@ func TestLoadDataset(t *testing.T) {
 	}
 }
 
+// paperKeyFrames is the ℓ reported in the paper's Table 2, the key-frame
+// count that segmentCap's ratios reproduce at full scale.
+var paperKeyFrames = map[string]int{
+	"MOT01": 22,
+	"MOT03": 52,
+	"MOT06": 48,
+}
+
 func TestKeyframeConfigForTargetsPaperCounts(t *testing.T) {
 	for _, p := range scene.Presets() {
 		cfg := KeyframeConfigFor(p)

@@ -18,9 +18,6 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y int) Point { return Point{x, y} }
 
-// Add returns p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns p−q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
@@ -67,9 +64,6 @@ func (v Vec) Lerp(w Vec, t float64) Vec {
 func (v Vec) Round() Point {
 	return Point{int(math.Round(v.X)), int(math.Round(v.Y))}
 }
-
-// PointVec converts an integer point to a Vec.
-func PointVec(p Point) Vec { return Vec{float64(p.X), float64(p.Y)} }
 
 // Rect is an axis-aligned integer rectangle, half-open: it contains points
 // with Min.X <= x < Max.X and Min.Y <= y < Max.Y, matching image.Rectangle
@@ -127,11 +121,6 @@ func (r Rect) CenterVec() Vec {
 	return Vec{float64(r.Min.X+r.Max.X) / 2, float64(r.Min.Y+r.Max.Y) / 2}
 }
 
-// Translate returns r moved by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{r.Min.Add(d), r.Max.Add(d)}
-}
-
 // Intersect returns the largest rectangle contained in both r and s. If the
 // two do not overlap, the result is empty.
 func (r Rect) Intersect(s Rect) Rect {
@@ -145,20 +134,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Point{min(r.Min.X, s.Min.X), min(r.Min.Y, s.Min.Y)},
-		Point{max(r.Max.X, s.Max.X), max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // Contains reports whether s lies entirely within r.
 func (r Rect) Contains(s Rect) bool {
 	if s.Empty() {
@@ -170,9 +145,6 @@ func (r Rect) Contains(s Rect) bool {
 
 // Clip returns r clipped to bounds.
 func (r Rect) Clip(bounds Rect) Rect { return r.Intersect(bounds) }
-
-// Overlaps reports whether r and s share at least one point.
-func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d;%d,%d]", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
@@ -189,17 +161,6 @@ func IoU(r, s Rect) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Overlap returns the fraction of r covered by s (intersection over the area
-// of r). Used by the tracker to decide whether two detections are the same
-// object when their sizes differ greatly.
-func Overlap(r, s Rect) float64 {
-	a := r.Area()
-	if a == 0 {
-		return 0
-	}
-	return float64(r.Intersect(s).Area()) / float64(a)
-}
-
 // Polyline is an ordered sequence of floating-point positions, one per frame
 // index; it is the representation of an object trajectory.
 type Polyline []Vec
@@ -211,23 +172,6 @@ func (p Polyline) Length() float64 {
 		total += p[i].Dist(p[i-1])
 	}
 	return total
-}
-
-// Bounds returns the bounding rectangle of all points on the polyline.
-func (p Polyline) Bounds() Rect {
-	if len(p) == 0 {
-		return Rect{}
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, v := range p {
-		minX = math.Min(minX, v.X)
-		minY = math.Min(minY, v.Y)
-		maxX = math.Max(maxX, v.X)
-		maxY = math.Max(maxY, v.Y)
-	}
-	return R(int(math.Floor(minX)), int(math.Floor(minY)),
-		int(math.Ceil(maxX))+1, int(math.Ceil(maxY))+1)
 }
 
 // Clamp returns x restricted to [lo, hi].

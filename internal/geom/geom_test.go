@@ -46,21 +46,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestUnionContains(t *testing.T) {
-	a := R(0, 0, 4, 4)
-	b := R(6, 6, 8, 8)
-	u := a.Union(b)
-	if !u.Contains(a) || !u.Contains(b) {
-		t.Fatalf("union %v must contain both operands", u)
-	}
-	if u != R(0, 0, 8, 8) {
-		t.Fatalf("union = %v, want [0,0;8,8]", u)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Fatalf("union with empty = %v, want %v", got, a)
-	}
-}
-
 func TestIoU(t *testing.T) {
 	a := R(0, 0, 10, 10)
 	if got := IoU(a, a); got != 1 {
@@ -155,26 +140,8 @@ func TestPolyline(t *testing.T) {
 	if p.Length() != 5 {
 		t.Fatalf("Length = %v", p.Length())
 	}
-	b := p.Bounds()
-	if !Pt(0, 0).In(b) || !Pt(3, 4).In(b) {
-		t.Fatalf("Bounds = %v does not contain endpoints", b)
-	}
 	if (Polyline{}).Length() != 0 {
 		t.Fatal("empty polyline length should be 0")
-	}
-}
-
-func TestOverlapFraction(t *testing.T) {
-	a := R(0, 0, 10, 10)
-	b := R(0, 0, 5, 10)
-	if got := Overlap(b, a); got != 1 {
-		t.Fatalf("b fully covered by a: Overlap = %v", got)
-	}
-	if got := Overlap(a, b); got != 0.5 {
-		t.Fatalf("Overlap = %v, want 0.5", got)
-	}
-	if got := Overlap(Rect{}, a); got != 0 {
-		t.Fatalf("Overlap empty = %v", got)
 	}
 }
 
@@ -184,12 +151,5 @@ func TestClamp(t *testing.T) {
 	}
 	if ClampF(1.5, 0, 1) != 1 || ClampF(-0.5, 0, 1) != 0 || ClampF(0.25, 0, 1) != 0.25 {
 		t.Fatal("ClampF misbehaves")
-	}
-}
-
-func TestTranslate(t *testing.T) {
-	r := R(1, 2, 3, 4).Translate(Pt(10, 20))
-	if r != R(11, 22, 13, 24) {
-		t.Fatalf("Translate = %v", r)
 	}
 }

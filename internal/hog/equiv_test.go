@@ -6,6 +6,7 @@ package hog
 // restructured memory layout, never the arithmetic or its order.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,7 +79,7 @@ func computeRef(m *img.Image, c Config) ([]float64, error) {
 		}
 	}
 	if len(out) != wantLen {
-		return nil, ErrWindow
+		return nil, fmt.Errorf("reference length %d != %d", len(out), wantLen)
 	}
 	return out, nil
 }

@@ -6,11 +6,9 @@
 package hog
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"verro/internal/geom"
 	"verro/internal/img"
 )
 
@@ -52,9 +50,6 @@ func (c Config) FeatureLen(w, h int) (int, error) {
 	}
 	return blocksX * blocksY * c.BlockSize * c.BlockSize * c.Bins, nil
 }
-
-// ErrWindow reports a window that does not fit the descriptor geometry.
-var ErrWindow = errors.New("hog: bad window")
 
 // Compute extracts the HOG descriptor of the whole image m.
 func Compute(m *img.Image, c Config) ([]float64, error) {
@@ -134,16 +129,6 @@ func Compute(m *img.Image, c Config) ([]float64, error) {
 		return nil, fmt.Errorf("hog: internal length mismatch %d != %d", len(out), wantLen)
 	}
 	return out, nil
-}
-
-// ComputeWindow extracts the descriptor of a sub-window by copying it out;
-// windows outside the image are clamped by SubImage semantics.
-func ComputeWindow(m *img.Image, x, y, w, h int, c Config) ([]float64, error) {
-	if x < 0 || y < 0 || x+w > m.W || y+h > m.H {
-		return nil, fmt.Errorf("%w: (%d,%d,%d,%d) outside %dx%d", ErrWindow, x, y, w, h, m.W, m.H)
-	}
-	sub := m.SubImage(geom.RectAt(x, y, w, h))
-	return Compute(sub, c)
 }
 
 // l2hysInto applies L2 normalization, clipping at 0.2, and renormalization,

@@ -114,40 +114,6 @@ func TestDescriptorStableUnderSmallNoise(t *testing.T) {
 	}
 }
 
-func TestComputeWindowBounds(t *testing.T) {
-	m := img.New(32, 32)
-	m.AddNoise(50, 1)
-	if _, err := ComputeWindow(m, 0, 0, 16, 16, DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ComputeWindow(m, 20, 20, 16, 16, DefaultConfig()); err == nil {
-		t.Fatal("out-of-bounds window should fail")
-	}
-	if _, err := ComputeWindow(m, -1, 0, 16, 16, DefaultConfig()); err == nil {
-		t.Fatal("negative origin should fail")
-	}
-}
-
-func TestWindowMatchesSubImageCompute(t *testing.T) {
-	m := img.New(40, 40)
-	m.AddNoise(90, 3)
-	c := DefaultConfig()
-	f1, err := ComputeWindow(m, 8, 4, 16, 32, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := m.SubImage(rect(8, 4, 16, 32))
-	f2, err := Compute(sub, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("window and sub-image descriptors differ at %d", i)
-		}
-	}
-}
-
 func TestDescriptorInvariantToBrightnessShift(t *testing.T) {
 	// HOG is built on gradients: adding a constant to every pixel must not
 	// change the descriptor (up to clipping at 0/255).

@@ -6,18 +6,6 @@ import (
 	"verro/internal/geom"
 )
 
-// DrawRect outlines rectangle r (clipped) with color c and the given stroke
-// thickness.
-func (m *Image) DrawRect(r geom.Rect, c RGB, thickness int) {
-	if thickness < 1 {
-		thickness = 1
-	}
-	m.Fill(geom.R(r.Min.X, r.Min.Y, r.Max.X, r.Min.Y+thickness), c)
-	m.Fill(geom.R(r.Min.X, r.Max.Y-thickness, r.Max.X, r.Max.Y), c)
-	m.Fill(geom.R(r.Min.X, r.Min.Y, r.Min.X+thickness, r.Max.Y), c)
-	m.Fill(geom.R(r.Max.X-thickness, r.Min.Y, r.Max.X, r.Max.Y), c)
-}
-
 // DrawDisc paints a filled disc of the given radius centered at p.
 func (m *Image) DrawDisc(p geom.Point, radius int, c RGB) {
 	r2 := radius * radius
@@ -25,81 +13,6 @@ func (m *Image) DrawDisc(p geom.Point, radius int, c RGB) {
 		for dx := -radius; dx <= radius; dx++ {
 			if dx*dx+dy*dy <= r2 {
 				m.Set(p.X+dx, p.Y+dy, c)
-			}
-		}
-	}
-}
-
-// DrawLine draws a 1-pixel line from a to b using Bresenham's algorithm.
-func (m *Image) DrawLine(a, b geom.Point, c RGB) {
-	dx := abs(b.X - a.X)
-	dy := -abs(b.Y - a.Y)
-	sx, sy := 1, 1
-	if a.X > b.X {
-		sx = -1
-	}
-	if a.Y > b.Y {
-		sy = -1
-	}
-	err := dx + dy
-	x, y := a.X, a.Y
-	for {
-		m.Set(x, y, c)
-		if x == b.X && y == b.Y {
-			return
-		}
-		e2 := 2 * err
-		if e2 >= dy {
-			err += dy
-			x += sx
-		}
-		if e2 <= dx {
-			err += dx
-			y += sy
-		}
-	}
-}
-
-// DrawEllipse paints a filled axis-aligned ellipse inside rectangle r.
-func (m *Image) DrawEllipse(r geom.Rect, c RGB) {
-	if r.Empty() {
-		return
-	}
-	cx := float64(r.Min.X+r.Max.X-1) / 2
-	cy := float64(r.Min.Y+r.Max.Y-1) / 2
-	rx := float64(r.Dx()) / 2
-	ry := float64(r.Dy()) / 2
-	if rx <= 0 || ry <= 0 {
-		return
-	}
-	for y := r.Min.Y; y < r.Max.Y; y++ {
-		for x := r.Min.X; x < r.Max.X; x++ {
-			nx := (float64(x) - cx) / rx
-			ny := (float64(y) - cy) / ry
-			if nx*nx+ny*ny <= 1 {
-				m.Set(x, y, c)
-			}
-		}
-	}
-}
-
-// Shade multiplies every channel in region r by factor (clamped to [0, 4]),
-// a cheap way to darken or lighten parts of a scene.
-func (m *Image) Shade(r geom.Rect, factor float64) {
-	factor = geom.ClampF(factor, 0, 4)
-	r = r.Clip(m.Bounds())
-	w := r.Dx()
-	for y := r.Min.Y; y < r.Max.Y; y++ {
-		off := m.offset(r.Min.X, y)
-		row := m.Pix[off : off+w*3]
-		for x := 0; x < w; x++ {
-			p := row[x*3 : x*3+3]
-			for c := 0; c < 3; c++ {
-				v := float64(p[c]) * factor
-				if v > 255 {
-					v = 255
-				}
-				p[c] = uint8(v)
 			}
 		}
 	}
@@ -161,11 +74,4 @@ func (m *Image) VerticalGradient(a, b RGB) {
 
 func lerp8(a, b uint8, t float64) uint8 {
 	return uint8(math.Round(float64(a) + (float64(b)-float64(a))*t))
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,7 +2,9 @@ package img
 
 import (
 	"bytes"
+	"image/png"
 	"math"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -206,41 +208,6 @@ func TestResize(t *testing.T) {
 	if out.At(2, 2) != (RGB{100, 100, 100}) {
 		t.Fatalf("uniform image should stay uniform: %v", out.At(2, 2))
 	}
-	up := m.Scale(2)
-	if up.W != 16 || up.H != 16 {
-		t.Fatalf("scale dims %dx%d", up.W, up.H)
-	}
-}
-
-func TestIntegral(t *testing.T) {
-	w, h := 5, 4
-	plane := make([]float64, w*h)
-	for i := range plane {
-		plane[i] = float64(i)
-	}
-	it := NewIntegral(plane, w, h)
-	// Brute-force check all subrectangles.
-	for y0 := 0; y0 <= h; y0++ {
-		for y1 := y0; y1 <= h; y1++ {
-			for x0 := 0; x0 <= w; x0++ {
-				for x1 := x0; x1 <= w; x1++ {
-					var want float64
-					for y := y0; y < y1; y++ {
-						for x := x0; x < x1; x++ {
-							want += plane[y*w+x]
-						}
-					}
-					r := geom.R(x0, y0, x1, y1)
-					if got := it.Sum(r); math.Abs(got-want) > 1e-9 {
-						t.Fatalf("Sum(%v) = %v, want %v", r, got, want)
-					}
-				}
-			}
-		}
-	}
-	if got := it.Mean(geom.R(0, 0, 1, 1)); got != 0 {
-		t.Fatalf("Mean single cell = %v", got)
-	}
 }
 
 func TestGradients(t *testing.T) {
@@ -274,35 +241,37 @@ func TestPNGRoundTrip(t *testing.T) {
 	if err := m.WritePNG(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPNG(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Equal(back) {
-		t.Fatal("PNG round-trip changed pixels")
+	for _, enc := range [][]byte{buf.Bytes(), raw} {
+		back, err := png.Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := back.Bounds(); b.Dx() != m.W || b.Dy() != m.H {
+			t.Fatalf("PNG round-trip size %v, want %dx%d", b, m.W, m.H)
+		}
+		for y := 0; y < m.H; y++ {
+			for x := 0; x < m.W; x++ {
+				r, g, bb, _ := back.At(x, y).RGBA()
+				if got := (RGB{uint8(r >> 8), uint8(g >> 8), uint8(bb >> 8)}); got != m.At(x, y) {
+					t.Fatalf("PNG round-trip pixel (%d,%d) = %v, want %v", x, y, got, m.At(x, y))
+				}
+			}
+		}
 	}
 }
 
 func TestDrawPrimitives(t *testing.T) {
 	m := New(20, 20)
-	m.DrawRect(geom.R(2, 2, 10, 10), RGB{255, 0, 0}, 1)
-	if m.At(2, 2) != (RGB{255, 0, 0}) || m.At(9, 9) != (RGB{255, 0, 0}) {
-		t.Fatal("rect outline missing")
-	}
-	if m.At(5, 5) != (RGB{}) {
-		t.Fatal("rect should not be filled")
-	}
 	m.DrawDisc(geom.Pt(15, 15), 2, RGB{0, 255, 0})
-	if m.At(15, 15) != (RGB{0, 255, 0}) {
-		t.Fatal("disc center missing")
+	if m.At(15, 15) != (RGB{0, 255, 0}) || m.At(17, 15) != (RGB{0, 255, 0}) {
+		t.Fatal("disc center or rim missing")
 	}
-	m.DrawLine(geom.Pt(0, 19), geom.Pt(19, 0), RGB{0, 0, 255})
-	if m.At(0, 19) != (RGB{0, 0, 255}) || m.At(19, 0) != (RGB{0, 0, 255}) {
-		t.Fatal("line endpoints missing")
-	}
-	m.DrawEllipse(geom.R(0, 0, 6, 4), RGB{9, 9, 9})
-	if m.At(3, 2) != (RGB{9, 9, 9}) {
-		t.Fatal("ellipse center missing")
+	if m.At(18, 15) != (RGB{}) || m.At(17, 17) != (RGB{}) {
+		t.Fatal("disc painted outside its radius")
 	}
 }
 
@@ -344,21 +313,6 @@ func TestCosineSim(t *testing.T) {
 	}
 	if got := CosineSim(a, []float64{0, 0, 0}); got != 0 {
 		t.Fatalf("zero-vector cosine = %v", got)
-	}
-}
-
-func TestShade(t *testing.T) {
-	m := NewFilled(4, 4, RGB{100, 100, 100})
-	m.Shade(geom.R(0, 0, 2, 2), 0.5)
-	if m.At(0, 0) != (RGB{50, 50, 50}) {
-		t.Fatalf("shaded = %v", m.At(0, 0))
-	}
-	if m.At(3, 3) != (RGB{100, 100, 100}) {
-		t.Fatal("shade leaked outside rect")
-	}
-	m.Shade(m.Bounds(), 10) // clamps at 255 and factor at 4
-	if m.At(3, 3) != (RGB{255, 255, 255}) {
-		t.Fatalf("over-shade = %v", m.At(3, 3))
 	}
 }
 

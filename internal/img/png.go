@@ -22,19 +22,6 @@ func (m *Image) ToStdImage() *image.RGBA {
 	return out
 }
 
-// FromStdImage converts any standard library image to an Image.
-func FromStdImage(src image.Image) *Image {
-	b := src.Bounds()
-	out := New(b.Dx(), b.Dy())
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			r, g, bb, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			out.Set(x, y, RGB{uint8(r >> 8), uint8(g >> 8), uint8(bb >> 8)})
-		}
-	}
-	return out
-}
-
 // EncodePNG writes m as a PNG stream.
 func (m *Image) EncodePNG(w io.Writer) error {
 	return png.Encode(w, m.ToStdImage())
@@ -56,18 +43,4 @@ func (m *Image) WritePNG(path string) error {
 		return fmt.Errorf("img: encode %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// ReadPNG loads a PNG file into an Image.
-func ReadPNG(path string) (*Image, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("img: open %s: %w", path, err)
-	}
-	defer f.Close()
-	src, err := png.Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("img: decode %s: %w", path, err)
-	}
-	return FromStdImage(src), nil
 }

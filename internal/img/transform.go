@@ -1,10 +1,6 @@
 package img
 
-import (
-	"math"
-
-	"verro/internal/geom"
-)
+import "math"
 
 // Resize returns m resampled to w×h using bilinear interpolation.
 func (m *Image) Resize(w, h int) *Image {
@@ -40,19 +36,6 @@ func bilerp(c00, c10, c01, c11 uint8, tx, ty float64) uint8 {
 	top := float64(c00) + (float64(c10)-float64(c00))*tx
 	bot := float64(c01) + (float64(c11)-float64(c01))*tx
 	return uint8(math.Round(top + (bot-top)*ty))
-}
-
-// Scale returns m resized by the given factor (>0).
-func (m *Image) Scale(factor float64) *Image {
-	w := int(math.Round(float64(m.W) * factor))
-	h := int(math.Round(float64(m.H) * factor))
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	return m.Resize(w, h)
 }
 
 // GrayPlane returns the luma of every pixel as a float64 plane, row-major.
@@ -134,63 +117,6 @@ func (m *Image) Gradients() (gx, gy []float64) {
 		}
 	}
 	return gx, gy
-}
-
-// Integral is a summed-area table over a scalar plane; Sum answers
-// rectangular queries in O(1). Used by the background-subtraction detector.
-type Integral struct {
-	w, h int
-	sum  []float64 // (w+1)*(h+1)
-}
-
-// NewIntegral builds the summed-area table of plane (w×h, row-major).
-func NewIntegral(plane []float64, w, h int) *Integral {
-	it := &Integral{w: w, h: h, sum: make([]float64, (w+1)*(h+1))}
-	w1 := w + 1
-	for y := 0; y < h; y++ {
-		var row float64
-		prow := plane[y*w : y*w+w]
-		// Skip the zero guard column so prev/cur line up with prow.
-		prev := it.sum[y*w1+1 : y*w1+w1]
-		cur := it.sum[(y+1)*w1+1 : (y+1)*w1+w1]
-		k := len(prow)
-		if len(prev) < k {
-			k = len(prev)
-		}
-		if len(cur) < k {
-			k = len(cur)
-		}
-		for x := 0; x < k; x++ {
-			row += prow[x]
-			cur[x] = prev[x] + row
-		}
-	}
-	return it
-}
-
-// Sum returns the sum of the plane over rectangle r (clipped).
-func (it *Integral) Sum(r geom.Rect) float64 {
-	r = r.Clip(geom.R(0, 0, it.w, it.h))
-	if r.Empty() {
-		return 0
-	}
-	w1 := it.w + 1
-	a := it.sum[r.Min.Y*w1+r.Min.X]
-	b := it.sum[r.Min.Y*w1+r.Max.X]
-	c := it.sum[r.Max.Y*w1+r.Min.X]
-	d := it.sum[r.Max.Y*w1+r.Max.X]
-	return d - b - c + a
-}
-
-// Mean returns the mean of the plane over rectangle r (clipped); 0 for an
-// empty rectangle.
-func (it *Integral) Mean(r geom.Rect) float64 {
-	r = r.Clip(geom.R(0, 0, it.w, it.h))
-	a := r.Area()
-	if a == 0 {
-		return 0
-	}
-	return it.Sum(r) / float64(a)
 }
 
 // ColorDiffPlane returns, per pixel, the maximum per-channel absolute

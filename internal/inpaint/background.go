@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"verro/internal/geom"
 	"verro/internal/img"
@@ -238,19 +237,4 @@ func NewStaticScenes(bg *img.Image) Scenes { return staticScenes{bg} }
 // Background implements Scenes for the moving-camera model.
 func (mb *MovingBackground) Background(k int) (*img.Image, error) {
 	return mb.FrameBackground(k)
-}
-
-// SortedOffsets returns a copy of the distinct pan offsets in ascending
-// order; exported for diagnostics and tests.
-func (mb *MovingBackground) SortedOffsets() []int {
-	seen := map[int]bool{}
-	out := make([]int, 0, len(mb.Offsets))
-	for _, o := range mb.Offsets {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -261,7 +261,7 @@ func TestMovingBackgroundRoundTrip(t *testing.T) {
 	if _, err := mb.FrameBackground(-1); err == nil {
 		t.Fatal("negative frame should fail")
 	}
-	if got := mb.SortedOffsets(); len(got) == 0 {
+	if len(mb.Offsets) == 0 {
 		t.Fatal("no offsets")
 	}
 }

@@ -176,12 +176,6 @@ func (f *Filter) Box() geom.Rect {
 	return measurementToBox([mdim]float64{f.x[0], f.x[1], f.x[2], f.x[3]})
 }
 
-// Center returns the current state center.
-func (f *Filter) Center() geom.Vec { return geom.V(f.x[0], f.x[1]) }
-
-// Velocity returns the estimated center velocity in pixels per frame.
-func (f *Filter) Velocity() geom.Vec { return geom.V(f.x[4], f.x[5]) }
-
 // invert4 inverts a 4×4 matrix by Gauss-Jordan elimination with partial
 // pivoting; ok is false when the matrix is singular.
 func invert4(a [mdim][mdim]float64) (inv [mdim][mdim]float64, ok bool) {

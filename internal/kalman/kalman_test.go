@@ -155,3 +155,9 @@ func TestInvert4(t *testing.T) {
 		t.Fatal("zero matrix should be singular")
 	}
 }
+
+// Center returns the current state center.
+func (f *Filter) Center() geom.Vec { return geom.V(f.x[0], f.x[1]) }
+
+// Velocity returns the estimated center velocity in pixels per frame.
+func (f *Filter) Velocity() geom.Vec { return geom.V(f.x[4], f.x[5]) }

@@ -43,9 +43,6 @@ type Segment struct {
 	KeyFrame   int // index of the maximum-entropy frame within [Start, End]
 }
 
-// Len returns the number of frames in the segment.
-func (s Segment) Len() int { return s.End - s.Start + 1 }
-
 // Contains reports whether frame k falls in the segment.
 func (s Segment) Contains(k int) bool { return k >= s.Start && k <= s.End }
 

@@ -67,8 +67,8 @@ func TestExtractSingleStaticScene(t *testing.T) {
 	if len(res.Segments) != 1 {
 		t.Fatalf("static video should be one segment, got %d", len(res.Segments))
 	}
-	if res.Segments[0].Len() != 20 {
-		t.Fatalf("segment covers %d frames", res.Segments[0].Len())
+	if s := res.Segments[0]; s.Start != 0 || s.End != 19 {
+		t.Fatalf("segment covers frames %d-%d", s.Start, s.End)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestMaxSegmentLenForcesSplits(t *testing.T) {
 		t.Fatalf("segments = %d, want 4", len(res.Segments))
 	}
 	for _, s := range res.Segments {
-		if s.Len() > 5 {
+		if s.End-s.Start+1 > 5 {
 			t.Fatalf("segment too long: %v", s)
 		}
 	}

@@ -82,13 +82,6 @@ func (b BitVector) Ones() int {
 // Section 4.2.1.
 func (b BitVector) Empty() bool { return b.Ones() == 0 }
 
-// Clone copies the vector.
-func (b BitVector) Clone() BitVector {
-	out := make(BitVector, len(b))
-	copy(out, b)
-	return out
-}
-
 // Hamming returns the Hamming distance between two equal-length vectors.
 func Hamming(a, b BitVector) int {
 	n := len(a)
@@ -151,26 +144,6 @@ func RAPPORFlip(b BitVector, f float64, rng *rand.Rand) (BitVector, error) {
 		}
 	}
 	return out, nil
-}
-
-// ExpectedBit returns E[output bit] of the Equation 4 rule given the true
-// bit (Equation 6 with x_k = 1): f/2 when the bit is 0, 1−f/2 when it is 1.
-func ExpectedBit(truth bool, f float64) float64 {
-	if truth {
-		return 1 - f/2
-	}
-	return f / 2
-}
-
-// UnbiasCount converts an observed count of 1s among n RAPPOR-flipped bits
-// into an unbiased estimate of the true count (standard RAPPOR decoding):
-// t = (obs − n·f/2)/(1−f). Used by aggregate-analysis consumers of the
-// sanitized video to cancel noise (paper Section 5, "Noise Cancellation").
-func UnbiasCount(observed float64, n int, f float64) float64 {
-	if f >= 1 {
-		return float64(n) / 2 // no information survives f=1
-	}
-	return (observed - float64(n)*f/2) / (1 - f)
 }
 
 func abs(x int) int {

@@ -7,23 +7,6 @@ import (
 	"testing/quick"
 )
 
-// TestUnbiasCountIsInverseOfExpectation: for any true count t out of n
-// bits, unbiasing the *expected* observed count returns t exactly.
-func TestUnbiasCountIsInverseOfExpectation(t *testing.T) {
-	f := func(nRaw, tRaw uint8, fRaw float64) bool {
-		n := int(nRaw)%200 + 1
-		truth := int(tRaw) % (n + 1)
-		fv := math.Mod(math.Abs(fRaw), 0.98) + 0.01
-		expObserved := float64(truth)*ExpectedBit(true, fv) +
-			float64(n-truth)*ExpectedBit(false, fv)
-		got := UnbiasCount(expObserved, n, fv)
-		return math.Abs(got-float64(truth)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRAPPORFlipPreservesLength: output vectors always match input length.
 func TestRAPPORFlipPreservesLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -98,8 +98,6 @@ func nativeCall(callee string, args []Interval, call *ast.CallExpr, ip *interp, 
 	case "verro/internal/ldp.Epsilon":
 		// Guarded to f ∈ (0, 1], so k·ln((2−f)/f) ≥ 0; error path is 0.
 		return []Interval{{0, inf}, top}, true
-	case "verro/internal/ldp.ExpectedBit":
-		return []Interval{{0, 1}}, true
 	}
 	return nil, false
 }

@@ -47,8 +47,6 @@ var probSlots = map[string][]probSlot{
 	"verro/internal/ldp.Epsilon":          {{1, "f", "prob"}},
 	"verro/internal/ldp.FlipProbability":  {{1, "eps", "eps"}},
 	"verro/internal/ldp.KeepProbability":  {{0, "eps", "eps"}},
-	"verro/internal/ldp.ExpectedBit":      {{1, "f", "prob"}},
-	"verro/internal/ldp.UnbiasCount":      {{2, "f", "prob"}},
 	"verro/internal/ldp.LaplaceMechanism": {{2, "eps", "eps"}},
 	"verro/internal/ldp.NoisyCounts":      {{2, "eps", "eps"}},
 }

@@ -60,8 +60,6 @@ func epsConsistConfig() *TaintConfig {
 			"verro/internal/ldp.KeepProbability":  {Operands: []int{0}, What: "ldp.KeepProbability"},
 			"verro/internal/ldp.ClassicRR":        {Operands: []int{1}, What: "ldp.ClassicRR"},
 			"verro/internal/ldp.RAPPORFlip":       {Operands: []int{1}, What: "ldp.RAPPORFlip"},
-			"verro/internal/ldp.ExpectedBit":      {Operands: []int{1}, What: "ldp.ExpectedBit"},
-			"verro/internal/ldp.UnbiasCount":      {Operands: []int{2}, What: "ldp.UnbiasCount"},
 			"verro/internal/ldp.Laplace":          {Operands: []int{0}, What: "ldp.Laplace"},
 			"verro/internal/ldp.LaplaceMechanism": {Operands: []int{1, 2}, What: "ldp.LaplaceMechanism"},
 			"verro/internal/ldp.NoisyCounts":      {Operands: []int{1, 2}, What: "ldp.NoisyCounts"},

@@ -29,8 +29,6 @@ func NewEpsHTTP() *Analyzer {
 			"(net/http.Request).PostFormValue",
 			// Resume path: a stored manifest holds the client's original
 			// unconverted parameters.
-			"(verro/internal/store.Store).Load",
-			"(verro/internal/store.Store).List",
 			"(verro/internal/store.FS).Load",
 			"(verro/internal/store.FS).List",
 		),

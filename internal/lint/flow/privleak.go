@@ -34,7 +34,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"(verro/internal/detect.BGSubtractor).Detect",
 			"(verro/internal/detect.HOGSVM).Detect",
 			"verro/internal/detect.NMS",
-			"verro/internal/track.Run",
 			"(verro/internal/track.Tracker).Tracks",
 			"verro/internal/motio.ReadCSV",
 			"verro/internal/motio.LoadCSV",
@@ -78,8 +77,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 			"verro/internal/metrics.SamplesDeviation",
 			"verro/internal/metrics.CountMAE",
 			"verro/internal/metrics.CountCorrelation",
-			"verro/internal/detect.Evaluate",
-			"verro/internal/track.EvaluateTracks",
 			"verro/internal/core.DistinctPresent",
 			"verro/internal/core.TruthfulPresent",
 			"verro/internal/core.PresentInKeyFrames",
@@ -128,8 +125,6 @@ func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
 				Operands: []int{2}, What: "HTTP artifact route http.ServeFile"},
 			"(encoding/json.Encoder).Encode": {
 				Operands: []int{1}, What: "JSON response encoder (json.Encoder).Encode"},
-			"(verro/internal/store.Store).Save": {
-				Operands: []int{1}, What: "job manifest (store.Store).Save"},
 			"(verro/internal/store.FS).Save": {
 				Operands: []int{1}, What: "job manifest (store.FS).Save"},
 			"(verro/internal/vid.RawStore).Append": {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -251,4 +252,44 @@ func TestSolveBinaryLargeInstance(t *testing.T) {
 	if !approxEq(res.Objective, want) {
 		t.Fatalf("objective = %v, want %v", res.Objective, want)
 	}
+}
+
+// BruteForceBinary exhaustively solves the same problem for n ≤ 20; it is
+// the test oracle for SolveBinary.
+func BruteForceBinary(costs []float64, minOnes, maxOnes int) ([]int, float64, error) {
+	n := len(costs)
+	if n == 0 || n > 20 {
+		return nil, 0, fmt.Errorf("%w: brute force supports 1..20 vars, got %d", ErrMalformed, n)
+	}
+	if maxOnes > n {
+		maxOnes = n
+	}
+	bestObj := math.Inf(1)
+	var best []int
+	for mask := 0; mask < 1<<n; mask++ {
+		ones := 0
+		var obj float64
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				ones++
+				obj += costs[i]
+			}
+		}
+		if ones < minOnes || ones > maxOnes {
+			continue
+		}
+		if obj < bestObj {
+			bestObj = obj
+			best = make([]int, n)
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) != 0 {
+					best[i] = 1
+				}
+			}
+		}
+	}
+	if best == nil {
+		return nil, 0, ErrInfeasible
+	}
+	return best, bestObj, nil
 }

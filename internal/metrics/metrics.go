@@ -1,11 +1,9 @@
 // Package metrics implements the utility measures of the paper's
-// evaluation: distinct-object retention (Figure 5 a/c/e), normalized
-// trajectory deviation (Figure 5 b/d/f), and per-frame object-count series
-// with their errors (Figures 12-13).
+// evaluation: normalized trajectory deviation (Figure 5 b/d/f) and
+// per-frame object-count series with their errors (Figures 12-13).
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"verro/internal/assign"
@@ -161,19 +159,6 @@ func SamplesDeviation(original *motio.TrackSet, assigned [][]interp.Sample) floa
 		return 0
 	}
 	return total / float64(pairs)
-}
-
-// Retention summarizes distinct-object survival through the pipeline.
-type Retention struct {
-	Original   int // objects in the input video
-	KeyFrames  int // objects present in at least one key frame
-	Optimized  int // objects present in at least one picked key frame
-	Randomized int // objects with non-empty randomized vectors
-}
-
-func (r Retention) String() string {
-	return fmt.Sprintf("objects: %d → keyframes %d → opt %d → rr %d",
-		r.Original, r.KeyFrames, r.Optimized, r.Randomized)
 }
 
 // CountMAE returns the mean absolute error between two per-frame count

@@ -121,11 +121,3 @@ func TestCountCorrelation(t *testing.T) {
 		t.Fatalf("empty correlation = %v", got)
 	}
 }
-
-func TestRetentionString(t *testing.T) {
-	r := Retention{Original: 23, KeyFrames: 19, Optimized: 17, Randomized: 16}
-	s := r.String()
-	if s == "" {
-		t.Fatal("empty retention string")
-	}
-}

@@ -127,17 +127,6 @@ func (s *TrackSet) Sort() {
 	sort.Slice(s.Tracks, func(i, j int) bool { return s.Tracks[i].ID < s.Tracks[j].ID })
 }
 
-// CountInFrame returns how many objects are present in frame k.
-func (s *TrackSet) CountInFrame(k int) int {
-	n := 0
-	for _, t := range s.Tracks {
-		if t.Present(k) {
-			n++
-		}
-	}
-	return n
-}
-
 // CountSeries returns the per-frame object counts for frames [0, m).
 func (s *TrackSet) CountSeries(m int) []int {
 	out := make([]int, m)
@@ -147,28 +136,6 @@ func (s *TrackSet) CountSeries(m int) []int {
 				out[k]++
 			}
 		}
-	}
-	return out
-}
-
-// MaxFrame returns the largest frame index used by any track, or -1.
-func (s *TrackSet) MaxFrame() int {
-	maxK := -1
-	for _, t := range s.Tracks {
-		for k := range t.Boxes {
-			if k > maxK {
-				maxK = k
-			}
-		}
-	}
-	return maxK
-}
-
-// Clone deep-copies the set.
-func (s *TrackSet) Clone() *TrackSet {
-	out := NewTrackSet()
-	for _, t := range s.Tracks {
-		out.Add(t.Clone())
 	}
 	return out
 }

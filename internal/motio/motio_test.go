@@ -2,6 +2,7 @@ package motio
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,21 +71,12 @@ func TestCountSeries(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CountSeries = %v, want %v", got, want)
 	}
-	if s.CountInFrame(1) != 2 {
-		t.Fatalf("CountInFrame(1) = %d", s.CountInFrame(1))
-	}
-	if s.MaxFrame() != 5 {
-		t.Fatalf("MaxFrame = %d", s.MaxFrame())
-	}
-	if NewTrackSet().MaxFrame() != -1 {
-		t.Fatal("empty set MaxFrame should be -1")
-	}
 }
 
 func TestCloneDeep(t *testing.T) {
 	s := sampleSet()
-	c := s.Clone()
-	c.ByID(1).Set(0, geom.RectAt(0, 0, 1, 1))
+	c := s.ByID(1).Clone()
+	c.Set(0, geom.RectAt(0, 0, 1, 1))
 	if b, _ := s.ByID(1).Box(0); b == geom.RectAt(0, 0, 1, 1) {
 		t.Fatal("clone shares box maps")
 	}
@@ -157,18 +149,9 @@ func TestSeriesTableRoundTrip(t *testing.T) {
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSeriesCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.XName != "f" || !reflect.DeepEqual(back.X, tab.X) {
-		t.Fatalf("x mismatch: %v", back.X)
-	}
-	if len(back.Cols) != 2 || back.Cols[1].Name != "rr" {
-		t.Fatalf("cols mismatch: %+v", back.Cols)
-	}
-	if !reflect.DeepEqual(back.Cols[0].Samples, tab.Cols[0].Samples) {
-		t.Fatal("sample mismatch")
+	want := "f,original,rr\n0.1,23,17\n0.5,23,16\n0.9,23,15\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteCSV = %q, want %q", got, want)
 	}
 }
 
@@ -191,12 +174,12 @@ func TestSeriesSaveCSV(t *testing.T) {
 	if err := tab.SaveCSV(path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := LoadCSVSeries(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.X) != 2 {
-		t.Fatalf("X = %v", f.X)
+	if want := "frame,count\n0,3\n1,4\n"; string(got) != want {
+		t.Fatalf("SaveCSV wrote %q, want %q", got, want)
 	}
 }
 

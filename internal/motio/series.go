@@ -79,60 +79,6 @@ func (t *SeriesTable) SaveCSV(path string) error {
 	return f.Close()
 }
 
-// ReadSeriesCSV parses a table written by WriteCSV.
-func ReadSeriesCSV(r io.Reader) (*SeriesTable, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("motio: empty series csv")
-	}
-	headers := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	if len(headers) == 0 {
-		return nil, fmt.Errorf("motio: missing header")
-	}
-	t := NewSeriesTable(headers[0], nil)
-	cols := make([][]float64, len(headers)-1)
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != len(headers) {
-			return nil, fmt.Errorf("motio: line %d: %d fields, want %d", line, len(fields), len(headers))
-		}
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("motio: line %d: %v", line, err)
-			}
-			if i == 0 {
-				t.X = append(t.X, v)
-			} else {
-				cols[i-1] = append(cols[i-1], v)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for i, name := range headers[1:] {
-		t.Cols = append(t.Cols, Series{Name: name, Samples: cols[i]})
-	}
-	return t, nil
-}
-
-// LoadCSVSeries reads a series table from a file.
-func LoadCSVSeries(path string) (*SeriesTable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSeriesCSV(f)
-}
-
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', 10, 64)
 }

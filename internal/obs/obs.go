@@ -406,11 +406,6 @@ type Runtime struct {
 	Span *Span
 }
 
-// Child returns a Runtime scoped to a child span of rt (same pool).
-func (rt Runtime) Child(name string) Runtime {
-	return Runtime{Pool: rt.Pool, Span: rt.Span.Child(name)}
-}
-
 // SpanSetter is implemented by components (detectors) whose construction
 // site differs from the stage span they should report under; the stage
 // opens its span and rebinds the component to it.

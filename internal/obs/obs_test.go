@@ -141,17 +141,3 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Fatalf("counters lost: %v", back.Counters)
 	}
 }
-
-func TestRuntimeChild(t *testing.T) {
-	var zero Runtime
-	c := zero.Child("x")
-	if c.Span != nil || c.Pool != nil {
-		t.Fatal("zero Runtime child must stay disabled")
-	}
-	tr := NewTrace("run")
-	rt := Runtime{Pool: par.NewPool(2), Span: tr.Root()}
-	c = rt.Child("stage")
-	if c.Pool != rt.Pool || c.Span == nil {
-		t.Fatal("Runtime.Child must keep the pool and open a span")
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"verro/internal/exp"
-	"verro/internal/motio"
 )
 
 // Data collects everything the page shows; any section may be empty.
@@ -167,33 +166,4 @@ func inlinePNG(path string) (template.URL, error) {
 		return "", err
 	}
 	return template.URL("data:image/png;base64," + base64.StdEncoding.EncodeToString(raw)), nil
-}
-
-// Fig5FromTable reconstructs Fig5 points from a saved CSV series (the
-// layout written by exp.Fig5Table), letting reports be rebuilt from result
-// directories without re-running experiments.
-func Fig5FromTable(t *motio.SeriesTable) []exp.Fig5Point {
-	col := map[string][]float64{}
-	for _, c := range t.Cols {
-		col[c.Name] = c.Samples
-	}
-	out := make([]exp.Fig5Point, len(t.X))
-	for i := range t.X {
-		out[i] = exp.Fig5Point{
-			F:         t.X[i],
-			Original:  sampleAt(col["original"], i),
-			Opt:       sampleAt(col["opt"], i),
-			RR:        sampleAt(col["rr"], i),
-			DevBefore: sampleAt(col["dev_before_phase2"], i),
-			DevAfter:  sampleAt(col["dev_after_phase2"], i),
-		}
-	}
-	return out
-}
-
-func sampleAt(xs []float64, i int) float64 {
-	if i < len(xs) {
-		return xs[i]
-	}
-	return 0
 }

@@ -9,7 +9,6 @@ import (
 
 	"verro/internal/exp"
 	"verro/internal/img"
-	"verro/internal/motio"
 )
 
 func sampleData(t *testing.T) *Data {
@@ -92,36 +91,5 @@ func TestSave(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFig5FromTable(t *testing.T) {
-	tab := motio.NewSeriesTable("f", []float64{0.1, 0.9})
-	cols := []struct {
-		name    string
-		samples []float64
-	}{
-		{"original", []float64{23, 23}},
-		{"opt", []float64{20, 20}},
-		{"rr", []float64{20, 18}},
-		{"dev_before_phase2", []float64{0.97, 0.98}},
-		{"dev_after_phase2", []float64{0.44, 0.65}},
-	}
-	for _, c := range cols {
-		if err := tab.AddColumn(c.name, c.samples); err != nil {
-			t.Fatal(err)
-		}
-	}
-	points := Fig5FromTable(tab)
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	if points[1].RR != 18 || points[0].DevAfter != 0.44 {
-		t.Fatalf("points = %+v", points)
-	}
-	// Missing columns read as zero, not panic.
-	short := motio.NewSeriesTable("f", []float64{0.1})
-	if got := Fig5FromTable(short); got[0].Original != 0 {
-		t.Fatal("missing column should be zero")
 	}
 }

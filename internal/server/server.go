@@ -129,10 +129,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler serving the job API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Wait blocks until every admitted job has finished. Used by tests and by
-// graceful shutdown paths that want jobs drained rather than re-resumed.
-func (s *Server) Wait() { s.wg.Wait() }
-
 // ResumeInterrupted restarts every job a previous process left in the
 // pending or running state, resuming from its last durable checkpoint. The
 // jobs block-wait for worker slots (they were admitted before the crash, so

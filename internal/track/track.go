@@ -82,16 +82,6 @@ func New(cfg Config) *Tracker {
 	return &Tracker{cfg: cfg, nextID: 1, out: map[int]*motio.Track{}}
 }
 
-// Step advances the tracker by one frame. frame supplies pixel data for the
-// appearance term; detections are the frame's detector output.
-func (t *Tracker) Step(frame *img.Image, detections []detect.Detection) error {
-	hists, err := appearance(frame, detections)
-	if err != nil {
-		return err
-	}
-	return t.step(detections, hists)
-}
-
 // appearance returns the HSV histogram of each detection's box in the
 // frame: the tracker's appearance term. It reads only its arguments, so
 // Runner.Window builds it on the pool beside Detect.
@@ -252,19 +242,6 @@ func (t *Tracker) Tracks() *motio.TrackSet {
 	return set
 }
 
-// Run drives a detector over a whole frame sequence and returns the tracks:
-// a Runner fed one window. Detection shards over rt.Pool under a "detect"
-// child span of rt.Span and the serial association pass reports under a
-// "track" child span; the zero obs.Runtime runs on the default pool,
-// untraced.
-func Run(frames []*img.Image, det detect.Detector, cfg Config, rt obs.Runtime) (*motio.TrackSet, error) {
-	r := NewRunner(det, cfg, rt)
-	if err := r.Window(frames); err != nil {
-		return nil, err
-	}
-	return r.Finish()
-}
-
 // Runner drives a detector and the tracker over consecutive frame windows:
 // the caller feeds them to Window and collects the tracks with Finish.
 // Detection is stateless per frame, so each window is detected on the
@@ -275,41 +252,33 @@ func Run(frames []*img.Image, det detect.Detector, cfg Config, rt obs.Runtime) (
 // must tolerate concurrent Detect calls (both built-in detectors are pure
 // readers of their model state).
 type Runner struct {
-	det     detect.Detector
-	tr      *Tracker
-	rt      obs.Runtime
-	dspan   *obs.Span
-	tspan   *obs.Span
-	nFrames int64
-	nDets   int64
+	det detect.Detector
+	tr  *Tracker
+	rt  obs.Runtime
 }
 
-// NewRunner builds a windowed runner on rt. Detectors implementing
-// obs.SpanSetter (the HOG+SVM detector does) are rebound to the runner's
-// detect span so their internal counters nest there.
+// NewRunner builds a windowed runner on rt.
 func NewRunner(det detect.Detector, cfg Config, rt obs.Runtime) *Runner {
-	dspan := rt.Span.Child("detect")
-	if s, ok := det.(obs.SpanSetter); ok {
-		s.SetSpan(dspan)
-	}
-	return &Runner{
-		det:   det,
-		tr:    New(cfg),
-		rt:    rt,
-		dspan: dspan,
-		tspan: rt.Span.Child("track"),
-	}
+	return &Runner{det: det, tr: New(cfg), rt: rt}
 }
 
 // Window detects the next consecutive run of frames on the pool, with the
 // appearance histogram of each detection, and folds them through the
 // tracker in frame order. A frame whose detection failed returns its
-// error after the frames before it are tracked, as Step would.
+// error after the frames before it are tracked. The detection runs under a
+// "detect" child of the runner's span and the fold under a "track" child,
+// both ended before Window returns; a detector implementing obs.SpanSetter
+// (the HOG+SVM detector does) is rebound to the window's detect span so its
+// internal counters nest there.
 func (r *Runner) Window(frames []*img.Image) error {
 	type detResult struct {
 		dets  []detect.Detection
 		hists []*img.HSVHist
 		err   error
+	}
+	dspan := r.rt.Span.Child("detect")
+	if s, ok := r.det.(obs.SpanSetter); ok {
+		s.SetSpan(dspan)
 	}
 	results := par.MapPool(r.rt.Pool, len(frames), 1, func(i int) detResult {
 		ds, err := r.det.Detect(frames[i])
@@ -319,28 +288,34 @@ func (r *Runner) Window(frames []*img.Image) error {
 		}
 		return detResult{dets: ds, hists: hists, err: err}
 	})
-	r.nFrames += int64(len(frames))
+	var nDets int64
 	for _, res := range results {
-		if res.err != nil {
-			return res.err
+		nDets += int64(len(res.dets))
+	}
+	dspan.Add(obs.CFramesDetected, int64(len(frames)))
+	dspan.Add(obs.CDetections, nDets)
+	dspan.End()
+
+	tspan := r.rt.Span.Child("track")
+	defer tspan.End()
+	for i, res := range results {
+		err := res.err
+		if err == nil {
+			err = r.tr.step(res.dets, res.hists)
 		}
-		r.nDets += int64(len(res.dets))
-		if err := r.tr.step(res.dets, res.hists); err != nil {
+		if err != nil {
+			tspan.Add(obs.CFramesTracked, int64(i))
 			return err
 		}
 	}
+	tspan.Add(obs.CFramesTracked, int64(len(results)))
 	return nil
 }
 
-// Finish closes the spans with their totals and returns the confirmed
-// tracks.
+// Finish returns the confirmed tracks and adds their count to the runner's
+// span.
 func (r *Runner) Finish() (*motio.TrackSet, error) {
 	set := r.tr.Tracks()
-	r.dspan.Add(obs.CFramesDetected, r.nFrames)
-	r.dspan.Add(obs.CDetections, r.nDets)
-	r.dspan.End()
-	r.tspan.Add(obs.CFramesTracked, r.nFrames)
-	r.tspan.Add(obs.CTracksConfirmed, int64(len(set.Tracks)))
-	r.tspan.End()
+	r.rt.Span.Add(obs.CTracksConfirmed, int64(len(set.Tracks)))
 	return set, nil
 }

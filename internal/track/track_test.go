@@ -3,15 +3,40 @@ package track
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"verro/internal/detect"
 	"verro/internal/geom"
 	"verro/internal/img"
+	"verro/internal/motio"
 	"verro/internal/obs"
 	"verro/internal/par"
 	"verro/internal/scene"
 )
+
+// Step advances the tracker by one frame: the serial reference that the
+// tracker tests drive and that the pooled Runner.Window must match. frame
+// supplies pixel data for the appearance term; detections are the frame's
+// detector output.
+func (t *Tracker) Step(frame *img.Image, detections []detect.Detection) error {
+	hists, err := appearance(frame, detections)
+	if err != nil {
+		return err
+	}
+	return t.step(detections, hists)
+}
+
+// Run drives a detector over a whole frame sequence and returns the tracks:
+// a Runner fed one window.
+func Run(frames []*img.Image, det detect.Detector, cfg Config, rt obs.Runtime) (*motio.TrackSet, error) {
+	r := NewRunner(det, cfg, rt)
+	if err := r.Window(frames); err != nil {
+		return nil, err
+	}
+	return r.Finish()
+}
 
 // synthDetections builds a frame sequence with two objects moving on known
 // paths and returns frames plus per-frame perfect detections.
@@ -263,5 +288,114 @@ func TestRunnerWindowErrorOrder(t *testing.T) {
 	}
 	if r.tr.frame != 2 {
 		t.Fatalf("tracked %d frames before the nil one, want 2", r.tr.frame)
+	}
+}
+
+// spanCounting wraps a detector as a stand-in for one that reports under
+// a stage span (obs.SpanSetter): every Detect call, made from a pool
+// worker, adds one to the span it was last rebound to.
+type spanCounting struct {
+	detect.Detector
+	span *obs.Span
+}
+
+func (d *spanCounting) SetSpan(s *obs.Span) { d.span = s }
+
+func (d *spanCounting) Detect(frame *img.Image) ([]detect.Detection, error) {
+	d.span.Add("detect_calls", 1)
+	return d.Detector.Detect(frame)
+}
+
+// TestRunnerSpansPerWindow checks that each window opens its own detect
+// span around the pooled detection and its own track span around the
+// serial fold, in that order and without overlap, that the detector is
+// rebound to each window's detect span, and that the counters total the
+// clip.
+func TestRunnerSpansPerWindow(t *testing.T) {
+	p := scene.Preset{
+		Name: "track-test", W: 96, H: 72, Frames: 40, Objects: 4,
+		FPS: 30, Style: scene.StyleSquare, Class: scene.Pedestrian, Seed: 51,
+	}
+	g, err := scene.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg, err := detect.MedianBackground(g.Video.Frames, 2, obs.Runtime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := &spanCounting{Detector: detect.NewBGSubtractor(bg)}
+	tr := obs.NewTrace("run")
+	r := NewRunner(det, DefaultConfig(), obs.Runtime{Pool: par.NewPool(3), Span: tr.Root()})
+	frames := g.Video.Frames
+	sizes := []int{16, 16, 8}
+	for start, i := 0, 0; start < len(frames); start, i = start+16, i+1 {
+		end := min(start+16, len(frames))
+		if end-start != sizes[i] {
+			t.Fatalf("window %d has %d frames, want %d", i, end-start, sizes[i])
+		}
+		if err := r.Window(frames[start:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	rep := tr.Report()
+
+	var names []string
+	for _, c := range rep.Span.Children {
+		names = append(names, c.Name)
+	}
+	want := []string{"detect", "track", "detect", "track", "detect", "track"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("root children %v, want %v", names, want)
+	}
+	for i, c := range rep.Span.Children {
+		if i > 0 {
+			prev := rep.Span.Children[i-1]
+			if c.StartNS < prev.StartNS+prev.DurationNS {
+				t.Errorf("span %d (%s) starts at %d ns, before span %d ends at %d ns",
+					i, c.Name, c.StartNS, i-1, prev.StartNS+prev.DurationNS)
+			}
+		}
+		n := int64(sizes[i/2])
+		switch c.Name {
+		case "detect":
+			if got := c.Counters[obs.CFramesDetected]; got != n {
+				t.Errorf("window %d: %s = %d, want %d", i/2, obs.CFramesDetected, got, n)
+			}
+			if got := c.Counters["detect_calls"]; got != n {
+				t.Errorf("window %d: the detector reported %d calls to its detect span, want %d", i/2, got, n)
+			}
+		case "track":
+			if got := c.Counters[obs.CFramesTracked]; got != n {
+				t.Errorf("window %d: %s = %d, want %d", i/2, obs.CFramesTracked, got, n)
+			}
+		}
+	}
+
+	var dets int64
+	for _, f := range frames {
+		ds, err := det.Detector.Detect(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets += int64(len(ds))
+	}
+	totals := map[string]int64{
+		obs.CFramesDetected:  40,
+		obs.CFramesTracked:   40,
+		obs.CDetections:      dets,
+		obs.CTracksConfirmed: int64(set.Len()),
+		"detect_calls":       40,
+	}
+	if !maps.Equal(rep.Counters, totals) {
+		t.Fatalf("counters %v, want %v", rep.Counters, totals)
+	}
+	if got := rep.Span.Counters[obs.CTracksConfirmed]; got != int64(set.Len()) || got == 0 {
+		t.Fatalf("root span %s = %d, want %d", obs.CTracksConfirmed, got, set.Len())
 	}
 }

@@ -250,9 +250,6 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 	return out, start, nil
 }
 
-// Close releases the decompressor.
-func (r *Reader) Close() error { return r.zr.Close() }
-
 // FileSource is a stream.Source backed by a .vvf file: frames are decoded
 // window by window straight from disk, and Reset returns to frame 0 for
 // multi-pass pipelines. Peak memory is O(window), never O(clip).

@@ -2,7 +2,6 @@ package vid
 
 import (
 	"errors"
-	"fmt"
 	"image"
 	"image/color"
 	"image/gif"
@@ -11,44 +10,6 @@ import (
 
 	"verro/internal/img"
 )
-
-// Slice returns a new video containing frames [from, to) of v (shallow
-// frame references — the frames are shared, not copied).
-func (v *Video) Slice(from, to int) (*Video, error) {
-	if from < 0 || to > v.Len() || from > to {
-		return nil, fmt.Errorf("vid: slice [%d,%d) outside [0,%d]", from, to, v.Len())
-	}
-	out := New(fmt.Sprintf("%s[%d:%d]", v.Name, from, to), v.W, v.H, v.FPS)
-	out.Moving = v.Moving
-	out.Frames = append(out.Frames, v.Frames[from:to]...)
-	return out, nil
-}
-
-// Concat appends the frames of o (which must share v's geometry) to a new
-// video.
-func (v *Video) Concat(o *Video) (*Video, error) {
-	if v.W != o.W || v.H != o.H {
-		return nil, fmt.Errorf("vid: concat geometry mismatch %dx%d vs %dx%d", v.W, v.H, o.W, o.H)
-	}
-	out := New(v.Name+"+"+o.Name, v.W, v.H, v.FPS)
-	out.Moving = v.Moving || o.Moving
-	out.Frames = append(out.Frames, v.Frames...)
-	out.Frames = append(out.Frames, o.Frames...)
-	return out, nil
-}
-
-// EveryNth returns a new video with every nth frame of v (n ≥ 1).
-func (v *Video) EveryNth(n int) (*Video, error) {
-	if n < 1 {
-		return nil, errors.New("vid: stride must be >= 1")
-	}
-	out := New(fmt.Sprintf("%s/%d", v.Name, n), v.W, v.H, v.FPS/float64(n))
-	out.Moving = v.Moving
-	for i := 0; i < v.Len(); i += n {
-		out.Frames = append(out.Frames, v.Frames[i])
-	}
-	return out, nil
-}
 
 // WriteGIF exports the video as an animated GIF (frames quantized to a
 // 216-color web-safe cube plus grays), subsampled by frameStep (≥1). The

@@ -5,65 +5,6 @@ import (
 	"testing"
 )
 
-func TestSlice(t *testing.T) {
-	v := testVideo(t, 10)
-	s, err := v.Slice(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if !s.Frame(0).Equal(v.Frame(2)) {
-		t.Fatal("wrong frames")
-	}
-	if _, err := v.Slice(-1, 3); err == nil {
-		t.Fatal("negative from should fail")
-	}
-	if _, err := v.Slice(5, 3); err == nil {
-		t.Fatal("inverted range should fail")
-	}
-	if _, err := v.Slice(0, 99); err == nil {
-		t.Fatal("overflow should fail")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := testVideo(t, 3)
-	b := testVideo(t, 2)
-	out, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 5 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	c := New("other", 8, 8, 30)
-	if _, err := a.Concat(c); err == nil {
-		t.Fatal("geometry mismatch should fail")
-	}
-}
-
-func TestEveryNth(t *testing.T) {
-	v := testVideo(t, 10)
-	out, err := v.EveryNth(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 4 { // frames 0,3,6,9
-		t.Fatalf("len = %d", out.Len())
-	}
-	if !out.Frame(1).Equal(v.Frame(3)) {
-		t.Fatal("wrong stride")
-	}
-	if out.FPS != v.FPS/3 {
-		t.Fatalf("fps = %v", out.FPS)
-	}
-	if _, err := v.EveryNth(0); err == nil {
-		t.Fatal("zero stride should fail")
-	}
-}
-
 func TestWriteGIF(t *testing.T) {
 	v := testVideo(t, 6)
 	path := t.TempDir() + "/anim/out.gif"

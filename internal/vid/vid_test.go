@@ -41,25 +41,6 @@ func TestFramePanicsOutOfRange(t *testing.T) {
 	v.Frame(2)
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	v := testVideo(t, 3)
-	c := v.Clone()
-	c.Frame(0).Set(0, 0, img.RGB{R: 1, G: 2, B: 3})
-	if v.Frame(0).At(0, 0) == (img.RGB{R: 1, G: 2, B: 3}) {
-		t.Fatal("clone shares frame storage")
-	}
-}
-
-func TestDuration(t *testing.T) {
-	v := testVideo(t, 60)
-	if v.Duration() != 2 {
-		t.Fatalf("Duration = %v, want 2", v.Duration())
-	}
-	if (&Video{FPS: 0}).Duration() != 0 {
-		t.Fatal("zero fps duration should be 0")
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	v := testVideo(t, 10)
 	v.Moving = true

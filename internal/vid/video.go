@@ -46,24 +46,6 @@ func (v *Video) Frame(k int) *img.Image {
 	return v.Frames[k]
 }
 
-// Clone deep-copies the video.
-func (v *Video) Clone() *Video {
-	out := &Video{Name: v.Name, W: v.W, H: v.H, FPS: v.FPS, Moving: v.Moving}
-	out.Frames = make([]*img.Image, len(v.Frames))
-	for i, f := range v.Frames {
-		out.Frames[i] = f.Clone()
-	}
-	return out
-}
-
-// Duration returns the play time in seconds.
-func (v *Video) Duration() float64 {
-	if v.FPS <= 0 {
-		return 0
-	}
-	return float64(len(v.Frames)) / v.FPS
-}
-
 func (v *Video) String() string {
 	return fmt.Sprintf("%s: %dx%d, %d frames @ %.3g fps", v.Name, v.W, v.H, len(v.Frames), v.FPS)
 }

@@ -32,10 +32,10 @@ build:
 	$(GO) build ./...
 
 ## lint: the in-repo static-analysis suite (cmd/verrolint) in one plain
-## pass — the classic determinism/privacy-math/panic-freedom analyzers
-## (DESIGN.md §2d), the verroflow taint analyzers (§2e), the interval
-## analyzers (§2f) and the lifecycle analyzers (§2k). Every diagnostic
-## fails, and so does a //lint:allow that names no analyzer or suppresses
+## pass — the classic determinism/privacy-math analyzers (DESIGN.md §2d),
+## the verroflow taint analyzers (§2e) and the lifecycle analyzers (§2k).
+## Every diagnostic fails, and so does a package that does not
+## type-check and a //lint:allow that names no analyzer or suppresses
 ## nothing.
 lint:
 	$(GO) run ./cmd/verrolint ./...

@@ -1,15 +1,11 @@
 // Command verrolint runs VERRO's static-analysis suite over the repository
 // in one pass: the classic single-expression analyzers (internal/lint) that
-// mechanically enforce determinism, privacy-math, and error-handling
-// invariants; the dataflow analyzers (internal/lint/flow) that prove raw
-// object data never reaches a published artifact unsanitized, privacy
-// parameters come from validated configs, and worker-pool closures stay
-// race-free; the interval abstract interpreters (internal/lint/absint) that
-// prove numeric invariants by value — probabilities in [0,1], ε ≥ 0,
-// nonzero divisors, in-bounds indexing; and the lifecycle analyzers
-// (internal/lint/life): goroutines spawned in the service arc terminate
-// and acquired resources are released on every path. Every suite runs on
-// every invocation.
+// mechanically enforce determinism and privacy-math invariants; the
+// dataflow analyzers (internal/lint/flow) that prove raw object data never
+// reaches a published artifact unsanitized and privacy parameters come
+// from validated configs; and the lifecycle analyzers (internal/lint/life):
+// goroutines spawned in the service arc terminate and acquired resources
+// are released on every path. Every suite runs on every invocation.
 //
 // Every run also checks the //lint:allow directives: one naming an
 // analyzer that does not exist suppresses nothing and is reported, and so
@@ -42,7 +38,6 @@ import (
 	"sync"
 
 	"verro/internal/lint"
-	"verro/internal/lint/absint"
 	"verro/internal/lint/flow"
 	"verro/internal/lint/life"
 )
@@ -66,7 +61,6 @@ type jsonDiag struct {
 type suite struct {
 	classic []*lint.Analyzer
 	flow    []*flow.Analyzer
-	absint  []*absint.Analyzer
 	life    []*life.Analyzer
 	lifeCfg *life.Config
 }
@@ -75,7 +69,6 @@ func projectSuite() *suite {
 	return &suite{
 		classic: lint.ProjectAnalyzers(),
 		flow:    flow.ProjectAnalyzers(),
-		absint:  absint.ProjectAnalyzers(),
 		life:    life.ProjectAnalyzers(),
 		lifeCfg: life.ProjectConfig(),
 	}
@@ -94,9 +87,6 @@ func (s *suite) analyzers() []analyzerDoc {
 	for _, a := range s.flow {
 		out = append(out, analyzerDoc{a.Name, a.Doc})
 	}
-	for _, a := range s.absint {
-		out = append(out, analyzerDoc{a.Name, a.Doc})
-	}
 	for _, a := range s.life {
 		out = append(out, analyzerDoc{a.Name, a.Doc})
 	}
@@ -112,7 +102,6 @@ func (s *suite) check(pkgs []*lint.Package) []lint.Diagnostic {
 		diags = append(diags, lint.Run(pkg, s.classic...)...)
 	}
 	diags = append(diags, flow.Run(pkgs, s.flow...)...)
-	diags = append(diags, absint.Run(pkgs, s.absint...)...)
 	diags = append(diags, life.Run(pkgs, s.lifeCfg, s.life...)...)
 	known := map[string]bool{}
 	for _, a := range s.analyzers() {

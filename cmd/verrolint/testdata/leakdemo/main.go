@@ -10,6 +10,7 @@ import (
 
 	"verro/internal/detect"
 	"verro/internal/img"
+	"verro/internal/scene"
 )
 
 func dump(det detect.Detector, frame *img.Image) error {
@@ -24,7 +25,11 @@ func dump(det detect.Detector, frame *img.Image) error {
 }
 
 func main() {
-	if err := dump(detect.NewPedestrianDetector(), img.New(64, 64)); err != nil {
+	det, err := detect.NewPedestrianDetector(scene.StyleSquare, 1)
+	if err != nil {
+		os.Exit(1)
+	}
+	if err := dump(det, img.New(64, 64)); err != nil {
 		os.Exit(1)
 	}
 }

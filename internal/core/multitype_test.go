@@ -16,6 +16,7 @@ import (
 	"verro/internal/img"
 	"verro/internal/interp"
 	"verro/internal/motio"
+	"verro/internal/obs"
 	"verro/internal/scene"
 	"verro/internal/stream"
 	"verro/internal/vid"
@@ -355,9 +356,22 @@ func TestSanitizeMultiTypeValidation(t *testing.T) {
 	if _, err := Sanitize(g.Video, nil, cfg); err == nil {
 		t.Fatal("nil tracks should fail")
 	}
-	_, err := Sanitize(g.Video, motio.NewTrackSet(), cfg)
-	if err == nil || err.Error() != "core: no objects to sanitize" {
-		t.Fatalf("no objects: err = %v, want core: no objects to sanitize", err)
+	// No tracks fails before the analysis pass, per class or plain, at
+	// any window.
+	for _, perClass := range []bool{true, false} {
+		for _, window := range []int{0, 1} {
+			cfg := DefaultConfig()
+			cfg.PerClass = perClass
+			cfg.WindowFrames = window
+			cfg.Trace = obs.NewTrace("no-objects")
+			_, err := Sanitize(g.Video, motio.NewTrackSet(), cfg)
+			if err == nil || err.Error() != "core: no objects to sanitize" {
+				t.Errorf("PerClass=%v window=%d: err = %v, want core: no objects to sanitize", perClass, window, err)
+			}
+			if cfg.Trace.Report().Span.Find("analysis") != nil {
+				t.Errorf("PerClass=%v window=%d: the run opened an analysis span before failing", perClass, window)
+			}
+		}
 	}
 }
 

@@ -61,9 +61,12 @@ type trackGroup struct {
 }
 
 // trackGroups partitions the run's tracks into its groups, keeping track
-// order within a group. A PerClass run with no tracks has nothing to
-// sanitize.
+// order within a group. A run with no tracks has nothing to sanitize, in
+// either mode, and fails here, before its analysis pass.
 func trackGroups(tracks *motio.TrackSet, cfg Config) ([]trackGroup, error) {
+	if tracks.Len() == 0 {
+		return nil, fmt.Errorf("core: no objects to sanitize")
+	}
 	if !cfg.PerClass {
 		return []trackGroup{{class: cfg.Phase2.Class, tracks: tracks}}, nil
 	}
@@ -77,9 +80,6 @@ func trackGroups(tracks *motio.TrackSet, cfg Config) ([]trackGroup, error) {
 			groups = append(groups, trackGroup{label: t.Class, class: classOf(t.Class), tracks: motio.NewTrackSet()})
 		}
 		groups[i].tracks.Add(t)
-	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("core: no objects to sanitize")
 	}
 	return groups, nil
 }

@@ -134,7 +134,7 @@ func CosineSim(a, b []float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return dot / math.Sqrt(na*nb) //lint:allow divzero guard above proves na,nb != 0 and squares are nonnegative, so the product's root is positive (relational fact outside the interval domain)
+	return dot / math.Sqrt(na*nb)
 }
 
 // Concat returns the concatenation H||S||V as a flat feature vector.

@@ -32,7 +32,7 @@ type Image struct {
 // New returns a black W×H image.
 func New(w, h int) *Image {
 	if w < 0 || h < 0 {
-		panic(fmt.Sprintf("img: negative dimensions %dx%d", w, h)) //lint:allow panicfree invariant guard: unreachable from input data
+		panic(fmt.Sprintf("img: negative dimensions %dx%d", w, h))
 	}
 	return &Image{W: w, H: h, Pix: make([]uint8, w*h*3)}
 }

@@ -20,12 +20,14 @@ func Laplace(b float64, rng *rand.Rand) float64 {
 // LaplaceMechanism perturbs value with Laplace noise calibrated to
 // sensitivity/eps — the generic mechanism the paper applies to per-key-frame
 // object counts before the utility optimization (Section 3.3.3, Δ=1).
+// A NaN passes every ordered comparison's false branch, and ε = +Inf would
+// add no noise at all, so both parameters must be finite.
 func LaplaceMechanism(value, sensitivity, eps float64, rng *rand.Rand) (float64, error) {
-	if eps <= 0 {
-		return 0, fmt.Errorf("%w: epsilon %v must be positive", ErrBudget, eps)
+	if math.IsNaN(eps) || math.IsInf(eps, 1) || eps <= 0 {
+		return 0, fmt.Errorf("%w: epsilon %v must be positive and finite", ErrBudget, eps)
 	}
-	if sensitivity < 0 {
-		return 0, fmt.Errorf("%w: negative sensitivity %v", ErrBudget, sensitivity)
+	if math.IsNaN(sensitivity) || math.IsInf(sensitivity, 1) || sensitivity < 0 {
+		return 0, fmt.Errorf("%w: sensitivity %v must be nonnegative and finite", ErrBudget, sensitivity)
 	}
 	return value + Laplace(sensitivity/eps, rng), nil
 }

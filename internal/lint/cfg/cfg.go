@@ -1,10 +1,7 @@
 // Package cfg lowers Go function bodies into basic-block control-flow
-// graphs for the analysis suites. It was extracted from the interval
-// abstract interpreter (internal/lint/absint) when the lifecycle suite
-// (internal/lint/life) became its second consumer: the interval engine
-// interprets block bodies and edge refinements, the lifecycle analyzers
-// run path-sensitive must-release and held-lock dataflow over the same
-// blocks and edges.
+// graphs for the lifecycle suite (internal/lint/life), whose mustclose
+// analyzer runs path-sensitive must-release dataflow over the blocks and
+// edges.
 //
 // Every function body becomes a list of basic blocks holding only
 // straight-line statements (assignments, declarations, expression
@@ -28,18 +25,13 @@ const (
 	Plain     EdgeKind = iota
 	CondTrue           // taken when cond is true: refine with cond
 	CondFalse          // taken when cond is false: refine with ¬cond
-	Case               // switch case match: tag ∈ join(vals)
-	RangeBody          // entering a range body: bind key/value
 )
 
 // Edge is one CFG arc with its refinement payload.
 type Edge struct {
 	To   *Block
 	Kind EdgeKind
-	Cond ast.Expr       // CondTrue / CondFalse
-	Tag  ast.Expr       // Case (nil for tagless switch)
-	Vals []ast.Expr     // Case
-	Rng  *ast.RangeStmt // RangeBody
+	Cond ast.Expr // CondTrue / CondFalse
 }
 
 // Block is one basic block.
@@ -47,10 +39,7 @@ type Block struct {
 	ID    int
 	Stmts []ast.Stmt
 	// Ret, when non-nil, terminates the function through this block.
-	Ret *ast.ReturnStmt
-	// Cond, when non-nil, is evaluated after Stmts; Succs then carry
-	// CondTrue/CondFalse refinements on it.
-	Cond  ast.Expr
+	Ret   *ast.ReturnStmt
 	Succs []Edge
 }
 
@@ -133,7 +122,6 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 		if s.Init != nil {
 			cur.Stmts = append(cur.Stmts, s.Init)
 		}
-		cur.Cond = s.Cond
 		thenB := b.newBlock()
 		b.link(cur, thenB, Edge{Kind: CondTrue, Cond: s.Cond})
 		thenEnd := b.stmtList(s.Body.List, thenB)
@@ -162,7 +150,6 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 		body := b.newBlock()
 		post := b.newBlock()
 		if s.Cond != nil {
-			head.Cond = s.Cond
 			b.link(head, body, Edge{Kind: CondTrue, Cond: s.Cond})
 			b.link(head, exit, Edge{Kind: CondFalse, Cond: s.Cond})
 		} else {
@@ -181,13 +168,13 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 		return exit
 
 	case *ast.RangeStmt:
-		// Evaluate the range container once on entry so hooks see it.
+		// Evaluate the range container once on entry so consumers see it.
 		cur.Stmts = append(cur.Stmts, &ast.ExprStmt{X: s.X})
 		head := b.newBlock()
 		b.link(cur, head, Edge{})
 		exit := b.newBlock()
 		body := b.newBlock()
-		b.link(head, body, Edge{Kind: RangeBody, Rng: s})
+		b.link(head, body, Edge{})
 		b.link(head, exit, Edge{})
 		b.pushFrame(exit, head)
 		if bodyEnd := b.stmtList(s.Body.List, body); bodyEnd != nil {
@@ -212,8 +199,7 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 		}
 		// A tagless switch is an if/else-if chain: each case's dispatch
 		// block carries the accumulated negations of the cases before it,
-		// so `case delta == 0: ...; case maxc == r: x / delta` sees
-		// delta != 0 in the later bodies.
+		// so the bodies after `case err != nil:` see err == nil.
 		defaultIdx := -1
 		dispatch := cur
 		for i, cc := range s.Body.List {
@@ -226,7 +212,7 @@ func (b *builder) stmt(s ast.Stmt, cur *Block) *Block {
 					b.link(cur, caseBodies[i], Edge{})
 				}
 			case s.Tag != nil:
-				b.link(cur, caseBodies[i], Edge{Kind: Case, Tag: s.Tag, Vals: cc.List})
+				b.link(cur, caseBodies[i], Edge{})
 			case len(cc.List) == 1:
 				dispatch.Stmts = append(dispatch.Stmts, &ast.ExprStmt{X: cc.List[0]})
 				next := b.newBlock()

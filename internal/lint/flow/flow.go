@@ -38,20 +38,8 @@ type Analyzer struct {
 	// Doc is the one-line invariant the analyzer encodes.
 	Doc string
 
-	// cfg is the taint policy for engine-backed analyzers. Syntactic
-	// analyzers (capturerace) leave it nil and supply run instead.
+	// cfg is the taint policy the shared engine runs.
 	cfg *TaintConfig
-	run func(prog *Program, rep *reporter)
-}
-
-// exec runs the analyzer over a program, routing engine-backed policies
-// through a fresh engine.
-func (a *Analyzer) exec(prog *Program, rep *reporter) {
-	if a.cfg != nil {
-		(&engine{prog: prog, cfg: a.cfg, sums: map[string]*summary{}}).run(rep)
-		return
-	}
-	a.run(prog, rep)
 }
 
 // Program is the set of packages under analysis plus the function index
@@ -132,7 +120,7 @@ func Run(pkgs []*lint.Package, analyzers ...*Analyzer) []lint.Diagnostic {
 	var diags []lint.Diagnostic
 	for _, a := range analyzers {
 		rep := &reporter{analyzer: a.Name, allow: allow, seen: map[string]bool{}}
-		a.exec(prog, rep)
+		(&engine{prog: prog, cfg: a.cfg, sums: map[string]*summary{}}).run(rep)
 		diags = append(diags, rep.diags...)
 	}
 	lint.Sort(diags)

@@ -11,6 +11,5 @@ func ProjectAnalyzers() []*Analyzer {
 		NewPrivLeak("verro/cmd/", "verro/internal/server"),
 		NewEpsConsist(),
 		NewEpsHTTP(),
-		NewCaptureRace(),
 	}
 }

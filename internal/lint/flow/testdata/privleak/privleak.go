@@ -45,7 +45,10 @@ func leakTable(g *scene.Generated, xs []float64) error {
 	tab := motio.NewSeriesTable("frame", xs)
 	var ys []float64
 	for _, tr := range g.Truth.Tracks {
-		ys = append(ys, tr.Trajectory()...)
+		_, centers := tr.Trajectory()
+		for _, c := range centers {
+			ys = append(ys, c.X, c.Y)
+		}
 	}
 	if err := tab.AddColumn("orig", ys); err != nil {
 		return err

@@ -1,12 +1,12 @@
 // Package life is verrolint's lifecycle layer: a stdlib-only
 // whole-program analysis of *service-lifetime* invariants over the verrod
 // arc (cmd/verrod, internal/server, internal/store, internal/stream,
-// internal/vid, internal/obs). Where the classic/flow/absint suites
-// prove per-clip math — determinism, taint, intervals — this suite proves
-// that a long-running server survives job churn: goroutines terminate
-// (goleak) and acquired resources are released on every path
-// (mustclose). Lock discipline and request cancellation have runtime
-// witnesses instead: TestChurnNoLeaks and the race gates (DESIGN.md §2k).
+// internal/vid, internal/obs). Where the classic and flow suites prove
+// per-clip properties — determinism, taint — this suite proves that a
+// long-running server survives job churn: goroutines terminate (goleak)
+// and acquired resources are released on every path (mustclose). Lock
+// discipline and request cancellation have runtime witnesses instead:
+// TestChurnNoLeaks and the race gates (DESIGN.md §2k).
 //
 // The suite reuses the shared CFG lowering (internal/lint/cfg) for its
 // path-sensitive analyzer and mirrors the verroflow architecture for

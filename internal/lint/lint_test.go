@@ -9,20 +9,19 @@ import (
 // (asserted by a want comment) and one //lint:allow-suppressed line
 // (asserted by the absence of a want comment — an unexpected diagnostic
 // there fails the fixture).
-func TestDetRandFixture(t *testing.T)   { RunFixture(t, "testdata/detrand", NewDetRand()) }
-func TestWallTimeFixture(t *testing.T)  { RunFixture(t, "testdata/walltime", NewWallTime()) }
-func TestMapOrderFixture(t *testing.T)  { RunFixture(t, "testdata/maporder", NewMapOrder()) }
-func TestFloatEqFixture(t *testing.T)   { RunFixture(t, "testdata/floateq", NewFloatEq()) }
-func TestPanicFreeFixture(t *testing.T) { RunFixture(t, "testdata/panicfree", NewPanicFree()) }
+func TestDetRandFixture(t *testing.T)  { RunFixture(t, "testdata/detrand", NewDetRand()) }
+func TestWallTimeFixture(t *testing.T) { RunFixture(t, "testdata/walltime", NewWallTime()) }
+func TestMapOrderFixture(t *testing.T) { RunFixture(t, "testdata/maporder", NewMapOrder()) }
+func TestFloatEqFixture(t *testing.T)  { RunFixture(t, "testdata/floateq", NewFloatEq()) }
 
-// TestProjectSuite pins the suite's composition: five analyzers, each
+// TestProjectSuite pins the suite's composition: four analyzers, each
 // resolvable by name, with the package scoping DESIGN.md §2d documents.
 func TestProjectSuite(t *testing.T) {
 	suite := ProjectAnalyzers()
-	if len(suite) != 5 {
-		t.Fatalf("suite has %d analyzers, want 5", len(suite))
+	if len(suite) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", len(suite))
 	}
-	for _, name := range []string{"detrand", "walltime", "maporder", "floateq", "panicfree"} {
+	for _, name := range []string{"detrand", "walltime", "maporder", "floateq"} {
 		a := ByName(name)
 		if a == nil {
 			t.Fatalf("ByName(%q) = nil", name)
@@ -45,8 +44,6 @@ func TestProjectSuite(t *testing.T) {
 		{"floateq", "verro/internal/ldp", true},
 		{"floateq", "verro/internal/lp", true},
 		{"floateq", "verro/internal/vid", false},
-		{"panicfree", "verro/internal/motio", true},
-		{"panicfree", "verro/cmd/verro", false},
 	}
 	for _, c := range cases {
 		a := ByName(c.analyzer)

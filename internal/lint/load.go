@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -59,9 +60,11 @@ func NewLoader() *Loader {
 }
 
 // Load parses every .go file in dir (non-recursively, mirroring a Go
-// package) and type-checks the result. Type errors are tolerated — the
-// analyzers work from whatever type information survives — but parse errors
-// fail the load, since analyzers need complete syntax.
+// package) and type-checks the result. A parse error fails the load with
+// no package. A type error fails it too, but Load still returns the
+// package with whatever type information survived: an analyzer run over
+// code that does not type-check would miss what it cannot see, so callers
+// refuse it, and only a test of that degraded input reads the package.
 func (l *Loader) Load(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -115,13 +118,18 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
+	var typeErrs []error
 	conf := types.Config{
 		Importer: l.imp,
-		// Collect-and-continue: analyzers run on best-effort type info.
-		Error: func(error) {},
+		// Collect every error rather than stop at the first.
+		Error: func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
-	return &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
+	pkg := &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	if len(typeErrs) > 0 {
+		return pkg, fmt.Errorf("lint: %s does not type-check: %w", dir, errors.Join(typeErrs...))
+	}
+	return pkg, nil
 }
 
 // importPath derives the package's import path from the enclosing module:

@@ -12,15 +12,12 @@ package lint
 //   - floateq is scoped to the privacy-math and optimization packages
 //     (internal/ldp, internal/core, internal/lp) where an exact float
 //     comparison can break the ε bound or a pivot rule.
-//   - panicfree is scoped to library packages under internal/ — binaries
-//     and examples may still panic on startup misconfiguration.
 func ProjectAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewDetRand(),
 		NewWallTime("verro/internal/obs", "verro/internal/par"),
 		NewMapOrder(),
 		NewFloatEq("verro/internal/ldp", "verro/internal/core", "verro/internal/lp"),
-		NewPanicFree("verro/internal"),
 	}
 }
 

@@ -214,5 +214,5 @@ func CountCorrelation(a, b []int) float64 {
 	if va == 0 || vb == 0 {
 		return 0
 	}
-	return cov / math.Sqrt(va*vb) //lint:allow divzero guard above proves va,vb != 0 and squares are nonnegative, so the product's root is positive (relational fact outside the interval domain)
+	return cov / math.Sqrt(va*vb)
 }

@@ -11,7 +11,7 @@
 // n > 0 (a run's Config.Workers), otherwise runtime.GOMAXPROCS(0), read at
 // each call. Pools are scoped handles threaded through a call tree, so
 // concurrent pipeline runs with different worker budgets never share
-// state. The package-level For/Map run on a default pool sized like
+// state. The package-level Map runs on a default pool sized like
 // NewPool(0).
 //
 // Every pool (including the implicit default one) keeps utilization
@@ -42,7 +42,7 @@ type Pool struct {
 	busy   []time.Duration
 }
 
-// defaultPool backs the package-level For/Map and any nil *Pool receiver.
+// defaultPool backs the package-level Map and any nil *Pool receiver.
 var defaultPool = &Pool{}
 
 // NewPool returns a pool fixed at n workers; n <= 0 sizes to
@@ -103,7 +103,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // DefaultStats snapshots the default pool (the one behind the package-level
-// For/Map) — exported so CLIs can surface it via expvar.
+// Map) — exported so CLIs can surface it via expvar.
 func DefaultStats() Stats { return defaultPool.Stats() }
 
 // record accumulates one executed chunk on worker slot w.
@@ -154,7 +154,7 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 		// over 8 workers gives size=2 and only 5 real chunks). Dispatching
 		// those empty chunks used to call fn with an inverted range.
 		size := (n + chunks - 1) / chunks
-		chunks = (n + size - 1) / size //lint:allow divzero size = ceil(n/chunks) >= 1 because n >= 1 (relational fact outside the interval domain)
+		chunks = (n + size - 1) / size
 		if chunks > 1 {
 			p.forChunks(n, size, chunks, fn)
 			return
@@ -215,13 +215,8 @@ func (p *Pool) forChunks(n, size, chunks int, fn func(lo, hi int)) {
 	// if the two ever diverge.
 	wg.Wait()
 	if first != nil {
-		panic(first.value) //lint:allow panicfree re-raises a worker goroutine's panic on the coordinator
+		panic(first.value)
 	}
-}
-
-// For runs fn on the default pool; see (*Pool).For.
-func For(n, grain int, fn func(lo, hi int)) {
-	defaultPool.For(n, grain, fn)
 }
 
 // MapPool computes out[i] = fn(i) for i in [0, n) on pool p (nil = default

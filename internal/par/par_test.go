@@ -301,7 +301,7 @@ func BenchmarkForOverhead(b *testing.B) {
 		work[i] = float64(i)
 	}
 	for i := 0; i < b.N; i++ {
-		For(len(work), 4096, func(lo, hi int) {
+		defaultPool.For(len(work), 4096, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				work[j] = work[j]*1.000001 + 1
 			}

@@ -41,7 +41,7 @@ func (v *Video) Append(f *img.Image) error {
 // a programming error in this codebase.
 func (v *Video) Frame(k int) *img.Image {
 	if k < 0 || k >= len(v.Frames) {
-		panic(fmt.Sprintf("vid: frame %d out of range [0,%d)", k, len(v.Frames))) //lint:allow panicfree invariant guard: unreachable from input data
+		panic(fmt.Sprintf("vid: frame %d out of range [0,%d)", k, len(v.Frames)))
 	}
 	return v.Frames[k]
 }

@@ -4,11 +4,12 @@ package verro
 // cases where window arithmetic is most likely to go wrong are clips shorter
 // than the background sampler's 9-frame clamp, final windows smaller than
 // the budget, tracker state that must survive a window boundary (an object
-// whose track ends mid-window, so its miss-aging spans windows), and a
-// source that breaks the window contract.
+// whose track ends mid-window, so its miss-aging spans windows), a source
+// that breaks the window contract, and degenerate clips and tracks.
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -206,5 +207,99 @@ func TestStreamEmptyRunFails(t *testing.T) {
 	cfg.WindowFrames = 8
 	if _, err := SanitizeStream(src(), tracks, cfg, &stream.CollectSink{}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("SanitizeStream: got %v, want the empty-window error", err)
+	}
+}
+
+// degenerateClip returns an n-frame w×h clip of flat grey, with a bright
+// block drawn wherever box is non-empty.
+func degenerateClip(n, w, h int, box func(k int) geom.Rect) *Video {
+	v := NewVideo("degenerate", w, h, 30)
+	for k := 0; k < n; k++ {
+		f := img.NewFilled(w, h, img.RGB{R: 128, G: 128, B: 128})
+		if box != nil {
+			f.Fill(box(k), img.RGB{R: 230, G: 220, B: 90})
+		}
+		v.Frames = append(v.Frames, f)
+	}
+	return v
+}
+
+// oneTrack returns a track set holding one track with box(k) in each of
+// the n frames.
+func oneTrack(n int, box func(k int) geom.Rect) *TrackSet {
+	ts := NewTrackSet()
+	tr := NewTrack(1, "pedestrian")
+	for k := 0; k < n; k++ {
+		tr.Set(k, box(k))
+	}
+	ts.Add(tr)
+	return ts
+}
+
+// TestSanitizeDegenerateInputs runs degenerate clips and tracks through the
+// public API at window 0 (the whole clip) and window 1. Every case must
+// return an error or a finite ε with finite ledger entries, and none may
+// panic: Go's runtime checks on division and indexing turn a missed guard
+// into a panic here, and a missed float guard into a NaN.
+func TestSanitizeDegenerateInputs(t *testing.T) {
+	const n, w, h = 20, 32, 24
+	moving := func(k int) geom.Rect { return geom.R(2+k, 6, 10+k, 18) }
+	const noObjects = "core: no objects to sanitize"
+	cases := []struct {
+		name    string
+		video   *Video
+		tracks  *TrackSet // nil: the tracks detection recovers from video
+		wantErr string    // exact error, when the case must fail
+	}{
+		{name: "one frame", video: degenerateClip(1, w, h, moving), tracks: oneTrack(1, moving)},
+		{name: "1x1 frames", video: degenerateClip(n, 1, 1, nil),
+			tracks: oneTrack(n, func(int) geom.Rect { return geom.R(0, 0, 1, 1) })},
+		{name: "uniform grey", video: degenerateClip(n, w, h, nil), wantErr: noObjects},
+		{name: "zero-area box", video: degenerateClip(n, w, h, nil),
+			tracks: oneTrack(n, func(int) geom.Rect { return geom.R(10, 10, 10, 10) })},
+		{name: "box off-frame", video: degenerateClip(n, w, h, nil),
+			tracks: oneTrack(n, func(int) geom.Rect { return geom.R(100, 100, 110, 112) })},
+		{name: "one track", video: degenerateClip(n, w, h, moving), tracks: oneTrack(n, moving)},
+		{name: "no tracks", video: degenerateClip(n, w, h, moving), tracks: NewTrackSet(), wantErr: noObjects},
+	}
+	for _, c := range cases {
+		for _, window := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/window=%d", c.name, window), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				tracks := c.tracks
+				if tracks == nil {
+					pcfg := DefaultPipelineConfig()
+					pcfg.WindowFrames = window
+					var err error
+					if tracks, err = DetectAndTrack(c.video, pcfg); err != nil {
+						t.Fatalf("detection: %v", err)
+					}
+				}
+				cfg := DefaultConfig()
+				cfg.WindowFrames = window
+				res, err := Sanitize(c.video, tracks, cfg)
+				if c.wantErr != "" {
+					if err == nil || err.Error() != c.wantErr {
+						t.Fatalf("err = %v, want %s", err, c.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					return
+				}
+				if math.IsNaN(res.Epsilon) || math.IsInf(res.Epsilon, 0) {
+					t.Errorf("epsilon = %v, want finite", res.Epsilon)
+				}
+				for _, ws := range res.Windows {
+					if math.IsNaN(ws.Epsilon) || math.IsInf(ws.Epsilon, 0) {
+						t.Errorf("ledger entry %+v: epsilon not finite", ws)
+					}
+				}
+			})
+		}
 	}
 }

@@ -20,8 +20,8 @@ func Laplace(b float64, rng *rand.Rand) float64 {
 // LaplaceMechanism perturbs value with Laplace noise calibrated to
 // sensitivity/eps — the generic mechanism the paper applies to per-key-frame
 // object counts before the utility optimization (Section 3.3.3, Δ=1).
-// A NaN passes every ordered comparison's false branch, and ε = +Inf would
-// add no noise at all, so both parameters must be finite.
+// Both parameters must be finite: NaN fails every ordered comparison, so
+// a range check alone lets it through, and ε = +Inf would add no noise.
 func LaplaceMechanism(value, sensitivity, eps float64, rng *rand.Rand) (float64, error) {
 	if math.IsNaN(eps) || math.IsInf(eps, 1) || eps <= 0 {
 		return 0, fmt.Errorf("%w: epsilon %v must be positive and finite", ErrBudget, eps)

@@ -28,3 +28,18 @@ func TestRunFlowCatchesSeededLeak(t *testing.T) {
 		t.Errorf("summary line missing per-analyzer count: %s", stderr.String())
 	}
 }
+
+func TestRunListIncludesFlowAnalyzers(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, want 0", code)
+	}
+	for _, name := range []string{"privleak", "epsconsist", "epshttp"} {
+		if !strings.Contains(stdout.String(), name) {
+			t.Errorf("-list missing %s:\n%s", name, stdout.String())
+		}
+	}
+	if strings.Contains(stdout.String(), "capturerace") {
+		t.Errorf("-list still names the deleted capturerace analyzer:\n%s", stdout.String())
+	}
+}

@@ -32,11 +32,12 @@ build:
 	$(GO) build ./...
 
 ## lint: the in-repo static-analysis suite (cmd/verrolint) in one plain
-## pass — the classic determinism/privacy-math analyzers (DESIGN.md §2d),
-## the verroflow taint analyzers (§2e) and the lifecycle analyzers (§2k).
-## Every diagnostic fails, and so does a package that does not
-## type-check and a //lint:allow that names no analyzer or suppresses
-## nothing.
+## pass over the packages `go list ./...` names — the classic determinism
+## analyzers (DESIGN.md §2d), the verroflow taint analyzers (§2e) and the
+## lifecycle analyzers (§2k). Every diagnostic fails, and so does a
+## package that does not type-check and a //lint:allow that names no
+## analyzer or suppresses nothing. `go test ./...` runs the same pass
+## (TestRunModuleClean); this target is the entry point for people.
 lint:
 	$(GO) run ./cmd/verrolint ./...
 

@@ -1,9 +1,9 @@
 // Command verrolint runs VERRO's static-analysis suite over the repository
 // in one pass: the classic single-expression analyzers (internal/lint) that
-// mechanically enforce determinism and privacy-math invariants; the
-// dataflow analyzers (internal/lint/flow) that prove raw object data never
-// reaches a published artifact unsanitized and privacy parameters come
-// from validated configs; and the lifecycle analyzers (internal/lint/life):
+// mechanically enforce determinism invariants; the dataflow analyzers
+// (internal/lint/flow) that prove raw object data never reaches a
+// published artifact unsanitized and privacy parameters come from
+// validated configs; and the lifecycle analyzers (internal/lint/life):
 // goroutines spawned in the service arc terminate and acquired resources
 // are released on every path. Every suite runs on every invocation.
 //
@@ -14,12 +14,13 @@
 //
 // Usage:
 //
-//	verrolint [-json] [-tests] [-list] [pattern ...]
+//	verrolint [-json] [-list] [pattern ...]
 //
-// Patterns are package directories; a trailing "/..." walks recursively
-// ("./..." is the default). The whole-program suites see every matched
-// package as one program, so cross-package flows are visible whenever both
-// ends are in the pattern set.
+// Patterns are package directories; a trailing "/..." matches every
+// package below one, as the go command defines packages ("./..." is the
+// default). The whole-program suites see every matched package as one
+// program, so cross-package flows are visible whenever both ends are in
+// the pattern set.
 //
 // Exit status is 0 when clean, 1 when any diagnostic fired, 2 on load or
 // usage errors.
@@ -30,12 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"verro/internal/lint"
 	"verro/internal/lint/flow"
@@ -115,16 +114,10 @@ func (s *suite) check(pkgs []*lint.Package) []lint.Diagnostic {
 	return diags
 }
 
-// loader is the process's one loader: its source importer type-checks the
-// standard library and the module's imported packages once, however many
-// runs the process makes.
-var loader = sync.OnceValue(lint.NewLoader)
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("verrolint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	jsonOut := fl.Bool("json", false, "emit diagnostics as a JSON array (file, line, col, analyzer, message)")
-	tests := fl.Bool("tests", false, "also lint _test.go files")
 	list := fl.Bool("list", false, "list the analyzers and their invariants, then exit")
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -142,30 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var dirs []string
-	for _, p := range patterns {
-		expanded, err := expand(p, *tests)
-		if err != nil {
-			fmt.Fprintf(stderr, "verrolint: %v\n", err)
-			return 2
-		}
-		dirs = append(dirs, expanded...)
-	}
-	if len(dirs) == 0 {
-		fmt.Fprintln(stderr, "verrolint: no packages matched")
+	pkgs, err := lint.Load(patterns...)
+	if err != nil {
+		fmt.Fprintf(stderr, "verrolint: %v\n", err)
 		return 2
-	}
-
-	ld := loader()
-	ld.IncludeTests = *tests
-	var pkgs []*lint.Package
-	for _, dir := range dirs {
-		pkg, err := ld.Load(dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "verrolint: %v\n", err)
-			return 2
-		}
-		pkgs = append(pkgs, pkg)
 	}
 	diags := s.check(pkgs)
 
@@ -217,57 +190,4 @@ func analyzerCounts(diags []lint.Diagnostic) string {
 		parts = append(parts, fmt.Sprintf("%s %d", name, counts[name]))
 	}
 	return " (" + strings.Join(parts, ", ") + ")"
-}
-
-// expand resolves one pattern to package directories. "dir/..." walks dir
-// recursively; anything else names a single directory. Walks skip testdata
-// (lint fixtures deliberately violate the invariants), hidden directories,
-// and directories with no Go files.
-func expand(pattern string, includeTests bool) ([]string, error) {
-	root, recursive := strings.CutSuffix(pattern, "...")
-	if recursive {
-		root = strings.TrimSuffix(root, "/")
-	}
-	if root == "" {
-		root = "."
-	}
-	if !recursive {
-		return []string{root}, nil
-	}
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if hasGoFiles(path, includeTests) {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	return dirs, err
-}
-
-func hasGoFiles(dir string, includeTests bool) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		return true
-	}
-	return false
 }

@@ -106,6 +106,95 @@ func TestRunRecursiveSkipsTestdata(t *testing.T) {
 	}
 }
 
+// TestRunRecursiveSkipsTestOnlyDir: "..." matches a directory that holds
+// only _test.go files as a package with no Go files to lint. The run skips
+// it, and the violation in its test file goes unread.
+func TestRunRecursiveSkipsTestOnlyDir(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":            "module tmpmod\n",
+		"clean.go":          cleanSrc,
+		"only/only_test.go": strings.Replace(dirtySrc, "package dirty", "package only", 1),
+	})
+	var out, errb bytes.Buffer
+	if code := run([]string{filepath.Join(root, "...")}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, stdout %q stderr %q", code, out.String(), errb.String())
+	}
+}
+
+// TestRunUnderscoreModuleRoot: a module whose directory is named _x still
+// lints under "<root>/...", although the go command skips such a
+// directory when "..." reaches it from above.
+func TestRunUnderscoreModuleRoot(t *testing.T) {
+	root := writeTree(t, map[string]string{"_mod/go.mod": "module tmpmod\n", "_mod/dirty.go": dirtySrc})
+	var out, errb bytes.Buffer
+	if code := run([]string{filepath.Join(root, "_mod", "...")}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1 (stdout %q stderr %q)", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "(detrand)") {
+		t.Fatalf("the module was not linted: %q", out.String())
+	}
+}
+
+// TestRunOutsideModule: the go command resolves every package, so a
+// directory outside any module fails the load with go list's own message.
+func TestRunOutsideModule(t *testing.T) {
+	root := writeTree(t, map[string]string{"clean.go": cleanSrc})
+	var out, errb bytes.Buffer
+	if code := run([]string{root}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "go.mod file not found") {
+		t.Fatalf("stderr lacks go list's reason: %q", errb.String())
+	}
+}
+
+// TestRunTypeErrorNamesPackage: a package that does not type-check is
+// refused with exit 2 and named, as go vet refuses one.
+func TestRunTypeErrorNamesPackage(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":     "module tmpmod\n",
+		"bad/bad.go": "package bad\n\nfunc F() int { return undefinedName }\n",
+	})
+	var out, errb bytes.Buffer
+	if code := run([]string{filepath.Join(root, "...")}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "tmpmod/bad does not type-check") || !strings.Contains(errb.String(), "undefinedName") {
+		t.Fatalf("stderr does not name the package and its error: %q", errb.String())
+	}
+}
+
+// TestRunJSONRelativeFile: for a relative pattern, -json names each file
+// relative to the working directory, the form CI diffs, although the go
+// command reports absolute directories.
+func TestRunJSONRelativeFile(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-json", "./testdata/leakdemo"}, &out, &errb); code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr %s)", code, errb.String())
+	}
+	var diags []jsonDiag
+	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
+		t.Fatalf("bad JSON %q: %v", out.String(), err)
+	}
+	if len(diags) == 0 {
+		t.Fatal("no diagnostics from leakdemo")
+	}
+	for _, d := range diags {
+		if d.File != "testdata/leakdemo/main.go" {
+			t.Errorf("file = %q, want testdata/leakdemo/main.go", d.File)
+		}
+	}
+}
+
+// TestRunModuleClean is `make lint` inside `go test ./...`: every suite
+// over every package of the module, failing on any diagnostic.
+func TestRunModuleClean(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"../../..."}, &out, &errb); code != 0 {
+		t.Fatalf("verrolint over the module: exit = %d\n%s%s", code, out.String(), errb.String())
+	}
+}
+
 func TestRunJSONEmptyArray(t *testing.T) {
 	// A clean -json run must still emit a valid (empty) array so CI can
 	// diff findings across PRs without special-casing.
@@ -134,7 +223,7 @@ func TestRunListMode(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "detrand walltime maporder floateq privleak epsconsist epshttp goleak mustclose staleallow"
+	want := "detrand walltime maporder privleak epsconsist epshttp goleak mustclose staleallow"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q", got, want)
 	}
@@ -147,11 +236,11 @@ func TestRunBadDir(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag: the driver takes -json, -list and -tests only; every
-// suite always runs, so the old suite switches, the fact cache and the
-// baseline are usage errors too.
+// TestRunBadFlag: the driver takes -json and -list only; every suite
+// always runs over the go command's packages, so the old suite switches,
+// the fact cache, the baseline and -tests are usage errors too.
 func TestRunBadFlag(t *testing.T) {
-	for _, flag := range []string{"-definitely-not-a-flag", "-classic=false", "-flow=false", "-absint", "-perf", "-life", "-cache=dir", "-bench=out.json", "-baseline=base.json"} {
+	for _, flag := range []string{"-definitely-not-a-flag", "-classic=false", "-flow=false", "-absint", "-perf", "-life", "-cache=dir", "-bench=out.json", "-baseline=base.json", "-tests"} {
 		var out, errb bytes.Buffer
 		if code := run([]string{flag, "./testdata/leakdemo"}, &out, &errb); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", flag, code)

@@ -9,10 +9,13 @@ import (
 // Laplace draws one sample from the Laplace distribution with mean 0 and
 // scale b using inverse-CDF sampling.
 func Laplace(b float64, rng *rand.Rand) float64 {
-	// u uniform in (-0.5, 0.5]; the open lower bound avoids log(0).
+	// u uniform in the open interval (-0.5, 0.5): at either end
+	// log(1-2|u|) is log(0). rng.Float64 lies in [0, 1), so u < 0.5, but a
+	// draw of 0, or one small enough to round away, puts u at -0.5; draw
+	// again then.
 	u := rng.Float64() - 0.5
-	if u == -0.5 { //lint:allow floateq -0.5 is exactly representable; remaps the one log(0) input
-		u = 0.5
+	for u == -0.5 {
+		u = rng.Float64() - 0.5
 	}
 	return -b * sign(u) * math.Log(1-2*math.Abs(u))
 }

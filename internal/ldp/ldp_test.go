@@ -264,6 +264,42 @@ func TestLaplaceStatistics(t *testing.T) {
 	}
 }
 
+// zeroOnce is a rand.Source whose first draw is 0, which puts Laplace's u
+// at the closed end of its interval; every later draw is nonzero. A
+// source that always yields 0 would make Laplace draw forever.
+type zeroOnce struct{ n int64 }
+
+func (s *zeroOnce) Int63() int64 {
+	s.n++
+	if s.n == 1 {
+		return 0
+	}
+	return s.n << 40
+}
+
+func (s *zeroOnce) Seed(int64) {}
+
+// TestLaplaceZeroDrawIsFinite: a zero draw is redrawn, so no noise and no
+// noisy count is infinite. Remapping it to u = 0.5 gave +Inf.
+func TestLaplaceZeroDrawIsFinite(t *testing.T) {
+	if x := Laplace(1, rand.New(&zeroOnce{})); math.IsInf(x, 0) || math.IsNaN(x) {
+		t.Errorf("Laplace(1) = %v, want finite", x)
+	}
+	v, err := LaplaceMechanism(3, 1, 0.5, rand.New(&zeroOnce{}))
+	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+		t.Errorf("LaplaceMechanism(3, 1, 0.5) = %v, %v; want finite, nil", v, err)
+	}
+	counts, err := NoisyCounts([]int{2, 5}, 1, 0.5, rand.New(&zeroOnce{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range counts {
+		if math.IsInf(c, 0) || math.IsNaN(c) {
+			t.Errorf("NoisyCounts([2 5])[%d] = %v, want finite", i, c)
+		}
+	}
+}
+
 func TestLaplaceMechanismValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	if _, err := LaplaceMechanism(1, 1, 0, rng); err == nil {

@@ -12,9 +12,9 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"//lint:allow detrand", []string{"detrand"}},
 		{"//lint:allow detrand,walltime", []string{"detrand", "walltime"}},
-		{"//lint:allow floateq 0.5 is exactly representable", []string{"floateq"}},
-		{"//lint:allow maporder,floateq reason with spaces", []string{"maporder", "floateq"}},
-		{"//lint:allow\tfloateq tab separator", []string{"floateq"}},
+		{"//lint:allow walltime span timing is its purpose", []string{"walltime"}},
+		{"//lint:allow maporder,walltime reason with spaces", []string{"maporder", "walltime"}},
+		{"//lint:allow\twalltime tab separator", []string{"walltime"}},
 		{"// lint:allow detrand", nil}, // space after slashes: not a directive
 		{"//lint:allowdetrand", nil},   // no separator after keyword
 		{"//lint:allow", nil},          // no analyzer named
@@ -35,22 +35,24 @@ func TestParseAllow(t *testing.T) {
 func TestDirectiveScope(t *testing.T) {
 	dir := writeFixture(t, `package fixture
 
-func own(a, b float64) bool {
-	return a == b //lint:allow floateq own line
+import "math/rand"
+
+func own() int {
+	return rand.Intn(2) //lint:allow detrand own line
 }
 
-func below(a, b float64) bool {
-	//lint:allow floateq next line
-	return a == b
+func below() int {
+	//lint:allow detrand next line
+	return rand.Intn(2)
 }
 
-func tooFar(a, b float64) bool {
-	//lint:allow floateq two lines above is out of scope
+func tooFar() int {
+	//lint:allow detrand two lines above is out of scope
 
-	return a == b // want "floating-point"
+	return rand.Intn(2) // want "global math/rand"
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +66,13 @@ func tooFar(a, b float64) bool {
 func TestDirectiveOtherAnalyzer(t *testing.T) {
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b //lint:allow detrand wrong analyzer name
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2) //lint:allow walltime wrong analyzer name
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -32,12 +31,12 @@ type expectation struct {
 // problem string per mismatch between diagnostics and want comments. A nil
 // problems slice means the fixture asserts exactly its annotations. Load or
 // want-regexp errors are returned as err.
-func CheckFixture(l *Loader, dir string, analyzers ...*Analyzer) (problems []string, err error) {
-	pkg, err := l.Load(dir)
+func CheckFixture(dir string, analyzers ...*Analyzer) (problems []string, err error) {
+	pkgs, err := Load(dir) // a directory is one package
 	if err != nil {
 		return nil, err
 	}
-	return CheckDiagnostics([]*Package{pkg}, Run(pkg, analyzers...))
+	return CheckDiagnostics(pkgs, Run(pkgs[0], analyzers...))
 }
 
 // CheckDiagnostics matches an already-computed diagnostic set against the
@@ -73,15 +72,10 @@ func CheckDiagnostics(pkgs []*Package, diags []Diagnostic) (problems []string, e
 	return problems, nil
 }
 
-// fixtureLoader is the one loader the fixture runs of a test binary share:
-// its source importer type-checks the standard library packages the
-// fixtures import once, not once per fixture.
-var fixtureLoader = sync.OnceValue(NewLoader)
-
 // RunFixture is the testing wrapper around CheckFixture.
 func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(fixtureLoader(), dir, analyzers...)
+	problems, err := CheckFixture(dir, analyzers...)
 	if err != nil {
 		t.Fatalf("fixture %s: %v", dir, err)
 	}

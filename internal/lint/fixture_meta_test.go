@@ -11,11 +11,15 @@ import (
 // want comments drift from the diagnostics — otherwise an analyzer test
 // could silently assert nothing.
 
+// writeFixture writes src as the one file of a fresh module, since the go
+// command resolves every package the loader reads.
 func writeFixture(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "f.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	for name, data := range map[string]string{"go.mod": "module fixture\n\ngo 1.22\n", "f.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
 }
@@ -24,11 +28,13 @@ func TestFixtureMissingWantFails(t *testing.T) {
 	// A diagnostic fires but no want comment claims it.
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2)
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +48,10 @@ func TestFixtureExtraWantFails(t *testing.T) {
 	dir := writeFixture(t, `package fixture
 
 func eq(a, b int) bool {
-	return a == b // want "floating-point"
+	return a == b // want "global math/rand"
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +66,13 @@ func TestFixtureWrongPatternFails(t *testing.T) {
 	// want must be reported.
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b // want "something else entirely"
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2) // want "something else entirely"
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +84,17 @@ func eq(a, b float64) bool {
 func TestFixtureExactMatchPasses(t *testing.T) {
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b // want "floating-point"
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2) // want "global math/rand"
 }
 
-func allowed(a, b float64) bool {
-	return a == b //lint:allow floateq meta-test sentinel
+func allowed() int {
+	return rand.Intn(2) //lint:allow detrand meta-test sentinel
 }
 `)
-	problems, err := CheckFixture(NewLoader(), dir, NewFloatEq())
+	problems, err := CheckFixture(dir, NewDetRand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +107,13 @@ func TestFixtureBadWantPattern(t *testing.T) {
 	// An unparseable want regexp is a fixture authoring error, not a pass.
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b // want "(["
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2) // want "(["
 }
 `)
-	if _, err := CheckFixture(NewLoader(), dir, NewFloatEq()); err == nil {
+	if _, err := CheckFixture(dir, NewDetRand()); err == nil {
 		t.Fatal("bad want pattern should fail the fixture load")
 	}
 }
@@ -109,11 +121,13 @@ func eq(a, b float64) bool {
 func TestFixtureWantWithoutQuote(t *testing.T) {
 	dir := writeFixture(t, `package fixture
 
-func eq(a, b float64) bool {
-	return a == b // want floating-point
+import "math/rand"
+
+func draw() int {
+	return rand.Intn(2) // want global math/rand
 }
 `)
-	if _, err := CheckFixture(NewLoader(), dir, NewFloatEq()); err == nil {
+	if _, err := CheckFixture(dir, NewDetRand()); err == nil {
 		t.Fatal("want comment without quoted pattern should fail the fixture load")
 	}
 }

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"sync"
 	"testing"
 
 	"verro/internal/lint"
@@ -19,28 +18,18 @@ func NewAnalyzer(name, doc string, cfg *TaintConfig) *Analyzer {
 // analyzers over it, and returns one problem per mismatch against the
 // fixtures' `// want` comments. Multiple directories form one Program so a
 // fixture can prove cross-package summary propagation.
-func CheckFixture(l *lint.Loader, dirs []string, analyzers ...*Analyzer) (problems []string, err error) {
-	var pkgs []*lint.Package
-	for _, dir := range dirs {
-		pkg, err := l.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
+func CheckFixture(dirs []string, analyzers ...*Analyzer) (problems []string, err error) {
+	pkgs, err := lint.Load(dirs...)
+	if err != nil {
+		return nil, err
 	}
 	return lint.CheckDiagnostics(pkgs, Run(pkgs, analyzers...))
 }
 
-// fixtureLoader is the one loader the fixture runs of a test binary share:
-// its source importer type-checks the standard library packages the
-// fixtures import (net/http, encoding/json and their dependencies) once,
-// not once per fixture.
-var fixtureLoader = sync.OnceValue(lint.NewLoader)
-
 // RunFixture is the testing wrapper around CheckFixture.
 func RunFixture(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(fixtureLoader(), dirs, analyzers...)
+	problems, err := CheckFixture(dirs, analyzers...)
 	if err != nil {
 		t.Fatalf("fixture %v: %v", dirs, err)
 	}

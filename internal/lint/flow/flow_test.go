@@ -23,11 +23,10 @@ func TestEpsConsistFixture(t *testing.T) {
 // diagnostic and no panic. It is the one fixture that holds type errors,
 // so it reads the package the loader returns beside its error.
 func TestEpsConsistTypeErrorFixture(t *testing.T) {
-	pkg, err := flow.FixtureLoader().Load("testdata/epsconsisttypeerr")
-	if pkg == nil || err == nil || !strings.Contains(err.Error(), "NoSuchField") {
-		t.Fatalf("load = %v, %v; want the package and its type errors", pkg, err)
+	pkgs, err := lint.Load("testdata/epsconsisttypeerr")
+	if len(pkgs) != 1 || err == nil || !strings.Contains(err.Error(), "NoSuchField") {
+		t.Fatalf("load = %v, %v; want the package and its type errors", pkgs, err)
 	}
-	pkgs := []*lint.Package{pkg}
 	problems, err := lint.CheckDiagnostics(pkgs, flow.Run(pkgs, flow.NewEpsConsist()))
 	if err != nil {
 		t.Fatal(err)
@@ -63,14 +62,9 @@ func TestChainFixture(t *testing.T) {
 // handle's taint — the diagnostic must disappear.
 func TestSummaryPropagationTwoHops(t *testing.T) {
 	load := func(dirs ...string) []*lint.Package {
-		l := flow.FixtureLoader()
-		var pkgs []*lint.Package
-		for _, dir := range dirs {
-			pkg, err := l.Load(dir)
-			if err != nil {
-				t.Fatalf("load %s: %v", dir, err)
-			}
-			pkgs = append(pkgs, pkg)
+		pkgs, err := lint.Load(dirs...)
+		if err != nil {
+			t.Fatalf("load %v: %v", dirs, err)
 		}
 		return pkgs
 	}
@@ -97,6 +91,9 @@ func TestSummaryPropagationTwoHops(t *testing.T) {
 // the project policy tables.
 func TestFixtureMetaStaleWant(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	src := `package fixture
 
 func Source() int { return 0 }
@@ -123,7 +120,7 @@ func unannotated() {
 		Sinks:       map[string]*flow.Sink{"fixture.Sink": {Operands: []int{0}, What: "the sink"}},
 		Report:      "tainted value reaches %s",
 	})
-	problems, err := flow.CheckFixture(lint.NewLoader(), []string{dir}, toy)
+	problems, err := flow.CheckFixture([]string{dir}, toy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package life
 
 import (
-	"sync"
 	"testing"
 
 	"verro/internal/lint"
@@ -11,14 +10,10 @@ import (
 // life analyzers over it under the project policy — extended so the
 // fixture packages themselves count as service packages — and returns
 // one problem per mismatch against the fixtures' `// want` comments.
-func CheckFixture(l *lint.Loader, dirs []string, analyzers ...*Analyzer) (problems []string, err error) {
-	var pkgs []*lint.Package
-	for _, dir := range dirs {
-		pkg, err := l.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
+func CheckFixture(dirs []string, analyzers ...*Analyzer) (problems []string, err error) {
+	pkgs, err := lint.Load(dirs...)
+	if err != nil {
+		return nil, err
 	}
 	cfg := ProjectConfig()
 	for _, pkg := range pkgs {
@@ -27,15 +22,10 @@ func CheckFixture(l *lint.Loader, dirs []string, analyzers ...*Analyzer) (proble
 	return lint.CheckDiagnostics(pkgs, Run(pkgs, cfg, analyzers...))
 }
 
-// fixtureLoader is the one loader the fixture runs of a test binary share:
-// its source importer type-checks the standard library packages the
-// fixtures import once, not once per fixture.
-var fixtureLoader = sync.OnceValue(lint.NewLoader)
-
 // RunFixture is the testing wrapper around CheckFixture.
 func RunFixture(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(fixtureLoader(), dirs, analyzers...)
+	problems, err := CheckFixture(dirs, analyzers...)
 	if err != nil {
 		t.Fatalf("fixture %v: %v", dirs, err)
 	}

@@ -25,7 +25,7 @@ func TestFixtureMetaFailClosed(t *testing.T) {
 		"testdata/goleak",
 		"testdata/mustclose",
 	} {
-		problems, err := life.CheckFixture(lint.NewLoader(), []string{dir})
+		problems, err := life.CheckFixture([]string{dir})
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -44,12 +44,11 @@ func TestFixtureMetaFailClosed(t *testing.T) {
 // verdict on `go spin()` exists only because spin's converged summary
 // diverges; the summary table must say so.
 func TestSummaryPropagation(t *testing.T) {
-	l := lint.NewLoader()
-	pkg, err := l.Load("testdata/goleak")
+	pkgs, err := lint.Load("testdata/goleak")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := life.Summaries([]*lint.Package{pkg}, life.ProjectConfig())
+	sums := life.Summaries(pkgs, life.ProjectConfig())
 	var spin string
 	for name := range sums {
 		if strings.HasSuffix(name, ".spin") {

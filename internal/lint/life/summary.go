@@ -34,15 +34,6 @@ type Summary struct {
 	Owns []int
 }
 
-func (s *Summary) owns(i int) bool {
-	for _, o := range s.Owns {
-		if o == i {
-			return true
-		}
-	}
-	return false
-}
-
 func equalSummary(a, b *Summary) bool {
 	if a.Diverges != b.Diverges || len(a.Owns) != len(b.Owns) {
 		return false

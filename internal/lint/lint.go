@@ -3,10 +3,12 @@
 // bit-identical at any worker count, tracing is observational-only, and the
 // ε-indistinguishability math never silently degrades — are invisible to the
 // compiler and were previously guarded only by equivalence tests that catch
-// violations after they ship. The framework loads a package per directory
-// with go/parser, type-checks it with go/types (source importer, so no
-// x/tools dependency), and runs a set of Analyzers over the typed syntax,
-// producing position-tagged diagnostics.
+// violations after they ship. The go command defines the packages: Load
+// makes one `go list` call for its patterns, parses each matched package
+// with go/parser and type-checks it with go/types, importing from the
+// export data go list compiled, so there is no x/tools dependency. A set
+// of Analyzers then runs over the typed syntax, producing position-tagged
+// diagnostics.
 //
 // Suppression is explicit and grep-able: a `//lint:allow <analyzer>` comment
 // (see directive.go for the grammar) silences one analyzer on its own line

@@ -12,49 +12,40 @@ import (
 func TestDetRandFixture(t *testing.T)  { RunFixture(t, "testdata/detrand", NewDetRand()) }
 func TestWallTimeFixture(t *testing.T) { RunFixture(t, "testdata/walltime", NewWallTime()) }
 func TestMapOrderFixture(t *testing.T) { RunFixture(t, "testdata/maporder", NewMapOrder()) }
-func TestFloatEqFixture(t *testing.T)  { RunFixture(t, "testdata/floateq", NewFloatEq()) }
 
-// TestProjectSuite pins the suite's composition: four analyzers, each
-// resolvable by name, with the package scoping DESIGN.md §2d documents.
+// TestProjectSuite pins the suite's composition: three analyzers, in
+// order, each documented, with the package scoping DESIGN.md §2d
+// documents.
 func TestProjectSuite(t *testing.T) {
-	suite := ProjectAnalyzers()
-	if len(suite) != 4 {
-		t.Fatalf("suite has %d analyzers, want 4", len(suite))
-	}
-	for _, name := range []string{"detrand", "walltime", "maporder", "floateq"} {
-		a := ByName(name)
-		if a == nil {
-			t.Fatalf("ByName(%q) = nil", name)
-		}
+	suite := map[string]*Analyzer{}
+	var names []string
+	for _, a := range ProjectAnalyzers() {
 		if a.Doc == "" {
-			t.Errorf("analyzer %s has no doc", name)
+			t.Errorf("analyzer %s has no doc", a.Name)
 		}
+		suite[a.Name] = a
+		names = append(names, a.Name)
 	}
-	if ByName("nope") != nil {
-		t.Error("ByName of unknown analyzer should be nil")
+	if got, want := strings.Join(names, " "), "detrand walltime maporder"; got != want {
+		t.Fatalf("suite = %q, want %q", got, want)
 	}
 
 	cases := []struct {
-		analyzer, pkg string
-		want          bool
+		pkg  string
+		want bool
 	}{
-		{"walltime", "verro/internal/obs", false},
-		{"walltime", "verro/internal/par", false},
-		{"walltime", "verro/internal/core", true},
-		{"floateq", "verro/internal/ldp", true},
-		{"floateq", "verro/internal/lp", true},
-		{"floateq", "verro/internal/vid", false},
+		{"verro/internal/obs", false},
+		{"verro/internal/par", false},
+		{"verro/internal/core", true},
 	}
 	for _, c := range cases {
-		a := ByName(c.analyzer)
-		got := a.Match == nil || a.Match(c.pkg)
-		if got != c.want {
-			t.Errorf("%s.Match(%q) = %v, want %v", c.analyzer, c.pkg, got, c.want)
+		if got := suite["walltime"].Match(c.pkg); got != c.want {
+			t.Errorf("walltime.Match(%q) = %v, want %v", c.pkg, got, c.want)
 		}
 	}
 	// Unscoped analyzers run everywhere.
 	for _, name := range []string{"detrand", "maporder"} {
-		if ByName(name).Match != nil {
+		if suite[name].Match != nil {
 			t.Errorf("%s should run in every package", name)
 		}
 	}
@@ -63,15 +54,14 @@ func TestProjectSuite(t *testing.T) {
 // TestRunOverOwnPackage smoke-tests the loader + runner over this package:
 // internal/lint must be clean under its own suite.
 func TestRunOverOwnPackage(t *testing.T) {
-	l := NewLoader()
-	pkg, err := l.Load(".")
+	pkgs, err := Load(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg.Path != "verro/internal/lint" {
-		t.Fatalf("import path = %q, want verro/internal/lint", pkg.Path)
+	if pkgs[0].Path != "verro/internal/lint" {
+		t.Fatalf("import path = %q, want verro/internal/lint", pkgs[0].Path)
 	}
-	if diags := Run(pkg, ProjectAnalyzers()...); len(diags) != 0 {
+	if diags := Run(pkgs[0], ProjectAnalyzers()...); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("unexpected: %s", d)
 		}
@@ -81,17 +71,16 @@ func TestRunOverOwnPackage(t *testing.T) {
 // TestDiagnosticString pins the human-readable diagnostic format the CLI
 // prints.
 func TestDiagnosticString(t *testing.T) {
-	l := NewLoader()
-	pkg, err := l.Load("testdata/floateq")
+	pkgs, err := Load("testdata/detrand")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkg, NewFloatEq())
+	diags := Run(pkgs[0], NewDetRand())
 	if len(diags) == 0 {
-		t.Fatal("no diagnostics from floateq fixture")
+		t.Fatal("no diagnostics from detrand fixture")
 	}
 	s := diags[0].String()
-	if !strings.Contains(s, "testdata/floateq/floateq.go:") || !strings.Contains(s, "(floateq)") {
+	if !strings.Contains(s, "testdata/detrand/detrand.go:") || !strings.Contains(s, "(detrand)") {
 		t.Errorf("diagnostic format %q missing file position or analyzer tag", s)
 	}
 }

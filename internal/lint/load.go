@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -8,18 +10,16 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Package is one loaded, type-checked package directory.
+// Package is one loaded, type-checked package.
 type Package struct {
-	// Dir is the directory the package was loaded from.
-	Dir string
-	// Path is the package's import path ("verro/internal/core"), or a
-	// fixture placeholder when the directory is outside a module.
+	// Path is the package's import path ("verro/internal/core").
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -41,133 +41,137 @@ func (p *Package) Allow() *AllowIndex {
 	return p.allow
 }
 
-// Loader parses and type-checks package directories. It shares one FileSet
-// and one source importer across Load calls, so dependencies are
-// type-checked once per Loader rather than once per importing package.
-type Loader struct {
-	fset *token.FileSet
-	imp  types.Importer
-	// IncludeTests makes Load parse _test.go files as well. The in-package
-	// test files join the package; black-box _test packages are skipped
-	// (they only exercise the public API and hold no pipeline code).
-	IncludeTests bool
+// listed is the part of one `go list -json` record that Load reads.
+type listed struct {
+	Dir        string
+	ImportPath string
+	GoFiles    []string
+	Export     string
+	Match      []string
+	Error      *struct{ Err string }
 }
 
-// NewLoader returns a loader backed by the stdlib source importer.
-func NewLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
-}
-
-// Load parses every .go file in dir (non-recursively, mirroring a Go
-// package) and type-checks the result. A parse error fails the load with
-// no package. A type error fails it too, but Load still returns the
-// package with whatever type information survived: an analyzer run over
-// code that does not type-check would miss what it cannot see, so callers
-// refuse it, and only a test of that degraded input reads the package.
-func (l *Loader) Load(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// Load type-checks the packages the patterns match. A pattern is a package
+// directory, and a trailing "/..." matches every package below it. The go
+// command defines what that means: one `go list -e -export -deps` call
+// names each matched package's Go files and compiles every dependency's
+// export data, from which the matched packages' imports are resolved. It
+// runs in the first pattern's directory, so the patterns' own module is
+// the main module; a directory outside any module fails. A matched
+// directory that holds only _test.go files is skipped.
+//
+// Each matched package is parsed and type-checked from source. Its files
+// are named relative to the working directory when the pattern that
+// matched it is relative, and absolute otherwise.
+//
+// A failed go list, a package it could not resolve, a parse error or an
+// empty match fails the load with no packages. A type error fails it too,
+// but Load still returns every package with whatever type information
+// survived: an analyzer run over code that does not type-check would miss
+// what it cannot see, so callers refuse it, and only a test of that
+// degraded input reads the packages.
+func Load(patterns ...string) ([]*Package, error) {
+	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
+	args := []string{"list", "-e", "-export", "-deps", "-json=Dir,ImportPath,GoFiles,Export,Match,Error"}
+	relative := map[string]bool{}
+	var dir string
+	for _, p := range patterns {
+		root, recursive := strings.CutSuffix(p, "...")
+		root = filepath.Clean(root)
+		if !filepath.IsAbs(root) {
+			root = filepath.Join(wd, root)
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
+		if dir == "" {
+			// The go command skips a "..." root named _x, .x or testdata
+			// unless it is spelled ".".
+			dir, root = root, "."
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-
-	byPkg := map[string][]*ast.File{}
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
+		if recursive {
+			root += "/..."
 		}
-		byPkg[f.Name.Name] = append(byPkg[f.Name.Name], f)
+		relative[root] = !filepath.IsAbs(p)
+		args = append(args, root)
 	}
-	// A directory can hold the package plus its black-box _test package;
-	// analyze the non-_test one.
-	var files []*ast.File
-	var pkgName string
-	for name, fs := range byPkg {
-		if strings.HasSuffix(name, "_test") {
-			continue
-		}
-		if pkgName != "" {
-			return nil, fmt.Errorf("lint: multiple packages %q and %q in %s", pkgName, name, dir)
-		}
-		pkgName, files = name, fs
-	}
-	if pkgName == "" {
-		return nil, fmt.Errorf("lint: only test packages in %s", dir)
-	}
-
-	path := importPath(dir, pkgName)
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l.imp,
-		// Collect every error rather than stop at the first.
-		Error: func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, _ := conf.Check(path, l.fset, files, info)
-	pkg := &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info}
-	if len(typeErrs) > 0 {
-		return pkg, fmt.Errorf("lint: %s does not type-check: %w", dir, errors.Join(typeErrs...))
-	}
-	return pkg, nil
-}
-
-// importPath derives the package's import path from the enclosing module:
-// module path + the directory's location under the go.mod root. Directories
-// outside any module (lint fixtures) fall back to the package name.
-func importPath(dir, pkgName string) string {
-	abs, err := filepath.Abs(dir)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return pkgName
-	}
-	root := abs
-	for {
-		data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-		if err == nil {
-			if mod := modulePath(data); mod != "" {
-				rel, err := filepath.Rel(root, abs)
-				if err != nil || rel == "." {
-					return mod
-				}
-				return mod + "/" + filepath.ToSlash(rel)
-			}
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, bytes.TrimSpace(exit.Stderr))
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return pkgName
-		}
-		root = parent
+		return nil, fmt.Errorf("lint: go list %s: %w", strings.Join(patterns, " "), err)
 	}
-}
 
-// modulePath extracts the module path from go.mod contents.
-func modulePath(data []byte) string {
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			rest = strings.TrimSpace(rest)
-			return strings.Trim(rest, `"`)
+	exports := map[string]string{}
+	var matched []listed
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listed
+		err := dec.Decode(&p)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
+		}
+		exports[p.ImportPath] = p.Export
+		if len(p.Match) > 0 {
+			matched = append(matched, p)
 		}
 	}
-	return ""
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+
+	var pkgs []*Package
+	var typeErrs []error
+	for _, p := range matched {
+		if len(p.GoFiles) == 0 {
+			if p.Error != nil {
+				return nil, fmt.Errorf("lint: %s", p.Error.Err)
+			}
+			continue
+		}
+		files := make([]*ast.File, 0, len(p.GoFiles))
+		for _, name := range p.GoFiles {
+			name = filepath.Join(p.Dir, name)
+			if rel, err := filepath.Rel(wd, name); err == nil && relative[p.Match[0]] {
+				name = rel
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %w", err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		var errs []error
+		conf := types.Config{
+			Importer: imp,
+			// Collect every error rather than stop at the first.
+			Error: func(err error) { errs = append(errs, err) },
+		}
+		tpkg, _ := conf.Check(p.ImportPath, fset, files, info)
+		pkgs = append(pkgs, &Package{Path: p.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
+		if len(errs) > 0 {
+			typeErrs = append(typeErrs, fmt.Errorf("lint: %s does not type-check: %w", p.ImportPath, errors.Join(errs...)))
+		}
+	}
+	if len(pkgs) == 0 {
+		return nil, fmt.Errorf("lint: no packages matched %s", strings.Join(patterns, " "))
+	}
+	return pkgs, errors.Join(typeErrs...)
 }

@@ -5,32 +5,33 @@ import (
 	"testing"
 )
 
-// loadAndRun loads the fixture directory and runs the floateq analyzer
+// loadAndRun loads the fixture directory and runs the detrand analyzer
 // through the package's shared allow index, the setup every StaleAllows
 // test needs: hits recorded, stale directives left over.
 func loadAndRun(t *testing.T, src string) *Package {
 	t.Helper()
-	dir := writeFixture(t, src)
-	pkg, err := NewLoader().Load(dir)
+	pkgs, err := Load(writeFixture(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	Run(pkg, NewFloatEq())
-	return pkg
+	Run(pkgs[0], NewDetRand())
+	return pkgs[0]
 }
 
 func TestStaleAllowReported(t *testing.T) {
 	pkg := loadAndRun(t, `package fixture
 
-func live(a, b float64) bool {
-	return a == b //lint:allow floateq still suppressing
+import "math/rand"
+
+func live() int {
+	return rand.Intn(2) //lint:allow detrand still suppressing
 }
 
 func stale(a, b int) bool {
-	return a == b //lint:allow floateq integers never trip floateq
+	return a == b //lint:allow detrand nothing here draws from math/rand
 }
 `)
-	diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true})
+	diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true})
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the stale directive reported, got %v", diags)
 	}
@@ -38,11 +39,11 @@ func stale(a, b int) bool {
 	if d.Analyzer != StaleAllowsName {
 		t.Errorf("analyzer = %q, want %q", d.Analyzer, StaleAllowsName)
 	}
-	if !strings.Contains(d.Message, "//lint:allow floateq no longer suppresses") {
+	if !strings.Contains(d.Message, "//lint:allow detrand no longer suppresses") {
 		t.Errorf("message = %q", d.Message)
 	}
-	if d.Pos.Line != 8 {
-		t.Errorf("reported line %d, want 8 (the stale directive)", d.Pos.Line)
+	if d.Pos.Line != 10 {
+		t.Errorf("reported line %d, want 10 (the stale directive)", d.Pos.Line)
 	}
 }
 
@@ -51,12 +52,14 @@ func stale(a, b int) bool {
 func TestStaleAllowNextLineScope(t *testing.T) {
 	pkg := loadAndRun(t, `package fixture
 
-func above(a, b float64) bool {
-	//lint:allow floateq comment-above style
-	return a == b
+import "math/rand"
+
+func above() int {
+	//lint:allow detrand comment-above style
+	return rand.Intn(2)
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true}); len(diags) != 0 {
+	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("comment-above directive wrongly stale: %v", diags)
 	}
 }
@@ -70,10 +73,10 @@ func f(a, b int) bool {
 	return a == b //lint:allow privleak different suite, not run here
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true}); len(diags) != 0 {
+	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("directive outside the ran set wrongly reported: %v", diags)
 	}
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true, "privleak": true}); len(diags) != 1 {
+	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true, "privleak": true}); len(diags) != 1 {
 		t.Fatalf("directive inside the ran set not reported: %v", diags)
 	}
 }
@@ -84,10 +87,10 @@ func TestStaleAllowSelfSuppression(t *testing.T) {
 	pkg := loadAndRun(t, `package fixture
 
 func f(a, b int) bool {
-	return a == b //lint:allow floateq,staleallow kept for a pending float refactor
+	return a == b //lint:allow detrand,staleallow kept for a pending sampler refactor
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true}); len(diags) != 0 {
+	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("staleallow self-suppression ignored: %v", diags)
 	}
 }
@@ -97,19 +100,21 @@ func f(a, b int) bool {
 func TestStaleAllowMultiName(t *testing.T) {
 	pkg := loadAndRun(t, `package fixture
 
-func f(a, b float64) bool {
-	return a == b //lint:allow floateq,detrand only floateq fires here
+import "math/rand"
+
+func f() int {
+	return rand.Intn(2) //lint:allow detrand,walltime only detrand fires here
 }
 `)
-	diags := pkg.Allow().StaleAllows(map[string]bool{"floateq": true, "detrand": true})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "//lint:allow detrand") {
-		t.Fatalf("want exactly the detrand half stale, got %v", diags)
+	diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true, "walltime": true})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "//lint:allow walltime") {
+		t.Fatalf("want exactly the walltime half stale, got %v", diags)
 	}
 }
 
 func TestStaleAllowNilIndex(t *testing.T) {
 	var idx *AllowIndex
-	if diags := idx.StaleAllows(map[string]bool{"floateq": true}); diags != nil {
+	if diags := idx.StaleAllows(map[string]bool{"detrand": true}); diags != nil {
 		t.Fatalf("nil index must report nothing, got %v", diags)
 	}
 }

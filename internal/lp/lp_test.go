@@ -129,6 +129,27 @@ func TestSolveDegenerate(t *testing.T) {
 	}
 }
 
+// TestSolveEliminatesTinyFactors: a pivot eliminates the entering column
+// from every other row, however small the row's entry. The first row's x0
+// coefficient (5e-10) is below tol, so the ratio test passes over it, yet
+// x0 = 1e6 still uses 5e-4 of that row's capacity. Skipping the row as if
+// its entry were zero reports x1 = 1, which breaks the row.
+func TestSolveEliminatesTinyFactors(t *testing.T) {
+	x, _, err := Solve(&Problem{
+		Objective: []float64{-1, -1},
+		Constraints: []Constraint{
+			{Coeffs: []float64{5e-10, 1}, Op: LE, RHS: 1},
+			{Coeffs: []float64{1, 0}, Op: LE, RHS: 1e6},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approxEq(x[0], 1e6) || !approxEq(x[1], 1-5e-4) {
+		t.Fatalf("x = %v, want [1e6 0.9995]", x)
+	}
+}
+
 func TestSolveBinaryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {

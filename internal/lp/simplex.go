@@ -219,8 +219,11 @@ func (t *tableau) pivot(row, col int) {
 		if i == row {
 			continue
 		}
+		// A row whose entry is exactly zero needs no elimination, and
+		// skipping it keeps a pivot cheap on the sparse BIP tableau. A
+		// near-zero row must still eliminate (TestSolveEliminatesTinyFactors).
 		factor := t.a[i][col]
-		if factor == 0 { //lint:allow floateq skipping exactly-zero rows is safe; near-zero rows must still eliminate
+		if factor == 0 {
 			continue
 		}
 		for j := range t.a[i] {
@@ -240,10 +243,7 @@ func (t *tableau) simplexLoop(c []float64) error {
 		for j := 0; j < t.cols; j++ {
 			var z float64
 			for i := 0; i < t.m; i++ {
-				cb := c[t.basis[i]]
-				if cb != 0 { //lint:allow floateq exactly-zero coefficients contribute nothing; pure sparsity skip
-					z += cb * t.a[i][j]
-				}
+				z += c[t.basis[i]] * t.a[i][j]
 			}
 			if c[j]-z < -tol {
 				// Bland's rule: the lowest-index improving column enters.

@@ -94,8 +94,9 @@ func (p *Program) funcNames() []string {
 
 // normName is a function's cross-package identity: types.Func.FullName
 // with pointer-receiver stars stripped, so "(*T).M" and "(T).M" coincide.
-// Name strings (not object pointers) key the summary table because every
-// Loader re-type-checks dependencies into distinct objects.
+// Name strings (not object pointers) key the summary table because a
+// package analyzed from source and the same package imported from export
+// data are distinct objects.
 func normName(fn *types.Func) string {
 	return strings.ReplaceAll(fn.FullName(), "*", "")
 }

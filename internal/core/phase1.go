@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"verro/internal/ldp"
-	"verro/internal/lp"
 )
 
 // Phase1Config tunes the optimal-object-presence phase.
@@ -33,7 +32,7 @@ type Phase1Config struct {
 	// raised to 2.
 	MinPicked int
 	// DensityFraction positions the pick threshold relative to the mean
-	// per-key-frame object count: frames with at least
+	// per-key-frame object count: frames with more than
 	// DensityFraction×mean objects receive budget. 0 means the default
 	// 0.5, which retains the large majority of objects while skipping
 	// near-empty frames.
@@ -102,9 +101,10 @@ var ErrNoKeyFrames = errors.New("core: no key frames")
 // enough presence are worth a budget share, sparse frames are not. The
 // pick is therefore exactly independent of f (the paper observes f "only
 // slightly affects the optimization"), and it avoids the trivial collapse
-// a population-scaled threshold (n·f/2) causes on sparse videos. The BIP
-// is solved by LP relaxation and rounding under the Equation 8
-// cardinality constraints 2 ≤ Σx_k ≤ ℓ.
+// a population-scaled threshold (n·f/2) causes on sparse videos. Under
+// the Equation 8 floor 2 ≤ Σx_k ≤ ℓ the cost is separable, so the paper's
+// LP relaxation is integral and pickKeyFrames computes its rounded optimum
+// directly.
 //
 // Because the pick does not depend on f, an ε budget resolves after it:
 // with cfg.Eps > 0 the K picked frames set f = ldp.FlipProbability(K, Eps)
@@ -150,33 +150,17 @@ func RunPhase1(reduced []ldp.BitVector, keyFrames []int, cfg Phase1Config, rng *
 	}
 
 	// Key-frame selection.
-	picked := make([]int, 0, ell)
-	if cfg.Optimize && ell > cfg.MinPicked {
+	var picked []int
+	if cfg.Optimize {
 		frac := cfg.DensityFraction
 		if frac <= 0 {
 			frac = 0.5
 		}
-		var density float64
-		for _, c := range noisy {
-			density += c
-		}
-		density /= float64(ell)
-		costs := make([]float64, ell)
-		for k := 0; k < ell; k++ {
-			costs[k] = frac*density - noisy[k]
-		}
-		res, err := lp.SolveBinary(costs, cfg.MinPicked, ell)
-		if err != nil {
-			return nil, fmt.Errorf("core: key-frame optimization: %w", err)
-		}
-		for k, x := range res.X {
-			if x == 1 {
-				picked = append(picked, k)
-			}
-		}
+		picked = pickKeyFrames(noisy, frac, cfg.MinPicked)
 	} else {
-		for k := 0; k < ell; k++ {
-			picked = append(picked, k)
+		picked = make([]int, ell)
+		for k := range picked {
+			picked[k] = k
 		}
 	}
 
@@ -240,6 +224,48 @@ func RunPhase1(reduced []ldp.BitVector, keyFrames []int, cfg Phase1Config, rng *
 		Epsilon:   eps,
 		F:         cfg.F,
 	}, nil
+}
+
+// pickKeyFrames returns the Equation 9 optimum over the per-key-frame
+// counts: every frame whose count is more than frac×mean (a negative
+// pick cost), then, while fewer than floor frames qualify, the remaining
+// frame with the highest count, the earliest among equal counts. Of the
+// optimal selections, this is the one with the fewest frames. The
+// threshold is rounded before the comparison, so no target fuses the
+// product into it.
+func pickKeyFrames(counts []float64, frac float64, floor int) []int {
+	var density float64
+	for _, c := range counts {
+		density += c
+	}
+	density /= float64(len(counts))
+	threshold := float64(frac * density)
+
+	in := make([]bool, len(counts))
+	k := 0
+	for i, c := range counts {
+		if c > threshold {
+			in[i] = true
+			k++
+		}
+	}
+	for ; k < floor; k++ {
+		best := -1
+		for i, c := range counts {
+			if !in[i] && (best < 0 || c > counts[best]) {
+				best = i
+			}
+		}
+		in[best] = true
+	}
+
+	picked := make([]int, 0, k)
+	for i, p := range in {
+		if p {
+			picked = append(picked, i)
+		}
+	}
+	return picked
 }
 
 // NaiveRandomResponse is the Algorithm 1 baseline: classic per-frame

@@ -197,8 +197,43 @@ var hotKernels = []hotKernel{
 	// delta sum, read through the windowed Reader from memory as
 	// vid.FileSource reads a file, and the delta plus deflate of the
 	// windowed Writer.
-	{"Decode", func(tb testing.TB, s int, _ obs.Runtime) func() error {
-		v, enc := hotVVF(tb, s)
+	{"Decode", decodeKernel(hotVideo)},
+	{"Encode", encodeKernel(hotVideo)},
+	// The same over a panning clip, whose frames after the first the
+	// Writer codes as shifted deltas where the camera moved: the shift
+	// search and both directions of the shifted delta.
+	{"DecodeMoving", decodeKernel(hotPanClip)},
+	{"EncodeMoving", encodeKernel(hotPanClip)},
+}
+
+// hotVideo is the hot clip at a scale.
+func hotVideo(tb testing.TB, scale int) *vid.Video {
+	v, _ := hotClip(tb, scale)
+	return v
+}
+
+// hotPanClip is a moving camera's clip at a linear scale: 12 frames of
+// the hot clip's size cut from one wider generated frame at column
+// offsets that step by 0 or 1, as the sanitizer draws a pan over its
+// panorama.
+func hotPanClip(tb testing.TB, scale int) *vid.Video {
+	w, h := 160*scale, 120*scale
+	pano := scene.PanoramaForPan(scene.StyleStreet, w, h, 8, 9)
+	v := vid.New("hotpan", w, h, 30)
+	v.Moving = true
+	for k := 0; k < 12; k++ {
+		if err := v.Append(scene.ViewportAt(pano, w, h, 2*k/3)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return v
+}
+
+// decodeKernel reads a clip's .vvf bytes through the windowed Reader.
+func decodeKernel(clip func(testing.TB, int) *vid.Video) func(testing.TB, int, obs.Runtime) func() error {
+	return func(tb testing.TB, s int, _ obs.Runtime) func() error {
+		v := clip(tb, s)
+		enc := encodeVVF(tb, v)
 		return func() error {
 			r, err := vid.NewReader(bytes.NewReader(enc))
 			if err != nil {
@@ -210,32 +245,41 @@ var hotKernels = []hotKernel{
 			}
 			return err
 		}
-	}},
-	{"Encode", func(tb testing.TB, s int, _ obs.Runtime) func() error {
-		v, _ := hotClip(tb, s)
+	}
+}
+
+// encodeKernel encodes a clip through the windowed Writer.
+func encodeKernel(clip func(testing.TB, int) *vid.Video) func(testing.TB, int, obs.Runtime) func() error {
+	return func(tb testing.TB, s int, _ obs.Runtime) func() error {
+		v := clip(tb, s)
 		return func() error {
 			_, err := vid.Encode(io.Discard, v)
 			return err
 		}
-	}},
+	}
 }
 
-// hotVVF returns the hot clip at a scale and its .vvf bytes.
-func hotVVF(tb testing.TB, scale int) (*vid.Video, []byte) {
+// decodeClips names the clip each Decode kernel inflates.
+var decodeClips = map[string]func(testing.TB, int) *vid.Video{
+	"Decode":       hotVideo,
+	"DecodeMoving": hotPanClip,
+}
+
+// encodeVVF returns a clip's .vvf bytes.
+func encodeVVF(tb testing.TB, v *vid.Video) []byte {
 	tb.Helper()
-	v, _ := hotClip(tb, scale)
 	var enc bytes.Buffer
 	if _, err := vid.Encode(&enc, v); err != nil {
 		tb.Fatal(err)
 	}
-	return v, enc.Bytes()
+	return enc.Bytes()
 }
 
-// inflateAllocs counts the allocations of a plain gzip inflate of the hot
-// clip's .vvf member at a scale: the floor under Decode.
-func inflateAllocs(t *testing.T, scale int) float64 {
+// inflateAllocs counts the allocations of a plain gzip inflate of a
+// clip's .vvf member: the floor under a Decode kernel.
+func inflateAllocs(t *testing.T, v *vid.Video) float64 {
 	t.Helper()
-	v, enc := hotVVF(t, scale)
+	enc := encodeVVF(t, v)
 	// The member follows the header: magic, W, H and frame count (uint32),
 	// FPS (float64 bits), the moving flag and the name length (uint16),
 	// then the name.
@@ -279,16 +323,18 @@ func benchHot(b *testing.B, name string) {
 	b.Fatalf("no hot kernel %q", name)
 }
 
-func BenchmarkHotSSD(b *testing.B)        { benchHot(b, "SSD") }
-func BenchmarkHotGradients(b *testing.B)  { benchHot(b, "Gradients") }
-func BenchmarkHotHOG(b *testing.B)        { benchHot(b, "HOG") }
-func BenchmarkHotHist(b *testing.B)       { benchHot(b, "Hist") }
-func BenchmarkHotBlur(b *testing.B)       { benchHot(b, "Blur") }
-func BenchmarkHotInpaint(b *testing.B)    { benchHot(b, "Inpaint") }
-func BenchmarkHotBackground(b *testing.B) { benchHot(b, "Background") }
-func BenchmarkHotBGSubtract(b *testing.B) { benchHot(b, "BGSubtract") }
-func BenchmarkHotDecode(b *testing.B)     { benchHot(b, "Decode") }
-func BenchmarkHotEncode(b *testing.B)     { benchHot(b, "Encode") }
+func BenchmarkHotSSD(b *testing.B)          { benchHot(b, "SSD") }
+func BenchmarkHotGradients(b *testing.B)    { benchHot(b, "Gradients") }
+func BenchmarkHotHOG(b *testing.B)          { benchHot(b, "HOG") }
+func BenchmarkHotHist(b *testing.B)         { benchHot(b, "Hist") }
+func BenchmarkHotBlur(b *testing.B)         { benchHot(b, "Blur") }
+func BenchmarkHotInpaint(b *testing.B)      { benchHot(b, "Inpaint") }
+func BenchmarkHotBackground(b *testing.B)   { benchHot(b, "Background") }
+func BenchmarkHotBGSubtract(b *testing.B)   { benchHot(b, "BGSubtract") }
+func BenchmarkHotDecode(b *testing.B)       { benchHot(b, "Decode") }
+func BenchmarkHotEncode(b *testing.B)       { benchHot(b, "Encode") }
+func BenchmarkHotDecodeMoving(b *testing.B) { benchHot(b, "DecodeMoving") }
+func BenchmarkHotEncodeMoving(b *testing.B) { benchHot(b, "EncodeMoving") }
 
 // hotAllocs counts one kernel's allocations per call at a scale, and the
 // Criminisi patches each call fills.
@@ -310,10 +356,10 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 		t.Fatalf("%s at scale %d: %v", k.name, scale, err)
 	}
 	// compress/flate allocates Huffman link tables per deflate block, so
-	// Decode is held to its allocations net of a plain inflate of the same
-	// member: what is left is the .vvf layer's own.
-	if k.name == "Decode" {
-		allocs -= inflateAllocs(t, scale)
+	// a Decode kernel is held to its allocations net of a plain inflate of
+	// the same member: what is left is the .vvf layer's own.
+	if clip, ok := decodeClips[k.name]; ok {
+		allocs -= inflateAllocs(t, clip(t, scale))
 	}
 	// AllocsPerRun makes one warm-up call before the counted ones.
 	return allocs, float64(trace.Root().Counter(obs.CPatchesInpainted)) / (runs + 1)
@@ -326,8 +372,9 @@ func hotAllocs(t *testing.T, k hotKernel, scale int) (allocs, patches float64) {
 // fails. The slack absorbs allocations that follow the objects in a clip
 // (Blur snapshots each visible box, and more boxes stay visible at 2x).
 // A kernel that fills Criminisi patches allocates per filled patch by
-// design, so it is bounded per patch instead, at both sizes. Decode is
-// counted net of the plain inflate under it (inflateAllocs).
+// design, so it is bounded per patch instead, at both sizes. The Decode
+// kernels are counted net of the plain inflate under them
+// (inflateAllocs).
 func TestHotKernelAllocs(t *testing.T) {
 	const (
 		hotAllocSlack     = 32

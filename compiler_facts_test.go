@@ -43,7 +43,8 @@ var hotFactPkgs = []string{"img", "hog", "inpaint", "blur", "keyframe"}
 // holders of the per-frame internal/par closures and what they run per
 // frame (the background subtractor with its run labeller, the tracker's
 // appearance histograms), Phase II's per-frame render and geometry cores,
-// and the .vvf codec's per-frame delta loops.
+// and the .vvf codec's per-frame loops: the delta in both directions and
+// the moving camera's shift search.
 var hotFactFuncs = map[string][]string{
 	"detect": {
 		"(*detect.HOGSVM).Detect", "detect.MedianBackground",
@@ -51,7 +52,10 @@ var hotFactFuncs = map[string][]string{
 	},
 	"track": {"(*track.Runner).Window", "track.appearance"},
 	"core":  {"(*core.phase2Plan).renderRange", "(*core.phase2Plan).geometryRange"},
-	"vid":   {"(*vid.Writer).Append", "(*vid.Reader).Next"},
+	"vid": {
+		"(*vid.Writer).Append", "(*vid.Reader).Next",
+		"vid.bestShift", "vid.shiftScore", "vid.shiftDelta", "vid.unshiftDelta",
+	},
 }
 
 // factsModule is the prefix -trimpath gives the compiler's positions.

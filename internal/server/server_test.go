@@ -3,6 +3,8 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,10 +28,27 @@ import (
 // cut a resume in the middle.
 func fixture(t *testing.T, dir string) (input, tracksCSV string) {
 	t.Helper()
-	p := scene.Preset{
+	return writeFixture(t, dir, scene.Preset{
 		Name: "srv", W: 96, H: 72, Frames: 36, Objects: 4,
 		FPS: 30, Style: scene.StyleSquare, Class: scene.Pedestrian, Seed: 17,
-	}
+	})
+}
+
+// panFixture is a clip of fixture's size shot by a moving camera that
+// pans 24 columns over the 36 frames, about one column a frame at its
+// fastest.
+func panFixture(t *testing.T, dir string) (input, tracksCSV string) {
+	t.Helper()
+	return writeFixture(t, dir, scene.Preset{
+		Name: "srv-pan", W: 96, H: 72, Frames: 36, Objects: 4,
+		FPS: 30, Moving: true, PanRange: 24, Style: scene.StyleStreet, Class: scene.Pedestrian, Seed: 17,
+	})
+}
+
+// writeFixture renders p into dir as a .vvf clip and its ground-truth
+// tracks.
+func writeFixture(t *testing.T, dir string, p scene.Preset) (input, tracksCSV string) {
+	t.Helper()
 	g, err := scene.Generate(p)
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +394,7 @@ func copyFile(t *testing.T, src, dst string) {
 // same seed, and the done manifest spends exactly the budget.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	input, tracksCSV := fixture(t, t.TempDir())
+	panInput, panTracks := panFixture(t, t.TempDir())
 	const eps = 12.0
 	for _, tc := range []struct {
 		name string
@@ -382,6 +402,9 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}{
 		{"f", jobRequest{Input: input, Tracks: tracksCSV, F: 0.1, Seed: 5, Window: 9}},
 		{"eps", jobRequest{Input: input, Tracks: tracksCSV, Eps: eps, Seed: 5, Window: 9}},
+		// A moving camera: finalize's re-encode of the staging codes the
+		// pan as shifted deltas, chosen from the frames alone.
+		{"moving", jobRequest{Input: panInput, Tracks: panTracks, F: 0.1, Seed: 5, Window: 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root1, snapRoot := t.TempDir(), t.TempDir()
@@ -455,6 +478,9 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if !bytes.Equal(artifact, uninterrupted) {
 				t.Fatalf("resumed output (%d bytes) is not byte-identical to the uninterrupted run (%d bytes)",
 					len(artifact), len(uninterrupted))
+			}
+			if tc.req.Input == panInput && shiftedFrames(t, artifact) == 0 {
+				t.Fatal("the moving clip's artifact holds no shifted frame")
 			}
 			orig, _ := getManifest(t, ts1, m.ID)
 			if resumed.Epsilon != orig.Epsilon || len(resumed.Ledger) != len(orig.Ledger) {
@@ -562,3 +588,35 @@ func TestSubmitValidation(t *testing.T) {
 // Wait blocks until every admitted job has finished, so a test can read a
 // job's final state.
 func (s *Server) Wait() { s.wg.Wait() }
+
+// shiftedFrames counts the frames of a .vvf stream coded as shifted
+// deltas. The stream is a 27-byte header and the name (magic; width,
+// height and frame count as little-endian uint32s; the FPS bits; the
+// moving flag; the name length as a uint16), then one gzip member of
+// frames: a kind byte, a shift byte when the kind is 2 (a shifted delta),
+// and W·H·3 payload bytes.
+func shiftedFrames(t *testing.T, data []byte) int {
+	t.Helper()
+	le := binary.LittleEndian
+	w, h, frames := le.Uint32(data[4:]), le.Uint32(data[8:]), le.Uint32(data[12:])
+	zr, err := gzip.NewReader(bytes.NewReader(data[27+int(le.Uint16(data[25:])):]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := 0
+	var kind [1]byte
+	for range frames {
+		if _, err := io.ReadFull(zr, kind[:]); err != nil {
+			t.Fatal(err)
+		}
+		skip := int64(w) * int64(h) * 3
+		if kind[0] == 2 {
+			shifted++
+			skip++
+		}
+		if _, err := io.CopyN(io.Discard, zr, skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return shifted
+}

@@ -9,10 +9,25 @@ import (
 )
 
 // The .vvf container: a small header followed by gzip-compressed frame
-// payloads. The first frame is stored raw; every subsequent frame is stored
-// as the byte-wise delta from its predecessor, which compresses extremely
-// well for surveillance footage where consecutive frames are near-identical
-// — the same temporal redundancy the paper's key-frame extraction exploits.
+// payloads. Each frame is one kind byte and W·H·3 payload bytes, of three
+// kinds:
+//
+//   - raw (0): the pixels. The first frame is always raw.
+//   - delta (1): the byte-wise difference from the previous frame, which
+//     compresses extremely well for surveillance footage where
+//     consecutive frames are near-identical — the same temporal
+//     redundancy the paper's key-frame extraction exploits.
+//   - shifted delta (2): one more byte before the payload, a signed column
+//     shift d with 1 <= |d| <= maxShift and |d| < W. Each pixel x of a row
+//     is the difference from the previous frame's pixel x+d on the same
+//     row; the columns whose x+d falls outside the frame carry raw pixels.
+//
+// The writer shifts only when the header says Moving: it scores the
+// candidate shifts on sampled rows of the two frames (bestShift) and
+// writes a shifted delta when some d != 0 scores strictly better than
+// d = 0, and a plain delta otherwise. The shift is a pure function of the
+// two frames, so the bytes never depend on who wrote them or in what
+// windows, and a static-camera stream holds raw and delta frames only.
 //
 // The codec itself lives in stream.go as a windowed Writer/Reader pair;
 // the whole-video Encode/Decode entry points here are wrappers over them,
@@ -25,6 +40,7 @@ const (
 	maxDim     = 1 << 14
 	frameRaw   = 0
 	frameDelta = 1
+	frameShift = 2
 )
 
 // ErrFormat reports a malformed .vvf stream.

@@ -37,16 +37,16 @@ func MetaOf(v *Video) stream.Meta {
 // file format, not a live-feed transport); Close fails if the appended
 // frame count does not match it.
 type Writer struct {
-	cw        *countWriter
-	bw        *bufio.Writer
-	zw        io.WriteCloser
-	prev      []uint8
-	buf       []uint8
-	meta      stream.Meta
-	written   int
-	headerErr error
-	closed    bool
-	closeErr  error
+	cw       *countWriter
+	bw       *bufio.Writer
+	zw       io.WriteCloser
+	prev     []uint8
+	buf      []uint8
+	head     [2]byte // a frame's kind byte and, for a shifted delta, its shift
+	meta     stream.Meta
+	written  int
+	closed   bool
+	closeErr error
 }
 
 // NewWriter writes the .vvf header for meta to w and returns a Writer
@@ -77,7 +77,9 @@ func NewWriter(w io.Writer, meta stream.Meta) (*Writer, error) {
 	return &Writer{cw: cw, bw: bw, zw: zw, meta: meta}, nil
 }
 
-// Append encodes the next consecutive run of frames.
+// Append encodes the next consecutive run of frames. Every frame after
+// the first is a delta from its predecessor, shifted by bestShift's
+// column count when the header says Moving (codec.go).
 func (w *Writer) Append(frames []*img.Image) error {
 	if w.closed {
 		return fmt.Errorf("vid: append to closed writer")
@@ -91,22 +93,25 @@ func (w *Writer) Append(frames []*img.Image) error {
 			return fmt.Errorf("vid: frame %dx%d does not match video %dx%d",
 				f.W, f.H, w.meta.W, w.meta.H)
 		}
-		kind := byte(frameRaw)
+		kind, d, headLen := byte(frameRaw), 0, 1
 		payload := f.Pix
 		if w.written > 0 {
+			if w.meta.Moving {
+				d = bestShift(f.Pix, w.prev, f.W, f.H)
+			}
 			kind = frameDelta
+			if d != 0 {
+				kind, headLen = frameShift, 2
+			}
 			if cap(w.buf) < len(f.Pix) {
 				w.buf = make([]uint8, len(f.Pix))
 			}
-			pix := f.Pix
-			buf, prev := w.buf[:len(pix)], w.prev[:len(pix)]
-			for j := range pix {
-				buf[j] = pix[j] - prev[j]
-			}
-			w.buf = buf
-			payload = buf
+			w.buf = w.buf[:len(f.Pix)]
+			shiftDelta(w.buf, f.Pix, w.prev, f.W, d)
+			payload = w.buf
 		}
-		if _, err := w.zw.Write([]byte{kind}); err != nil {
+		w.head = [2]byte{kind, byte(d)}
+		if _, err := w.zw.Write(w.head[:headLen]); err != nil {
 			return err
 		}
 		if _, err := w.zw.Write(payload); err != nil {
@@ -158,6 +163,7 @@ type Reader struct {
 	meta stream.Meta
 	pos  int
 	prev []uint8
+	head [2]byte // the frame being read: its kind byte and its shift
 }
 
 // NewReader parses the .vvf header from r and returns a Reader positioned
@@ -210,6 +216,12 @@ func (r *Reader) Meta() stream.Meta { return r.meta }
 // Next decodes the next run of at most budget frames (budget <= 0 decodes
 // all remaining) and returns them with the absolute index of the first.
 // It returns io.EOF once all header-promised frames have been surfaced.
+//
+// The header alone sizes no buffer: the first frame grows its buffer as
+// its bytes inflate (readGrowing), and the run's frame list starts at no
+// more than runCap entries, so a short stream that promises large or
+// many frames costs memory in proportion to what it holds. A later frame
+// follows one that inflated in full and is allocated at once.
 func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 	if r.pos >= r.meta.Frames {
 		return nil, r.pos, io.EOF
@@ -220,34 +232,76 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 	}
 	start := r.pos
 	frameBytes := r.meta.W * r.meta.H * 3
-	out := make([]*img.Image, 0, end-start)
-	kind := make([]byte, 1)
+	out := make([]*img.Image, 0, min(end-start, runCap))
 	for r.pos < end {
-		if _, err := io.ReadFull(r.zr, kind); err != nil {
+		if _, err := io.ReadFull(r.zr, r.head[:1]); err != nil {
 			return nil, start, fmt.Errorf("%w: frame %d kind: %v", ErrFormat, r.pos, err)
 		}
-		pix := make([]uint8, frameBytes)
-		if _, err := io.ReadFull(r.zr, pix); err != nil {
+		kind, d := r.head[0], 0
+		switch {
+		case kind == frameRaw:
+		case kind != frameDelta && kind != frameShift:
+			return nil, start, fmt.Errorf("%w: frame %d unknown kind %d", ErrFormat, r.pos, kind)
+		case r.prev == nil:
+			return nil, start, fmt.Errorf("%w: delta frame %d without base", ErrFormat, r.pos)
+		case kind == frameShift:
+			if _, err := io.ReadFull(r.zr, r.head[1:]); err != nil {
+				return nil, start, fmt.Errorf("%w: frame %d shift: %v", ErrFormat, r.pos, err)
+			}
+			if d = int(int8(r.head[1])); !validShift(d, r.meta.W) {
+				return nil, start, fmt.Errorf("%w: frame %d shift %d out of range", ErrFormat, r.pos, d)
+			}
+		}
+		var pix []uint8
+		var err error
+		if r.prev == nil {
+			pix, err = readGrowing(r.zr, frameBytes)
+		} else {
+			pix = make([]uint8, frameBytes)
+			_, err = io.ReadFull(r.zr, pix)
+		}
+		if err != nil {
 			return nil, start, fmt.Errorf("%w: frame %d payload: %v", ErrFormat, r.pos, err)
 		}
-		switch kind[0] {
-		case frameRaw:
-		case frameDelta:
-			if r.prev == nil {
-				return nil, start, fmt.Errorf("%w: delta frame %d without base", ErrFormat, r.pos)
-			}
-			prev := r.prev[:len(pix)]
-			for j := range pix {
-				pix[j] += prev[j]
-			}
-		default:
-			return nil, start, fmt.Errorf("%w: frame %d unknown kind %d", ErrFormat, r.pos, kind[0])
+		if kind != frameRaw {
+			unshiftDelta(pix, r.prev, r.meta.W, d)
 		}
 		out = append(out, &img.Image{W: r.meta.W, H: r.meta.H, Pix: pix})
 		r.prev = pix
 		r.pos++
 	}
 	return out, start, nil
+}
+
+const (
+	// growChunk is the first read of a frame that has no decoded
+	// predecessor (readGrowing).
+	growChunk = 64 << 10
+	// runCap bounds the frame list Reader.Next allocates before it has
+	// decoded a frame; a longer run grows it.
+	runCap = 64
+)
+
+// readGrowing reads n bytes from r into a buffer that starts at growChunk
+// bytes and doubles as they arrive, so a stream that ends early costs at
+// most growChunk or about twice what it held, whatever n its header
+// promised. Its errors are io.ReadFull's: io.EOF when nothing arrived,
+// io.ErrUnexpectedEOF when some did.
+func readGrowing(r io.Reader, n int) ([]uint8, error) {
+	buf := make([]uint8, min(n, growChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		if got += k; err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]uint8, min(n-got, got))...)
+	}
 }
 
 // FileSource is a stream.Source backed by a .vvf file: frames are decoded

@@ -47,6 +47,17 @@ func FuzzVVF(f *testing.F) {
 	f.Add(corrupted) // bit flip inside the gzip body
 	f.Add([]byte(vvfMagic))
 	f.Add([]byte{})
+	// A panning clip, whose stream holds shifted frames, and the malformed
+	// shifted frames: on frame 0, a zero shift, shifts beyond the search
+	// and beyond a frame narrower than it, and streams cut at the shift.
+	var pan bytes.Buffer
+	if _, err := Encode(&pan, panClip(12, 4, true, 8, 9, 9, 7, 2, 10)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pan.Bytes())
+	for _, b := range badShiftStreams(f) {
+		f.Add(b.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayTwoPasses(t, data)

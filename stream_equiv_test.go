@@ -60,7 +60,7 @@ var streamGolden = map[string]goldenArtifacts{
 	"MOT06": {
 		tracks:    "93ba4bf74a5d17696f246596a585edcebbee14177074d931999ee25fb6e3fb81",
 		synTracks: "44d09419ffe4464a5e90e79ba99ec999619ee048f0a62f0179c5a85607012004",
-		vvf:       "b3cc3ba5b9a2a44643561670a304ad24a1e54f562f6277b2644f31d6b5e1c6c3",
+		vvf:       "186b400d400a87a0e6259403ac4ad168c40ce2e2014556c8b06917a8cc4854b0",
 		eps:       0x404907196664fe5f,
 		ledger16:  "cf01bf572f6691a33eec082e76e82d2c6b3e1c8dc557fe0b79bfe7e60f85d72f",
 	},

@@ -32,12 +32,13 @@ build:
 	$(GO) build ./...
 
 ## lint: the in-repo static-analysis suite (cmd/verrolint) in one plain
-## pass over the packages `go list ./...` names — the classic determinism
-## analyzers (DESIGN.md §2d), the verroflow taint analyzers (§2e) and the
-## lifecycle analyzers (§2k). Every diagnostic fails, and so does a
-## package that does not type-check and a //lint:allow that names no
-## analyzer or suppresses nothing. `go test ./...` runs the same pass
-## (TestRunModuleClean); this target is the entry point for people.
+## pass over the packages `go list ./...` names — one analyzer list on one
+## framework (internal/lint): the classic determinism analyzers (DESIGN.md
+## §2d), the verroflow taint analyzers (§2e) and the lifecycle analyzers
+## (§2k). Every diagnostic fails, and so does a package that does not
+## type-check and a //lint:allow that names no analyzer or suppresses
+## nothing. `go test ./...` runs the same pass (TestRunModuleClean); this
+## target is the entry point for people.
 lint:
 	$(GO) run ./cmd/verrolint ./...
 
@@ -87,9 +88,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzVVF -fuzztime=$(FUZZTIME) ./internal/vid/
 
 ## fuzz-short: the CI fuzz gate — 10s each on the .vvf codec decoder and
-## the stream-window planner, the two parser-shaped surfaces.
+## the stream-window planner, the two parser-shaped surfaces. FuzzVVF
+## minimizes each new-coverage input for at most 1s: by default the
+## minimizer of its 1–2 KB valid-stream descendants kept both workers busy
+## for most of the 10s, so the gate hardly fuzzed. A crasher is still
+## reported, minimized for at most 1s.
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzVVF -fuzztime=10s ./internal/vid/
+	$(GO) test -run='^$$' -fuzz=FuzzVVF -fuzztime=10s -fuzzminimizetime=1s ./internal/vid/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamWindow -fuzztime=10s .
 
 ## bench: every benchmark once (paper tables/figures + worker-pool paths).

@@ -27,6 +27,12 @@ func TestRunFlowCatchesSeededLeak(t *testing.T) {
 	if !strings.Contains(stderr.String(), "privleak") {
 		t.Errorf("summary line missing per-analyzer count: %s", stderr.String())
 	}
+
+	stdout.Reset()
+	if code := run([]string{"-json", "./testdata/leakdemo"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-json: exit = %d, want 1", code)
+	}
+	matchGolden(t, "leakdemo.json", stdout.Bytes())
 }
 
 func TestRunListIncludesFlowAnalyzers(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"verro/internal/lint"
 	"verro/internal/lint/life"
 )
 
@@ -32,6 +33,7 @@ func TestRunLifeCatchesSeededFindings(t *testing.T) {
 	if len(diags) != 2 || byAnalyzer["goleak"] != 1 || byAnalyzer["mustclose"] != 1 {
 		t.Errorf("per-analyzer counts = %v, want exactly one goleak and one mustclose", byAnalyzer)
 	}
+	matchGolden(t, "lifedemo.json", stdout.Bytes())
 }
 
 // TestRunLifeAllSuppressed: the allow twin carries a justified
@@ -46,6 +48,11 @@ func TestRunLifeAllSuppressed(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("all-suppressed run produced output:\n%s", stdout.String())
 	}
+
+	if code := run([]string{"-json", "./testdata/lifedemo/allow"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-json: exit = %d, want 0", code)
+	}
+	matchGolden(t, "lifedemo-allow.json", stdout.Bytes())
 }
 
 // TestLifeAnalyzerNamesUniqueAcrossSuites: every lifecycle analyzer appears
@@ -54,10 +61,11 @@ func TestRunLifeAllSuppressed(t *testing.T) {
 // other suite's directive can silence its findings.
 func TestLifeAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
 	count := map[string]int{}
-	for _, a := range projectSuite().analyzers() {
-		count[a.name]++
+	for _, a := range analyzers() {
+		count[a.Name]++
 	}
-	for _, a := range life.ProjectAnalyzers() {
+	goleak, mustclose := life.NewAnalyzers(life.ProjectConfig())
+	for _, a := range []*lint.Analyzer{goleak, mustclose} {
 		if count[a.Name] != 1 {
 			t.Errorf("lifecycle analyzer %q appears %d times in the analyzer list, want 1", a.Name, count[a.Name])
 		}

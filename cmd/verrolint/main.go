@@ -5,12 +5,14 @@
 // published artifact unsanitized and privacy parameters come from
 // validated configs; and the lifecycle analyzers (internal/lint/life):
 // goroutines spawned in the service arc terminate and acquired resources
-// are released on every path. Every suite runs on every invocation.
+// are released on every path. They are one list of lint.Analyzers, and
+// every invocation runs all of them over one loaded program.
 //
-// Every run also checks the //lint:allow directives: one naming an
-// analyzer that does not exist suppresses nothing and is reported, and so
-// is one whose analyzer suppressed nothing (suppress a deliberately
-// speculative one with //lint:allow staleallow).
+// The list ends with staleallow, which checks the //lint:allow
+// directives: one naming an analyzer that does not exist suppresses
+// nothing and is reported, and so is one whose analyzer suppressed
+// nothing (suppress a deliberately speculative one with //lint:allow
+// staleallow).
 //
 // Usage:
 //
@@ -18,9 +20,9 @@
 //
 // Patterns are package directories; a trailing "/..." matches every
 // package below one, as the go command defines packages ("./..." is the
-// default). The whole-program suites see every matched package as one
-// program, so cross-package flows are visible whenever both ends are in
-// the pattern set.
+// default). Every analyzer sees every matched package as one program, so
+// cross-package flows are visible whenever both ends are in the pattern
+// set.
 //
 // Exit status is 0 when clean, 1 when any diagnostic fired, 2 on load or
 // usage errors.
@@ -55,63 +57,32 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-// suite is everything one run executes: the project configuration of each
-// analyzer family.
-type suite struct {
-	classic []*lint.Analyzer
-	flow    []*flow.Analyzer
-	life    []*life.Analyzer
-	lifeCfg *life.Config
-}
-
-func projectSuite() *suite {
-	return &suite{
-		classic: lint.ProjectAnalyzers(),
-		flow:    flow.ProjectAnalyzers(),
-		life:    life.ProjectAnalyzers(),
-		lifeCfg: life.ProjectConfig(),
+// analyzers is the one analyzer list: what -list prints, what every run
+// executes in this order, and the only names a //lint:allow directive may
+// carry. staleallow comes last, since it judges the directives once every
+// other analyzer has reported.
+func analyzers() []*lint.Analyzer {
+	goleak, mustclose := life.NewAnalyzers(life.ProjectConfig())
+	list := []*lint.Analyzer{
+		lint.NewDetRand(),
+		// Span timing is internal/obs's purpose, and internal/par reads
+		// the clock for its worker busy gauges. Pipeline packages read
+		// stage times from obs spans, so internal/core carries no walltime
+		// allows; any other call site needs one, individually visible.
+		lint.NewWallTime("verro/internal/obs", "verro/internal/par"),
+		lint.NewMapOrder(),
+		// fmt printing is publication under verro/cmd/ (the binaries'
+		// stdout is the published experiment record) and under
+		// verro/internal/server (SSE event payloads leave through
+		// fmt.Fprintf on the response writer); other library packages may
+		// print through the tracing layer.
+		flow.NewPrivLeak("verro/cmd/", "verro/internal/server"),
+		flow.NewEpsConsist(),
+		flow.NewEpsHTTP(),
+		goleak,
+		mustclose,
 	}
-}
-
-// analyzerDoc is one row of the single analyzer list.
-type analyzerDoc struct{ name, doc string }
-
-// analyzers is the single analyzer list: what -list prints and the only
-// names a //lint:allow directive may carry, the stale-allow pass included.
-func (s *suite) analyzers() []analyzerDoc {
-	var out []analyzerDoc
-	for _, a := range s.classic {
-		out = append(out, analyzerDoc{a.Name, a.Doc})
-	}
-	for _, a := range s.flow {
-		out = append(out, analyzerDoc{a.Name, a.Doc})
-	}
-	for _, a := range s.life {
-		out = append(out, analyzerDoc{a.Name, a.Doc})
-	}
-	return append(out, analyzerDoc{lint.StaleAllowsName, "//lint:allow directives must name an analyzer and still suppress a diagnostic"})
-}
-
-// check runs every analyzer over the program formed by pkgs, then judges
-// the allow directives once every suppression has been recorded against
-// the shared per-package allow index.
-func (s *suite) check(pkgs []*lint.Package) []lint.Diagnostic {
-	var diags []lint.Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, lint.Run(pkg, s.classic...)...)
-	}
-	diags = append(diags, flow.Run(pkgs, s.flow...)...)
-	diags = append(diags, life.Run(pkgs, s.lifeCfg, s.life...)...)
-	known := map[string]bool{}
-	for _, a := range s.analyzers() {
-		known[a.name] = true
-	}
-	for _, pkg := range pkgs {
-		diags = append(diags, pkg.Allow().StaleAllows(known)...)
-		diags = append(diags, pkg.Allow().UnknownAllows(known)...)
-	}
-	lint.Sort(diags)
-	return diags
+	return append(list, lint.NewStaleAllow(list...))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -123,10 +94,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	s := projectSuite()
+	all := analyzers()
 	if *list {
-		for _, a := range s.analyzers() {
-			fmt.Fprintf(stdout, "%-11s %s\n", a.name, a.doc)
+		for _, a := range all {
+			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -135,12 +106,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(patterns...)
+	prog, err := lint.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "verrolint: %v\n", err)
 		return 2
 	}
-	diags := s.check(pkgs)
+	diags := lint.Run(prog, all...)
 
 	if *jsonOut {
 		out := make([]jsonDiag, 0, len(diags))

@@ -227,6 +227,20 @@ func TestRunListMode(t *testing.T) {
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q", got, want)
 	}
+	matchGolden(t, "list.txt", out.Bytes())
+}
+
+// matchGolden compares a run's output byte for byte with
+// testdata/golden/<name>, the driver's recorded output for that run.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from testdata/golden/%s\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
 }
 
 func TestRunBadDir(t *testing.T) {
@@ -273,10 +287,10 @@ func One() int {
 // directive silence the other's findings.
 func TestAnalyzerNamesUniqueAcrossSuites(t *testing.T) {
 	seen := map[string]bool{}
-	for _, a := range projectSuite().analyzers() {
-		if seen[a.name] {
-			t.Errorf("analyzer name %q used twice", a.name)
+	for _, a := range analyzers() {
+		if seen[a.Name] {
+			t.Errorf("analyzer name %q used twice", a.Name)
 		}
-		seen[a.name] = true
+		seen[a.Name] = true
 	}
 }

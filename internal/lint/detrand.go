@@ -27,42 +27,44 @@ func NewDetRand() *Analyzer {
 		Doc:  "forbid the global math/rand source and wall-clock seeding; thread a seeded *rand.Rand",
 	}
 	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				pkg, name, ok := pass.CalleeOf(call)
-				if !ok || pkg != randPath {
-					return true
-				}
-				if !detrandConstructors[name] {
-					pass.Reportf(call.Pos(),
-						"call to global math/rand.%s draws from the shared unseeded source; thread a seeded *rand.Rand", name)
-					return true
-				}
-				// rand.NewSource(time.Now().UnixNano()): a constructor is
-				// fine, a wall-clock seed is not. Only NewSource takes the
-				// seed, so checking it alone avoids double-reporting the
-				// enclosing rand.New call.
-				if name == "NewSource" {
-					for _, arg := range call.Args {
-						if wall := findWallClock(pass, arg); wall != nil {
-							pass.Reportf(wall.Pos(),
-								"math/rand.%s seeded from the wall clock; derive the seed from configuration", name)
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					path, name, ok := pkg.CalleeOf(call)
+					if !ok || path != randPath {
+						return true
+					}
+					if !detrandConstructors[name] {
+						pass.Reportf(call.Pos(),
+							"call to global math/rand.%s draws from the shared unseeded source; thread a seeded *rand.Rand", name)
+						return true
+					}
+					// rand.NewSource(time.Now().UnixNano()): a constructor is
+					// fine, a wall-clock seed is not. Only NewSource takes the
+					// seed, so checking it alone avoids double-reporting the
+					// enclosing rand.New call.
+					if name == "NewSource" {
+						for _, arg := range call.Args {
+							if wall := findWallClock(pkg, arg); wall != nil {
+								pass.Reportf(wall.Pos(),
+									"math/rand.%s seeded from the wall clock; derive the seed from configuration", name)
+							}
 						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 	return a
 }
 
 // findWallClock returns the first time.Now/time.Since call nested in expr.
-func findWallClock(pass *Pass, expr ast.Expr) ast.Expr {
+func findWallClock(pkg *Package, expr ast.Expr) ast.Expr {
 	var found ast.Expr
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if found != nil {
@@ -72,7 +74,7 @@ func findWallClock(pass *Pass, expr ast.Expr) ast.Expr {
 		if !ok {
 			return true
 		}
-		if pkg, name, ok := pass.CalleeOf(call); ok && pkg == "time" && wallClockFuncs[name] {
+		if path, name, ok := pkg.CalleeOf(call); ok && path == "time" && wallClockFuncs[name] {
 			found = call
 			return false
 		}

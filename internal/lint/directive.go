@@ -28,16 +28,14 @@ type allowKey struct {
 	analyzer string
 }
 
-// AllowIndex is the materialized suppression set of one package: every
-// (file, line, analyzer) cell a //lint:allow directive covers. It is
-// exported so analysis drivers outside this package (the flow engine, which
-// reports across package boundaries) honor the same directives.
+// AllowIndex is the materialized suppression set of a program: every
+// (file, line, analyzer) cell a //lint:allow directive covers. Every
+// analyzer of a run reports through Pass.Reportf, which consults it.
 //
 // The index also records which cells actually suppressed a diagnostic
-// (Allows marks its hits), so after every suite has run, StaleAllows can
-// report directives that no longer excuse anything. It is not
-// concurrency-safe; drivers query one package's index from one goroutine
-// at a time, which every current driver satisfies.
+// (Allows marks its hits), so after every analyzer has run, StaleAllows
+// can report directives that no longer excuse anything. It is not
+// concurrency-safe; Run executes one analyzer at a time.
 type AllowIndex struct {
 	cells map[allowKey]bool
 	hits  map[allowKey]bool
@@ -119,6 +117,25 @@ func (idx *AllowIndex) Allows(analyzer string, pos token.Position) bool {
 // and the name that suppresses them, so a deliberately speculative allow
 // can itself be excused.
 const StaleAllowsName = "staleallow"
+
+// NewStaleAllow builds the staleallow analyzer, which judges the
+// directives once the analyzers it is built from have reported, so it
+// runs last: a directive naming none of them is reported by UnknownAllows,
+// and one whose analyzer suppressed nothing by StaleAllows.
+func NewStaleAllow(analyzers ...*Analyzer) *Analyzer {
+	known := map[string]bool{StaleAllowsName: true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	return &Analyzer{
+		Name: StaleAllowsName,
+		Doc:  "//lint:allow directives must name an analyzer and still suppress a diagnostic",
+		Run: func(pass *Pass) {
+			pass.rep.diags = append(pass.rep.diags, pass.allow.StaleAllows(known)...)
+			pass.rep.diags = append(pass.rep.diags, pass.allow.UnknownAllows(known)...)
+		},
+	}
+}
 
 // StaleAllows reports every allow directive naming an analyzer in ran that
 // never suppressed a diagnostic during this index's lifetime. Call it only

@@ -10,11 +10,11 @@ import (
 )
 
 // The fixture runner is this package's analysistest equivalent: a fixture
-// directory under testdata/ is loaded as a package, the analyzers run over
-// it, and every diagnostic must be matched by a `// want "regexp"` comment
-// on the same line (and vice versa). A fixture therefore documents both
-// what an analyzer flags and — via //lint:allow lines carrying no want
-// comment — what the directive suppresses.
+// is loaded as a program, the analyzers run over it, and every diagnostic
+// must be matched by a `// want "regexp"` comment on the same line (and
+// vice versa). A fixture therefore documents both what an analyzer flags
+// and — via //lint:allow lines carrying no want comment — what the
+// directive suppresses.
 
 // wantRx extracts the quoted expectations from a `// want "a" "b"` comment.
 var wantRx = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
@@ -27,27 +27,28 @@ type expectation struct {
 	matched bool
 }
 
-// CheckFixture loads dir as a package, runs the analyzers, and returns one
-// problem string per mismatch between diagnostics and want comments. A nil
-// problems slice means the fixture asserts exactly its annotations. Load or
-// want-regexp errors are returned as err.
-func CheckFixture(dir string, analyzers ...*Analyzer) (problems []string, err error) {
-	pkgs, err := Load(dir) // a directory is one package
+// CheckFixture loads the pattern — a fixture directory, or dir/... for a
+// fixture of several packages, such as one proving cross-package summary
+// propagation — as one program, runs the analyzers, and returns one
+// problem string per mismatch between diagnostics and want comments. A
+// nil problems slice means the fixture asserts exactly its annotations.
+// Load or want-regexp errors are returned as err.
+func CheckFixture(pattern string, analyzers ...*Analyzer) (problems []string, err error) {
+	prog, err := Load(pattern)
 	if err != nil {
 		return nil, err
 	}
-	return CheckDiagnostics(pkgs, Run(pkgs[0], analyzers...))
+	return CheckDiagnostics(prog, Run(prog, analyzers...))
 }
 
 // CheckDiagnostics matches an already-computed diagnostic set against the
-// `// want` comments of the packages, returning one problem string per
-// mismatch. It is the multi-package core of CheckFixture, used directly by
-// drivers whose analyses span several packages at once (the flow engine's
-// cross-package fixtures).
-func CheckDiagnostics(pkgs []*Package, diags []Diagnostic) (problems []string, err error) {
+// `// want` comments of the program's packages, returning one problem
+// string per mismatch. It is the core of CheckFixture, used directly on a
+// program the loader returned beside its type errors.
+func CheckDiagnostics(prog *Program, diags []Diagnostic) (problems []string, err error) {
 	var expects []*expectation
-	for _, pkg := range pkgs {
-		es, err := collectWants(pkg)
+	for _, pkg := range prog.Pkgs {
+		es, err := collectWants(prog.Fset, pkg)
 		if err != nil {
 			return nil, err
 		}
@@ -73,19 +74,19 @@ func CheckDiagnostics(pkgs []*Package, diags []Diagnostic) (problems []string, e
 }
 
 // RunFixture is the testing wrapper around CheckFixture.
-func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
+func RunFixture(t *testing.T, pattern string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckFixture(dir, analyzers...)
+	problems, err := CheckFixture(pattern, analyzers...)
 	if err != nil {
-		t.Fatalf("fixture %s: %v", dir, err)
+		t.Fatalf("fixture %s: %v", pattern, err)
 	}
 	for _, p := range problems {
-		t.Errorf("fixture %s: %s", dir, p)
+		t.Errorf("fixture %s: %s", pattern, p)
 	}
 }
 
 // collectWants scans the fixture's comments for want expectations.
-func collectWants(pkg *Package) ([]*expectation, error) {
+func collectWants(fset *token.FileSet, pkg *Package) ([]*expectation, error) {
 	var out []*expectation
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -96,7 +97,7 @@ func collectWants(pkg *Package) ([]*expectation, error) {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				quoted := wantRx.FindAllStringSubmatch(rest, -1)
 				if len(quoted) == 0 {
 					return nil, fmt.Errorf("%s:%d: want comment without quoted pattern", pos.Filename, pos.Line)

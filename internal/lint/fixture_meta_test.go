@@ -15,9 +15,19 @@ import (
 // command resolves every package the loader reads.
 func writeFixture(t *testing.T, src string) string {
 	t.Helper()
+	return writeTree(t, map[string]string{"go.mod": "module fixture\n\ngo 1.22\n", "f.go": src})
+}
+
+// writeTree writes files, named by slash paths, into a fresh directory.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	for name, data := range map[string]string{"go.mod": "module fixture\n\ngo 1.22\n", "f.go": src} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"verro/internal/lint"
 )
 
 // Bits is the taint lattice value of one local variable: bit 0 records
@@ -45,7 +47,7 @@ type Sink struct {
 }
 
 // TaintConfig is one analyzer's policy, keyed by normalized function names
-// (normName) and "pkgpath.Type.Field" field keys.
+// (lint.NormName) and "pkgpath.Type.Field" field keys.
 type TaintConfig struct {
 	// SourceCalls taint every result of the named functions.
 	SourceCalls map[string]bool
@@ -166,14 +168,9 @@ func sortedHits(hits map[string]bool) []string {
 	return out
 }
 
-// maxRounds bounds the summary fixpoint. Convergence needs one round per
-// call-graph level; VERRO's deepest chain (cmd → facade → exp → core →
-// ldp/motio) is far below this.
-const maxRounds = 30
-
 // engine runs one TaintConfig over a program.
 type engine struct {
-	prog *Program
+	pass *lint.Pass
 	cfg  *TaintConfig
 	sums map[string]*summary
 }
@@ -182,23 +179,11 @@ type engine struct {
 // a function not yet summarized contributes nothing, so the table ascends
 // to the least fixpoint), then replays every body once more with reporting
 // enabled against the converged table.
-func (e *engine) run(rep *reporter) {
-	names := e.prog.funcNames()
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, name := range names {
-			sum := e.analyze(e.prog.funcs[name], nil)
-			if !equalSummary(e.sums[name], sum) {
-				e.sums[name] = sum
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, name := range names {
-		e.analyze(e.prog.funcs[name], rep)
+func (e *engine) run() {
+	summarize := func(fn *lint.Func) *summary { return e.analyze(fn, false) }
+	lint.Fixpoint(e.pass.Program, e.sums, summarize, equalSummary)
+	for _, name := range e.pass.Names {
+		e.analyze(e.pass.Funcs[name], true)
 	}
 }
 
@@ -215,29 +200,30 @@ type retFrame struct {
 // fixpoint.
 type fnWalker struct {
 	eng    *engine
-	fd     *funcDecl
+	fn     *lint.Func
 	info   *types.Info
-	rep    *reporter
+	report bool
 	params map[types.Object]int
 	taint  map[types.Object]Bits
 	sum    *summary
 	rets   []*retFrame
 }
 
-// analyze walks one function body and returns its summary. rep is nil
-// during the fixpoint and set during the reporting pass.
-func (e *engine) analyze(fd *funcDecl, rep *reporter) *summary {
+// analyze walks one function body and returns its summary. report is
+// false during the fixpoint and true during the reporting pass.
+func (e *engine) analyze(fn *lint.Func, report bool) *summary {
+	fd := fn.Decl
 	w := &fnWalker{
 		eng:    e,
-		fd:     fd,
-		info:   fd.pkg.Info,
-		rep:    rep,
+		fn:     fn,
+		info:   fn.Pkg.Info,
+		report: report,
 		params: map[types.Object]int{},
 		taint:  map[types.Object]Bits{},
 	}
 	idx := 0
-	if fd.decl.Recv != nil && len(fd.decl.Recv.List) > 0 {
-		for _, name := range fd.decl.Recv.List[0].Names {
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		for _, name := range fd.Recv.List[0].Names {
 			if obj := w.info.Defs[name]; obj != nil && name.Name != "_" {
 				w.params[obj] = 0
 				w.taint[obj] = paramBit(0)
@@ -245,8 +231,8 @@ func (e *engine) analyze(fd *funcDecl, rep *reporter) *summary {
 		}
 		idx = 1
 	}
-	if fd.decl.Type.Params != nil {
-		for _, field := range fd.decl.Type.Params.List {
+	if fd.Type.Params != nil {
+		for _, field := range fd.Type.Params.List {
 			if len(field.Names) == 0 {
 				idx++
 				continue
@@ -261,12 +247,12 @@ func (e *engine) analyze(fd *funcDecl, rep *reporter) *summary {
 		}
 	}
 	frame := &retFrame{
-		bits: make([]Bits, fieldCount(fd.decl.Type.Results)),
-		objs: resultObjs(fd.decl.Type.Results, w.info),
+		bits: make([]Bits, fieldCount(fd.Type.Results)),
+		objs: resultObjs(fd.Type.Results, w.info),
 	}
 	w.sum = newSummary(len(frame.bits))
 	w.rets = []*retFrame{frame}
-	w.stmt(fd.decl.Body)
+	w.stmt(fd.Body)
 	copy(w.sum.results, frame.bits)
 	return w.sum
 }
@@ -304,16 +290,6 @@ func resultObjs(fl *ast.FieldList, info *types.Info) []types.Object {
 		}
 	}
 	return out
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 func copyTaint(m map[types.Object]Bits) map[types.Object]Bits {
@@ -543,7 +519,7 @@ func (w *fnWalker) returnStmt(s *ast.ReturnStmt) {
 // (redefinition kills old taint — how a sanitized value replaces a raw
 // one), anything deeper is a weak update into the root object's graph.
 func (w *fnWalker) assignTo(lhs ast.Expr, bits Bits, tok token.Token) {
-	lhs = unparen(lhs)
+	lhs = ast.Unparen(lhs)
 	if tok != token.DEFINE && tok != token.ASSIGN {
 		bits |= w.taintOf(lhs) // compound ops (+=) accumulate
 	}
@@ -573,7 +549,7 @@ func (w *fnWalker) assignIdent(id *ast.Ident, bits Bits) {
 // new; stores into a parameter's graph enter the summary so callers see
 // the mutation.
 func (w *fnWalker) weakAssign(target ast.Expr, bits Bits) {
-	target = unparen(target)
+	target = ast.Unparen(target)
 	if sel, ok := target.(*ast.SelectorExpr); ok {
 		if key := w.fieldKey(sel); key != "" && w.eng.cfg.RetaintFields[key] {
 			bits |= srcBit
@@ -600,7 +576,7 @@ func (w *fnWalker) weakAssign(target ast.Expr, bits Bits) {
 // rootless expressions (f().x).
 func (w *fnWalker) rootObj(e ast.Expr) types.Object {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			if obj := w.info.Uses[x]; obj != nil {
 				return obj
@@ -740,11 +716,6 @@ func (w *fnWalker) litKey(lit *ast.CompositeLit) string {
 	return tn.Pkg().Path() + "." + tn.Name()
 }
 
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
 func namedOf(t types.Type) *types.Named {
 	for {
 		switch tt := t.(type) {
@@ -795,8 +766,8 @@ func (w *fnWalker) hitSink(bits Bits, pos token.Pos, what string) {
 	if bits == 0 {
 		return
 	}
-	if bits&srcBit != 0 && w.rep != nil {
-		w.rep.reportf(w.fd.pkg, pos, w.eng.cfg.Report, what)
+	if bits&srcBit != 0 && w.report {
+		w.eng.pass.Reportf(pos, w.eng.cfg.Report, what)
 	}
 	forEachParamBit(bits, func(i int) {
 		addHit(w.sum.paramSinks, i, what)
@@ -812,7 +783,7 @@ func (w *fnWalker) callResults(e ast.Expr, want int) []Bits {
 	if want < 1 {
 		want = 1
 	}
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		out := make([]Bits, want)
 		bits := w.taintOf(e)
@@ -835,11 +806,11 @@ func (w *fnWalker) call(call *ast.CallExpr, want int) []Bits {
 	if tv, ok := w.info.Types[call]; ok && tv.Type != nil {
 		if tup, isTuple := tv.Type.(*types.Tuple); isTuple {
 			for i := 0; i < tup.Len() && i < len(out); i++ {
-				if isErrorType(tup.At(i).Type()) {
+				if lint.IsError(tup.At(i).Type()) {
 					out[i] = 0
 				}
 			}
-		} else if len(out) == 1 && isErrorType(tv.Type) {
+		} else if len(out) == 1 && lint.IsError(tv.Type) {
 			out[0] = 0
 		}
 	}
@@ -853,7 +824,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 			out[i] |= bits
 		}
 	}
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	// Immediately-invoked closure: the results are its return taints.
 	if lit, ok := fun.(*ast.FuncLit); ok {
@@ -883,7 +854,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 		}
 	}
 
-	fn := w.staticCallee(call)
+	fn := lint.StaticCallee(w.info, call)
 
 	// Operands: receiver first for method calls through a value selector,
 	// then the arguments. Closure literals are walked once here and their
@@ -902,7 +873,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 	opBits := make([]Bits, len(operands))
 	litRets := map[int][]Bits{}
 	for i, op := range operands {
-		if lit, ok := unparen(op).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(op).(*ast.FuncLit); ok {
 			litRets[i] = w.walkLit(lit)
 			continue
 		}
@@ -921,7 +892,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 		return out
 	}
 
-	name := normName(fn)
+	name := lint.NormName(fn)
 	cfg := w.eng.cfg
 
 	if cfg.Cleansers[name] {
@@ -940,7 +911,7 @@ func (w *fnWalker) callRaw(call *ast.CallExpr, want int) []Bits {
 		// object data (and error values flow into stderr prints constantly).
 		sig, _ := fn.Type().(*types.Signature)
 		for i := range out {
-			if sig != nil && sig.Results().Len() == len(out) && isErrorType(sig.Results().At(i).Type()) {
+			if sig != nil && sig.Results().Len() == len(out) && lint.IsError(sig.Results().At(i).Type()) {
 				continue
 			}
 			out[i] = srcBit
@@ -1106,27 +1077,7 @@ func viaQualify(hit string, fn *types.Func) string {
 	if strings.Contains(hit, " (via ") {
 		return hit
 	}
-	return hit + " (via " + shortName(normName(fn)) + ")"
-}
-
-func (w *fnWalker) staticCallee(call *ast.CallExpr) *types.Func {
-	fun := unparen(call.Fun)
-	for {
-		switch f := fun.(type) {
-		case *ast.Ident:
-			fn, _ := w.info.Uses[f].(*types.Func)
-			return fn
-		case *ast.SelectorExpr:
-			fn, _ := w.info.Uses[f.Sel].(*types.Func)
-			return fn
-		case *ast.IndexExpr: // generic instantiation
-			fun = unparen(f.X)
-		case *ast.IndexListExpr:
-			fun = unparen(f.X)
-		default:
-			return nil
-		}
-	}
+	return hit + " (via " + lint.ShortName(lint.NormName(fn)) + ")"
 }
 
 // isFmtSink reports whether the call prints via fmt inside a package the
@@ -1141,7 +1092,7 @@ func (w *fnWalker) isFmtSink(fn *types.Func) bool {
 		return false
 	}
 	for _, prefix := range w.eng.cfg.FmtSinkPrefixes {
-		if strings.HasPrefix(w.fd.pkg.Path, prefix) {
+		if strings.HasPrefix(w.fn.Pkg.Path, prefix) {
 			return true
 		}
 	}

@@ -1,5 +1,7 @@
 package flow
 
+import "verro/internal/lint"
+
 // epsconsist proves that every privacy parameter the LDP layer consumes
 // descends from a Phase1Config that has survived Validate(). The privacy
 // accounting in the paper (Theorems 1-3) assumes F ∈ (0,1) and a positive
@@ -20,7 +22,7 @@ package flow
 // ε-budget math bypasses the range checks entirely).
 
 // NewEpsConsist builds the privacy-parameter-provenance analyzer.
-func NewEpsConsist() *Analyzer {
+func NewEpsConsist() *lint.Analyzer {
 	return NewAnalyzer("epsconsist",
 		"privacy parameters must come from a Validate()d Phase1Config, unmodified since",
 		epsConsistConfig())

@@ -1,5 +1,7 @@
 package flow
 
+import "verro/internal/lint"
+
 // epshttp extends the epsconsist discipline to the service edge: privacy
 // parameters (f, eps, window) that arrive over HTTP — form values, JSON
 // request bodies, or a manifest re-loaded from disk during resume (which
@@ -21,7 +23,7 @@ package flow
 // is called on, exactly as in epsconsist.
 
 // NewEpsHTTP builds the HTTP-parameter-validation taint analyzer.
-func NewEpsHTTP() *Analyzer {
+func NewEpsHTTP() *lint.Analyzer {
 	cfg := &TaintConfig{
 		SourceCalls: set(
 			"(net/url.Values).Get",

@@ -11,23 +11,23 @@ import (
 )
 
 func TestPrivLeakFixture(t *testing.T) {
-	flow.RunFixture(t, []string{"testdata/privleak"}, flow.NewPrivLeak())
+	lint.RunFixture(t, "testdata/privleak", flow.NewPrivLeak())
 }
 
 func TestEpsConsistFixture(t *testing.T) {
-	flow.RunFixture(t, []string{"testdata/epsconsist"}, flow.NewEpsConsist())
+	lint.RunFixture(t, "testdata/epsconsist", flow.NewEpsConsist())
 }
 
 // TestEpsConsistTypeErrorFixture: ε-arithmetic whose operands fail to
 // type-check (an unknown config field, an undeclared function) yields no
 // diagnostic and no panic. It is the one fixture that holds type errors,
-// so it reads the package the loader returns beside its error.
+// so it reads the program the loader returns beside its error.
 func TestEpsConsistTypeErrorFixture(t *testing.T) {
-	pkgs, err := lint.Load("testdata/epsconsisttypeerr")
-	if len(pkgs) != 1 || err == nil || !strings.Contains(err.Error(), "NoSuchField") {
-		t.Fatalf("load = %v, %v; want the package and its type errors", pkgs, err)
+	prog, err := lint.Load("testdata/epsconsisttypeerr")
+	if prog == nil || len(prog.Pkgs) != 1 || err == nil || !strings.Contains(err.Error(), "NoSuchField") {
+		t.Fatalf("load = %v, %v; want the package and its type errors", prog, err)
 	}
-	problems, err := lint.CheckDiagnostics(pkgs, flow.Run(pkgs, flow.NewEpsConsist()))
+	problems, err := lint.CheckDiagnostics(prog, lint.Run(prog, flow.NewEpsConsist()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,18 +40,16 @@ func TestEpsConsistTypeErrorFixture(t *testing.T) {
 // fixture package is passed as an fmt-sink prefix, standing in for
 // internal/server's published SSE stream.
 func TestSrvLeakFixture(t *testing.T) {
-	flow.RunFixture(t, []string{"testdata/srvleak"},
+	lint.RunFixture(t, "testdata/srvleak",
 		flow.NewPrivLeak("verro/internal/lint/flow/testdata/srvleak"))
 }
 
 func TestEpsHTTPFixture(t *testing.T) {
-	flow.RunFixture(t, []string{"testdata/epshttp"}, flow.NewEpsHTTP())
+	lint.RunFixture(t, "testdata/epshttp", flow.NewEpsHTTP())
 }
 
 func TestChainFixture(t *testing.T) {
-	flow.RunFixture(t,
-		[]string{"testdata/chain", "testdata/chain/inner", "testdata/chain/mid"},
-		flow.NewPrivLeak())
+	lint.RunFixture(t, "testdata/chain/...", flow.NewPrivLeak())
 }
 
 // TestSummaryPropagationTwoHops pins the mechanism behind the chain
@@ -61,15 +59,15 @@ func TestChainFixture(t *testing.T) {
 // turns mid.Pass's callee into an unknown, which propagates only the clean
 // handle's taint — the diagnostic must disappear.
 func TestSummaryPropagationTwoHops(t *testing.T) {
-	load := func(dirs ...string) []*lint.Package {
-		pkgs, err := lint.Load(dirs...)
+	load := func(dirs ...string) *lint.Program {
+		prog, err := lint.Load(dirs...)
 		if err != nil {
 			t.Fatalf("load %v: %v", dirs, err)
 		}
-		return pkgs
+		return prog
 	}
 
-	full := flow.Run(load("testdata/chain", "testdata/chain/inner", "testdata/chain/mid"),
+	full := lint.Run(load("testdata/chain", "testdata/chain/inner", "testdata/chain/mid"),
 		flow.NewPrivLeak())
 	if len(full) != 1 {
 		t.Fatalf("full program: want exactly 1 diagnostic, got %v", full)
@@ -79,7 +77,7 @@ func TestSummaryPropagationTwoHops(t *testing.T) {
 		t.Fatalf("full program: wrong diagnostic: %v", full[0])
 	}
 
-	partial := flow.Run(load("testdata/chain", "testdata/chain/mid"), flow.NewPrivLeak())
+	partial := lint.Run(load("testdata/chain", "testdata/chain/mid"), flow.NewPrivLeak())
 	if len(partial) != 0 {
 		t.Fatalf("without the source hop there is nothing to report, got %v", partial)
 	}
@@ -120,7 +118,7 @@ func unannotated() {
 		Sinks:       map[string]*flow.Sink{"fixture.Sink": {Operands: []int{0}, What: "the sink"}},
 		Report:      "tainted value reaches %s",
 	})
-	problems, err := flow.CheckFixture([]string{dir}, toy)
+	problems, err := lint.CheckFixture(dir, toy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +134,11 @@ func unannotated() {
 	}
 }
 
-// TestProjectAnalyzersListed pins the suite composition the CLI exposes.
+// TestProjectAnalyzersListed pins the names and doc lines of the flow
+// analyzers cmd/verrolint lists (its TestRunListMode pins the list).
 func TestProjectAnalyzersListed(t *testing.T) {
 	var names []string
-	for _, a := range flow.ProjectAnalyzers() {
+	for _, a := range []*lint.Analyzer{flow.NewPrivLeak(), flow.NewEpsConsist(), flow.NewEpsHTTP()} {
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no doc line", a.Name)
 		}

@@ -1,5 +1,7 @@
 package flow
 
+import "verro/internal/lint"
+
 // privleak proves the paper's central plumbing invariant: the raw object
 // observations VERRO ingests (ground-truth tracks, detector output, decoded
 // benchmark video) never reach a published artifact — encoded video, CSV
@@ -26,8 +28,9 @@ package flow
 
 // NewPrivLeak builds the raw-data-to-published-output taint analyzer.
 // fmtSinkPrefixes lists the import-path prefixes whose fmt printing counts
-// as publication (the project suite passes "verro/cmd/").
-func NewPrivLeak(fmtSinkPrefixes ...string) *Analyzer {
+// as publication (cmd/verrolint passes "verro/cmd/" and
+// "verro/internal/server").
+func NewPrivLeak(fmtSinkPrefixes ...string) *lint.Analyzer {
 	cfg := &TaintConfig{
 		SourceCalls: set(
 			"(verro/internal/detect.Detector).Detect",

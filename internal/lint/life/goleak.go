@@ -15,16 +15,11 @@ package life
 // converged Diverges summary, so divergence hiding two calls deep in
 // another package still surfaces at the spawn site.
 
-import "go/ast"
+import (
+	"go/ast"
 
-// NewGoLeak builds the goroutine-termination analyzer.
-func NewGoLeak() *Analyzer {
-	return &Analyzer{
-		Name: "goleak",
-		Doc:  "every goroutine started in a service package must have a provable termination path",
-		run:  runGoLeak,
-	}
-}
+	"verro/internal/lint"
+)
 
 func runGoLeak(p *pass) {
 	for _, f := range p.pkg.Files {
@@ -40,13 +35,13 @@ func runGoLeak(p *pass) {
 					if loopPos.IsValid() {
 						pos = loopPos
 					}
-					p.reportf(pos, "goroutine never terminates: unconditional loop with no return, break, or close-signaled exit")
+					p.Reportf(pos, "goroutine never terminates: unconditional loop with no return, break, or close-signaled exit")
 				}
 				return true
 			}
 			name := calleeName(p.pkg.Info, g.Call)
 			if s := p.look(name); s != nil && s.Diverges {
-				p.reportf(g.Pos(), "goroutine never terminates: %s contains an unconditional loop with no exit", shortName(name))
+				p.Reportf(g.Pos(), "goroutine never terminates: %s contains an unconditional loop with no exit", lint.ShortName(name))
 			}
 			return true
 		})

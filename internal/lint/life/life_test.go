@@ -8,12 +8,16 @@ import (
 	"verro/internal/lint/life"
 )
 
+// The fixture packages are service packages of the project policy, so
+// the fixtures exercise the real tables.
 func TestGoLeakFixture(t *testing.T) {
-	life.RunFixture(t, []string{"testdata/goleak"}, life.NewGoLeak())
+	goleak, _ := life.NewAnalyzers(life.ProjectConfig())
+	lint.RunFixture(t, "testdata/goleak", goleak)
 }
 
 func TestMustCloseFixture(t *testing.T) {
-	life.RunFixture(t, []string{"testdata/mustclose"}, life.NewMustClose())
+	_, mustclose := life.NewAnalyzers(life.ProjectConfig())
+	lint.RunFixture(t, "testdata/mustclose", mustclose)
 }
 
 // TestFixtureMetaFailClosed proves the fixture runner fails closed:
@@ -25,7 +29,7 @@ func TestFixtureMetaFailClosed(t *testing.T) {
 		"testdata/goleak",
 		"testdata/mustclose",
 	} {
-		problems, err := life.CheckFixture([]string{dir})
+		problems, err := lint.CheckFixture(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -44,11 +48,11 @@ func TestFixtureMetaFailClosed(t *testing.T) {
 // verdict on `go spin()` exists only because spin's converged summary
 // diverges; the summary table must say so.
 func TestSummaryPropagation(t *testing.T) {
-	pkgs, err := lint.Load("testdata/goleak")
+	prog, err := lint.Load("testdata/goleak")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := life.Summaries(pkgs, life.ProjectConfig())
+	sums := life.Summaries(prog, life.ProjectConfig())
 	var spin string
 	for name := range sums {
 		if strings.HasSuffix(name, ".spin") {

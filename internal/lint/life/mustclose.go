@@ -26,17 +26,9 @@ import (
 	"go/types"
 	"sort"
 
+	"verro/internal/lint"
 	"verro/internal/lint/cfg"
 )
-
-// NewMustClose builds the must-release analyzer.
-func NewMustClose() *Analyzer {
-	return &Analyzer{
-		Name: "mustclose",
-		Doc:  "acquired resources must be released or ownership-transferred on every path",
-		run:  runMustClose,
-	}
-}
 
 func runMustClose(p *pass) {
 	for _, f := range p.pkg.Files {
@@ -201,9 +193,9 @@ func analyzeMustClose(p *pass, body *ast.BlockStmt) {
 			m.reported[pos] = true
 			ob := st.obs[pos]
 			if ob.callRelease {
-				m.p.reportf(pos, "%s from %s is not called on every path; defer it at the acquire site", ob.kind, ob.source)
+				m.p.Reportf(pos, "%s from %s is not called on every path; defer it at the acquire site", ob.kind, ob.source)
 			} else {
-				m.p.reportf(pos, "%s from %s is not released on every path; add a defer or close it before each return", ob.kind, ob.source)
+				m.p.Reportf(pos, "%s from %s is not released on every path; add a defer or close it before each return", ob.kind, ob.source)
 			}
 		}
 	}
@@ -281,7 +273,7 @@ func (m *closer) stmt(s ast.Stmt, st *closeState) {
 				return
 			}
 			if rule, name, ok := m.acquireRule(call); ok && m.report {
-				m.p.reportf(call.Pos(), "%s from %s is discarded; it can never be released", rule.Kind, shortName(name))
+				m.p.Reportf(call.Pos(), "%s from %s is discarded; it can never be released", rule.Kind, lint.ShortName(name))
 			}
 		}
 		m.transfers(s.X, st)
@@ -329,7 +321,7 @@ func (m *closer) bind(lhs []ast.Expr, call *ast.CallExpr, rule Resource, name st
 	var errObj types.Object
 	if len(lhs) > 1 {
 		if id, ok := ast.Unparen(lhs[len(lhs)-1]).(*ast.Ident); ok && id.Name != "_" {
-			if obj := m.p.pkg.Info.ObjectOf(id); obj != nil && isErrorType(obj.Type()) {
+			if obj := m.p.pkg.Info.ObjectOf(id); obj != nil && lint.IsError(obj.Type()) {
 				errObj = obj
 			}
 		}
@@ -338,7 +330,7 @@ func (m *closer) bind(lhs []ast.Expr, call *ast.CallExpr, rule Resource, name st
 	case *ast.Ident:
 		if r.Name == "_" {
 			if m.report {
-				m.p.reportf(call.Pos(), "%s from %s is discarded; it can never be released", rule.Kind, shortName(name))
+				m.p.Reportf(call.Pos(), "%s from %s is discarded; it can never be released", rule.Kind, lint.ShortName(name))
 			}
 			return
 		}
@@ -349,7 +341,7 @@ func (m *closer) bind(lhs []ast.Expr, call *ast.CallExpr, rule Resource, name st
 		m.rebind(obj, call.Pos(), st)
 		st.obs[call.Pos()] = &oblig{
 			kind:        rule.Kind,
-			source:      shortName(name),
+			source:      lint.ShortName(name),
 			release:     rule.Release,
 			callRelease: rule.CallRelease,
 			errObj:      errObj,
@@ -373,7 +365,7 @@ func (m *closer) rebind(obj types.Object, at token.Pos, st *closeState) {
 			delete(st.obs, pos)
 			if m.report && !m.reported[pos] {
 				m.reported[pos] = true
-				m.p.reportf(pos, "%s from %s is overwritten while still unreleased", ob.kind, ob.source)
+				m.p.Reportf(pos, "%s from %s is overwritten while still unreleased", ob.kind, ob.source)
 			}
 		}
 	}
@@ -602,8 +594,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

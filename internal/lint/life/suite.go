@@ -2,13 +2,7 @@ package life
 
 // The project lifecycle policy: which packages live long enough to leak,
 // what acquires, and who takes ownership. This is the single place the
-// tables live; cmd/verrolint consumes it, and the fixture runner extends
-// ServicePkgs with the fixture package under test.
-
-// ProjectAnalyzers returns the lifecycle suite in reporting order.
-func ProjectAnalyzers() []*Analyzer {
-	return []*Analyzer{NewGoLeak(), NewMustClose()}
-}
+// tables live; cmd/verrolint and the lifecycle fixture tests consume it.
 
 // ProjectConfig returns the lifecycle policy for the verrod service arc.
 //
@@ -25,6 +19,14 @@ func ProjectConfig() *Config {
 			"verro/internal/stream",
 			"verro/internal/vid",
 			"verro/internal/obs",
+			// Fixture packages, which "./..." never matches: the driver
+			// tests lint the lifedemo pair and the fixture tests their
+			// own packages under this policy, so a run pointed at any of
+			// them reports what its // want comments and goldens assert.
+			"verro/cmd/verrolint/testdata/lifedemo",
+			"verro/cmd/verrolint/testdata/lifedemo/allow",
+			"verro/internal/lint/life/testdata/goleak",
+			"verro/internal/lint/life/testdata/mustclose",
 		},
 		Resources: map[string]Resource{
 			// Files and sockets.

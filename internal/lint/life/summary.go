@@ -9,20 +9,19 @@ package life
 // when a live resource is passed away.
 //
 // Both facts grow monotonically (false→true, sets grow), so iterating the
-// summarizer in sorted name order converges; maxRounds is a safety net
-// the call-graph depth never approaches.
+// summarizer in sorted name order (lint.Fixpoint) converges well within
+// its round bound.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"verro/internal/lint"
 	"verro/internal/lint/cfg"
 )
-
-const maxRounds = 10
 
 // Summary is the caller-visible lifecycle behavior of one function.
 type Summary struct {
@@ -34,62 +33,22 @@ type Summary struct {
 	Owns []int
 }
 
-func equalSummary(a, b *Summary) bool {
-	if a.Diverges != b.Diverges || len(a.Owns) != len(b.Owns) {
-		return false
-	}
-	for i := range a.Owns {
-		if a.Owns[i] != b.Owns[i] {
-			return false
-		}
-	}
-	return true
+// equalSummary reports whether a fixpoint round left a summary
+// unchanged; old is nil before the function's first round.
+func equalSummary(old, cur *Summary) bool {
+	return old != nil && old.Diverges == cur.Diverges && slices.Equal(old.Owns, cur.Owns)
 }
 
-// Summaries converges the lifecycle summaries of every function declared
-// in pkgs. Summaries are computed for every package — not just service
-// ones — so service code calling library code sees its facts.
-func Summaries(pkgs []*lint.Package, cfg *Config) map[string]*Summary {
-	type decl struct {
-		pkg *lint.Package
-		fd  *ast.FuncDecl
-	}
-	funcs := map[string]decl{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				funcs[normName(obj)] = decl{pkg: pkg, fd: fd}
-			}
-		}
-	}
-	names := sortedNames(funcs)
-	sums := make(map[string]*Summary, len(funcs))
-	for _, name := range names {
-		sums[name] = &Summary{}
-	}
+// Summaries converges the lifecycle summaries of every function the
+// program declares. Summaries are computed for every package — not just
+// service ones — so service code calling library code sees its facts.
+func Summaries(prog *lint.Program, cfg *Config) map[string]*Summary {
+	sums := make(map[string]*Summary, len(prog.Funcs))
 	look := func(n string) *Summary { return sums[n] }
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, name := range names {
-			d := funcs[name]
-			s, _ := summarizeBody(d.pkg, cfg, look, d.fd.Body, paramIndex(d.pkg, d.fd.Type))
-			if !equalSummary(sums[name], s) {
-				sums[name] = s
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	lint.Fixpoint(prog, sums, func(fn *lint.Func) *Summary {
+		s, _ := summarizeBody(fn.Pkg, cfg, look, fn.Decl.Body, paramIndex(fn.Pkg, fn.Decl.Type))
+		return s
+	}, equalSummary)
 	return sums
 }
 

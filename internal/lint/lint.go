@@ -6,9 +6,9 @@
 // violations after they ship. The go command defines the packages: Load
 // makes one `go list` call for its patterns, parses each matched package
 // with go/parser and type-checks it with go/types, importing from the
-// export data go list compiled, so there is no x/tools dependency. A set
-// of Analyzers then runs over the typed syntax, producing position-tagged
-// diagnostics.
+// export data go list compiled, so there is no x/tools dependency. Run
+// then executes a list of Analyzers over the loaded Program, producing
+// position-tagged diagnostics.
 //
 // Suppression is explicit and grep-able: a `//lint:allow <analyzer>` comment
 // (see directive.go for the grammar) silences one analyzer on its own line
@@ -24,17 +24,15 @@ import (
 	"sort"
 )
 
-// Analyzer is one named invariant check. Run inspects the typed package in
-// the Pass and reports findings via Pass.Reportf.
+// Analyzer is one named invariant check. Run sees the whole loaded
+// program, so a finding in one package can rest on a flow through
+// another, and reports through Pass.Reportf.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:allow
 	// directives. Lower-case, no spaces.
 	Name string
 	// Doc is the one-line invariant the analyzer encodes.
 	Doc string
-	// Match, when non-nil, restricts the analyzer to packages whose import
-	// path it accepts. A nil Match runs everywhere.
-	Match func(pkgPath string) bool
 	// Run performs the check.
 	Run func(*Pass)
 }
@@ -50,100 +48,49 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass is one analyzer's run over the program.
 type Pass struct {
+	*Program
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	rep      *reporter
+}
 
-	allow *AllowIndex
-	sink  *[]Diagnostic
+// reporter collects the diagnostics of one Run.
+type reporter struct {
+	seen  map[Diagnostic]bool
+	diags []Diagnostic
 }
 
 // Reportf records a diagnostic at pos unless a //lint:allow directive for
-// this analyzer covers the position's line.
+// this analyzer covers the position's line, or the analyzer reported the
+// same diagnostic before (fixpoints revisit statements).
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.allow.Allows(p.Analyzer.Name, position) {
 		return
 	}
-	*p.sink = append(*p.sink, Diagnostic{
-		Pos:      position,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	d := Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)}
+	if !p.rep.seen[d] {
+		p.rep.seen[d] = true
+		p.rep.diags = append(p.rep.diags, d)
+	}
 }
 
-// TypeOf is a nil-safe shorthand for the expression's type (nil when the
-// checker could not infer one).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
-
-// PkgNameOf resolves the identifier to the imported package it names, or ""
-// when it is not a package qualifier. This is how analyzers match
-// `rand.Intn` to math/rand regardless of import renaming.
-func (p *Pass) PkgNameOf(id *ast.Ident) string {
-	if p.Info == nil {
-		return ""
-	}
-	if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
-}
-
-// CalleeOf returns the imported package path and selector name of a call's
-// target when the call has the form pkg.Func(...); ok is false otherwise.
-func (p *Pass) CalleeOf(call *ast.CallExpr) (pkgPath, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	id, isIdent := sel.X.(*ast.Ident)
-	if !isIdent {
-		return "", "", false
-	}
-	path := p.PkgNameOf(id)
-	if path == "" {
-		return "", "", false
-	}
-	return path, sel.Sel.Name, true
-}
-
-// Run executes the analyzers over the package and returns their combined
-// diagnostics sorted by position. Analyzers whose Match rejects the package
-// path are skipped.
-func Run(pkg *Package, analyzers ...*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	allow := pkg.Allow()
+// Run executes the analyzers over the program, in order, and returns their
+// diagnostics sorted by position. Every analyzer records its suppressions
+// in the program's one allow index, which a staleallow analyzer listed
+// last then judges.
+func Run(prog *Program, analyzers ...*Analyzer) []Diagnostic {
+	rep := &reporter{seen: map[Diagnostic]bool{}}
 	for _, a := range analyzers {
-		if a.Match != nil && !a.Match(pkg.Path) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			allow:    allow,
-			sink:     &diags,
-		}
-		a.Run(pass)
+		a.Run(&Pass{Program: prog, Analyzer: a, rep: rep})
 	}
-	Sort(diags)
-	return diags
+	Sort(rep.diags)
+	return rep.diags
 }
 
-// Sort orders diagnostics by file, line, column, and analyzer — the stable
-// output order every driver (lint.Run, the flow engine, cmd/verrolint)
-// presents.
+// Sort orders diagnostics by file, line, column, analyzer and message —
+// the stable output order lint.Run and cmd/verrolint present.
 func Sort(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -156,6 +103,29 @@ func Sort(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
+}
+
+// CalleeOf returns the imported package path and selector name of a call's
+// target when the call has the form pkg.Func(...); ok is false otherwise.
+// It resolves the qualifier through the type checker, so `rand.Intn`
+// matches math/rand regardless of import renaming.
+func (p *Package) CalleeOf(call *ast.CallExpr) (pkgPath, name string, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	id, isIdent := sel.X.(*ast.Ident)
+	if !isIdent {
+		return "", "", false
+	}
+	pn, isPkg := p.Info.Uses[id].(*types.PkgName)
+	if !isPkg {
+		return "", "", false
+	}
+	return pn.Imported().Path(), sel.Sel.Name, true
 }

@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,55 +17,115 @@ func TestDetRandFixture(t *testing.T)  { RunFixture(t, "testdata/detrand", NewDe
 func TestWallTimeFixture(t *testing.T) { RunFixture(t, "testdata/walltime", NewWallTime()) }
 func TestMapOrderFixture(t *testing.T) { RunFixture(t, "testdata/maporder", NewMapOrder()) }
 
-// TestProjectSuite pins the suite's composition: three analyzers, in
-// order, each documented, with the package scoping DESIGN.md §2d
-// documents.
+// TestProjectSuite pins the classic analyzers cmd/verrolint lists (its
+// TestRunListMode pins the list itself): each is documented, detrand and
+// maporder run in every package, and walltime, given the project's
+// exemptions, skips internal/obs and internal/par but not internal/core —
+// the package scoping DESIGN.md §2d documents.
 func TestProjectSuite(t *testing.T) {
-	suite := map[string]*Analyzer{}
+	detrand, walltime, maporder := NewDetRand(), NewWallTime("verro/internal/obs", "verro/internal/par"), NewMapOrder()
 	var names []string
-	for _, a := range ProjectAnalyzers() {
+	for _, a := range []*Analyzer{detrand, walltime, maporder} {
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no doc", a.Name)
 		}
-		suite[a.Name] = a
 		names = append(names, a.Name)
 	}
 	if got, want := strings.Join(names, " "), "detrand walltime maporder"; got != want {
 		t.Fatalf("suite = %q, want %q", got, want)
 	}
 
-	cases := []struct {
-		pkg  string
-		want bool
-	}{
-		{"verro/internal/obs", false},
-		{"verro/internal/par", false},
-		{"verro/internal/core", true},
+	// Each package of a module named verro trips all three analyzers.
+	const src = `package %s
+
+import (
+	"math/rand"
+	"time"
+)
+
+func Now() time.Time { return time.Now() }
+
+func Draw() int { return rand.Intn(6) }
+
+func Sum(m map[string]float64) (s float64) {
+	for _, v := range m {
+		s += v
 	}
-	for _, c := range cases {
-		if got := suite["walltime"].Match(c.pkg); got != c.want {
-			t.Errorf("walltime.Match(%q) = %v, want %v", c.pkg, got, c.want)
+	return s
+}
+`
+	files := map[string]string{"go.mod": "module verro\n\ngo 1.22\n"}
+	for _, name := range []string{"obs", "par", "core"} {
+		files["internal/"+name+"/"+name+".go"] = fmt.Sprintf(src, name)
+	}
+	prog := loadTree(t, files)
+	var got []string
+	for _, d := range Run(prog, detrand, walltime, maporder) {
+		got = append(got, d.Analyzer+":"+filepath.Base(d.Pos.Filename))
+	}
+	sort.Strings(got)
+	want := "detrand:core.go detrand:obs.go detrand:par.go maporder:core.go maporder:obs.go maporder:par.go walltime:core.go"
+	if strings.Join(got, " ") != want {
+		t.Errorf("findings = %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// loadTree writes files, a go.mod among them, into a fresh directory and
+// loads every package below it.
+func loadTree(t *testing.T, files map[string]string) *Program {
+	t.Helper()
+	prog, err := Load(filepath.Join(writeTree(t, files), "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestRunReporter pins what lint.Run does with what analyzers report: a
+// toy analyzer reports every return statement twice, walking the
+// packages in reverse. Each finding comes back once, the one on a
+// //lint:allow toy line is suppressed and that directive counts as used
+// (staleallow stays quiet), and the output is in Sort order.
+func TestRunReporter(t *testing.T) {
+	prog := loadTree(t, map[string]string{
+		"go.mod": "module toy\n\ngo 1.22\n",
+		"a/a.go": "package a\n\nfunc A() int { return 1 }\n",
+		"b/b.go": "package b\n\nfunc B() int { return 2 }\n\nfunc C() int {\n\treturn 3 //lint:allow toy excused\n}\n",
+	})
+	toy := &Analyzer{Name: "toy", Doc: "reports every return statement"}
+	toy.Run = func(pass *Pass) {
+		for i := len(pass.Pkgs) - 1; i >= 0; i-- {
+			for _, f := range pass.Pkgs[i].Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if ret, ok := n.(*ast.ReturnStmt); ok {
+						pass.Reportf(ret.Pos(), "return")
+						pass.Reportf(ret.Pos(), "return")
+					}
+					return true
+				})
+			}
 		}
 	}
-	// Unscoped analyzers run everywhere.
-	for _, name := range []string{"detrand", "maporder"} {
-		if suite[name].Match != nil {
-			t.Errorf("%s should run in every package", name)
-		}
+	var got []string
+	for _, d := range Run(prog, toy, NewStaleAllow(toy)) {
+		got = append(got, fmt.Sprintf("%s/%s:%d (%s)", filepath.Base(filepath.Dir(d.Pos.Filename)), filepath.Base(d.Pos.Filename), d.Pos.Line, d.Analyzer))
+	}
+	if want := "a/a.go:3 (toy),b/b.go:3 (toy)"; strings.Join(got, ",") != want {
+		t.Errorf("diagnostics = %q, want %q", strings.Join(got, ","), want)
 	}
 }
 
 // TestRunOverOwnPackage smoke-tests the loader + runner over this package:
-// internal/lint must be clean under its own suite.
+// internal/lint must be clean under its own analyzers.
 func TestRunOverOwnPackage(t *testing.T) {
-	pkgs, err := Load(".")
+	prog, err := Load(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkgs[0].Path != "verro/internal/lint" {
-		t.Fatalf("import path = %q, want verro/internal/lint", pkgs[0].Path)
+	if prog.Pkgs[0].Path != "verro/internal/lint" {
+		t.Fatalf("import path = %q, want verro/internal/lint", prog.Pkgs[0].Path)
 	}
-	if diags := Run(pkgs[0], ProjectAnalyzers()...); len(diags) != 0 {
+	if diags := Run(prog, NewDetRand(), NewWallTime(), NewMapOrder()); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("unexpected: %s", d)
 		}
@@ -71,11 +135,11 @@ func TestRunOverOwnPackage(t *testing.T) {
 // TestDiagnosticString pins the human-readable diagnostic format the CLI
 // prints.
 func TestDiagnosticString(t *testing.T) {
-	pkgs, err := Load("testdata/detrand")
+	prog, err := Load("testdata/detrand")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs[0], NewDetRand())
+	diags := Run(prog, NewDetRand())
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics from detrand fixture")
 	}

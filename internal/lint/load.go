@@ -21,24 +21,8 @@ import (
 type Package struct {
 	// Path is the package's import path ("verro/internal/core").
 	Path  string
-	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
-
-	allow *AllowIndex
-}
-
-// Allow returns the package's //lint:allow index, built on first use and
-// shared by every suite that analyzes the package — sharing is what lets
-// suppression hits accumulate across suites so StaleAllows sees the whole
-// run. Not concurrency-safe; drivers analyze one package from one
-// goroutine at a time.
-func (p *Package) Allow() *AllowIndex {
-	if p.allow == nil {
-		p.allow = BuildAllowIndex(p.Fset, p.Files)
-	}
-	return p.allow
 }
 
 // listed is the part of one `go list -json` record that Load reads.
@@ -51,7 +35,8 @@ type listed struct {
 	Error      *struct{ Err string }
 }
 
-// Load type-checks the packages the patterns match. A pattern is a package
+// Load type-checks the packages the patterns match into one Program. A
+// pattern is a package
 // directory, and a trailing "/..." matches every package below it. The go
 // command defines what that means: one `go list -e -export -deps` call
 // names each matched package's Go files and compiles every dependency's
@@ -65,12 +50,12 @@ type listed struct {
 // matched it is relative, and absolute otherwise.
 //
 // A failed go list, a package it could not resolve, a parse error or an
-// empty match fails the load with no packages. A type error fails it too,
-// but Load still returns every package with whatever type information
+// empty match fails the load with no program. A type error fails it too,
+// but Load still returns the program with whatever type information
 // survived: an analyzer run over code that does not type-check would miss
 // what it cannot see, so callers refuse it, and only a test of that
-// degraded input reads the packages.
-func Load(patterns ...string) ([]*Package, error) {
+// degraded input reads the program.
+func Load(patterns ...string) (*Program, error) {
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -164,8 +149,8 @@ func Load(patterns ...string) ([]*Package, error) {
 			// Collect every error rather than stop at the first.
 			Error: func(err error) { errs = append(errs, err) },
 		}
-		tpkg, _ := conf.Check(p.ImportPath, fset, files, info)
-		pkgs = append(pkgs, &Package{Path: p.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
+		conf.Check(p.ImportPath, fset, files, info)
+		pkgs = append(pkgs, &Package{Path: p.ImportPath, Files: files, Info: info})
 		if len(errs) > 0 {
 			typeErrs = append(typeErrs, fmt.Errorf("lint: %s does not type-check: %w", p.ImportPath, errors.Join(errs...)))
 		}
@@ -173,5 +158,5 @@ func Load(patterns ...string) ([]*Package, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("lint: no packages matched %s", strings.Join(patterns, " "))
 	}
-	return pkgs, errors.Join(typeErrs...)
+	return newProgram(fset, pkgs), errors.Join(typeErrs...)
 }

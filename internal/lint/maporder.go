@@ -21,10 +21,13 @@ func NewMapOrder() *Analyzer {
 		Doc:  "forbid order-sensitive work inside range-over-map; iterate sorted keys",
 	}
 	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					checkBlock(pass, fd.Body.List, nil)
+		for _, pkg := range pass.Pkgs {
+			m := &mapOrder{pass: pass, pkg: pkg}
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+						m.checkBlock(fd.Body.List, nil)
+					}
 				}
 			}
 		}
@@ -32,54 +35,60 @@ func NewMapOrder() *Analyzer {
 	return a
 }
 
+// mapOrder walks one package's function bodies.
+type mapOrder struct {
+	pass *Pass
+	pkg  *Package
+}
+
 // checkBlock walks the statements of one block. follow carries the
 // statements that execute after the block — the continuation — so a sort
 // following an enclosing loop still counts as the sorted-after idiom for an
 // append nested inside it.
-func checkBlock(pass *Pass, stmts []ast.Stmt, follow []ast.Stmt) {
+func (m *mapOrder) checkBlock(stmts []ast.Stmt, follow []ast.Stmt) {
 	for i, stmt := range stmts {
 		rest := make([]ast.Stmt, 0, len(stmts)-i-1+len(follow))
 		rest = append(rest, stmts[i+1:]...)
 		rest = append(rest, follow...)
-		checkStmt(pass, stmt, rest)
+		m.checkStmt(stmt, rest)
 	}
 }
 
-func checkStmt(pass *Pass, stmt ast.Stmt, follow []ast.Stmt) {
+func (m *mapOrder) checkStmt(stmt ast.Stmt, follow []ast.Stmt) {
 	switch s := stmt.(type) {
 	case *ast.LabeledStmt:
-		checkStmt(pass, s.Stmt, follow)
+		m.checkStmt(s.Stmt, follow)
 	case *ast.RangeStmt:
-		if isMapRange(pass, s) {
-			checkMapRange(pass, s, follow)
+		if m.isMapRange(s) {
+			m.checkMapRange(s, follow)
 		} else {
-			checkBlock(pass, s.Body.List, follow)
+			m.checkBlock(s.Body.List, follow)
 		}
 	case *ast.ForStmt:
-		checkBlock(pass, s.Body.List, follow)
+		m.checkBlock(s.Body.List, follow)
 	case *ast.IfStmt:
-		checkBlock(pass, s.Body.List, follow)
+		m.checkBlock(s.Body.List, follow)
 		if s.Else != nil {
-			checkStmt(pass, s.Else, follow)
+			m.checkStmt(s.Else, follow)
 		}
 	case *ast.BlockStmt:
-		checkBlock(pass, s.List, follow)
+		m.checkBlock(s.List, follow)
 	case *ast.SwitchStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				checkBlock(pass, cc.Body, follow)
+				m.checkBlock(cc.Body, follow)
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
-				checkBlock(pass, cc.Body, follow)
+				m.checkBlock(cc.Body, follow)
 			}
 		}
 	case *ast.SelectStmt:
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
-				checkBlock(pass, cc.Body, follow)
+				m.checkBlock(cc.Body, follow)
 			}
 		}
 	default:
@@ -88,7 +97,7 @@ func checkStmt(pass *Pass, stmt ast.Stmt, follow []ast.Stmt) {
 		// is known to run after the literal's body.
 		ast.Inspect(stmt, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				checkBlock(pass, lit.Body.List, nil)
+				m.checkBlock(lit.Body.List, nil)
 				return false
 			}
 			return true
@@ -96,8 +105,8 @@ func checkStmt(pass *Pass, stmt ast.Stmt, follow []ast.Stmt) {
 	}
 }
 
-func isMapRange(pass *Pass, rng *ast.RangeStmt) bool {
-	t := pass.TypeOf(rng.X)
+func (m *mapOrder) isMapRange(rng *ast.RangeStmt) bool {
+	t := m.pkg.Info.TypeOf(rng.X)
 	if t == nil {
 		return false
 	}
@@ -108,15 +117,15 @@ func isMapRange(pass *Pass, rng *ast.RangeStmt) bool {
 // checkMapRange reports order-sensitive statements anywhere in the loop
 // body (nested loops included — they still execute per map iteration).
 // follow is the loop's continuation, consulted for the sorted-after idiom.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt, follow []ast.Stmt) {
+func (m *mapOrder) checkMapRange(rng *ast.RangeStmt, follow []ast.Stmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
-			checkAssign(pass, s, follow)
+			m.checkAssign(s, follow)
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
-				if pkg, name, ok := pass.CalleeOf(call); ok && pkg == "fmt" && isPrintName(name) {
-					pass.Reportf(call.Pos(),
+				if path, name, ok := m.pkg.CalleeOf(call); ok && path == "fmt" && isPrintName(name) {
+					m.pass.Reportf(call.Pos(),
 						"fmt.%s inside range over map emits output in nondeterministic order; iterate sorted keys", name)
 				}
 			}
@@ -125,43 +134,40 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, follow []ast.Stmt) {
 	})
 }
 
-func checkAssign(pass *Pass, s *ast.AssignStmt, follow []ast.Stmt) {
+func (m *mapOrder) checkAssign(s *ast.AssignStmt, follow []ast.Stmt) {
 	switch s.Tok {
 	case token.ASSIGN, token.DEFINE:
 		for i, rhs := range s.Rhs {
 			call, ok := rhs.(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass, call) {
+			if !ok || !m.isBuiltinAppend(call) {
 				continue
 			}
 			var target types.Object
 			if i < len(s.Lhs) {
 				if id, ok := s.Lhs[i].(*ast.Ident); ok {
-					target = pass.objectOf(id)
+					target = m.pkg.Info.ObjectOf(id)
 				}
 			}
-			if target != nil && sortedAfter(pass, target, follow) {
+			if target != nil && m.sortedAfter(target, follow) {
 				continue
 			}
-			pass.Reportf(call.Pos(),
+			m.pass.Reportf(call.Pos(),
 				"append inside range over map accumulates in nondeterministic order; iterate sorted keys or sort the result")
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		if len(s.Lhs) == 1 && isFloat(pass.TypeOf(s.Lhs[0])) {
-			pass.Reportf(s.Pos(),
+		if len(s.Lhs) == 1 && isFloat(m.pkg.Info.TypeOf(s.Lhs[0])) {
+			m.pass.Reportf(s.Pos(),
 				"floating-point accumulation inside range over map is order-dependent at the bit level; iterate sorted keys")
 		}
 	}
 }
 
-func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
+func (m *mapOrder) isBuiltinAppend(call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
 	}
-	if pass.Info == nil {
-		return true
-	}
-	_, builtin := pass.Info.Uses[id].(*types.Builtin)
+	_, builtin := m.pkg.Info.Uses[id].(*types.Builtin)
 	return builtin
 }
 
@@ -184,7 +190,7 @@ func isPrintName(name string) bool {
 // sortedAfter reports whether a statement in the loop's continuation sorts
 // the slice the loop appended to — sort.X(target, ...) or
 // slices.SortX(target, ...).
-func sortedAfter(pass *Pass, target types.Object, follow []ast.Stmt) bool {
+func (m *mapOrder) sortedAfter(target types.Object, follow []ast.Stmt) bool {
 	for _, stmt := range follow {
 		es, ok := stmt.(*ast.ExprStmt)
 		if !ok {
@@ -194,25 +200,15 @@ func sortedAfter(pass *Pass, target types.Object, follow []ast.Stmt) bool {
 		if !ok {
 			continue
 		}
-		pkg, _, ok := pass.CalleeOf(call)
-		if !ok || (pkg != "sort" && pkg != "slices") {
+		path, _, ok := m.pkg.CalleeOf(call)
+		if !ok || (path != "sort" && path != "slices") {
 			continue
 		}
 		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && pass.objectOf(id) == target {
+			if id, ok := arg.(*ast.Ident); ok && m.pkg.Info.ObjectOf(id) == target {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-func (p *Pass) objectOf(id *ast.Ident) types.Object {
-	if p.Info == nil {
-		return nil
-	}
-	if obj := p.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Info.Defs[id]
 }

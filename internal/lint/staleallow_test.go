@@ -6,20 +6,20 @@ import (
 )
 
 // loadAndRun loads the fixture directory and runs the detrand analyzer
-// through the package's shared allow index, the setup every StaleAllows
-// test needs: hits recorded, stale directives left over.
-func loadAndRun(t *testing.T, src string) *Package {
+// through the program's allow index, the setup every StaleAllows test
+// needs: hits recorded, stale directives left over.
+func loadAndRun(t *testing.T, src string) *AllowIndex {
 	t.Helper()
-	pkgs, err := Load(writeFixture(t, src))
+	prog, err := Load(writeFixture(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	Run(pkgs[0], NewDetRand())
-	return pkgs[0]
+	Run(prog, NewDetRand())
+	return prog.allow
 }
 
 func TestStaleAllowReported(t *testing.T) {
-	pkg := loadAndRun(t, `package fixture
+	allow := loadAndRun(t, `package fixture
 
 import "math/rand"
 
@@ -31,7 +31,7 @@ func stale(a, b int) bool {
 	return a == b //lint:allow detrand nothing here draws from math/rand
 }
 `)
-	diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true})
+	diags := allow.StaleAllows(map[string]bool{"detrand": true})
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the stale directive reported, got %v", diags)
 	}
@@ -50,7 +50,7 @@ func stale(a, b int) bool {
 // TestStaleAllowNextLineScope: a directive above its statement is a hit
 // via the line-below cell and must not be reported.
 func TestStaleAllowNextLineScope(t *testing.T) {
-	pkg := loadAndRun(t, `package fixture
+	allow := loadAndRun(t, `package fixture
 
 import "math/rand"
 
@@ -59,7 +59,7 @@ func above() int {
 	return rand.Intn(2)
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
+	if diags := allow.StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("comment-above directive wrongly stale: %v", diags)
 	}
 }
@@ -67,16 +67,16 @@ func above() int {
 // TestStaleAllowOutsideRanSkipped: a subset run must not judge another
 // suite's directives.
 func TestStaleAllowOutsideRanSkipped(t *testing.T) {
-	pkg := loadAndRun(t, `package fixture
+	allow := loadAndRun(t, `package fixture
 
 func f(a, b int) bool {
 	return a == b //lint:allow privleak different suite, not run here
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
+	if diags := allow.StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("directive outside the ran set wrongly reported: %v", diags)
 	}
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true, "privleak": true}); len(diags) != 1 {
+	if diags := allow.StaleAllows(map[string]bool{"detrand": true, "privleak": true}); len(diags) != 1 {
 		t.Fatalf("directive inside the ran set not reported: %v", diags)
 	}
 }
@@ -84,13 +84,13 @@ func f(a, b int) bool {
 // TestStaleAllowSelfSuppression: //lint:allow staleallow on the directive
 // line keeps a deliberately speculative allow.
 func TestStaleAllowSelfSuppression(t *testing.T) {
-	pkg := loadAndRun(t, `package fixture
+	allow := loadAndRun(t, `package fixture
 
 func f(a, b int) bool {
 	return a == b //lint:allow detrand,staleallow kept for a pending sampler refactor
 }
 `)
-	if diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
+	if diags := allow.StaleAllows(map[string]bool{"detrand": true}); len(diags) != 0 {
 		t.Fatalf("staleallow self-suppression ignored: %v", diags)
 	}
 }
@@ -98,7 +98,7 @@ func f(a, b int) bool {
 // TestStaleAllowMultiName: one comma-list directive is judged per
 // analyzer — the hitting name survives, the idle one is stale.
 func TestStaleAllowMultiName(t *testing.T) {
-	pkg := loadAndRun(t, `package fixture
+	allow := loadAndRun(t, `package fixture
 
 import "math/rand"
 
@@ -106,7 +106,7 @@ func f() int {
 	return rand.Intn(2) //lint:allow detrand,walltime only detrand fires here
 }
 `)
-	diags := pkg.Allow().StaleAllows(map[string]bool{"detrand": true, "walltime": true})
+	diags := allow.StaleAllows(map[string]bool{"detrand": true, "walltime": true})
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "//lint:allow walltime") {
 		t.Fatalf("want exactly the walltime half stale, got %v", diags)
 	}

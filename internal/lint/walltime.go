@@ -25,29 +25,32 @@ func NewWallTime(exempt ...string) *Analyzer {
 		Name: "walltime",
 		Doc:  "forbid wall-clock reads outside the observability layer and annotated span-timing sites",
 	}
-	if len(exempt) > 0 {
-		a.Match = func(pkgPath string) bool {
-			for _, e := range exempt {
-				if pkgPath == e || strings.HasPrefix(pkgPath, e+"/") {
-					return false
-				}
+	exempted := func(pkgPath string) bool {
+		for _, e := range exempt {
+			if pkgPath == e || strings.HasPrefix(pkgPath, e+"/") {
+				return true
 			}
-			return true
 		}
+		return false
 	}
 	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
+		for _, pkg := range pass.Pkgs {
+			if exempted(pkg.Path) {
+				continue
+			}
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if path, name, ok := pkg.CalleeOf(call); ok && path == "time" && wallClockFuncs[name] {
+						pass.Reportf(call.Pos(),
+							"time.%s reads the wall clock outside the observability layer; use obs spans or annotate the timing site", name)
+					}
 					return true
-				}
-				if pkg, name, ok := pass.CalleeOf(call); ok && pkg == "time" && wallClockFuncs[name] {
-					pass.Reportf(call.Pos(),
-						"time.%s reads the wall clock outside the observability layer; use obs spans or annotate the timing site", name)
-				}
-				return true
-			})
+				})
+			}
 		}
 	}
 	return a

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"verro/internal/lint"
 )
 
 func writeTree(t *testing.T, files map[string]string) string {
@@ -279,6 +283,72 @@ func One() int {
 	if !strings.Contains(out.String(), "typo.go:4:11: //lint:allow hotlloc: no analyzer named hotlloc") ||
 		!strings.Contains(out.String(), "(staleallow)") {
 		t.Fatalf("unknown-analyzer directive not reported under staleallow:\n%s", out.String())
+	}
+}
+
+// TestProjectScoping pins the package scoping of the list the driver
+// ships (DESIGN.md §2d, §2e): in a module named verro, detrand and
+// maporder fire in every package; walltime skips internal/obs and
+// internal/par but not internal/core; and printing raw data is a privleak
+// finding under cmd/ and internal/server only.
+func TestProjectScoping(t *testing.T) {
+	const clock = `package %s
+
+import (
+	"math/rand"
+	"time"
+)
+
+func Now() time.Time { return time.Now() }
+
+func Draw() int { return rand.Intn(6) }
+
+func Sum(m map[string]float64) (s float64) {
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+`
+	const dump = `package %s
+
+import (
+	"fmt"
+
+	"verro/internal/motio"
+)
+
+func Dump() {
+	tracks, _ := motio.ReadCSV("gt.csv")
+	fmt.Println(tracks)
+}
+`
+	files := map[string]string{
+		"go.mod":                  "module verro\n\ngo 1.22\n",
+		"internal/motio/motio.go": "package motio\n\nfunc ReadCSV(path string) ([]float64, error) { return nil, nil }\n",
+	}
+	for _, name := range []string{"obs", "par", "core"} {
+		files["internal/"+name+"/"+name+".go"] = fmt.Sprintf(clock, name)
+	}
+	for _, dir := range []string{"internal/core", "internal/server", "cmd/tool"} {
+		files[dir+"/dump.go"] = fmt.Sprintf(dump, filepath.Base(dir))
+	}
+	prog, err := lint.Load(filepath.Join(writeTree(t, files), "..."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range lint.Run(prog, analyzers()...) {
+		dir := filepath.Base(filepath.Dir(d.Pos.Filename))
+		got = append(got, d.Analyzer+":"+dir+"/"+filepath.Base(d.Pos.Filename))
+	}
+	sort.Strings(got)
+	want := "detrand:core/core.go detrand:obs/obs.go detrand:par/par.go " +
+		"maporder:core/core.go maporder:obs/obs.go maporder:par/par.go " +
+		"privleak:server/dump.go privleak:tool/dump.go " +
+		"walltime:core/core.go"
+	if strings.Join(got, " ") != want {
+		t.Errorf("findings = %q\nwant       %q", strings.Join(got, " "), want)
 	}
 }
 

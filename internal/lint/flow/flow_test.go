@@ -134,8 +134,10 @@ func unannotated() {
 	}
 }
 
-// TestProjectAnalyzersListed pins the names and doc lines of the flow
-// analyzers cmd/verrolint lists (its TestRunListMode pins the list).
+// TestProjectAnalyzersListed pins the name and doc line each flow
+// constructor gives its analyzer. The list cmd/verrolint ships, in order
+// and with privleak's print scoping, is pinned by that command's
+// TestRunListMode and TestProjectScoping.
 func TestProjectAnalyzersListed(t *testing.T) {
 	var names []string
 	for _, a := range []*lint.Analyzer{flow.NewPrivLeak(), flow.NewEpsConsist(), flow.NewEpsHTTP()} {

@@ -34,11 +34,11 @@ build:
 ## lint: the in-repo static-analysis suite (cmd/verrolint) in one plain
 ## pass over the packages `go list ./...` names — one analyzer list on one
 ## framework (internal/lint): the classic determinism analyzers (DESIGN.md
-## §2d), the verroflow taint analyzers (§2e) and the lifecycle analyzers
-## (§2k). Every diagnostic fails, and so does a package that does not
-## type-check and a //lint:allow that names no analyzer or suppresses
-## nothing. `go test ./...` runs the same pass (TestRunModuleClean); this
-## target is the entry point for people.
+## §2d) and the verroflow taint analyzers (§2e, §2i). Every diagnostic
+## fails, and so does a package that does not type-check and a
+## //lint:allow that names no analyzer or suppresses nothing. `go test
+## ./...` runs the same pass (TestRunModuleClean); this target is the
+## entry point for people.
 lint:
 	$(GO) run ./cmd/verrolint ./...
 
@@ -50,14 +50,17 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-## test-leak: the job-churn leak harness (leak_test.go) — 200+ jobs through
-## every lifecycle shape (sequential, slot-saturating concurrent batches,
-## SSE subscribers yanked mid-stream, checkpoint resume re-runs), then
-## asserts goroutines, file descriptors, event logs, and post-GC heap all
-## return to the pre-churn baseline. The runtime witness for the
-## lifecycle invariants verrolint does not check statically (lock
-## discipline, request cancellation); `make nightly` repeats it under
-## -race via the full race suite.
+## test-leak: the job-churn leak harness (leak_test.go). An open-files
+## phase runs one job or refused admission of every shape that opens a
+## file with the garbage collector off, and counts file descriptors before
+## any collection, so a file dropped without Close is still open. Then
+## 200+ jobs through every lifecycle shape (sequential, slot-saturating
+## concurrent batches, SSE subscribers yanked mid-stream, checkpoint
+## resume re-runs), after which goroutines, file descriptors, event logs,
+## and post-GC heap must all return to the pre-churn baseline. The
+## runtime holder of verrod's goroutine, file, lock and cancellation
+## discipline (DESIGN.md §2k); `make nightly` repeats it under -race via
+## the full race suite.
 test-leak:
 	$(GO) test -run TestChurnNoLeaks -count=1 -v ./internal/server/
 
@@ -82,10 +85,13 @@ race-par:
 	$(GO) test -race -run 'TestJobLifecycle|TestAdmissionControl|TestEventsMonotonicWindowProgress' ./internal/server/
 	$(GO) test -race ./internal/store/ ./internal/stream/ ./internal/track/ ./internal/vid/
 
-## fuzz: a short .vvf codec fuzz pass; lengthen with FUZZTIME=60s.
+## fuzz: a short .vvf codec fuzz pass; lengthen with FUZZTIME=60s. Each
+## new-coverage input is minimized for at most 1s, as in fuzz-short: by
+## default the minimizer of FuzzVVF's valid-stream descendants holds the
+## workers at 0 execs/s for most of a short run.
 FUZZTIME ?= 5s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzVVF -fuzztime=$(FUZZTIME) ./internal/vid/
+	$(GO) test -run='^$$' -fuzz=FuzzVVF -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/vid/
 
 ## fuzz-short: the CI fuzz gate — 10s each on the .vvf codec decoder and
 ## the stream-window planner, the two parser-shaped surfaces. FuzzVVF

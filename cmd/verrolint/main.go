@@ -1,12 +1,10 @@
 // Command verrolint runs VERRO's static-analysis suite over the repository
 // in one pass: the classic single-expression analyzers (internal/lint) that
-// mechanically enforce determinism invariants; the dataflow analyzers
+// mechanically enforce determinism invariants, and the dataflow analyzers
 // (internal/lint/flow) that prove raw object data never reaches a
 // published artifact unsanitized and privacy parameters come from
-// validated configs; and the lifecycle analyzers (internal/lint/life):
-// goroutines spawned in the service arc terminate and acquired resources
-// are released on every path. They are one list of lint.Analyzers, and
-// every invocation runs all of them over one loaded program.
+// validated configs. They are one list of lint.Analyzers, and every
+// invocation runs all of them over one loaded program.
 //
 // The list ends with staleallow, which checks the //lint:allow
 // directives: one naming an analyzer that does not exist suppresses
@@ -40,7 +38,6 @@ import (
 
 	"verro/internal/lint"
 	"verro/internal/lint/flow"
-	"verro/internal/lint/life"
 )
 
 func main() {
@@ -62,7 +59,6 @@ type jsonDiag struct {
 // carry. staleallow comes last, since it judges the directives once every
 // other analyzer has reported.
 func analyzers() []*lint.Analyzer {
-	goleak, mustclose := life.NewAnalyzers(life.ProjectConfig())
 	list := []*lint.Analyzer{
 		lint.NewDetRand(),
 		// Span timing is internal/obs's purpose, and internal/par reads
@@ -79,8 +75,6 @@ func analyzers() []*lint.Analyzer {
 		flow.NewPrivLeak("verro/cmd/", "verro/internal/server"),
 		flow.NewEpsConsist(),
 		flow.NewEpsHTTP(),
-		goleak,
-		mustclose,
 	}
 	return append(list, lint.NewStaleAllow(list...))
 }

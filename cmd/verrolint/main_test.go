@@ -227,7 +227,7 @@ func TestRunListMode(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "detrand walltime maporder privleak epsconsist epshttp goleak mustclose staleallow"
+	want := "detrand walltime maporder privleak epsconsist epshttp staleallow"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q", got, want)
 	}

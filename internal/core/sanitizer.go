@@ -19,10 +19,6 @@ type Config struct {
 	Phase2   Phase2Config
 	Keyframe keyframe.Config
 	Inpaint  inpaint.Config
-	// BackgroundStep subsamples frames feeding the temporal background
-	// median; 0 means detect.AutoStep, a stride that samples ~40 frames and
-	// never fewer than 9.
-	BackgroundStep int
 	// Seed drives all randomness in the run.
 	Seed int64
 	// Workers sizes this run's worker pool (0 means GOMAXPROCS). All

@@ -135,10 +135,7 @@ type analysis struct {
 func analyze(src stream.Source, tracks *motio.TrackSet, cfg Config, scenes bool, pool *par.Pool, root *obs.Span) (*analysis, error) {
 	meta := src.Meta()
 	kfCfg := autoSegmentCfg(cfg.Keyframe, meta.Frames)
-	step := cfg.BackgroundStep
-	if step <= 0 {
-		step = detect.AutoStep(meta.Frames)
-	}
+	step := detect.AutoStep(meta.Frames)
 	var (
 		hists   []*img.HSVHist
 		samples []*img.Image

@@ -346,7 +346,7 @@ func TestAutoStepSamplesAtLeastNineFrames(t *testing.T) {
 }
 
 // TestMedianBackgroundShortClip is the 10-frame regression for the
-// automatic BackgroundStep: the full stack must feed the median so a moving
+// AutoStep sampling stride: the full stack must feed the median so a moving
 // object cannot bake itself into the background model.
 func TestMedianBackgroundShortClip(t *testing.T) {
 	const w, h, n = 64, 48, 10

@@ -113,6 +113,31 @@ func allowed() int {
 	}
 }
 
+// TestFixtureMetaFailClosed proves the fixture runner fails closed:
+// withholding every analyzer leaves each want comment unmatched, so a
+// fixture whose expectations could be satisfied by nothing would fail
+// loudly rather than silently passing.
+func TestFixtureMetaFailClosed(t *testing.T) {
+	for _, dir := range []string{
+		"testdata/detrand",
+		"testdata/walltime",
+		"testdata/maporder",
+	} {
+		problems, err := CheckFixture(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if len(problems) == 0 {
+			t.Errorf("%s: no unmatched wants with analyzers withheld; fixture asserts nothing", dir)
+		}
+		for _, p := range problems {
+			if !strings.Contains(p, "no diagnostic matching") {
+				t.Errorf("%s: unexpected problem kind without analyzers: %s", dir, p)
+			}
+		}
+	}
+}
+
 func TestFixtureBadWantPattern(t *testing.T) {
 	// An unparseable want regexp is a fixture authoring error, not a pass.
 	dir := writeFixture(t, `package fixture

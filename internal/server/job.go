@@ -67,7 +67,7 @@ func (s *Server) runJob(m *store.Manifest) {
 // process runs the pipeline for one job, resuming from the manifest's
 // checkpoint. On success the manifest is saved in the done state with the
 // privacy ledger and output path filled in.
-func (s *Server) process(m *store.Manifest, l *eventLog) error {
+func (s *Server) process(m *store.Manifest, l *eventLog) (err error) {
 	dir, err := s.cfg.Store.Dir(m.ID)
 	if err != nil {
 		return err
@@ -167,22 +167,23 @@ func (s *Server) process(m *store.Manifest, l *eventLog) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		out.Close()
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
 	// The staging file holds only sanitizer output: checkpointSink is its
 	// sole writer, and on resume OpenRawStore re-reads exactly those frames
 	// (proven equal to an uninterrupted run by stream_resume_test.go).
 	//lint:allow privleak staging contains sanitized frames only; resume equivalence covered by stream_resume_test
 	if _, err := raw.EncodeTo(out, verro.StreamOutputMeta(meta), m.Window); err != nil {
-		out.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := out.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, outPath); err != nil {

@@ -23,7 +23,7 @@ const maxBuckets = 4096
 // upload staging, geometry probes), which is work a rejected job performs
 // before the semaphore would ever turn it away.
 //
-// The clock is injected: the lifecycle suite's walltime analyzer reserves
+// The clock is injected: verrolint's walltime analyzer reserves
 // time.Now for internal/obs and internal/par, so the daemon passes it in
 // at the edge (with the lint allow documented there) and tests pass a fake.
 type rateLimiter struct {

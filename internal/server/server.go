@@ -376,8 +376,8 @@ func (s *Server) admit(r *http.Request) (*store.Manifest, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer f.Close()
 		if _, err := io.Copy(f, r.Body); err != nil {
-			f.Close()
 			s.discard(id)
 			return nil, fmt.Errorf("upload: %w", err)
 		}

@@ -119,8 +119,9 @@ func (s *FS) Dir(id string) (string, error) {
 
 // Save durably persists the manifest: it is written to a temp file in the
 // job directory, synced, and renamed over manifest.json — atomic on POSIX, so a
-// crash leaves either the old manifest or the new one intact.
-func (s *FS) Save(m *Manifest) error {
+// crash leaves either the old manifest or the new one intact. A failed Save
+// removes its temp file.
+func (s *FS) Save(m *Manifest) (err error) {
 	if m == nil {
 		return fmt.Errorf("store: nil manifest")
 	}
@@ -138,18 +139,19 @@ func (s *FS) Save(m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	defer func() {
 		f.Close()
-		os.Remove(tmp)
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if _, err := f.Write(data); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, "manifest.json"))

@@ -108,9 +108,9 @@ func WriteFile(path string, v *Video) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer f.Close()
 	n, err := Encode(f, v)
 	if err != nil {
-		f.Close()
 		return 0, err
 	}
 	return n, f.Close()

@@ -43,8 +43,8 @@ func (v *Video) WriteGIF(path string, frameStep int) error {
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	if err := gif.EncodeAll(f, anim); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()

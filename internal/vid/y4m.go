@@ -55,8 +55,8 @@ func SaveY4M(path string, v *Video) error {
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	if err := WriteY4M(f, v); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()

@@ -20,9 +20,6 @@ type PipelineConfig struct {
 	Detector DetectorKind
 	// Tracker tunes the SORT-style tracker.
 	Tracker track.Config
-	// BackgroundStep subsamples frames for the median background model of
-	// the background-subtraction detector; 0 means an automatic stride.
-	BackgroundStep int
 	// Style is the scene style used to train the HOG+SVM detector; it is
 	// only consulted when Detector == DetectorHOGSVM.
 	Style scene.Style
@@ -105,12 +102,8 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 		d.RT = obs.Runtime{Pool: pool}
 		det = d
 	case DetectorBackgroundSub:
-		step := cfg.BackgroundStep
-		if step <= 0 {
-			step = detect.AutoStep(meta.Frames)
-		}
 		bgSpan := root.Child("background")
-		bg, err := medianBackgroundStream(src, cfg.WindowFrames, step, obs.Runtime{Pool: pool, Span: bgSpan})
+		bg, err := medianBackgroundStream(src, cfg.WindowFrames, detect.AutoStep(meta.Frames), obs.Runtime{Pool: pool, Span: bgSpan})
 		bgSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("verro: background model: %w", err)
@@ -142,9 +135,6 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 // with step 1, which stacks the same samples a strided median over the
 // whole clip would.
 func medianBackgroundStream(src stream.Source, window, step int, rt obs.Runtime) (*Image, error) {
-	if step < 1 {
-		step = 1
-	}
 	var samples []*img.Image
 	err := stream.Each(src, window, func(frames []*img.Image, start int) error {
 		for i, f := range frames {

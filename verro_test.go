@@ -198,8 +198,8 @@ func TestPublicSanitizeJoint(t *testing.T) {
 	}
 }
 
-// TestDetectAndTrackShortClip is the regression for the automatic
-// BackgroundStep on short videos: a 10-frame clip must feed (at least) nine
+// TestDetectAndTrackShortClip is the regression for the background
+// sampling stride on short videos: a 10-frame clip must feed (at least) nine
 // frames into the median background model, so the moving object is detected
 // and tracked rather than absorbed into the background.
 func TestDetectAndTrackShortClip(t *testing.T) {

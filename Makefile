@@ -75,8 +75,10 @@ race:
 ## sprites per frame from one merged plan), the verrod handlers (concurrent
 ## jobs + SSE subscribers share the trace-observer path), and every test of
 ## internal/store, internal/stream, internal/track and internal/vid: the
-## .vvf codec, vid.FileSource's read-ahead goroutine, which owns the
-## source's cursor and its raw-pixel spill while a window is in flight, and
+## .vvf codec and its member inflate goroutines, which hand each inflated
+## member to the cursor over a channel, vid.FileSource's read-ahead
+## goroutine, which owns the source's cursor and its raw-pixel spill while
+## a window is in flight, and
 ## the tracker's runner, which rebinds its detector to each window's detect
 ## span between the pool passes whose workers add to it.
 race-par:

@@ -173,7 +173,7 @@ func multiTypeDigest(t *testing.T, res *Result) string {
 // multiTypeGolden pins a per-class run on the mixedScene clip at seed 7.
 // It is compared on GOARCH=amd64 only: other targets may fuse multiply-add.
 const multiTypeGolden = "tracks=e632c56125c2de544c8ef087aed4fe152354d92473dd1fe72d02ba464b8652da" +
-	" vvf=61c9f87531af44ad081a1586877aef2cbf38f4c10c1f647da13df99f7991b036" +
+	" vvf=754120a3404ec428001767d24ac0a37e4ea36339b4d7f9b6bd1d0547cced80f6" +
 	" eps=40278e360604b32c pedestrian=40278e360604b32c vehicle=40178e360604b32c"
 
 // TestSanitizeMultiTypeGolden pins the per-class sanitizer's output bytes

@@ -95,6 +95,26 @@ func quiesce(base int) {
 	}
 }
 
+// settle closes idle client connections and waits for async teardown to
+// end: it polls the goroutine count until it has not fallen for
+// settleQuiet, within a bounded window, and returns it. The count it
+// returns is the baseline quiesce is held to.
+func settle() int {
+	const settleQuiet = 100 * time.Millisecond
+	closeIdle()
+	n, since := runtime.NumGoroutine(), time.Now()
+	for deadline := since.Add(5 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, since = m, time.Now()
+		} else if time.Since(since) >= settleQuiet {
+			break
+		}
+	}
+	return n
+}
+
 // heapInUse reports live heap bytes after a full collection.
 func heapInUse() uint64 {
 	runtime.GC()
@@ -335,8 +355,7 @@ func TestChurnNoLeaks(t *testing.T) {
 	readSSE(t, resp.Body)
 	resp.Body.Close()
 
-	quiesce(0)
-	baseGoroutines := runtime.NumGoroutine()
+	baseGoroutines := settle()
 	baseFDs, fdOK := countFDs()
 	baseHeap := heapInUse()
 

@@ -592,9 +592,10 @@ func (s *Server) Wait() { s.wg.Wait() }
 // shiftedFrames counts the frames of a .vvf stream coded as shifted
 // deltas. The stream is a 27-byte header and the name (magic; width,
 // height and frame count as little-endian uint32s; the FPS bits; the
-// moving flag; the name length as a uint16), then one gzip member of
-// frames: a kind byte, a shift byte when the kind is 2 (a shifted delta),
-// and W·H·3 payload bytes.
+// moving flag; the name length as a uint16), then gzip members of frames,
+// which a multistream gzip reader reads as one stream: a kind byte, a
+// shift byte when the kind is 2 (a shifted delta), and W·H·3 payload
+// bytes.
 func shiftedFrames(t *testing.T, data []byte) int {
 	t.Helper()
 	le := binary.LittleEndian

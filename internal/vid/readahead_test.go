@@ -195,11 +195,11 @@ func noisyTestVideo(n int) *Video {
 func vvfPayload(t *testing.T, data []byte, name string) (header, payload []byte) {
 	t.Helper()
 	off := len(vvfMagic) + 3*4 + 8 + 1 + 2 + len(name)
-	zr, err := newVVFDecompressor(bytes.NewReader(data[off:]))
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err = io.ReadAll(zr)
+	payload, err = io.ReadAll(r.zr)
 	if err != nil {
 		t.Fatal(err)
 	}

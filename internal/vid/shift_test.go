@@ -3,10 +3,12 @@ package vid
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -83,17 +85,22 @@ func plainStream(t *testing.T, v *Video) []byte {
 	return vvfStream(t, MetaOf(v), payload)
 }
 
-// vvfStream writes meta's header and payload, compressed as the Writer
-// compresses, without checking the payload.
-func vvfStream(tb testing.TB, meta stream.Meta, payload []byte) []byte {
+// vvfStream writes meta's header and then each payload as one member,
+// compressed as the Writer compresses, without checking the payloads.
+func vvfStream(tb testing.TB, meta stream.Meta, payloads ...[]byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, meta)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := w.zw.Write(payload); err != nil {
-		tb.Fatal(err)
+	for _, p := range payloads {
+		if _, err := w.zw.Write(p); err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.zw.flush(); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if err := w.zw.Close(); err != nil {
 		tb.Fatal(err)
@@ -257,28 +264,44 @@ func TestLegacyMovingFileReads(t *testing.T) {
 
 // TestDecodeAllocationFollowsInput decodes streams whose header promises
 // one square frame of up to 16384² pixels (768 MiB), or 2²⁰ one-pixel
-// frames, and whose body holds only the first frame's kind byte: each
-// must fail with ErrFormat having allocated less than 1 MiB, not what the
-// header promised.
+// frames, and whose body holds only the first frame's kind byte, in one
+// blocked member: as written, with a size subfield that claims 4 GiB, and
+// with an ISIZE trailer that claims 4 GiB. Each must fail with ErrFormat
+// having allocated less than 1 MiB, not what the header, the subfield or
+// the trailer promised.
 func TestDecodeAllocationFollowsInput(t *testing.T) {
 	metas := []stream.Meta{{Name: "many", W: 1, H: 1, FPS: 25, Frames: maxFrames}}
 	for _, side := range []int{256, 1024, 2048, maxDim} {
 		metas = append(metas, stream.Meta{Name: "big", W: side, H: side, FPS: 25, Frames: 1})
 	}
+	claim4GiB := func(data []byte, at int) []byte {
+		data = bytes.Clone(data)
+		binary.LittleEndian.PutUint32(data[at:], math.MaxUint32)
+		return data
+	}
 	for _, meta := range metas {
 		data := vvfStream(t, meta, []byte{frameRaw})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decode(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		geom := fmt.Sprintf("%d×%d×%d", meta.W, meta.H, meta.Frames)
-		if !errors.Is(err, ErrFormat) {
-			t.Errorf("%s: Decode error %v, want ErrFormat", geom, err)
-		}
-		alloc := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d bytes, %.2f MiB allocated", geom, len(data), float64(alloc)/(1<<20))
-		if alloc >= 1<<20 {
-			t.Errorf("%s: a %d-byte stream made Decode allocate %.1f MiB", geom, len(data), float64(alloc)/(1<<20))
+		for _, c := range []struct {
+			name string
+			data []byte
+		}{
+			{"as written", data},
+			{"size subfield claims 4 GiB", claim4GiB(data, headerLen(meta.Name)+memberSizeAt)},
+			{"ISIZE claims 4 GiB", claim4GiB(data, len(data)-4)},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(bytes.NewReader(c.data))
+			runtime.ReadMemStats(&after)
+			geom := fmt.Sprintf("%d×%d×%d, %s", meta.W, meta.H, meta.Frames, c.name)
+			if !errors.Is(err, ErrFormat) {
+				t.Errorf("%s: Decode error %v, want ErrFormat", geom, err)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s: %d bytes, %.2f MiB allocated", geom, len(c.data), float64(alloc)/(1<<20))
+			if alloc >= 1<<20 {
+				t.Errorf("%s: a %d-byte stream made Decode allocate %.1f MiB", geom, len(c.data), float64(alloc)/(1<<20))
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"verro/internal/img"
 	"verro/internal/stream"
@@ -39,7 +40,7 @@ func MetaOf(v *Video) stream.Meta {
 type Writer struct {
 	cw       *countWriter
 	bw       *bufio.Writer
-	zw       io.WriteCloser
+	zw       *memberWriter
 	prev     []uint8
 	buf      []uint8
 	head     [2]byte // a frame's kind byte and, for a shifted delta, its shift
@@ -70,11 +71,7 @@ func NewWriter(w io.Writer, meta stream.Meta) (*Writer, error) {
 	if _, err := bw.WriteString(meta.Name); err != nil {
 		return nil, err
 	}
-	zw, err := newVVFCompressor(bw)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{cw: cw, bw: bw, zw: zw, meta: meta}, nil
+	return &Writer{cw: cw, bw: bw, zw: newMemberWriter(bw), meta: meta}, nil
 }
 
 // Append encodes the next consecutive run of frames. Every frame after
@@ -117,6 +114,9 @@ func (w *Writer) Append(frames []*img.Image) error {
 		if _, err := w.zw.Write(payload); err != nil {
 			return err
 		}
+		if err := w.zw.endFrame(); err != nil {
+			return err
+		}
 		// Retain the raw pixels (not the delta buffer) as the delta base;
 		// this keeps exactly one frame alive between windows.
 		if cap(w.prev) < len(f.Pix) {
@@ -157,9 +157,12 @@ func (w *Writer) Written() int64 { return w.cw.n }
 
 // Reader decodes a .vvf stream incrementally: the header is parsed by
 // NewReader and frames are surfaced in bounded runs by Next, keeping only
-// the previous frame as the delta base.
+// the previous frame as the delta base. Inflating a blocked body runs
+// ahead of Next on up to GOMAXPROCS goroutines, one member each
+// (memberReader); the kind, shift and delta of each frame are undone on
+// the caller's goroutine. A Reader needs no Close.
 type Reader struct {
-	zr   io.ReadCloser
+	zr   io.Reader
 	meta stream.Meta
 	pos  int
 	prev []uint8
@@ -193,7 +196,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("%w: name: %v", ErrFormat, err)
 	}
-	zr, err := newVVFDecompressor(br)
+	// A valid member holds less than memberTarget bytes before its last
+	// frame, which is a kind byte, a shift and W·H·3 pixels.
+	zr, err := newVVFDecompressor(br, memberTarget+2+int(w32)*int(h32)*3)
 	if err != nil {
 		return nil, fmt.Errorf("%w: gzip: %v", ErrFormat, err)
 	}
@@ -242,7 +247,7 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 		case kind == frameRaw:
 		case kind != frameDelta && kind != frameShift:
 			return nil, start, fmt.Errorf("%w: frame %d unknown kind %d", ErrFormat, r.pos, kind)
-		case r.prev == nil:
+		case r.pos == 0:
 			return nil, start, fmt.Errorf("%w: delta frame %d without base", ErrFormat, r.pos)
 		case kind == frameShift:
 			if _, err := io.ReadFull(r.zr, r.head[1:]); err != nil {
@@ -254,8 +259,8 @@ func (r *Reader) Next(budget int) ([]*img.Image, int, error) {
 		}
 		var pix []uint8
 		var err error
-		if r.prev == nil {
-			pix, err = readGrowing(r.zr, frameBytes)
+		if r.pos == 0 {
+			pix, err = readGrowing(nil, r.zr, frameBytes)
 		} else {
 			pix = make([]uint8, frameBytes)
 			_, err = io.ReadFull(r.zr, pix)
@@ -282,26 +287,27 @@ const (
 	runCap = 64
 )
 
-// readGrowing reads n bytes from r into a buffer that starts at growChunk
-// bytes and doubles as they arrive, so a stream that ends early costs at
-// most growChunk or about twice what it held, whatever n its header
-// promised. Its errors are io.ReadFull's: io.EOF when nothing arrived,
-// io.ErrUnexpectedEOF when some did.
-func readGrowing(r io.Reader, n int) ([]uint8, error) {
-	buf := make([]uint8, min(n, growChunk))
-	for got := 0; ; {
-		k, err := io.ReadFull(r, buf[got:])
-		if got += k; err != nil {
-			if err == io.EOF && got > 0 {
+// readGrowing appends bytes from r to buf until it holds n. Its capacity
+// grows only as bytes arrive, to growChunk and then by doubling, so a
+// stream that ends early costs at most growChunk or about twice what it
+// held, whatever n it promised. Its errors are io.ReadFull's for the
+// bytes it was asked for: io.EOF when none arrived, io.ErrUnexpectedEOF
+// when some did.
+func readGrowing(buf []uint8, r io.Reader, n int) ([]uint8, error) {
+	from := len(buf)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), growChunk)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		if buf = buf[:len(buf)+k]; err != nil {
+			if err == io.EOF && len(buf) > from {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
+			return buf, err
 		}
-		if got == n {
-			return buf, nil
-		}
-		buf = append(buf, make([]uint8, min(n-got, got))...)
 	}
+	return buf, nil
 }
 
 // FileSource is a stream.Source backed by a .vvf file: frames are decoded

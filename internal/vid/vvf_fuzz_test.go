@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"verro/internal/img"
+	"verro/internal/stream"
 )
 
 // FuzzVVF throws arbitrary byte streams at the .vvf decoder. Invariants:
@@ -58,6 +59,19 @@ func FuzzVVF(f *testing.F) {
 	for _, b := range badShiftStreams(f) {
 		f.Add(b.data)
 	}
+	// A body of four blocked members, and the same body broken: a member
+	// size past the end, below the member header and into the next
+	// member, a bad CRC, a plain gzip member after blocked ones, cuts
+	// inside a member and inside its header, and a member that inflates
+	// past the bound the header sets.
+	f.Add(tinyMembers(f))
+	for _, b := range badMemberStreams(f) {
+		f.Add(b.data)
+	}
+	// Two raw frames of no pixels: the first is the second's delta base
+	// although it holds no bytes, so its re-encode, a raw frame and a
+	// delta, decodes.
+	f.Add(vvfStream(f, stream.Meta{Name: "flat", W: 12, H: 0, FPS: 25, Frames: 2}, []byte{frameRaw, frameRaw}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayTwoPasses(t, data)

@@ -46,21 +46,21 @@ var streamGolden = map[string]goldenArtifacts{
 	"MOT01": {
 		tracks:    "d53baec3e846e548d0c6d47e457ee4b6b37635ae40619e08edb080b3c546d73d",
 		synTracks: "24af1a97f3f68f87d43e88d6062b84f40693236b202b9c32e56f4671aecf8133",
-		vvf:       "7c6b3e69211f0c5d44ee82344ba1f35f0499eb54e91fa921c52ccd13dc8eafb0",
+		vvf:       "fad926316ac255fa5ea6e59f5f53c85d6bef438644c098da2551f449cf0dd83c",
 		eps:       0x404a7ffcc6c54992,
 		ledger16:  "92c365bdc3fcaaf04a59caec57e0a5ad798714dcd4195e7ea243a02bd10e43cf",
 	},
 	"MOT03": {
 		tracks:    "64b4bf3be95be67c458aa1c307c769a7b195fd5a2256e4e7a2ea41b1aceb68ca",
 		synTracks: "5f613db839507e91125d8f03cdd493d0c489908c3880adfd228ac6d98f092b66",
-		vvf:       "c06b7c839c28962b0703c54ab485f3abdb4816b902149abfaf7a15f7e88ed04e",
+		vvf:       "75940cc09d7e4e26a562c7566113ecb45ef004168e2313d98c6145c1fc6883d3",
 		eps:       0x404eeaa6e7e62b2a,
 		ledger16:  "595c60c99ee7e6bd3c82f7605ba4061555618a2c3f966aeb72411aea5bd49255",
 	},
 	"MOT06": {
 		tracks:    "93ba4bf74a5d17696f246596a585edcebbee14177074d931999ee25fb6e3fb81",
 		synTracks: "44d09419ffe4464a5e90e79ba99ec999619ee048f0a62f0179c5a85607012004",
-		vvf:       "186b400d400a87a0e6259403ac4ad168c40ce2e2014556c8b06917a8cc4854b0",
+		vvf:       "13dfbb00fbed038e136495c368d0e2be0133b0bed2c1e2a46ab76ea7a5ad9003",
 		eps:       0x404907196664fe5f,
 		ledger16:  "cf01bf572f6691a33eec082e76e82d2c6b3e1c8dc557fe0b79bfe7e60f85d72f",
 	},

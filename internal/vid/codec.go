@@ -250,7 +250,6 @@ func (m *memberReader) start() {
 	m.tail++
 	if s.err != nil {
 		m.srcDone = true
-		s.data = s.data[:0]
 		s.done <- struct{}{}
 		return
 	}

@@ -194,7 +194,6 @@ func noisyTestVideo(n int) *Video {
 // payload.
 func vvfPayload(t *testing.T, data []byte, name string) (header, payload []byte) {
 	t.Helper()
-	off := len(vvfMagic) + 3*4 + 8 + 1 + 2 + len(name)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +202,7 @@ func vvfPayload(t *testing.T, data []byte, name string) (header, payload []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data[:off], payload
+	return data[:headerLen(name)], payload
 }
 
 // recompress encodes header and payload as the container does. With cut,

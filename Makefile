@@ -133,5 +133,8 @@ bench-compare:
 	$(GO) run ./cmd/benchcmp -ref BENCH_parallel.json -new $(BENCHTMP)/parallel.json -tolerance 0.15
 	$(GO) run ./cmd/benchcmp -ref BENCH_hotpath.json -new $(BENCHTMP)/hotpath.json -tolerance 0.15
 
+## clean: remove bench-compare's scratch measurements. results/ holds the
+## committed output of the command of record (EXPERIMENTS.md), so clean
+## leaves it alone.
 clean:
-	rm -rf results $(BENCHTMP)
+	rm -rf $(BENCHTMP)

@@ -139,12 +139,13 @@ func BenchmarkParKeyframe(b *testing.B) {
 
 // BenchmarkParSanitizeRender times the full in-memory sanitization — the
 // streaming driver over one whole-clip window — including the Phase II
-// frame rendering loop.
+// frame rendering loop. The run sizes its pool by GOMAXPROCS, so each
+// sub-benchmark sets GOMAXPROCS to its worker count.
 func BenchmarkParSanitizeRender(b *testing.B) {
 	d := dataset(b, "MOT01")
 	cfg := d.SanitizerConfig(0.1, 1, true)
 	benchAtWorkers(b, func(b *testing.B, workers int, _ obs.Runtime) {
-		cfg.Workers = workers
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(i) + 1
 			if _, err := verro.Sanitize(d.Gen.Video, d.Tracks, cfg); err != nil {

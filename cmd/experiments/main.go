@@ -34,7 +34,7 @@ func main() {
 		tracked = flag.Bool("tracked", false, "use detected+tracked objects instead of ground truth")
 		html    = flag.String("html", "", "also write a self-contained HTML report to this path")
 		traceP  = flag.String("trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
-		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+		pprofA  = flag.String("pprof", "", "serve net/http/pprof and expvar (cmdline, memstats) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	if *pprofA != "" {

@@ -7,17 +7,20 @@
 //
 //	verro -in video.vvf [-tracks gt.csv] -out synthetic.vvf
 //	      [-f 0.1] [-eps 0] [-seed 1] [-png 0] [-laplace 0] [-no-opt]
-//	      [-workers N] [-window N] [-trace out.json] [-pprof addr]
+//	      [-window N] [-trace out.json] [-pprof addr]
 //
 // Either -f (flip probability) or -eps (total ε budget) sets the privacy
 // level; -eps wins when both are given. Phase I converts a budget to f
 // over the key frames it picks, per class under -multitype, and the run
 // prints the K and f it used.
 //
+// The worker pool is sized by GOMAXPROCS; the output is identical at any
+// size.
+//
 // -trace writes a machine-readable run report (span tree per pipeline
 // stage, stage counters, worker-pool gauges; schema in DESIGN.md) and
-// prints a human-readable summary. -pprof serves net/http/pprof and expvar
-// (including live worker-pool stats) on the given address, e.g.
+// prints a human-readable summary. -pprof serves net/http/pprof and
+// expvar's cmdline and memstats on the given address, e.g.
 // -pprof localhost:6060.
 package main
 
@@ -40,7 +43,6 @@ type options struct {
 	pngN, gifN          int
 	laplace             float64
 	noOpt, multi        bool
-	workers             int
 	window              int
 	tracePath           string
 	pprofAddr           string
@@ -59,10 +61,9 @@ func main() {
 	flag.BoolVar(&opt.noOpt, "no-opt", false, "disable key-frame optimization (use all key frames)")
 	flag.BoolVar(&opt.multi, "multitype", false, "sanitize each object class independently (Section 5)")
 	flag.IntVar(&opt.gifN, "gif", 0, "also export an animated GIF sampling every Nth frame (0 = none)")
-	flag.IntVar(&opt.workers, "workers", 0, "worker-pool size for the hot CV loops (0 = GOMAXPROCS; output is identical at any setting)")
 	flag.IntVar(&opt.window, "window", 0, "stream the pipeline from disk in windows of N frames, bounding memory to O(N) (0 = one whole-clip window; output is identical at any setting)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSON run report (span tree + counters; schema in DESIGN.md)")
-	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	flag.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof and expvar (cmdline, memstats) on this address (e.g. localhost:6060)")
 	flag.Parse()
 	if opt.in == "" {
 		flag.Usage()
@@ -115,7 +116,6 @@ func run(opt options) error {
 		fmt.Println("no tracks given; running detection + tracking...")
 		pcfg := verro.DefaultPipelineConfig()
 		pcfg.Trace = trace
-		pcfg.Workers = opt.workers
 		pcfg.WindowFrames = opt.window
 		tracks, err = verro.DetectAndTrackStream(src, pcfg)
 		if err != nil {
@@ -134,7 +134,6 @@ func run(opt options) error {
 	cfg.Phase1.Optimize = !opt.noOpt
 	cfg.Phase1.LaplaceEps = opt.laplace
 	cfg.Trace = trace
-	cfg.Workers = opt.workers
 	cfg.WindowFrames = opt.window
 	cfg.PerClass = opt.multi
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"verro"
@@ -13,9 +14,9 @@ import (
 // TestTraceGoldenSchema is the end-to-end contract for -trace: a seeded run
 // over the scaled MOT01 benchmark (detection+tracking included, f high
 // enough that random response demonstrably flips bits) must emit a span for
-// every pipeline stage with its headline counter non-zero and report the
-// -workers pool size, and neither tracing nor the worker count may change
-// the published video by a single byte.
+// every pipeline stage with its headline counter non-zero and report a pool
+// of GOMAXPROCS workers, and neither tracing nor the worker count may
+// change the published video by a single byte.
 func TestTraceGoldenSchema(t *testing.T) {
 	preset, err := verro.BenchmarkPreset("MOT01")
 	if err != nil {
@@ -34,9 +35,12 @@ func TestTraceGoldenSchema(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.json")
 	traced := options{
 		in: in, out: filepath.Join(dir, "out-traced.vvf"),
-		f: 0.5, seed: 3, tracePath: tracePath, workers: 3,
+		f: 0.5, seed: 3, tracePath: tracePath,
 	}
-	if err := run(traced); err != nil {
+	prev := runtime.GOMAXPROCS(3)
+	err = run(traced)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
 		t.Fatal(err)
 	}
 	untraced := options{
@@ -57,7 +61,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("-trace -workers 3 changed the published video bytes")
+		t.Fatal("-trace at GOMAXPROCS 3 changed the published video bytes")
 	}
 
 	// The report must follow the documented schema.
@@ -79,7 +83,7 @@ func TestTraceGoldenSchema(t *testing.T) {
 		t.Fatalf("missing or empty pool gauges: %+v", rep.Pool)
 	}
 	if rep.Pool.Workers != 3 {
-		t.Errorf("pool workers = %d, want the -workers 3 of the run", rep.Pool.Workers)
+		t.Errorf("pool workers = %d, want the run's GOMAXPROCS 3", rep.Pool.Workers)
 	}
 
 	// Every pipeline stage must appear with its headline counter > 0.

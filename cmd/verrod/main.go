@@ -6,13 +6,13 @@
 // Usage:
 //
 //	verrod [-addr localhost:8077] [-data verrod-data]
-//	       [-max-jobs 2] [-window 64] [-workers 0] [-no-resume]
+//	       [-max-jobs 2] [-window 64] [-no-resume]
 //	       [-rate 0] [-burst 5]
 //
 // API (see DESIGN.md §2h for the full schemas):
 //
 //	POST /jobs              submit a job: JSON {"input","tracks","f","eps",
-//	                        "seed","window","workers"}, or an
+//	                        "seed","window"}, or an
 //	                        application/octet-stream upload with the same
 //	                        parameters as query values. 429 when every
 //	                        worker slot is taken, or (with -rate) when a
@@ -23,6 +23,11 @@
 //	                        privacy ledger
 //	GET  /jobs/{id}/events  live progress as Server-Sent Events
 //	GET  /jobs/{id}/output  the final sanitized .vvf
+//
+// Each job runs on a worker pool sized by GOMAXPROCS, and -max-jobs bounds
+// how many run at once. A request or a stored manifest that still carries
+// the field "workers" of older releases is accepted, and the field is
+// ignored.
 //
 // On startup verrod rescans its data directory and resumes every job a
 // previous process left unfinished, from its last durable checkpoint.
@@ -50,7 +55,6 @@ type options struct {
 	data     string
 	maxJobs  int
 	window   int
-	workers  int
 	noResume bool
 	rate     float64
 	burst    int
@@ -62,7 +66,6 @@ func main() {
 	flag.StringVar(&opt.data, "data", "verrod-data", "job store directory (manifests, staging, artifacts)")
 	flag.IntVar(&opt.maxJobs, "max-jobs", 2, "concurrently executing jobs; submissions above this are rejected with 429")
 	flag.IntVar(&opt.window, "window", 64, "default streaming window in frames (checkpoints land on these boundaries)")
-	flag.IntVar(&opt.workers, "workers", 0, "default per-job worker-pool size (0 = GOMAXPROCS; output is identical at any setting)")
 	flag.BoolVar(&opt.noResume, "no-resume", false, "do not resume jobs a previous process left unfinished")
 	flag.Float64Var(&opt.rate, "rate", 0, "per-client POST /jobs submissions per second (0 = no rate limit)")
 	flag.IntVar(&opt.burst, "burst", 5, "token-bucket depth for -rate: submissions a quiet client may burst")
@@ -82,7 +85,6 @@ func run(opt options) error {
 		Store:   fs,
 		MaxJobs: opt.maxJobs,
 		Window:  opt.window,
-		Workers: opt.workers,
 		Rate:    opt.rate,
 		Burst:   opt.burst,
 		// The limiter's clock is injected at the process edge: wall time is

@@ -177,15 +177,16 @@ const multiTypeGolden = "tracks=e632c56125c2de544c8ef087aed4fe152354d92473dd1fe7
 	" eps=40278e360604b32c pedestrian=40278e360604b32c vehicle=40178e360604b32c"
 
 // TestSanitizeMultiTypeGolden pins the per-class sanitizer's output bytes
-// and holds them identical at one and four workers.
+// and holds them identical at one and four workers (GOMAXPROCS 1 and 4).
 func TestSanitizeMultiTypeGolden(t *testing.T) {
 	g, mixed := mixedScene(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref string
 	for _, workers := range []int{1, 4} {
+		runtime.GOMAXPROCS(workers)
 		cfg := DefaultConfig()
 		cfg.Keyframe.MaxSegmentLen = 8
 		cfg.Seed = 7
-		cfg.Workers = workers
 		got := multiTypeDigest(t, perClassRun(t, g, mixed, cfg))
 		if ref == "" {
 			ref = got
@@ -200,10 +201,11 @@ func TestSanitizeMultiTypeGolden(t *testing.T) {
 
 // TestSanitizePerClassMatrix holds per-class runs to the driver's
 // contracts on the mixed clip: every window size and worker count
-// publishes the same bytes, each class's ledger entries partition the clip
-// and recompose to that class's ε, and a run resumed at a mid-clip window
-// boundary reproduces the uninterrupted run's suffix and synthetic tracks,
-// which re-folds the skipped windows' geometry from each placement's class.
+// (GOMAXPROCS) publishes the same bytes, each class's ledger entries
+// partition the clip and recompose to that class's ε, and a run resumed at
+// a mid-clip window boundary reproduces the uninterrupted run's suffix and
+// synthetic tracks, which re-folds the skipped windows' geometry from each
+// placement's class.
 func TestSanitizePerClassMatrix(t *testing.T) {
 	g, mixed := mixedScene(t)
 	base := DefaultConfig()
@@ -211,13 +213,14 @@ func TestSanitizePerClassMatrix(t *testing.T) {
 	base.Seed = 7
 	base.PerClass = true
 	meta := vid.MetaOf(g.Video)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref string
 	for _, window := range []int{0, 9, 16, 64} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("window=%d/workers=%d", window, workers), func(t *testing.T) {
+				runtime.GOMAXPROCS(workers)
 				cfg := base
 				cfg.WindowFrames = window
-				cfg.Workers = workers
 				full := &stream.CollectSink{}
 				res, err := SanitizeStream(stream.NewSliceSource(meta, g.Video.Frames), mixed, cfg, full)
 				if err != nil {

@@ -243,9 +243,9 @@ func safeExtend(m interp.Method, run []interp.Sample, numFrames int, bounds geom
 
 // RunPhase2 plans Phase II from the Phase I output and returns the
 // synthetic tracks without rendering a frame: the boxes come from
-// geometryRange, which is kept in lockstep with the renderer. kf is the
-// segmentation that produced p1.KeyFrames; tracks supplies the candidate
-// coordinates (their identities are stripped before use). Render/loss
+// geometryRange, the boxes the renderer draws into. kf is the segmentation
+// that produced p1.KeyFrames; tracks supplies the candidate coordinates
+// (their identities are stripped before use). Render/loss
 // counters land on rt.Span. Every random draw happens here, on the
 // coordinator, in the order planPhase2 fixes; SanitizeStreamFrom renders
 // the same plan window by window (renderRange).
@@ -463,7 +463,7 @@ type renderedFrame struct {
 // renderRange renders frames [lo, hi) of the plan on rt.Pool; under
 // SkipRender it computes their geometry only (geometryRange). Frames render
 // independently: every RNG draw happened during planning on the
-// coordinator, DrawObject/syntheticBox are pure given their frame, and each
+// coordinator, scene.DrawObject is pure given its frame, and each
 // worker touches only its own frame clone and record list. Results are
 // gathered in frame order, so rendering the clip in one call or in
 // consecutive windows produces bit-identical frames and records.
@@ -515,12 +515,12 @@ func depthSort(ps []placed) {
 }
 
 // geometryRange computes the record entries of frames [lo, hi) without
-// touching pixel data: syntheticBox is kept in lockstep with
-// scene.DrawObject, so the boxes are exactly those renderRange would have
-// recorded. SkipRender runs use it for every frame, and the resume path
-// uses it to re-fold windows whose pixels already sit in the persisted
-// staging file into the synthetic track set, keeping a resumed Result
-// identical to an uninterrupted one.
+// touching pixel data: scene.ObjectBox is the box scene.DrawObject draws
+// into, so the boxes are exactly those renderRange would have recorded.
+// SkipRender runs use it for every frame, and the resume path uses it to
+// re-fold windows whose pixels already sit in the persisted staging file
+// into the synthetic track set, keeping a resumed Result identical to an
+// uninterrupted one.
 func (pl *phase2Plan) geometryRange(lo, hi int) []renderedFrame {
 	out := make([]renderedFrame, hi-lo)
 	for i := range out {
@@ -528,7 +528,7 @@ func (pl *phase2Plan) geometryRange(lo, hi int) []renderedFrame {
 		ps := pl.perFrame[k]
 		depthSort(ps)
 		for _, p := range ps {
-			out[i].recs = append(out[i].recs, recordEntry{p.id, p.class, syntheticBox(p.class, p.pos, pl.h)})
+			out[i].recs = append(out[i].recs, recordEntry{p.id, p.class, scene.ObjectBox(p.class, p.pos, pl.h)})
 		}
 	}
 	return out
@@ -582,14 +582,4 @@ func (a *phase2Assembler) finish(rt obs.Runtime) *Phase2Result {
 		Assigned: a.plan.assigned,
 		Lost:     a.plan.lost,
 	}
-}
-
-// syntheticBox computes the box a synthetic object would cover at pos
-// without rendering it — the geometryRange path, kept in lockstep with
-// scene.DrawObject.
-func syntheticBox(class scene.ObjectClass, pos geom.Vec, frameH int) geom.Rect {
-	s := scene.DepthScale(pos.Y, frameH)
-	w, h := scene.SpriteSize(class, s)
-	c := pos.Round()
-	return geom.RectAt(c.X-w/2, c.Y-h/2, w, h)
 }

@@ -21,12 +21,6 @@ type Config struct {
 	Inpaint  inpaint.Config
 	// Seed drives all randomness in the run.
 	Seed int64
-	// Workers sizes this run's worker pool (0 means GOMAXPROCS). All
-	// randomness is drawn on the coordinating goroutine, so the sanitized
-	// output is bit-identical at any worker count. The size is scoped to
-	// this run's pool — concurrent Sanitize calls with different Workers
-	// never interfere.
-	Workers int
 	// Trace, when non-nil, collects a span per pipeline stage plus stage
 	// counters and worker-pool gauges. Nil (the default) disables all
 	// instrumentation at zero cost; tracing never perturbs the seeded output.

@@ -273,7 +273,7 @@ func SanitizeStreamFrom(src stream.Source, tracks *motio.TrackSet, cfg Config, s
 		}
 		return fmt.Errorf("core: class %q: %w", g.label, err)
 	}
-	pool := par.NewPool(cfg.Workers)
+	pool := par.NewPool(0)
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
 	rng := rand.New(rand.NewSource(cfg.Seed))

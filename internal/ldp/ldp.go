@@ -54,9 +54,14 @@ func FlipProbability(k int, eps float64) (float64, error) {
 
 // KeepProbability returns the probability that classic binary randomized
 // response reports the true bit when each bit holds budget eps:
-// e^ε/(1+e^ε). This is the rule of Algorithm 1 line 6.
+// e^ε/(1+e^ε). This is the rule of Algorithm 1 line 6. Past ε ≈ 709.78
+// the exponential overflows and the quotient would be Inf/Inf = NaN; the
+// limit there is 1, which e/(1+e) already rounds to from ε ≈ 37 on.
 func KeepProbability(eps float64) float64 {
 	e := math.Exp(eps)
+	if math.IsInf(e, 1) {
+		return 1
+	}
 	return e / (1 + e)
 }
 
@@ -106,8 +111,8 @@ func Hamming(a, b BitVector) int {
 // is the naive Algorithm 1 whose poor utility motivates VERRO's dimension
 // reduction; it is kept as the experimental baseline.
 func ClassicRR(b BitVector, eps float64, rng *rand.Rand) (BitVector, error) {
-	if math.IsNaN(eps) || eps < 0 {
-		return nil, fmt.Errorf("%w: negative epsilon %v", ErrBudget, eps)
+	if math.IsNaN(eps) || math.IsInf(eps, 1) || eps < 0 {
+		return nil, fmt.Errorf("%w: epsilon %v must be nonnegative and finite", ErrBudget, eps)
 	}
 	m := len(b)
 	out := make(BitVector, m)

@@ -55,6 +55,26 @@ func TestClassicRRRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestClassicRRKeepsBitsAtHugeBudget: a finite per-bit budget past the
+// exponential's overflow (ε/bit ≈ 709.78) keeps every bit with probability
+// 1; it must not flip them all, as an Inf/Inf keep probability did.
+func TestClassicRRKeepsBitsAtHugeBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bits := BitVector{true, false, true, true}
+	for _, perBit := range []float64{710, 1e4} {
+		got, err := ClassicRR(bits, perBit*float64(len(bits)), rng)
+		if err != nil {
+			t.Fatalf("ClassicRR at eps/bit %v: %v", perBit, err)
+		}
+		if Hamming(got, bits) != 0 {
+			t.Errorf("ClassicRR at eps/bit %v = %v, want its input %v", perBit, got, bits)
+		}
+	}
+	if p := KeepProbability(1e4); p != 1 {
+		t.Errorf("KeepProbability(1e4) = %v, want 1", p)
+	}
+}
+
 func TestRAPPORFlipRejectsNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := RAPPORFlip(BitVector{true, false}, math.NaN(), rng); err == nil {
@@ -77,9 +97,11 @@ func TestOutOfRangeParametersReturnErrBudget(t *testing.T) {
 		_, err := RAPPORFlip(bits, f, rng)
 		checks = append(checks, check{fmt.Sprintf("RAPPORFlip(f=%v)", f), err})
 	}
-	_, err := ClassicRR(bits, -0.25, rng)
-	checks = append(checks, check{"ClassicRR(eps=-0.25)", err})
-	_, err = Epsilon(3, 0)
+	for _, eps := range []float64{-0.25, math.Inf(1)} {
+		_, err := ClassicRR(bits, eps, rng)
+		checks = append(checks, check{fmt.Sprintf("ClassicRR(eps=%v)", eps), err})
+	}
+	_, err := Epsilon(3, 0)
 	checks = append(checks, check{"Epsilon(f=0)", err})
 	_, err = FlipProbability(3, -1)
 	checks = append(checks, check{"FlipProbability(eps=-1)", err})

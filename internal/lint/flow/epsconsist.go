@@ -15,8 +15,8 @@ import "verro/internal/lint"
 // killed when Validate() is called on the value (a Cleanser, applied in
 // statement order). A FieldFilter confines propagation to the fields that
 // carry privacy semantics (Config.Phase1, Phase1Config.F,
-// Phase1Config.LaplaceEps): reading cfg.Workers off an unvalidated config
-// is fine. Writing a privacy field re-taints the config — mutation after
+// Phase1Config.LaplaceEps): reading cfg.WindowFrames off an unvalidated
+// config is fine. Writing a privacy field re-taints the config — mutation after
 // Validate() reopens the hole. Sinks are the ldp primitives' parameter
 // slots plus any numeric arithmetic on a tainted value (hand-rolled
 // ε-budget math bypasses the range checks entirely).

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"expvar"
+	_ "expvar" // registers /debug/vars (cmdline, memstats) on the default mux
 	"fmt"
 	"net"
 	"net/http"
@@ -9,8 +9,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"verro/internal/par"
 )
 
 var debugOnce sync.Once
@@ -33,10 +31,10 @@ func NewServer(addr string, h http.Handler) *http.Server {
 }
 
 // ServeDebug starts the opt-in diagnostics endpoint on addr in a background
-// goroutine: net/http/pprof profiles plus expvar, including a live
-// "verro.pool" variable exposing the default worker pool's dispatch and
-// busy-time gauges. It backs the CLIs' -pprof flag and is a no-op on every
-// call after the first. The listener is opened synchronously so an
+// goroutine: net/http/pprof profiles plus expvar's process variables
+// (cmdline, memstats). A run's worker-pool gauges are in its trace
+// (Report.Pool), not here. It backs the CLIs' -pprof flag and is a no-op
+// on every call after the first. The listener is opened synchronously so an
 // unbindable address surfaces as the returned error instead of vanishing
 // inside the serving goroutine; errors from the serving loop itself (after
 // a successful bind) are still reported to stderr rather than aborting the
@@ -44,20 +42,6 @@ func NewServer(addr string, h http.Handler) *http.Server {
 func ServeDebug(addr string) error {
 	var err error
 	debugOnce.Do(func() {
-		expvar.Publish("verro.pool", expvar.Func(func() any {
-			s := par.DefaultStats()
-			busy := make([]int64, len(s.Busy))
-			for i, d := range s.Busy {
-				busy[i] = int64(d)
-			}
-			return map[string]any{
-				"workers":       s.Workers,
-				"calls":         s.Calls,
-				"chunks":        s.Chunks,
-				"busy_ns":       busy,
-				"busy_total_ns": int64(s.BusyTotal()),
-			}
-		}))
 		var ln net.Listener
 		ln, err = net.Listen("tcp", addr)
 		if err != nil {

@@ -7,18 +7,18 @@
 // invariant is what lets the seeded experiment harness keep its
 // reproducibility guarantees while the pipeline saturates the machine.
 //
-// A pool's size comes from one of two places: the n of NewPool(n) when
-// n > 0 (a run's Config.Workers), otherwise runtime.GOMAXPROCS(0), read at
-// each call. Pools are scoped handles threaded through a call tree, so
-// concurrent pipeline runs with different worker budgets never share
-// state. The package-level Map runs on a default pool sized like
-// NewPool(0).
+// Product runs size every pool by runtime.GOMAXPROCS(0), read at each
+// call: they pass NewPool(0). A positive n fixes the size, which only
+// tests and benchmarks use, to compare pools of given sizes inside one
+// process. Pools are scoped handles threaded through a call tree, so
+// concurrent pipeline runs never share state. The package-level Map runs
+// on a default pool sized like NewPool(0).
 //
-// Every pool (including the implicit default one) keeps utilization
-// statistics — For calls, chunks dispatched, cumulative busy time per
-// worker slot — that the observability layer (internal/obs) samples into
-// trace reports. Recording happens once per chunk, so the bookkeeping cost
-// is invisible next to the chunk work itself.
+// Every pool keeps utilization statistics — For calls, chunks dispatched,
+// cumulative busy time per worker slot — that the observability layer
+// (internal/obs) samples into trace reports. Recording happens once per
+// chunk, so the bookkeeping cost is invisible next to the chunk work
+// itself.
 package par
 
 import (
@@ -46,8 +46,8 @@ type Pool struct {
 var defaultPool = &Pool{}
 
 // NewPool returns a pool fixed at n workers; n <= 0 sizes to
-// runtime.GOMAXPROCS(0) at each call, so NewPool(0) is a stats-isolated
-// handle with default sizing.
+// runtime.GOMAXPROCS(0) at each call, so NewPool(0), which product runs
+// pass, is a stats-isolated handle with default sizing.
 func NewPool(n int) *Pool {
 	if n < 0 {
 		n = 0
@@ -101,10 +101,6 @@ func (p *Pool) Stats() Stats {
 		Busy:    append([]time.Duration(nil), p.busy...),
 	}
 }
-
-// DefaultStats snapshots the default pool (the one behind the package-level
-// Map) — exported so CLIs can surface it via expvar.
-func DefaultStats() Stats { return defaultPool.Stats() }
 
 // record accumulates one executed chunk on worker slot w.
 func (p *Pool) record(w int, d time.Duration) {

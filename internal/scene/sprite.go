@@ -138,16 +138,23 @@ func Palette(i int) img.RGB {
 	return img.FromHSV(img.HSV{H: hue, S: sat, V: val})
 }
 
+// ObjectBox returns the box an object of the given class covers at center
+// position pos in a frame frameH rows tall, scaled by the perspective depth
+// cue: the box DrawObject draws into, computed without drawing.
+func ObjectBox(class ObjectClass, pos geom.Vec, frameH int) geom.Rect {
+	w, h := SpriteSize(class, DepthScale(pos.Y, frameH))
+	c := pos.Round()
+	return geom.RectAt(c.X-w/2, c.Y-h/2, w, h)
+}
+
 // DrawObject composites an object of the given class and color at center
-// position pos into frame, scaled by the perspective depth cue, and returns
-// the ground-truth bounding box actually covered.
+// position pos into frame, into the box ObjectBox gives, and returns that
+// box as the ground truth actually covered.
 func DrawObject(frame *img.Image, class ObjectClass, color img.RGB, pos geom.Vec, phase float64) geom.Rect {
-	s := DepthScale(pos.Y, frame.H)
-	w, h := SpriteSize(class, s)
-	sp := RenderSprite(class, color, w, h, phase)
-	topLeft := geom.Pt(int(math.Round(pos.X))-w/2, int(math.Round(pos.Y))-h/2)
-	frame.BlitMasked(sp, topLeft, spriteKey)
-	return geom.RectAt(topLeft.X, topLeft.Y, w, h)
+	box := ObjectBox(class, pos, frame.H)
+	sp := RenderSprite(class, color, box.Dx(), box.Dy(), phase)
+	frame.BlitMasked(sp, box.Min, spriteKey)
+	return box
 }
 
 func maxInt(a, b int) int {

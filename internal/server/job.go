@@ -117,7 +117,6 @@ func (s *Server) process(m *store.Manifest, l *eventLog) (err error) {
 	cfg.Phase1.Eps = m.Eps
 	cfg.Trace = trace
 	cfg.WindowFrames = m.Window
-	cfg.Workers = m.Workers
 	// The manifest's parameters came off the wire (or back off disk on a
 	// resume); nothing downstream may consume them unvalidated. Admission
 	// already vetted them, but a manifest is plain JSON anyone could have

@@ -12,8 +12,9 @@
 //	GET  /jobs/{id}/output  the final sanitized .vvf
 //
 // Jobs run on a bounded worker fleet: at most MaxJobs execute concurrently,
-// each on its own scoped worker pool, and a POST finding every slot taken is
-// rejected with 429 rather than queued — the caller owns retry policy.
+// each on its own scoped worker pool sized by GOMAXPROCS, and a POST finding
+// every slot taken is rejected with 429 rather than queued — the caller owns
+// retry policy.
 // Progress events come straight from the pipeline's observability spans
 // (internal/obs) via a trace observer; no polling loop sits between the
 // sanitizer and the SSE stream.
@@ -43,9 +44,6 @@ type Config struct {
 	// Window is the streaming window (frames) for jobs that do not set one
 	// (default 64). Checkpoints land on these boundaries.
 	Window int
-	// Workers is the per-job pool size for jobs that do not set one
-	// (0 = the process-wide default).
-	Workers int
 	// Rate, when positive, throttles POST /jobs to this many submissions
 	// per second per client address (token bucket of depth Burst);
 	// 0 disables rate limiting. Requires Now.
@@ -229,7 +227,9 @@ func (s *Server) allocID() string {
 }
 
 // jobRequest is the POST /jobs JSON body. Uploads pass the same parameters
-// as query values instead.
+// as query values instead. Unknown fields and query values are ignored, so
+// a client that still sends the "workers" of older releases is admitted and
+// runs like any other job.
 type jobRequest struct {
 	// Input is the path to the input .vvf on the server's filesystem
 	// (ignored for uploads — the body is the video).
@@ -245,8 +245,6 @@ type jobRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Window overrides the server's streaming window for this job.
 	Window int `json:"window,omitempty"`
-	// Workers overrides the per-job worker-pool size.
-	Workers int `json:"workers,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -317,14 +315,12 @@ func (s *Server) admit(r *http.Request) (*store.Manifest, error) {
 				*dst = x
 			}
 		}
-		for key, dst := range map[string]*int{"window": &req.Window, "workers": &req.Workers} {
-			if v := q.Get(key); v != "" {
-				x, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("query %s: %w", key, err)
-				}
-				*dst = x
+		if v := q.Get("window"); v != "" {
+			x, err := strconv.Atoi(v)
+			if err != nil {
+				return nil, fmt.Errorf("query window: %w", err)
 			}
+			req.Window = x
 		}
 		if v := q.Get("seed"); v != "" {
 			x, err := strconv.ParseInt(v, 10, 64)
@@ -349,9 +345,6 @@ func (s *Server) admit(r *http.Request) (*store.Manifest, error) {
 	}
 	if req.Window <= 0 {
 		req.Window = s.cfg.Window
-	}
-	if req.Workers == 0 {
-		req.Workers = s.cfg.Workers
 	}
 	// Vet the privacy parameters at admission so a bad request fails with a
 	// 400 now instead of an asynchronous job failure later. The runner
@@ -398,8 +391,7 @@ func (s *Server) admit(r *http.Request) (*store.Manifest, error) {
 	m := &store.Manifest{
 		ID: id, State: store.StateRunning,
 		Input: input, Tracks: req.Tracks,
-		F: req.F, Eps: req.Eps, Seed: req.Seed,
-		Window: req.Window, Workers: req.Workers,
+		F: req.F, Eps: req.Eps, Seed: req.Seed, Window: req.Window,
 		Name: meta.Name, W: meta.W, H: meta.H,
 		Frames: meta.Frames, FPS: meta.FPS, Moving: meta.Moving,
 	}

@@ -551,7 +551,8 @@ func TestUploadJob(t *testing.T) {
 // worker slot.
 func TestSubmitValidation(t *testing.T) {
 	input, tracksCSV := fixture(t, t.TempDir())
-	srv, ts := newTestServer(t, t.TempDir(), 1)
+	root := t.TempDir()
+	srv, ts := newTestServer(t, root, 1)
 
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
@@ -578,11 +579,144 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("negative eps = %d, want 400", code)
 	}
 
+	// So is one sent as an upload's query value, before anything is staged:
+	// each refusal leaves no job directory behind.
+	data, err := os.ReadFile(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"f=NaN", "f=1.5", "eps=Inf", "eps=-1"} {
+		code := postUpload(t, ts, query+"&window=9&tracks="+tracksCSV, data)
+		if code != http.StatusBadRequest {
+			t.Fatalf("upload with %s = %d, want 400", query, code)
+		}
+		if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+			t.Fatalf("upload with %s left %d entries in the store (%v)", query, len(entries), err)
+		}
+	}
+
 	// Every failure released its slot: a real job still fits.
 	if _, code := postJob(t, ts, jobRequest{Input: input, Tracks: tracksCSV, Window: 9}); code != http.StatusAccepted {
 		t.Fatalf("POST after failed admissions = %d", code)
 	}
 	srv.Wait()
+}
+
+// postUpload posts data as an octet-stream upload with the given query and
+// returns the status code.
+func postUpload(t *testing.T, ts *httptest.Server, query string, data []byte) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs?"+query, "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestSubmitIgnoresWorkers: a client of an older release that still sends
+// "workers", in a JSON body or as an upload's query value, is admitted,
+// and its job publishes the artifact of the same job without the field.
+func TestSubmitIgnoresWorkers(t *testing.T) {
+	input, tracksCSV := fixture(t, t.TempDir())
+	root := t.TempDir()
+	srv, ts := newTestServer(t, root, 1)
+	data, err := os.ReadFile(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// artifact submits one job, waits for it and returns its output.
+	artifact := func(query, ctype string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs"+query, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m store.Manifest
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /jobs%s: %d %v", query, resp.StatusCode, err)
+		}
+		srv.Wait()
+		if got, _ := getManifest(t, ts, m.ID); got.State != store.StateDone {
+			t.Fatalf("%s finished %s (%s)", m.ID, got.State, got.Error)
+		}
+		out, err := os.ReadFile(filepath.Join(root, m.ID, "output.vvf"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	job := fmt.Sprintf(`"input":%q,"tracks":%q,"f":0.1,"seed":5,"window":9`, input, tracksCSV)
+	want := artifact("", "application/json", []byte("{"+job+"}"))
+	if got := artifact("", "application/json", []byte("{"+job+`,"workers":1}`)); !bytes.Equal(got, want) {
+		t.Error(`the "workers": 1 job's artifact differs from the job without it`)
+	}
+	upload := "?f=0.1&seed=5&window=9&workers=1&tracks=" + tracksCSV
+	if got := artifact(upload, "application/octet-stream", data); !bytes.Equal(got, want) {
+		t.Error("the ?workers=1 upload's artifact differs from the job without it")
+	}
+}
+
+// TestResumeHandEditedManifests resumes manifests written by hand, as a
+// person or an older release could leave them. One still holds the
+// "workers" of older releases: it resumes and publishes the artifact of
+// the same job run fresh. One holds a flip probability outside (0, 1]:
+// the runner's own validation fails it before any frame is rendered.
+func TestResumeHandEditedManifests(t *testing.T) {
+	input, tracksCSV := fixture(t, t.TempDir())
+	for _, tc := range []struct {
+		name  string
+		extra string
+		f     float64
+		fail  bool
+	}{
+		{"workers", `"workers": 3,`, 0.1, false},
+		{"f=2", "", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			const id = "job-000001"
+			manifest := fmt.Sprintf(`{"id": %q, "state": "running", "input": %q, "tracks": %q,
+  "f": %v, "seed": 5, "window": 9, %s
+  "name": "srv", "w": 96, "h": 72, "frames": 36, "fps": 30, "checkpoint_frames": 0}
+`, id, input, tracksCSV, tc.f, tc.extra)
+			if err := os.MkdirAll(filepath.Join(root, id), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, id, "manifest.json"), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, ts := newTestServer(t, root, 1)
+			if n, err := srv.ResumeInterrupted(); err != nil || n != 1 {
+				t.Fatalf("ResumeInterrupted = %d, %v; want 1 job", n, err)
+			}
+			srv.Wait()
+			got, _ := getManifest(t, ts, id)
+			output := filepath.Join(root, id, "output.vvf")
+			if tc.fail {
+				if got.State != store.StateFailed || !strings.HasPrefix(got.Error, "config:") {
+					t.Fatalf("resumed job finished %s (%s), want failed with the config error", got.State, got.Error)
+				}
+				if _, err := os.Stat(output); !os.IsNotExist(err) {
+					t.Fatalf("a failed job wrote output.vvf: %v", err)
+				}
+				return
+			}
+			if got.State != store.StateDone {
+				t.Fatalf("resumed job finished %s (%s)", got.State, got.Error)
+			}
+			artifact, err := os.ReadFile(output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cliEquivalent(t, input, tracksCSV, 0.1, 5, 9); !bytes.Equal(artifact, want) {
+				t.Fatal("the resumed job's artifact differs from the same job run fresh")
+			}
+		})
+	}
 }
 
 // Wait blocks until every admitted job has finished, so a test can read a

@@ -44,13 +44,12 @@ type Manifest struct {
 	State string `json:"state"`
 
 	// Request parameters.
-	Input   string  `json:"input"`            // path to the input .vvf
-	Tracks  string  `json:"tracks,omitempty"` // optional tracks CSV; empty = detect
-	F       float64 `json:"f"`                // flip probability (ignored when Eps > 0)
-	Eps     float64 `json:"eps,omitempty"`    // total ε budget; Phase I resolves it to f (ResolvedF)
-	Seed    int64   `json:"seed"`
-	Window  int     `json:"window"`            // streaming window frames
-	Workers int     `json:"workers,omitempty"` // per-job pool size (0 = process default)
+	Input  string  `json:"input"`            // path to the input .vvf
+	Tracks string  `json:"tracks,omitempty"` // optional tracks CSV; empty = detect
+	F      float64 `json:"f"`                // flip probability (ignored when Eps > 0)
+	Eps    float64 `json:"eps,omitempty"`    // total ε budget; Phase I resolves it to f (ResolvedF)
+	Seed   int64   `json:"seed"`
+	Window int     `json:"window"` // streaming window frames
 
 	// Input geometry, probed at admission so restarts need not trust the
 	// input file to still parse before deciding how to resume.

@@ -17,7 +17,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
 		ID: "job-000001", State: StateRunning,
 		Input: "/data/in.vvf", Tracks: "/data/tracks.csv",
-		F: 0.1, Eps: 2.5, Seed: 42, Window: 16, Workers: 3,
+		F: 0.1, Eps: 2.5, Seed: 42, Window: 16,
 		Name: "clip", W: 320, H: 240, Frames: 128, FPS: 30, Moving: true,
 		CheckpointFrames: 48,
 		Ledger: []core.WindowSpend{
@@ -41,6 +41,39 @@ func TestManifestRoundTrip(t *testing.T) {
 	// A Save leaves no temp file behind; the rename completed.
 	if _, err := os.Stat(filepath.Join(root, m.ID, "manifest.json.tmp")); !os.IsNotExist(err) {
 		t.Fatalf("temp file survived the atomic save: %v", err)
+	}
+}
+
+// TestManifestWithWorkersLoads: a manifest written by an older release
+// still holds the per-job "workers" pool size, which no longer exists. It
+// loads, and the fields it shares with today's manifest read back.
+func TestManifestWithWorkersLoads(t *testing.T) {
+	root := t.TempDir()
+	s, err := NewFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000007"
+	if err := os.MkdirAll(filepath.Join(root, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data := `{"id": "job-000007", "state": "running", "input": "/data/in.vvf",
+  "f": 0.1, "seed": 42, "window": 16, "workers": 3,
+  "name": "clip", "w": 320, "h": 240, "frames": 128, "fps": 30, "checkpoint_frames": 48}
+`
+	if err := os.WriteFile(filepath.Join(root, id, "manifest.json"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Load(id)
+	if err != nil {
+		t.Fatalf("a manifest holding workers does not load: %v", err)
+	}
+	if m.State != StateRunning || m.F != 0.1 || m.Seed != 42 || m.Window != 16 ||
+		m.Frames != 128 || m.CheckpointFrames != 48 {
+		t.Fatalf("loaded manifest: %+v", m)
+	}
+	if ms, err := s.List(); err != nil || len(ms) != 1 || ms[0].ID != id {
+		t.Fatalf("List = %v, %v; want the one manifest", ms, err)
 	}
 }
 

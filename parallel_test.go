@@ -6,11 +6,14 @@ package verro
 // harness (EXPERIMENTS.md) depends on seeded reproducibility. The tests
 // here run the same seeded pipelines at workers=1 and workers=8 and compare
 // every artifact byte for byte: recovered tracks, presence vectors,
-// synthetic tracks, raw frames, and the encoded .vvf stream.
+// synthetic tracks, raw frames, and the encoded .vvf stream. A product run
+// sizes its pool by GOMAXPROCS, so the pipeline tests set GOMAXPROCS to the
+// worker count; the kernel tests pass a pool of that size.
 
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -80,10 +83,11 @@ func TestParallelEquivalence(t *testing.T) {
 // runPipelineWith executes detect→track→sanitize (seed 7) for a preset at
 // equivScale and captures every published artifact plus the Result.
 // Detection, tracking and the sanitizer all run in windows of window frames
-// (0 = one whole-clip window) on pools of workers workers (0 = GOMAXPROCS)
+// (0 = one whole-clip window) at GOMAXPROCS workers, restored on return,
 // with an optional trace attached.
 func runPipelineWith(t *testing.T, name string, window, workers int, trace *Trace) (pipelineArtifacts, *Result) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	preset, err := BenchmarkPreset(name)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +97,6 @@ func runPipelineWith(t *testing.T, name string, window, workers int, trace *Trac
 		t.Fatal(err)
 	}
 	pcfg := DefaultPipelineConfig()
-	pcfg.Workers = workers
 	pcfg.Trace = trace
 	pcfg.WindowFrames = window
 	tracks, err := DetectAndTrack(g.Video, pcfg)
@@ -102,7 +105,6 @@ func runPipelineWith(t *testing.T, name string, window, workers int, trace *Trac
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	cfg.Workers = workers
 	cfg.Trace = trace
 	cfg.WindowFrames = window
 	res, err := Sanitize(g.Video, tracks, cfg)
@@ -146,10 +148,10 @@ func TestTraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentSanitizeScopedWorkers runs Sanitize concurrently with
-// different Workers: each run must size its own pool (its trace reports
-// exactly its worker count) and every output must stay bit-identical to a
-// reference run.
+// TestConcurrentSanitizeScopedWorkers runs Sanitize concurrently: each run
+// must keep its own pool (its trace counts exactly the pool calls of a
+// reference run, where a shared pool would count the other runs' calls
+// too) and every output must stay bit-identical to the reference.
 func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 	preset, err := BenchmarkPreset("MOT01")
 	if err != nil {
@@ -163,43 +165,43 @@ func TestConcurrentSanitizeScopedWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) []byte {
+	run := func() ([]byte, int64) {
 		cfg := DefaultConfig()
 		cfg.Seed = 7
-		cfg.Workers = workers
 		cfg.Trace = NewTrace("scoped")
 		res, err := Sanitize(g.Video, tracks, cfg)
 		if err != nil {
 			t.Error(err)
-			return nil
-		}
-		if rep := cfg.Trace.Report(); workers > 0 && rep.Pool.Workers != workers {
-			t.Errorf("run with Workers=%d used a %d-worker pool", workers, rep.Pool.Workers)
+			return nil, 0
 		}
 		var buf bytes.Buffer
 		if _, err := vid.Encode(&buf, res.Synthetic); err != nil {
 			t.Error(err)
-			return nil
+			return nil, 0
 		}
-		return buf.Bytes()
+		return buf.Bytes(), cfg.Trace.Report().Pool.Calls
 	}
-	want := run(0)
+	want, wantCalls := run()
 
-	workerMix := []int{1, 8, 2, 5}
-	got := make([][]byte, len(workerMix))
+	const runs = 4
+	got := make([][]byte, runs)
+	calls := make([]int64, runs)
 	var wg sync.WaitGroup
-	for i, w := range workerMix {
+	for i := range runs {
 		wg.Add(1)
-		go func(i, w int) {
+		go func(i int) {
 			defer wg.Done()
-			got[i] = run(w)
-		}(i, w)
+			got[i], calls[i] = run()
+		}(i)
 	}
 	wg.Wait()
 
 	for i, g := range got {
+		if calls[i] != wantCalls {
+			t.Errorf("concurrent run %d counted %d pool calls, the reference %d", i, calls[i], wantCalls)
+		}
 		if !bytes.Equal(g, want) {
-			t.Errorf("concurrent run %d (workers=%d) output differs from reference", i, workerMix[i])
+			t.Errorf("concurrent run %d output differs from reference", i)
 		}
 	}
 }
@@ -218,7 +220,7 @@ func TestParallelEquivalenceHOGDetection(t *testing.T) {
 	cfg := DefaultPipelineConfig()
 	cfg.Detector = DetectorHOGSVM
 	run := func(workers int) *TrackSet {
-		cfg.Workers = workers
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		tr, err := DetectAndTrack(g.Video, cfg)
 		if err != nil {
 			t.Fatal(err)

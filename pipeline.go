@@ -25,11 +25,6 @@ type PipelineConfig struct {
 	Style scene.Style
 	// Seed drives detector training randomness.
 	Seed int64
-	// Workers sizes this call's worker pool (0 means GOMAXPROCS). The
-	// output is bit-identical at any worker count; only wall-clock time
-	// changes. The size is scoped to this call's pool — concurrent
-	// DetectAndTrack calls with different Workers never interfere.
-	Workers int
 	// Trace, when non-nil, collects detection/tracking stage spans, counters
 	// and worker-pool gauges. Nil disables all instrumentation at zero cost;
 	// tracing never perturbs the output.
@@ -89,7 +84,7 @@ func DetectAndTrackStream(src stream.Source, cfg PipelineConfig) (*TrackSet, err
 	if meta.Frames == 0 {
 		return nil, fmt.Errorf("verro: empty video")
 	}
-	pool := par.NewPool(cfg.Workers)
+	pool := par.NewPool(0)
 	cfg.Trace.AttachPool(pool)
 	root := cfg.Trace.Root()
 	var det detect.Detector
